@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import kolmogorov, ndtr
 
 from .distributions import PredictiveDist, _as_array
@@ -117,7 +116,8 @@ def dispersion_report(s: PitSample) -> DispersionReport:
         label = UNDERDISPERSED
     else:
         label = OVERDISPERSED
-    return DispersionReport(pit_variance=var, classification=label, n=n, ci_halfwidth=half)
+    return DispersionReport(pit_variance=var, classification=label, n=n,
+                            ci_halfwidth=float(half))
 
 
 def var_z_sigma(sigma: float) -> float:
@@ -129,6 +129,8 @@ def var_z_sigma(sigma: float) -> float:
     """
     if not sigma > 0.0:
         raise ValueError("sigma must be strictly positive")
+    # imported here: scipy.integrate adds to every process that imports cdfpool
+    from scipy.integrate import quad
 
     def phi(t):
         return np.exp(-0.5 * t * t) / np.sqrt(2.0 * np.pi)

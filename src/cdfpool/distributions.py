@@ -14,13 +14,21 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import betainc, betaincinv, betaln, ndtr, ndtri
 
 from .errors import CdfPoolError, DensityUnavailable, MedianUndefined, MomentUnavailable
 
 _QUANTILE_ATOL = 1e-10  # absolute tolerance in y for bisection inverses
-_MOMENT_RTOL = 1e-8
+
+# Moments without a closed form integrate the CDF on a fixed Simpson grid.
+_TAIL_MASS = 1e-11  # probability left outside the integration bracket on each side
+_LIMIT_GAP = 1e-6  # shortfall of the CDF's far limits from 0 and 1 put down to rounding
+_BRACKET_LADDER = 2.0 ** np.arange(64)  # outward probes at -2^i and +2^i
+_BRACKET_POINTS = 65  # coarse grid that narrows the bracket onto the bulk
+_BRACKET_ROUNDS = 80  # each round at least halves the bracket
+_GRID_POINTS = 401  # odd, for Simpson's rule
+_GRID_DOUBLINGS = 3  # refinements tried before the moments are declared unavailable
+_GRID_RTOL = 1e-8  # agreement demanded between the full- and half-grid Simpson sums
 
 
 def _as_array(y) -> np.ndarray:
@@ -32,6 +40,12 @@ def _match(y_in, out: np.ndarray):
     if isinstance(y_in, numbers.Number) or np.ndim(y_in) == 0:
         return float(out)
     return out
+
+
+def _unit(u) -> np.ndarray:
+    """Probabilities clipped to [0, 1]: a mixture's CDF can pass 1 by rounding,
+    and betainc returns nan there."""
+    return np.clip(_as_array(u), 0.0, 1.0)
 
 
 def _beta_pdf(u, alpha: float, beta: float) -> np.ndarray:
@@ -124,27 +138,102 @@ class PredictiveDist:
             lo = np.where(~ge & ~stuck, mid, lo)
         return hi
 
+    def _tail_bracket(self) -> tuple[float, float, float, float]:
+        """The bulk [lo, hi] and the CDF's limits g0, g1 at -2^63 and +2^63.
+
+        Rounding can leave a CDF short of 0 or 1 in the far tails (a mixture
+        whose weights sum to 1 - 1e-16 under a beta transform), so the tails
+        are measured from those limits: cdf(lo) <= g0 + _TAIL_MASS and
+        cdf(hi) >= g1 - _TAIL_MASS.  The bracket first doubles outward
+        from [-1, 1] in one vectorised call, then shrinks to the coarse-grid
+        cells that still hold the two tail points, until the bulk spans at
+        least half the bracket.
+        """
+        n = _BRACKET_LADDER.size
+        c = _as_array(self.cdf(np.concatenate([-_BRACKET_LADDER, _BRACKET_LADDER])))
+        g0, g1 = float(c[n - 1]), float(c[-1])
+        if not g1 - g0 >= 1.0 - _LIMIT_GAP:
+            raise MomentUnavailable(
+                f"{type(self).__name__} CDF rises only from {g0:g} to {g1:g} "
+                f"over +-{_BRACKET_LADDER[-1]:g}"
+            )
+        lo = -_BRACKET_LADDER[np.argmax(c[:n] <= g0 + _TAIL_MASS)]
+        hi = _BRACKET_LADDER[np.argmax(c[n:] >= g1 - _TAIL_MASS)]
+        for _ in range(_BRACKET_ROUNDS):
+            t = np.linspace(lo, hi, _BRACKET_POINTS)
+            c = _as_array(self.cdf(t))
+            # c[0] <= g0 + _TAIL_MASS and c[-1] >= g1 - _TAIL_MASS, so i < j
+            i = int(np.argmax(c > g0 + _TAIL_MASS)) - 1
+            j = int(np.argmax(c >= g1 - _TAIL_MASS))
+            lo, hi = t[i], t[j]
+            if 2 * (j - i) > _BRACKET_POINTS - 1:
+                break
+        return float(lo), float(hi), g0, g1
+
+    def _kinks(self) -> np.ndarray:
+        """Points where the CDF may lose smoothness; Simpson panels end there."""
+        return np.empty(0)
+
     def _quadrature_moments(self) -> tuple[float, float]:
+        """Mean and variance from the CDF G alone, integrated by parts.
+
+        On [lo, hi] from ``_tail_bracket``, E[Y] = lo + int (1 - G) and
+        E[(Y - lo)^2] = 2 int (t - lo)(1 - G), with G rescaled to run from
+        0 to 1 between the CDF's far limits, by Simpson's rule on panels
+        split at ``_kinks``.  The same CDF values on every other node give
+        a second estimate; the grid doubles until the two agree to
+        _GRID_RTOL, and MomentUnavailable is raised if they never do.
+        """
         if not self.has_density:
             raise MomentUnavailable(
                 f"{type(self).__name__} has atoms; quadrature moments undefined"
             )
-        lo = float(self.quantile(1e-11))
-        hi = float(self.quantile(1.0 - 1e-11))
-        pdf = self.density
+        lo, hi, g0, g1 = self._tail_bracket()
+        kinks = self._kinks()
+        edges = np.unique(np.concatenate([[lo, hi], kinks[(kinks > lo) & (kinks < hi)]]))
+        n = _GRID_POINTS
+        for _ in range(_GRID_DOUBLINGS + 1):
+            t, w_full, w_half = _simpson_rule(edges, n)
+            tail = (g1 - _as_array(self.cdf(t))) / (g1 - g0)
+            rows = np.stack([tail, 2.0 * (t - lo) * tail])
+            full, half = rows @ w_full, rows @ w_half
+            m, v = lo + full[0], full[1] - full[0] ** 2
+            m_half, v_half = lo + half[0], half[1] - half[0] ** 2
+            if v > 0.0 and (abs(m - m_half) <= _GRID_RTOL * np.sqrt(v)
+                            and abs(v - v_half) <= _GRID_RTOL * v):
+                return float(m), float(v)
+            n = 2 * n - 1
+        raise MomentUnavailable(
+            f"{type(self).__name__} moments did not settle on a "
+            f"{(n + 1) // 2}-point Simpson grid over [{lo:g}, {hi:g}]"
+        )
 
-        def _integrate(f):
-            val, err = quad(f, lo, hi, limit=200, epsabs=1e-12, epsrel=1e-10,
-                            full_output=False)
-            return val, err
 
-        with np.errstate(all="ignore"):
-            m, e1 = _integrate(lambda t: t * pdf(t))
-            v, e2 = _integrate(lambda t: (t - m) ** 2 * pdf(t))
-        tol = _MOMENT_RTOL * max(abs(v), 1e-10)
-        if not (np.isfinite(m) and np.isfinite(v)) or e1 > tol + abs(m) * _MOMENT_RTOL or e2 > tol:
-            raise MomentUnavailable("adaptive quadrature for moments did not converge")
-        return m, max(v, 0.0)
+def _simpson_weights(n: int) -> np.ndarray:
+    w = np.full(n, 2.0)
+    w[1::2] = 4.0
+    w[0] = w[-1] = 1.0
+    return w
+
+
+def _simpson_rule(edges: np.ndarray, n: int):
+    """About n nodes on [edges[0], edges[-1]] with full- and half-grid Simpson weights.
+
+    Each panel between consecutive edges gets 4q + 1 equally spaced nodes,
+    with q in proportion to its length, so that the nodes and every other
+    node are both odd Simpson grids on every panel.
+    """
+    spans = np.diff(edges)
+    quarters = np.maximum(1, np.round((n - 1) / 4 * spans / spans.sum())).astype(int)
+    nodes, full, half = [], [], []
+    for a, span, q in zip(edges, spans, quarters):
+        h = span / (4 * q)
+        w_half = np.zeros(4 * q + 1)
+        w_half[::2] = 2.0 * _simpson_weights(2 * q + 1)
+        nodes.append(a + h * np.arange(4 * q + 1))
+        full.append(_simpson_weights(4 * q + 1) * (h / 3.0))
+        half.append(w_half * (h / 3.0))
+    return np.concatenate(nodes), np.concatenate(full), np.concatenate(half)
 
 
 @dataclass(frozen=True)
@@ -386,13 +475,13 @@ class Transformed(PredictiveDist):
         t = self.transform
         if isinstance(t, SpreadAdjust):
             return _match(y, _as_array(self.base.cdf(self._pullback(y))))
-        return _match(y, betainc(t.alpha, t.beta, _as_array(self.base.cdf(y))))
+        return _match(y, betainc(t.alpha, t.beta, _unit(self.base.cdf(y))))
 
     def cdf_left(self, y):
         t = self.transform
         if isinstance(t, SpreadAdjust):
             return _match(y, _as_array(self.base.cdf_left(self._pullback(y))))
-        return _match(y, betainc(t.alpha, t.beta, _as_array(self.base.cdf_left(y))))
+        return _match(y, betainc(t.alpha, t.beta, _unit(self.base.cdf_left(y))))
 
     @property
     def has_density(self) -> bool:

@@ -331,7 +331,9 @@ def _newton_stage(design, theta0, barrier_mu, max_iter, flags, trace):
                 break
             t *= 0.5
         if not accepted:
-            converged = np.max(np.abs(g)) < 1e-6
+            # no ascent left in floating point: converged if the Newton
+            # decrement per case is as small as an accepted step's gain
+            converged = 0.5 * float(g @ d) / design.J < 1e-10
             break
         it += 1
         delta = ell_new - ell

@@ -225,6 +225,11 @@ class GlpDistribution(PredictiveDist):
         locs = np.concatenate([c.atom_locations() for c in self.components])
         return np.unique(locs)
 
+    def _kinks(self):
+        # the clamp switches on where a component CDF crosses either bound
+        bounds = np.array([GLP_CLAMP, 1.0 - GLP_CLAMP])
+        return np.concatenate([_as_array(c.quantile(bounds)) for c in self.components])
+
 
 def pool(spec: PoolSpec, components) -> PredictiveDist:
     """Combine component distributions according to the pool specification."""

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -145,7 +147,32 @@ class TestCliPipeline:
         for key in ("ks_statistic", "ks_pvalue", "pit_variance", "classification",
                     "marginal_gap"):
             assert key in text
+        for line in text.splitlines():
+            key, value = line.split(" ", 1)
+            if key not in ("classification", "histogram"):
+                float(value)
         assert open(svg).read().startswith("<svg")
+
+    def test_evaluate_heavy_tailed_blp_is_a_numerical_failure(self, tmp_path, capsys):
+        data = str(tmp_path / "test.csv")
+        params = str(tmp_path / "blp.txt")
+        run("simulate", "--dgp", "regression", "--n", "20", "--seed", "3", "--out", data)
+        write_params(params, _fit_result(BlpSpec((0.5, 0.3, 0.2), alpha=0.05, beta=0.05)))
+        assert run("evaluate", "--params", params, "--input", data,
+                   "--out", str(tmp_path / "eval.txt")) == 1
+        assert "numerical failure" in capsys.readouterr().err
+
+
+class TestStartup:
+    def test_import_loads_neither_scipy_integrate_nor_stats(self):
+        import cdfpool
+
+        code = ("import sys, cdfpool; print(sorted(m for m in sys.modules "
+                "if m.split('.')[:2] in (['scipy', 'integrate'], ['scipy', 'stats'])))")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cdfpool.__file__)))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout.strip() == "[]"
 
 
 class TestErrorContract:

@@ -1,20 +1,29 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
+from scipy.special import betaln, log_ndtr, ndtri
 
 from cdfpool import (
     BetaTransform,
+    BlpSpec,
     DensityUnavailable,
     FiniteDiscrete,
     Gaussian,
+    GlpSpec,
+    LinkFunction,
     MedianUndefined,
     Mixture,
+    MomentUnavailable,
     SpreadAdjust,
     Transformed,
     TwoPointBernoulli,
+    pool,
     validate_cdf,
 )
+from cdfpool.pools import GLP_CLAMP
 
 STANDARD_MIX = Mixture((Gaussian(-1.0, 1.0), Gaussian(1.0, 1.0)), (0.5, 0.5))
 
@@ -131,12 +140,124 @@ class TestMoments:
         d = Transformed(Gaussian(0.0, 2.0), SpreadAdjust(c=0.5, median=0.0))
         assert d.variance() == pytest.approx(1.0, rel=1e-12)
 
+    def test_beta_transform_of_mixture_that_passes_one(self):
+        # these weights sum to 1 + 2e-16, so the mixture's CDF passes 1 by rounding
+        w = (0.20689609319226915, 0.7048003422567792, 0.08830356455095174)
+        d = Transformed(Mixture((Gaussian(0.0, 1.0),) * 3, w), BetaTransform(2.7, 1.4))
+        assert d.cdf(50.0) == 1.0
+        assert d.variance() > 0.0
+
     def test_beta_transform_variance_by_quadrature(self):
         d = Transformed(Gaussian(0.0, 1.0), BetaTransform(2.0, 2.0))
         # independent oracle: direct quadrature of y^2 against the density
         m = quad(lambda t: t * d.density(t), -10, 10, epsabs=1e-12)[0]
         v = quad(lambda t: (t - m) ** 2 * d.density(t), -10, 10, epsabs=1e-12)[0]
         assert d.variance() == pytest.approx(v, rel=1e-8)
+
+
+def _quad_moments(integrand_m, integrand_v, lo, hi, points):
+    # breakpoints closer than 1e-6 leave quad a sliver it handles badly
+    points = sorted({round(p, 6) for p in points})
+    kw = dict(epsabs=1e-12, epsrel=1e-11, limit=1000, points=points)
+    m = quad(integrand_m, lo, hi, **kw)[0]
+    return m, quad(lambda t: integrand_v(t, m), lo, hi, **kw)[0]
+
+
+def _density_oracle(d, comps):
+    """Mean and variance by quad against the density, over 12 sd past every component."""
+    lo = min(c.mu - 12.0 * c.sigma for c in comps)
+    hi = max(c.mu + 12.0 * c.sigma for c in comps)
+    return _quad_moments(lambda t: t * d.density(t), lambda t, m: (t - m) ** 2 * d.density(t),
+                         lo, hi, [c.mu for c in comps])
+
+
+def _cdf_oracle(d, comps):
+    """Mean and variance by quad of the CDF integrated by parts.
+
+    A GLP's density ignores the clamp on component CDFs, so where the clamp
+    is active it is not the derivative of the pooled CDF; the CDF defines the
+    pool.  quad is told where each component crosses the clamp bounds.
+    """
+    lo = min(c.mu - 12.0 * c.sigma for c in comps)
+    hi = max(c.mu + 12.0 * c.sigma for c in comps)
+    z = ndtri(GLP_CLAMP)
+    kinks = [c.mu + s * z * c.sigma for c in comps for s in (-1.0, 1.0)]
+    i1, i2 = _quad_moments(lambda t: 1.0 - d.cdf(t),
+                           lambda t, _: 2.0 * (t - lo) * (1.0 - d.cdf(t)),
+                           lo, hi, kinks + [c.mu for c in comps])
+    return lo + i1, i2 - i1 * i1
+
+
+# Two to four Gaussian components as (mu, sigma, unnormalised weight), which
+# covers the regression study's forecasts.  Past about six of the narrower
+# sigma between centres, a probit pool's CDF carries rounding noise of up to
+# 1e-7 (ndtri of an upper-tail ndtr), and no integrator, quad included,
+# resolves its moments to 1e-8.
+_components = st.lists(
+    st.tuples(st.floats(-3.0, 3.0), st.floats(0.8, 2.0), st.floats(0.05, 1.0)),
+    min_size=2, max_size=4,
+)
+
+
+def _gaussians(raw):
+    w = np.array([x for _, _, x in raw])
+    return tuple(Gaussian(mu, sd) for mu, sd, _ in raw), tuple(w / w.sum())
+
+
+def _assert_moments_close(d, oracle):
+    m, v = d.mean(), d.variance()
+    m_ref, v_ref = oracle
+    assert v == pytest.approx(v_ref, rel=1e-8)
+    assert abs(m - m_ref) <= 1e-8 * np.sqrt(v_ref)
+
+
+class TestGridMoments:
+    """BLP and GLP moments come from a Simpson grid on the CDF; quad is the oracle."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(_components, st.floats(0.7, 5.0), st.floats(0.7, 5.0))
+    # weights summing to 1 - 1e-16: the pooled CDF stops 1e-11 short of 1
+    @example([(0.0, 1.0, 1.0), (0.0, 1.0, 0.8), (0.0, 1.0, 0.9435691943904444)], 2.0, 0.703125)
+    def test_blp_matches_quad(self, raw, alpha, beta):
+        comps, w = _gaussians(raw)
+        d = pool(BlpSpec(w, alpha, beta), comps)
+        _assert_moments_close(d, _density_oracle(d, comps))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(_components, st.sampled_from([LinkFunction.LOG, LinkFunction.PROBIT,
+                                         LinkFunction.RECIPROCAL]))
+    # the clamp switches on inside the bulk, putting kinks in the CDF
+    @example([(0.24, 0.95, 0.09), (-2.79, 1.71, 0.9), (-2.13, 1.77, 0.09)], LinkFunction.LOG)
+    @example([(0.39, 1.49, 0.9), (-1.21, 0.81, 0.26)], LinkFunction.PROBIT)
+    def test_glp_matches_quad(self, raw, link):
+        comps, w = _gaussians(raw)
+        d = pool(GlpSpec(w, link), comps)
+        _assert_moments_close(d, _cdf_oracle(d, comps))
+
+    @pytest.mark.parametrize("alpha, beta", [(0.3, 0.3), (5.0, 0.2), (0.05, 0.05)])
+    def test_heavy_tailed_beta_transform(self, alpha, beta):
+        # the base CDF rounds to 1 while B(u) is still short of 1 by up to
+        # 1e-1, so the moments are either right or typed as unavailable
+        mu, sd = 3.0, 0.01
+        d = Transformed(Gaussian(mu, sd), BetaTransform(alpha, beta))
+        try:
+            m, v = d.mean(), d.variance()
+        except MomentUnavailable:
+            return
+
+        def density(z):  # of the standardised variable, exact in both tails
+            return np.exp((alpha - 1.0) * log_ndtr(z) + (beta - 1.0) * log_ndtr(-z)
+                          - betaln(alpha, beta) - 0.5 * z * z) / np.sqrt(2.0 * np.pi)
+
+        m_z, v_z = _quad_moments(lambda z: z * density(z), lambda z, m: (z - m) ** 2 * density(z),
+                                 -40.0, 40.0, [-10.0, -5.0, 0.0, 5.0, 10.0])
+        assert v == pytest.approx(sd * sd * v_z, rel=1e-8)
+        assert m == pytest.approx(mu + sd * m_z, abs=1e-8 * sd)
+
+    def test_atoms_have_no_grid_moments(self):
+        d = Transformed(TwoPointBernoulli(0.3), BetaTransform(2.0, 2.0))
+        with pytest.raises(MomentUnavailable):
+            d.variance()
 
 
 class TestInvariants:

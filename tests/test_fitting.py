@@ -7,6 +7,7 @@ from scipy.special import betaln
 from cdfpool import (
     BlpSpec,
     DegenerateDesign,
+    DgpConfig,
     ForecastCase,
     Gaussian,
     TlpSpec,
@@ -21,8 +22,9 @@ from cdfpool import (
     gaussian_cases_from_regressions,
     log_score,
     pool,
+    simulate,
 )
-from cdfpool.fitting import FLAG_FLAT_DIRECTION
+from cdfpool.fitting import FLAG_FLAT_DIRECTION, FLAG_NO_CONVERGENCE
 
 from conftest import make_gaussian_cases
 
@@ -164,6 +166,14 @@ class TestFitBlp:
         cases = make_gaussian_cases(np.random.default_rng(1), J=4, k=3)
         with pytest.raises(TooFewSamples):
             fit_blp(cases)
+
+    def test_converged_when_line_search_stalls_at_optimum(self):
+        # at this seed the last line search fails with a Newton decrement of
+        # about 1e-16 per case: the estimate is optimal and must say so
+        cases = simulate(DgpConfig(kind="regression", n=5000, seed=2)).cases
+        res = fit_blp(cases)
+        assert res.converged
+        assert FLAG_NO_CONVERGENCE not in res.flags
 
     def test_study_scale_weights_match_reference(self, study_report):
         w = study_report.fits["blp"].spec.w
