@@ -1,19 +1,20 @@
 """Maximum log-score estimation of pool parameters.
 
-The beta-transformed pool is fitted by a method-of-scoring Newton iteration
-with the exact analytic gradient and Hessian of the log-score sum; weights
-live on the simplex with the last one eliminated, and the transformation
-parameters are optimized in log space.  The plain linear pool uses
-multiplicative (EM) weight updates, and the spread-adjusted and generalized
-pools use derivative-free simplex search on unconstrained coordinates.
+The beta-transformed, spread-adjusted and generalized pools are fitted by
+one Newton engine, the method of scoring with the exact analytic gradient
+and Hessian of the log-score sum.  Weights sit at the head of the parameter
+vector, on the simplex with the last one eliminated or, for generalized
+links that only need a positive weight sum, on the positive orthant.  The
+beta parameters and the common spread are optimized in log space, and a
+weight that runs into the boundary triggers a restart under a logarithmic
+barrier.  The plain linear pool uses multiplicative (EM) weight updates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import gammaln, ndtr, polygamma, psi
 
 from .calibration import pit_sample
@@ -58,7 +59,9 @@ class FitResult:
     boundary-active weights maximize a penalized objective, so their raw
     trace may dip.  ``std_errors`` come from the inverse Hessian at the
     optimum, with the eliminated weight's error obtained by the delta
-    method; they are None when the Hessian is singular.
+    method; they are None when the Hessian is singular.  ``iterations``
+    counts accepted Newton steps over all barrier stages, or EM updates for
+    the linear pool.
     """
 
     spec: PoolSpec
@@ -119,9 +122,17 @@ def _build_design(data) -> _Design:
     all_gaussian = all(
         type(c) is Gaussian for case in data for c in case.components
     )
+    finite = np.isfinite(y)
     if all_gaussian:
         mu = np.array([[c.mu for c in case.components] for case in data])
         sd = np.array([[c.sigma for c in case.components] for case in data])
+        finite &= np.all(np.isfinite(mu) & np.isfinite(sd), axis=1)
+    if not np.all(finite):
+        raise DomainViolation(
+            f"case {int(np.argmin(finite))} has a non-finite outcome or component "
+            "parameter"
+        )
+    if all_gaussian:
         z = (y[:, None] - mu) / sd
         F = ndtr(z)
         f = np.exp(-0.5 * z * z) / (sd * np.sqrt(2.0 * np.pi))
@@ -234,38 +245,60 @@ def blp_objective_and_derivatives(w, alpha: float, beta: float, data):
 
 
 # ---------------------------------------------------------------------------
-# beta-transformed pool: method of scoring
+# Newton engine shared by the BLP, SLP and GLP fits
 
 
-def _blp_theta_derivs(design, theta, barrier_mu):
-    """ell, gradient, Hessian in theta = (w_head, log alpha, log beta)."""
-    k = design.k
-    w_head = theta[: k - 1]
-    alpha = np.exp(theta[k - 1])
-    beta = np.exp(theta[k])
-    ell, g, H = _blp_core(design, w_head, alpha, beta)
+@dataclass(frozen=True)
+class _Weights:
+    """Layout of the k pool weights at the head of a parameter vector theta.
 
-    # chain rule for the log-parameterization of (alpha, beta)
-    ga, gb = g[k - 1], g[k]
-    g = g.copy()
-    H = H.copy()
-    g[k - 1] = alpha * ga
-    g[k] = beta * gb
-    H[: k - 1, k - 1] *= alpha
-    H[k - 1, : k - 1] *= alpha
-    H[: k - 1, k] *= beta
-    H[k, : k - 1] *= beta
-    haa, hbb, hab = H[k - 1, k - 1], H[k, k], H[k - 1, k]
-    H[k - 1, k - 1] = alpha * alpha * haa + alpha * ga
-    H[k, k] = beta * beta * hbb + beta * gb
-    H[k - 1, k] = H[k, k - 1] = alpha * beta * hab
+    On the simplex theta holds w_1..w_{k-1} and w_k = 1 - sum of the rest;
+    on the positive orthant theta holds all k weights.  Entries of theta
+    after the weights are the pool's other parameters.
+    """
 
-    if barrier_mu is not None:
-        w_k = 1.0 - float(np.sum(w_head))
-        ell += barrier_mu * (np.sum(np.log(w_head)) + np.log(w_k))
-        g[: k - 1] += barrier_mu * (1.0 / w_head - 1.0 / w_k)
-        H[: k - 1, : k - 1] -= barrier_mu * (np.diag(1.0 / w_head**2) + 1.0 / w_k**2)
-    return ell, g, H
+    k: int
+    simplex: bool
+
+    @property
+    def n(self) -> int:
+        return self.k - 1 if self.simplex else self.k
+
+    def start(self) -> np.ndarray:
+        return np.full(self.n, 1.0 / self.k)
+
+    def full(self, theta) -> np.ndarray:
+        head = np.asarray(theta[: self.n], dtype=float)
+        if self.simplex:
+            return np.append(head, 1.0 - float(np.sum(head)))
+        return head
+
+    def reduce(self, g, H):
+        """Map a gradient and Hessian in all k weights (then the rest) to theta."""
+        if not self.simplex:
+            return g, H
+        T = np.delete(np.eye(g.size), self.k - 1, axis=1)
+        T[self.k - 1, : self.k - 1] = -1.0
+        return T.T @ g, T.T @ H @ T
+
+    def barrier(self, theta, mu):
+        """The log barrier mu * sum(log w) with its gradient and Hessian in theta."""
+        w = self.full(theta)
+        pad = np.zeros(theta.size - self.n)
+        g, H = self.reduce(np.concatenate([mu / w, pad]),
+                           np.diag(np.concatenate([-mu / w**2, pad])))
+        return mu * float(np.sum(np.log(w))), g, H
+
+    def max_step(self, theta, d, eta=1e-13) -> float:
+        """Largest step keeping every weight (including an eliminated one) > eta."""
+        w = self.full(theta)
+        d_w = d[: self.n]
+        if self.simplex:
+            d_w = np.append(d_w, -float(np.sum(d_w)))
+        shrinking = d_w < 0.0
+        if not np.any(shrinking):
+            return np.inf
+        return float(np.min((w[shrinking] - eta) / -d_w[shrinking]))
 
 
 def _ascent_direction(g, H, flags):
@@ -287,31 +320,24 @@ def _ascent_direction(g, H, flags):
     return g / scale
 
 
-def _max_feasible_step(w_head, d_w, eta=1e-13):
-    """Largest step keeping every weight (including the eliminated one) > eta."""
-    t = np.inf
-    for wi, di in zip(w_head, d_w):
-        if di < 0.0:
-            t = min(t, (wi - eta) / (-di))
-    w_k = 1.0 - float(np.sum(w_head))
-    d_k = -float(np.sum(d_w))
-    if d_k < 0.0:
-        t = min(t, (w_k - eta) / (-d_k))
-    return t
+def _newton_stage(derivs, weights, J, theta0, barrier_mu, max_iter, flags, trace):
+    """Backtracking Newton ascent; returns (theta, iterations, converged).
 
+    ``derivs(theta)`` gives the log-score sum with its gradient and Hessian;
+    a barrier stage maximizes it plus ``weights.barrier``, but the trace
+    always records the log-score sum itself.
+    """
 
-def _newton_stage(design, theta0, barrier_mu, max_iter, flags, trace):
-    """Backtracking Newton ascent; returns (theta, iterations, converged)."""
-    k = design.k
-
-    def raw_ell(th):
-        return float(
-            _blp_core(design, th[: k - 1], np.exp(th[k - 1]), np.exp(th[k]))[0]
-        )
+    def objective(th):
+        raw, g, H = derivs(th)
+        if barrier_mu is None:
+            return raw, raw, g, H
+        pen, g_pen, H_pen = weights.barrier(th, barrier_mu)
+        return raw, raw + pen, g + g_pen, H + H_pen
 
     theta = theta0.copy()
-    ell, g, H = _blp_theta_derivs(design, theta, barrier_mu)
-    trace.append(ell if barrier_mu is None else raw_ell(theta))
+    raw, ell, g, H = objective(theta)
+    trace.append(raw)
     it = 0
     converged = False
     while it < max_iter:
@@ -319,13 +345,13 @@ def _newton_stage(design, theta0, barrier_mu, max_iter, flags, trace):
             converged = True
             break
         d = _ascent_direction(g, H, flags)
-        t = min(1.0, 0.999 * _max_feasible_step(theta[: k - 1], d[: k - 1]))
+        t = min(1.0, 0.999 * weights.max_step(theta, d))
         if t <= 0.0 or not np.isfinite(t):
             break
         accepted = False
         for _ in range(60):
             cand = theta + t * d
-            ell_new, g_new, H_new = _blp_theta_derivs(design, cand, barrier_mu)
+            raw_new, ell_new, g_new, H_new = objective(cand)
             if np.isfinite(ell_new) and ell_new > ell:
                 accepted = True
                 break
@@ -333,20 +359,45 @@ def _newton_stage(design, theta0, barrier_mu, max_iter, flags, trace):
         if not accepted:
             # no ascent left in floating point: converged if the Newton
             # decrement per case is as small as an accepted step's gain
-            converged = 0.5 * float(g @ d) / design.J < 1e-10
+            converged = 0.5 * float(g @ d) / J < 1e-10
             break
         it += 1
         delta = ell_new - ell
-        theta, ell, g, H = cand, ell_new, g_new, H_new
-        trace.append(ell if barrier_mu is None else raw_ell(theta))
-        if delta / design.J < 1e-10:
+        theta, raw, ell, g, H = cand, raw_new, ell_new, g_new, H_new
+        trace.append(raw)
+        if delta / J < 1e-10:
             converged = True
             break
     return theta, it, converged
 
 
-def _simplex_se_from_hessian(neg_hess, names, k_weights):
-    """Parameter SEs from an information matrix; delta method for w_k."""
+def _newton_fit(derivs, weights, J, theta0):
+    """Newton ascent with a barrier restart; (theta, iterations, converged, flags, trace).
+
+    If a weight runs into the boundary, the fit restarts from ``theta0``
+    under a logarithmic barrier whose weight is halved from 1e-2 down to 1e-8.
+    """
+    flags: set[str] = set()
+    trace: list[float] = []
+    theta, iters, converged = _newton_stage(derivs, weights, J, theta0, None, 500, flags, trace)
+    if float(np.min(weights.full(theta))) < 1e-4:
+        theta = theta0.copy()
+        mu = 1e-2
+        while mu >= 1e-8:
+            theta, it, converged = _newton_stage(derivs, weights, J, theta, mu, 200,
+                                                 flags, trace)
+            iters += it
+            mu *= 0.5
+    if not converged:
+        flags.add(FLAG_NO_CONVERGENCE)
+    return theta, iters, converged, flags, trace
+
+
+def _simplex_se_from_hessian(neg_hess, weights, other_names):
+    """SEs of the weights, then ``other_names``, from an information matrix.
+
+    An eliminated simplex weight w_k gets its error by the delta method.
+    """
     try:
         cov = np.linalg.inv(neg_hess)
     except np.linalg.LinAlgError:
@@ -354,13 +405,39 @@ def _simplex_se_from_hessian(neg_hess, names, k_weights):
     diag = np.diag(cov)
     if np.any(diag < 0.0) or not np.all(np.isfinite(diag)):
         return None
-    se = {}
-    for name, var in zip(names, diag):
-        se[name] = float(np.sqrt(var))
-    if k_weights >= 2:
-        head = cov[: k_weights - 1, : k_weights - 1]
-        se[f"w_{k_weights}"] = float(np.sqrt(max(np.sum(head), 0.0)))
+    names = [f"w_{i + 1}" for i in range(weights.n)] + list(other_names)
+    se = {name: float(np.sqrt(var)) for name, var in zip(names, diag)}
+    if weights.simplex and weights.k >= 2:
+        head = cov[: weights.n, : weights.n]
+        se[f"w_{weights.k}"] = float(np.sqrt(max(np.sum(head), 0.0)))
     return se
+
+
+# ---------------------------------------------------------------------------
+# beta-transformed pool
+
+
+def _blp_theta_derivs(design, theta):
+    """ell, gradient, Hessian in theta = (w_head, log alpha, log beta)."""
+    k = design.k
+    w_head = theta[: k - 1]
+    alpha = np.exp(theta[k - 1])
+    beta = np.exp(theta[k])
+    ell, g, H = _blp_core(design, w_head, alpha, beta)
+
+    # chain rule for the log-parameterization of (alpha, beta)
+    ga, gb = g[k - 1], g[k]
+    g[k - 1] = alpha * ga
+    g[k] = beta * gb
+    H[: k - 1, k - 1] *= alpha
+    H[k - 1, : k - 1] *= alpha
+    H[: k - 1, k] *= beta
+    H[k, : k - 1] *= beta
+    haa, hbb, hab = H[k - 1, k - 1], H[k, k], H[k - 1, k]
+    H[k - 1, k - 1] = alpha * alpha * haa + alpha * ga
+    H[k, k] = beta * beta * hbb + beta * gb
+    H[k - 1, k] = H[k, k - 1] = alpha * beta * hab
+    return ell, g, H
 
 
 def fit_blp(data, init: BlpSpec | None = None) -> FitResult:
@@ -377,42 +454,25 @@ def fit_blp(data, init: BlpSpec | None = None) -> FitResult:
         raise TooFewSamples(f"need at least {k + 2} cases to fit k={k} components")
     _check_clamp_fraction(design)
 
+    weights = _Weights(k, simplex=True)
     if init is not None:
         theta0 = np.concatenate([
             np.asarray(init.w[:-1], dtype=float),
             [np.log(init.alpha), np.log(init.beta)],
         ])
     else:
-        theta0 = np.concatenate([np.full(k - 1, 1.0 / k), [0.0, 0.0]])
+        theta0 = np.concatenate([weights.start(), [0.0, 0.0]])
 
-    flags: set[str] = set()
-    trace: list[float] = []
-    theta, iters, converged = _newton_stage(design, theta0, None, 500, flags, trace)
+    theta, iters, converged, flags, trace = _newton_fit(
+        lambda th: _blp_theta_derivs(design, th), weights, design.J, theta0
+    )
 
-    def weights_of(th):
-        head = th[: k - 1]
-        return np.concatenate([head, [1.0 - float(np.sum(head))]])
-
-    if k >= 2 and float(np.min(weights_of(theta))) < 1e-4:
-        theta = theta0.copy()
-        mu = 1e-2
-        total = iters
-        while mu >= 1e-8:
-            theta, it, converged = _newton_stage(design, theta, mu, 200, flags, trace)
-            total += it
-            mu *= 0.5
-        iters = total
-
-    if not converged:
-        flags.add(FLAG_NO_CONVERGENCE)
-
-    w = weights_of(theta)
+    w = weights.full(theta)
     alpha = float(np.exp(theta[k - 1]))
     beta = float(np.exp(theta[k]))
     boundary = tuple(bool(x < 1e-5) for x in w)
     ell, _, hess = _blp_core(design, theta[: k - 1], alpha, beta)
-    names = [f"w_{i + 1}" for i in range(k - 1)] + ["alpha", "beta"]
-    se = _simplex_se_from_hessian(-hess, names, k)
+    se = _simplex_se_from_hessian(-hess, weights, ["alpha", "beta"])
     if se is None:
         flags.add(FLAG_SINGULAR_HESSIAN)
     spec = BlpSpec(w=tuple(float(x) for x in w), alpha=alpha, beta=beta)
@@ -480,8 +540,7 @@ def fit_tlp(data) -> FitResult:
         if cond > 1e12:
             flags.add(FLAG_FLAT_DIRECTION)
         else:
-            names = [f"w_{i + 1}" for i in range(k - 1)]
-            se = _simplex_se_from_hessian(info, names, k)
+            se = _simplex_se_from_hessian(info, _Weights(k, simplex=True), [])
             if se is None:
                 flags.add(FLAG_FLAT_DIRECTION)
 
@@ -499,257 +558,187 @@ def fit_tlp(data) -> FitResult:
 
 
 # ---------------------------------------------------------------------------
-# spread-adjusted pool: derivative-free search on transformed coordinates
+# spread-adjusted pool
 
 
-def _alr_inverse(t: np.ndarray) -> np.ndarray:
-    """Additive log-ratio inverse onto the open simplex (last entry reference)."""
-    z = np.concatenate([t, [0.0]])
-    z -= z.max()
-    e = np.exp(z)
-    return e / e.sum()
+SPREAD_FD_STEP = 1e-4  # log-c step of the central difference for non-Gaussian components
 
 
-def _slp_loglik_factory(data, design):
-    """Vectorized SLP objective: (w, c) -> sum of log pooled densities."""
-    if design.gaussian is not None:
-        mu, sd = design.gaussian
-        y = design.y
+def _gaussian_spread_densities(mu, sd, y):
+    """c -> (d, dd/dlog c, d2d/dlog c2) of (J, k) spread-adjusted Gaussians.
 
-        def ell(w, c):
-            # spread-adjusting a Gaussian about its median rescales sigma
-            z = (y[:, None] - mu) / (c * sd)
-            dens = np.exp(-0.5 * z * z) / (c * sd * np.sqrt(2.0 * np.pi))
-            return float(np.log(np.maximum(dens @ w, DENSITY_FLOOR)).sum())
-
-        return ell
-
-    medians = np.array([[c.median() for c in case.components] for case in data])
-    comps = [case.components for case in data]
-    y = design.y
-
-    def ell(w, c):
-        total = 0.0
-        for j, case_comps in enumerate(comps):
-            acc = 0.0
-            for i, comp in enumerate(case_comps):
-                m = medians[j, i]
-                acc += w[i] * comp.density(m + (y[j] - m) / c) / c
-            total += np.log(max(acc, DENSITY_FLOOR))
-        return float(total)
-
-    return ell
-
-
-def _fd_gradient_hessian(fun, x, h):
-    n = x.size
-    f0 = fun(x)
-    g = np.empty(n)
-    H = np.empty((n, n))
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h[i]
-        fp, fm = fun(x + e), fun(x - e)
-        g[i] = (fp - fm) / (2.0 * h[i])
-        H[i, i] = (fp - 2.0 * f0 + fm) / h[i] ** 2
-    for i in range(n):
-        for j in range(i + 1, n):
-            e = np.zeros(n)
-            e[i], e[j] = h[i], h[j]
-            fpp = fun(x + e)
-            e[j] = -h[j]
-            fpm = fun(x + e)
-            e[i], e[j] = -h[i], h[j]
-            fmp = fun(x + e)
-            e[j] = -h[j]
-            fmm = fun(x + e)
-            H[i, j] = H[j, i] = (fpp - fpm - fmp + fmm) / (4.0 * h[i] * h[j])
-    return g, H
-
-
-def _fd_polish(fun, x0, max_iter=15):
-    """Newton root-find on the finite-difference gradient near an optimum.
-
-    Nelder-Mead leaves the iterate within its simplex tolerance of the
-    maximizer; driving the central-difference gradient to zero pins the
-    solution to a reproducible point well inside that tolerance.  Reverts
-    to the starting point if the objective did not improve.
+    Spread-adjusting a Gaussian about its median rescales sigma by c, so
+    with z = (y - mu) / (c sd) the derivatives are d (z^2 - 1) and
+    d ((z^2 - 1)^2 - 2 z^2).
     """
-    x = x0.copy()
-    f0 = fun(x0)
-    h = 1e-6 * np.maximum(np.abs(x0), 1.0)
-    for _ in range(max_iter):
-        g, H = _fd_gradient_hessian(fun, x, h)
-        try:
-            step = np.linalg.solve(H, -g)
-        except np.linalg.LinAlgError:
-            break
-        if not np.all(np.isfinite(step)):
-            break
-        norm = float(np.max(np.abs(step)))
-        if norm > 0.5:
-            step *= 0.5 / norm
-        x = x + step
-        if norm < 1e-12:
-            break
-    fx = fun(x)
-    if not np.isfinite(fx) or fx < f0:
-        return x0, f0
-    return x, fx
+
+    def densities(c):
+        z = (y[:, None] - mu) / (c * sd)
+        z2 = z * z
+        d = np.exp(-0.5 * z2) / (c * sd * np.sqrt(2.0 * np.pi))
+        return d, d * (z2 - 1.0), d * ((z2 - 1.0) ** 2 - 2.0 * z2)
+
+    return densities
+
+
+def _spread_densities(data, y):
+    """Like ``_gaussian_spread_densities`` for any continuous components.
+
+    The adjusted density f(m + (y - m) / c) / c is evaluated at c and at c
+    times exp(+-SPREAD_FD_STEP); its log-c derivatives are the central
+    differences of the three (J, k) arrays.
+    """
+    comps = [case.components for case in data]
+    medians = np.array([[c.median() for c in row] for row in comps])
+    h = SPREAD_FD_STEP
+    steps = np.exp(np.array([-h, 0.0, h]))
+
+    def densities(c):
+        cs = c * steps
+        vals = np.empty((3,) + medians.shape)
+        for j, row in enumerate(comps):
+            for i, comp in enumerate(row):
+                m = medians[j, i]
+                vals[:, j, i] = np.asarray(comp.density(m + (y[j] - m) / cs)) / cs
+        lo, d, hi = vals
+        return d, (hi - lo) / (2.0 * h), (hi - 2.0 * d + lo) / (h * h)
+
+    return densities
+
+
+def _slp_derivs(densities, weights, theta):
+    """ell, gradient, Hessian of the SLP log score in theta = (w_head, log c)."""
+    k = weights.k
+    w = weights.full(theta)
+    d, d1, d2 = densities(float(np.exp(theta[-1])))
+    D = np.maximum(d @ w, DENSITY_FLOOR)
+    P = d / D[:, None]
+    P1 = d1 / D[:, None]
+    e1 = P1 @ w
+    g = np.append(P.sum(axis=0), e1.sum())
+    H = np.empty((k + 1, k + 1))
+    H[:k, :k] = -(P.T @ P)
+    H[:k, k] = H[k, :k] = (P1 - P * e1[:, None]).sum(axis=0)
+    H[k, k] = float(np.sum((d2 @ w) / D - e1 * e1))
+    g, H = weights.reduce(g, H)
+    return float(np.log(D).sum()), g, H
 
 
 def fit_slp(data) -> FitResult:
     """Fit the spread-adjusted pool over (weights, common spread c).
 
-    Nelder-Mead on additive log-ratio weights and log c, multi-started from
-    c in {0.5, 1.0, 1.5} with equal weights, then polished by a
-    finite-difference Newton step to pin the optimum.
+    Newton's method in (w_1..w_{k-1}, log c) from equal weights and c = 1,
+    with exact derivatives for Gaussian components and central differences
+    in log c for other continuous components.  Standard errors are reported
+    in (w, c).
     """
+    data = list(data)
     design = _build_design(data)
     k = design.k
     if design.J < k + 2:
         raise TooFewSamples(f"need at least {k + 2} cases to fit k={k} components")
-    ell = _slp_loglik_factory(list(data), design)
+    if design.gaussian is not None:
+        densities = _gaussian_spread_densities(*design.gaussian, design.y)
+    else:
+        densities = _spread_densities(data, design.y)
+    weights = _Weights(k, simplex=True)
 
-    def objective(x):
-        w = _alr_inverse(x[: k - 1])
-        return -ell(w, float(np.exp(x[k - 1])))
+    def derivs(th):
+        return _slp_derivs(densities, weights, th)
 
-    best = None
-    total_evals = 0
-    trace: list[float] = []
-    for c0 in (0.5, 1.0, 1.5):
-        x0 = np.concatenate([np.zeros(k - 1), [np.log(c0)]])
-        res = minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={"fatol": 1e-9, "xatol": 1e-6, "maxiter": 20000, "maxfev": 20000},
-        )
-        total_evals += res.nfev
-        if best is None or res.fun < best.fun:
-            best = res
+    theta, iters, converged, flags, trace = _newton_fit(
+        derivs, weights, design.J, np.append(weights.start(), 0.0)
+    )
+    w = weights.full(theta)
+    c = float(np.exp(theta[-1]))
 
-    x, fx = _fd_polish(lambda t: -objective(t), best.x)
-    w = _alr_inverse(x[: k - 1])
-    c = float(np.exp(x[k - 1]))
-    trace.extend([-best.fun, fx] if fx >= -best.fun else [-best.fun])
-
-    # numerical information matrix in the original (w_head, c) coordinates
-    def ell_orig(params):
-        w_head = params[: k - 1]
-        w_full = np.concatenate([w_head, [1.0 - float(np.sum(w_head))]])
-        return ell(w_full, params[k - 1])
-
-    params = np.concatenate([w[: k - 1], [c]])
-    flags: set[str] = set()
-    se = _numeric_se(ell_orig, params,
-                     names=[f"w_{i + 1}" for i in range(k - 1)] + ["c"],
-                     k_weights=k)
+    ell, _, H = derivs(theta)
+    se = _simplex_se_from_hessian(-H, weights, ["c"])
     if se is None:
         flags.add(FLAG_SINGULAR_HESSIAN)
-    if not best.success:
-        flags.add(FLAG_NO_CONVERGENCE)
+    else:
+        se["c"] *= c  # delta method from log c; exact at a stationary point
 
     spec = SlpSpec(w=tuple(float(x_) for x_ in w), c=c)
     return FitResult(
         spec=spec,
         std_errors=se,
-        mean_log_score_train=fx / design.J,
-        iterations=total_evals,
-        converged=bool(best.success),
+        mean_log_score_train=ell / design.J,
+        iterations=iters,
+        converged=converged,
         boundary_active=tuple(bool(x_ < 1e-8) for x_ in w),
         trace=tuple(trace),
         flags=tuple(sorted(flags)),
     )
 
 
-def _numeric_se(fun, x, names, k_weights):
-    """SEs from a central finite-difference Hessian of a log likelihood."""
-    n = x.size
-    h = 1e-5 * np.maximum(np.abs(x), 0.1)
-    f0 = fun(x)
-    H = np.empty((n, n))
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h[i]
-        H[i, i] = (fun(x + e) - 2.0 * f0 + fun(x - e)) / h[i] ** 2
-    for i in range(n):
-        for j in range(i + 1, n):
-            e = np.zeros(n)
-            e[i], e[j] = h[i], h[j]
-            fpp = fun(x + e)
-            e[j] = -h[j]
-            fpm = fun(x + e)
-            e[i], e[j] = -h[i], h[j]
-            fmp = fun(x + e)
-            e[j] = -h[j]
-            fmm = fun(x + e)
-            H[i, j] = H[j, i] = (fpp - fpm - fmp + fmm) / (4.0 * h[i] * h[j])
-    if not np.all(np.isfinite(H)):
-        return None
-    return _simplex_se_from_hessian(-H, names, k_weights)
-
-
 # ---------------------------------------------------------------------------
-# generalized linear pool (open-interval links) by derivative-free search
+# generalized linear pool (open-interval links)
+
+
+def _glp_derivs(b, a, link, weights, theta):
+    """ell, gradient, Hessian of the GLP log score in its weights.
+
+    ``b = h(F)`` and ``a = h'(F) f`` are (J, k).  With s = b w and the
+    pooled CDF g = h^{-1}(s), clamped to the open interval, the log density
+    is log(a w) + phi(s) for phi(s) = -log|h'(h^{-1}(s))|, and phi is flat
+    where the clamp is active.
+    """
+    w = weights.full(theta)
+    s = b @ w
+    unclamped = link.invert(s)
+    g = np.clip(unclamped, CDF_CLAMP, 1.0 - CDF_CLAMP)
+    num = a @ w
+    dens = np.maximum(num / link.deriv(g), DENSITY_FLOOR)
+    phi1, phi2 = link.phi_derivs(s)
+    free = g == unclamped
+    phi1 = np.where(free, phi1, 0.0)
+    phi2 = np.where(free, phi2, 0.0)
+    A = a / num[:, None]
+    grad = A.sum(axis=0) + b.T @ phi1
+    H = -(A.T @ A) + b.T @ (phi2[:, None] * b)
+    grad, H = weights.reduce(grad, H)
+    return float(np.log(dens).sum()), grad, H
 
 
 def fit_glp(data, link: LinkFunction) -> FitResult:
     """Fit generalized-pool weights by maximizing the mean log score.
 
-    Simplex-constrained links use additive log-ratio coordinates; links that
-    only need a positive weight sum are fitted in log-weight coordinates.
+    Newton's method with exact derivatives from equal weights 1/k.
+    Simplex-constrained links eliminate the last weight; links that only
+    need a positive weight sum fit all k weights on the positive orthant.
     """
     if link is LinkFunction.IDENTITY:
         res = fit_tlp(data)
-        spec = GlpSpec(w=res.spec.w, link=link)
-        return FitResult(
-            spec=spec,
-            std_errors=res.std_errors,
-            mean_log_score_train=res.mean_log_score_train,
-            iterations=res.iterations,
-            converged=res.converged,
-            boundary_active=res.boundary_active,
-            trace=res.trace,
-            flags=res.flags,
-        )
+        return replace(res, spec=GlpSpec(w=res.spec.w, link=link))
     design = _build_design(data)
     k = design.k
     if design.J < k + 1:
         raise TooFewSamples(f"need at least {k + 1} cases to fit k={k} components")
-    F, f = design.F, design.f
+    b = link.apply(design.F)
+    a = link.deriv(design.F) * design.f
+    weights = _Weights(k, simplex=link.requires_simplex)
 
-    def ell(w):
-        s = np.tensordot(w, link.apply(F.T), axes=1)
-        g = np.clip(link.invert(s), CDF_CLAMP, 1.0 - CDF_CLAMP)
-        num = np.tensordot(w, link.deriv(F.T) * f.T, axes=1)
-        dens = np.maximum(num / link.deriv(g), DENSITY_FLOOR)
-        return float(np.log(dens).sum())
+    def derivs(th):
+        return _glp_derivs(b, a, link, weights, th)
 
-    simplex = link.requires_simplex
-
-    def unpack(x):
-        return _alr_inverse(x) if simplex else np.exp(x)
-
-    x0 = np.zeros(k - 1 if simplex else k)
-    res = minimize(lambda x: -ell(unpack(x)), x0, method="Nelder-Mead",
-                   options={"fatol": 1e-9, "xatol": 1e-6,
-                            "maxiter": 20000, "maxfev": 20000})
-    x, fx = _fd_polish(lambda t: ell(unpack(t)), res.x)
-    w = unpack(x)
-    flags: set[str] = set()
-    if not res.success:
-        flags.add(FLAG_NO_CONVERGENCE)
+    theta, iters, converged, flags, trace = _newton_fit(
+        derivs, weights, design.J, weights.start()
+    )
+    w = weights.full(theta)
+    ell, _, hess = derivs(theta)
+    se = _simplex_se_from_hessian(-hess, weights, [])
+    if se is None:
+        flags.add(FLAG_SINGULAR_HESSIAN)
     spec = GlpSpec(w=tuple(float(v) for v in w), link=link)
     return FitResult(
         spec=spec,
-        std_errors=None,
-        mean_log_score_train=fx / design.J,
-        iterations=res.nfev,
-        converged=bool(res.success),
+        std_errors=se,
+        mean_log_score_train=ell / design.J,
+        iterations=iters,
+        converged=converged,
         boundary_active=tuple(bool(v < 1e-8) for v in w),
-        trace=(float(-res.fun), float(fx)) if fx >= -res.fun else (float(-res.fun),),
+        trace=tuple(trace),
         flags=tuple(sorted(flags)),
     )
 

@@ -7,6 +7,7 @@ format floats with ``repr``, which round-trips exactly through ``float``.
 from __future__ import annotations
 
 import csv
+import math
 import os
 import tempfile
 
@@ -73,6 +74,9 @@ def read_dataset_csv(path: str) -> list[ForecastCase]:
             vals = [float(x) for x in row]
         except ValueError as exc:
             raise SchemaError(f"{path}: row {r}: non-numeric value ({exc})") from exc
+        for name, val in zip(header, vals):
+            if not math.isfinite(val):
+                raise SchemaError(f"{path}: row {r}: {name} must be finite, got {val}")
         comps = []
         for i in range(k):
             mu, sd = vals[1 + 2 * i], vals[2 + 2 * i]
@@ -148,6 +152,7 @@ def params_text(result: FitResult) -> str:
         for key in sorted(result.std_errors):
             lines.append(f"se_{key} {_fmt(result.std_errors[key])}")
     lines.append(f"converged {'true' if result.converged else 'false'}")
+    lines.append(f"flags {','.join(result.flags) or 'none'}")
     lines.append(f"iterations {result.iterations}")
     lines.append(f"mean_log_score {_fmt(result.mean_log_score_train)}")
     return "\n".join(lines) + "\n"
@@ -191,7 +196,9 @@ def read_params(path: str) -> tuple[PoolSpec, dict]:
             raise SchemaError(f"{path}: unknown method {method!r}")
     except (KeyError, ValueError) as exc:
         raise SchemaError(f"{path}: missing parameter for method {method!r} ({exc})") from exc
-    meta = {key: val for key, val in kv.items()}
+    meta: dict = {key: val for key, val in kv.items()}
+    if "flags" in meta:
+        meta["flags"] = () if meta["flags"] == "none" else tuple(meta["flags"].split(","))
     return spec, meta
 
 

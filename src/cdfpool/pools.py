@@ -78,6 +78,22 @@ class LinkFunction(enum.Enum):
         z = ndtri(u)
         return np.sqrt(2.0 * np.pi) * np.exp(0.5 * z * z)
 
+    def phi_derivs(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """First two derivatives of phi(s) = -log|h'(h^{-1}(s))|.
+
+        phi is the link's term in the generalized pool's log density,
+        log(sum_i w_i h'(F_i) f_i) + phi(sum_i w_i h(F_i)).  It is s for
+        the log link, 2 log(1/s) for the reciprocal link and -s^2/2 plus a
+        constant for the probit link.
+        """
+        if self is LinkFunction.IDENTITY:
+            return np.zeros_like(s), np.zeros_like(s)
+        if self is LinkFunction.RECIPROCAL:
+            return -2.0 / s, 2.0 / (s * s)
+        if self is LinkFunction.LOG:
+            return np.ones_like(s), np.zeros_like(s)
+        return -s, -np.ones_like(s)
+
 
 def _check_simplex(w) -> tuple[float, ...]:
     w = tuple(float(x) for x in w)

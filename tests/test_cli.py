@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -54,6 +55,15 @@ class TestParamRoundTrip:
         if isinstance(spec, GlpSpec):
             assert back.link is spec.link
         assert meta["converged"] == "true"
+
+    @pytest.mark.parametrize("flags", [(), ("no_convergence",),
+                                       ("flat_direction", "singular_hessian")])
+    def test_flags_round_trip(self, tmp_path, flags):
+        path = str(tmp_path / "params.txt")
+        write_params(path, replace(_fit_result(TlpSpec((0.5, 0.5))), flags=flags))
+        assert f"flags {','.join(flags) or 'none'}\n" in open(path).read()
+        _, meta = read_params(path)
+        assert meta["flags"] == flags
 
 
 class TestDatasetRoundTrip:
@@ -168,7 +178,8 @@ class TestStartup:
         import cdfpool
 
         code = ("import sys, cdfpool; print(sorted(m for m in sys.modules "
-                "if m.split('.')[:2] in (['scipy', 'integrate'], ['scipy', 'stats'])))")
+                "if m.split('.')[:2] in (['scipy', 'integrate'], ['scipy', 'stats'], "
+                "['scipy', 'optimize'])))")
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cdfpool.__file__)))
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True, timeout=120)
@@ -189,6 +200,15 @@ class TestErrorContract:
         code = run("fit", "--method", "tlp", "--input", str(tmp_path / "absent.csv"),
                    "--out", str(tmp_path / "p.txt"))
         assert code == 2
+
+    def test_nan_outcome_rejected_with_row(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("y,mu_1,sd_1\n0.0,0.0,1.0\nnan,0.1,2.0\n")
+        code = run("fit", "--method", "slp", "--input", str(bad),
+                   "--out", str(tmp_path / "p.txt"))
+        assert code == 2
+        assert "row 3" in capsys.readouterr().err
+        assert not (tmp_path / "p.txt").exists()
 
     def test_negative_sd_rejected_with_row(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

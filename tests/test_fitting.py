@@ -8,8 +8,11 @@ from cdfpool import (
     BlpSpec,
     DegenerateDesign,
     DgpConfig,
+    DomainViolation,
     ForecastCase,
     Gaussian,
+    LinkFunction,
+    Mixture,
     TlpSpec,
     TooFewSamples,
     beta_log_moments,
@@ -17,6 +20,7 @@ from cdfpool import (
     evaluate,
     fit_blp,
     fit_gaussian_component,
+    fit_glp,
     fit_slp,
     fit_tlp,
     gaussian_cases_from_regressions,
@@ -24,9 +28,22 @@ from cdfpool import (
     pool,
     simulate,
 )
-from cdfpool.fitting import FLAG_FLAT_DIRECTION, FLAG_NO_CONVERGENCE
+from cdfpool.fitting import (
+    FLAG_FLAT_DIRECTION,
+    FLAG_NO_CONVERGENCE,
+    _build_design,
+    _gaussian_spread_densities,
+    _glp_derivs,
+    _slp_derivs,
+    _Weights,
+)
 
 from conftest import make_gaussian_cases
+
+_NEWTON_FITS = [fit_slp] + [
+    lambda data, link=link: fit_glp(data, link)
+    for link in (LinkFunction.LOG, LinkFunction.RECIPROCAL, LinkFunction.PROBIT)
+]
 
 
 class TestLogScore:
@@ -65,34 +82,54 @@ class TestBetaLogMoments:
         assert abs(beta_log_moments(a, b)[2] - oracle) < 1e-9
 
 
-def _finite_difference_check(cases, params_rng, n_points, grad_tol, hess_tol):
-    """Central-difference oracle for the analytic gradient and Hessian."""
+def _family_derivs(family, cases):
+    """(derivs, draw): one family's log-score sum with its analytic gradient
+    and Hessian at a parameter point, and a sampler of interior points.
+
+    BLP points are (w_head, alpha, beta), SLP points (w_head, log c), and
+    GLP points the link's free weights.
+    """
     k = len(cases[0].components)
+
+    def w_head(rng):
+        return rng.dirichlet(np.ones(k))[: k - 1] * 0.8 + 0.05 / k
+
+    if family == "blp":
+        def derivs(p):
+            w = np.concatenate([p[: k - 1], [1.0 - p[: k - 1].sum()]])
+            return blp_objective_and_derivatives(w, p[k - 1], p[k], cases)
+
+        return derivs, lambda rng: np.concatenate([w_head(rng), rng.uniform(0.6, 2.2, 2)])
+    design = _build_design(cases)
+    if family == "slp":
+        weights = _Weights(k, simplex=True)
+        densities = _gaussian_spread_densities(*design.gaussian, design.y)
+        return (lambda p: _slp_derivs(densities, weights, p),
+                lambda rng: np.append(w_head(rng), rng.uniform(np.log(0.6), np.log(1.6))))
+    link = LinkFunction(family.removeprefix("glp-"))
+    weights = _Weights(k, simplex=link.requires_simplex)
+    b, a = link.apply(design.F), link.deriv(design.F) * design.f
+    draw = w_head if weights.simplex else (lambda rng: rng.uniform(0.2, 0.8, k))
+    return lambda p: _glp_derivs(b, a, link, weights, p), draw
+
+
+def _finite_difference_check(cases, params_rng, n_points, grad_tol, hess_tol, family="blp"):
+    """Central-difference oracle for the analytic gradient and Hessian."""
+    derivs, draw = _family_derivs(family, cases)
     step = 1e-6
     worst_g, worst_h = 0.0, 0.0
     for _ in range(n_points):
-        w_head = params_rng.dirichlet(np.ones(k))[: k - 1] * 0.8 + 0.05 / k
-        alpha = params_rng.uniform(0.6, 2.2)
-        beta = params_rng.uniform(0.6, 2.2)
-        point = np.concatenate([w_head, [alpha, beta]])
-
-        def full_w(head):
-            return np.concatenate([head, [1.0 - head.sum()]])
-
-        def ell_at(p):
-            return blp_objective_and_derivatives(full_w(p[: k - 1]), p[k - 1], p[k], cases)[0]
-
-        def grad_at(p):
-            return blp_objective_and_derivatives(full_w(p[: k - 1]), p[k - 1], p[k], cases)[1]
-
-        _, g, H = blp_objective_and_derivatives(full_w(w_head), alpha, beta, cases)
-        g_fd = np.empty(k + 1)
-        H_fd = np.empty((k + 1, k + 1))
-        for i in range(k + 1):
-            e = np.zeros(k + 1)
+        point = draw(params_rng)
+        n = point.size
+        _, g, H = derivs(point)
+        g_fd = np.empty(n)
+        H_fd = np.empty((n, n))
+        for i in range(n):
+            e = np.zeros(n)
             e[i] = step
-            g_fd[i] = (ell_at(point + e) - ell_at(point - e)) / (2 * step)
-            H_fd[:, i] = (grad_at(point + e) - grad_at(point - e)) / (2 * step)
+            up, down = derivs(point + e), derivs(point - e)
+            g_fd[i] = (up[0] - down[0]) / (2 * step)
+            H_fd[:, i] = (up[1] - down[1]) / (2 * step)
         scale_g = np.maximum(np.abs(g_fd), 1.0)
         scale_h = np.maximum(np.abs(H_fd), 1.0)
         worst_g = max(worst_g, float(np.max(np.abs(g - g_fd) / scale_g)))
@@ -107,6 +144,13 @@ class TestScoringDerivatives:
         _finite_difference_check(
             gaussian_cases, np.random.default_rng(123), n_points=25,
             grad_tol=1e-6, hess_tol=1e-4,
+        )
+
+    @pytest.mark.parametrize("family", ["slp", "glp-log", "glp-reciprocal", "glp-probit"])
+    def test_slp_and_glp_derivatives_match_finite_differences(self, gaussian_cases, family):
+        _finite_difference_check(
+            gaussian_cases, np.random.default_rng(124), n_points=10,
+            grad_tol=1e-6, hess_tol=1e-4, family=family,
         )
 
 
@@ -239,14 +283,104 @@ class TestFitSlp:
             assert abs(got - ref) <= 3 * se
 
     def test_permutation_equivariance(self, gaussian_cases):
+        """SLP and the three open-interval GLP fits permute with the components."""
         flipped = [
             ForecastCase(tuple(reversed(c.components)), c.y) for c in gaussian_cases
         ]
+        for fit in _NEWTON_FITS:
+            a = fit(gaussian_cases)
+            b = fit(flipped)
+            assert_allclose(a.spec.w, tuple(reversed(b.spec.w)), atol=1e-9)
+            assert getattr(a.spec, "c", 1.0) == pytest.approx(getattr(b.spec, "c", 1.0),
+                                                              abs=1e-9)
+            assert a.mean_log_score_train == pytest.approx(b.mean_log_score_train, abs=1e-9)
+
+    def test_monotone_trace_and_standard_errors(self, gaussian_cases):
+        interior = 0
+        for fit in _NEWTON_FITS:
+            res = fit(gaussian_cases)
+            assert res.converged
+            # a weight below 1e-4 starts the barrier stages, whose trace may
+            # dip: here only the reciprocal link's w_3 = 5.6e-6 does
+            if min(res.spec.w) > 1e-4:
+                interior += 1
+                assert np.all(np.diff(np.asarray(res.trace)) >= -1e-12)
+            assert res.std_errors is not None
+            assert {f"w_{i}" for i in (1, 2, 3)} <= set(res.std_errors)
+        assert interior == 3
+
+    def test_non_gaussian_components_match_gaussian_closed_form(self, gaussian_cases):
+        # a one-component mixture has the Gaussian's density but takes the
+        # central-difference path
+        wrapped = [
+            ForecastCase(tuple(Mixture((c,), (1.0,)) for c in case.components), case.y)
+            for case in gaussian_cases
+        ]
         a = fit_slp(gaussian_cases)
-        b = fit_slp(flipped)
-        assert_allclose(a.spec.w, tuple(reversed(b.spec.w)), atol=1e-9)
-        assert a.spec.c == pytest.approx(b.spec.c, abs=1e-9)
-        assert a.mean_log_score_train == pytest.approx(b.mean_log_score_train, abs=1e-9)
+        b = fit_slp(wrapped)
+        assert b.converged
+        assert_allclose(b.spec.w, a.spec.w, atol=1e-6)
+        assert b.spec.c == pytest.approx(a.spec.c, abs=1e-6)
+        assert b.mean_log_score_train == pytest.approx(a.mean_log_score_train, abs=1e-9)
+        for key, se in a.std_errors.items():
+            assert b.std_errors[key] == pytest.approx(se, rel=1e-4)
+
+
+# Estimates of the derivative-free fits (Nelder-Mead, then a finite-difference
+# Newton polish) that the exact-derivative Newton engine replaced.
+_STUDY_SLP = ((0.3394495743040901, 0.26559071320530453, 0.3949597124906054),
+              0.8163274291423338)
+_REGRESSION_5000 = {
+    11: {
+        "slp": ((0.32753760621343647, 0.2597882209065264, 0.41267417288003716),
+                0.7972499191448514),
+        "log": (0.3063878583146785, 0.23825309675535375, 0.4640719812494208),
+        "reciprocal": (0.26718348093238486, 0.17249628314481075, 0.5603202359228044),
+        "probit": (0.36222964715723677, 0.303844485304921, 0.4655601095554168),
+    },
+    12: {
+        "slp": ((0.2978684392734752, 0.3049229458294383, 0.3972086148970865),
+                0.7993269805120564),
+        "log": (0.28309160534543965, 0.2819486606641921, 0.42085829995171037),
+        "reciprocal": (0.2530779715136927, 0.2698171912417844, 0.477104837244523),
+        "probit": (0.33460168844588806, 0.34992113417394605, 0.4464331512736488),
+    },
+}
+
+
+class TestDerivativeFreeReference:
+    def test_study_slp(self, study_report):
+        fit = study_report.fits["slp"]
+        assert_allclose(fit.spec.w, _STUDY_SLP[0], rtol=0, atol=1e-6)
+        assert fit.spec.c == pytest.approx(_STUDY_SLP[1], abs=1e-6)
+
+    @pytest.mark.parametrize("seed", sorted(_REGRESSION_5000))
+    def test_regression_sets(self, seed):
+        ref = _REGRESSION_5000[seed]
+        cases = simulate(DgpConfig(kind="regression", n=5000, seed=seed)).cases
+        slp = fit_slp(cases)
+        assert_allclose(slp.spec.w, ref["slp"][0], rtol=0, atol=1e-6)
+        assert slp.spec.c == pytest.approx(ref["slp"][1], abs=1e-6)
+        for link in ("log", "reciprocal", "probit"):
+            res = fit_glp(cases, LinkFunction(link))
+            assert res.converged
+            assert_allclose(res.spec.w, ref[link], rtol=0, atol=1e-6)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("fit", [fit_tlp, fit_blp, *_NEWTON_FITS],
+                             ids=["tlp", "blp", "slp", "glp-log", "glp-reciprocal",
+                                  "glp-probit"])
+    def test_rejected_before_fitting(self, gaussian_cases, fit):
+        bad_y = list(gaussian_cases)
+        bad_y[7] = ForecastCase(bad_y[7].components, np.inf)
+        with pytest.raises(DomainViolation, match="case 7"):
+            fit(bad_y)
+        bad_mu = list(gaussian_cases)
+        bad_mu[3] = ForecastCase((Gaussian(np.nan, 1.0),) + bad_mu[3].components[1:],
+                                 bad_mu[3].y)
+        with pytest.raises(DomainViolation, match="case 3"):
+            fit(bad_mu)
 
 
 class TestEquivariance:
