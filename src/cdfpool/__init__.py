@@ -16,13 +16,12 @@ from .calibration import (
     var_z_sigma,
 )
 from .distributions import (
-    BetaTransform,
+    BetaTransformed,
     FiniteDiscrete,
     Gaussian,
     Mixture,
     PredictiveDist,
-    SpreadAdjust,
-    Transformed,
+    SpreadAdjusted,
     TwoPointBernoulli,
     validate_cdf,
 )
@@ -66,6 +65,8 @@ from .pools import (
     coherent_probit_pool,
     pool,
     slp_limit_variance,
+    spec_from_params,
+    spec_params,
 )
 from .sim import (
     DgpConfig,

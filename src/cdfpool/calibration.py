@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import kolmogorov, ndtr
 
 from .distributions import PredictiveDist, _as_array
-from .errors import EmptyInput, LengthMismatch, TooFewSamples
+from .errors import DomainViolation, EmptyInput, LengthMismatch, TooFewSamples
 
 NEUTRAL_PIT_VARIANCE = 1.0 / 12.0
 
@@ -81,6 +81,9 @@ def pit_sample(forecasts, obs, rng_seed: int) -> PitSample:
         raise LengthMismatch(
             f"{len(forecasts)} forecasts paired with {obs.size} observations"
         )
+    finite = np.isfinite(obs)
+    if not np.all(finite):
+        raise DomainViolation(f"observation {int(np.argmin(finite))} is not finite")
     rng = np.random.Generator(np.random.Philox(rng_seed))
     v = uniform_open(rng, obs.size)
     first = forecasts[0] if len(forecasts) else None

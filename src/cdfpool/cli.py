@@ -23,7 +23,7 @@ from .calibration import (
 )
 from .errors import CdfPoolError, InvalidConfig, SchemaError
 from .fitting import evaluate, fit_blp, fit_glp, fit_slp, fit_tlp
-from .pools import LinkFunction, pool
+from .pools import LinkFunction, pool, spec_params
 from .sim import FSIGMA, REGRESSION, DgpConfig, simulate
 from .study import DEFAULT_STUDY_SEED, DEFAULT_STUDY_SIZE, format_study_report, reproduce_sim_study
 
@@ -56,13 +56,6 @@ class RunManifest:
         for path in (self.input, self.params):
             if path is not None and not os.path.exists(path):
                 raise SchemaError(f"input file does not exist: {path}")
-        if self.command == "fit" and self.method not in FIT_METHODS:
-            raise SchemaError(f"unknown method {self.method!r}")
-        if self.command == "simulate" and self.dgp not in CSV_DGPS:
-            raise InvalidConfig(
-                f"dgp {self.dgp!r} cannot be written to the Gaussian CSV schema; "
-                f"choose from {CSV_DGPS}"
-            )
         if self.bins < 1:
             raise SchemaError("bins must be at least 1")
 
@@ -99,13 +92,7 @@ def _cmd_fit(m: RunManifest) -> int:
     pio.write_params(m.out, result)
     se = result.std_errors or {}
     print(f"{'parameter':<12}{'estimate':>12}{'std.error':>12}")
-    rows = [(f"w_{i}", w) for i, w in enumerate(result.spec.w, start=1)]
-    if m.method == "slp":
-        rows.append(("c", result.spec.c))
-    if m.method == "blp":
-        rows.append(("alpha", result.spec.alpha))
-        rows.append(("beta", result.spec.beta))
-    for name, value in rows:
+    for name, value in spec_params(result.spec).items():
         err = se.get(name)
         err_s = f"{err:12.4f}" if err is not None else f"{'--':>12}"
         print(f"{name:<12}{value:12.4f}{err_s}")

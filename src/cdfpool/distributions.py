@@ -434,9 +434,74 @@ class Mixture(PredictiveDist):
 
 
 @dataclass(frozen=True)
-class BetaTransform:
-    """Probability-scale recalibration u -> B_(alpha,beta)(u)."""
+class SpreadAdjusted(PredictiveDist):
+    """A base distribution re-scaled about ``center`` by a spread factor c.
 
+    The CDF is G(y) = F(center + (y - center) / c), so every quantile's
+    distance from the center is scaled by c and the moments have closed forms.
+    """
+
+    base: PredictiveDist
+    c: float
+    center: float
+
+    def __post_init__(self):
+        if not self.c > 0.0:
+            raise ValueError("spread adjustment parameter c must be strictly positive")
+
+    def _pullback(self, y) -> np.ndarray:
+        return self.center + (_as_array(y) - self.center) / self.c
+
+    def _pushforward(self, x):
+        return self.center + self.c * (x - self.center)
+
+    def cdf(self, y):
+        return _match(y, _as_array(self.base.cdf(self._pullback(y))))
+
+    def cdf_left(self, y):
+        return _match(y, _as_array(self.base.cdf_left(self._pullback(y))))
+
+    @property
+    def has_density(self) -> bool:
+        return self.base.has_density
+
+    def density(self, y):
+        return _match(y, _as_array(self.base.density(self._pullback(y))) / self.c)
+
+    def support(self):
+        lo, hi = self.base.support()
+        return tuple(self._pushforward(x) if np.isfinite(x) else x for x in (lo, hi))
+
+    def atom_locations(self):
+        return self._pushforward(self.base.atom_locations())
+
+    def quantile(self, p):
+        p_arr = _as_array(p)
+        if np.any((p_arr <= 0.0) | (p_arr >= 1.0)):
+            raise ValueError("quantile level must lie strictly inside (0, 1)")
+        return _match(p, self._pushforward(_as_array(self.base.quantile(p_arr))))
+
+    def median(self) -> float:
+        return self._pushforward(self.base.median())
+
+    def mean(self) -> float:
+        return self._pushforward(self.base.mean())
+
+    def variance(self) -> float:
+        return self.c * self.c * self.base.variance()
+
+    def sample(self, rng, n):
+        return self._pushforward(self.base.sample(rng, n))
+
+
+@dataclass(frozen=True)
+class BetaTransformed(PredictiveDist):
+    """A base distribution recalibrated on the probability scale: B_(alpha,beta)(F(y)).
+
+    Moments and samples come from the inherited CDF-based numerics.
+    """
+
+    base: PredictiveDist
     alpha: float
     beta: float
 
@@ -444,109 +509,37 @@ class BetaTransform:
         if not (self.alpha > 0.0 and self.beta > 0.0):
             raise ValueError("alpha and beta must be strictly positive")
 
-
-@dataclass(frozen=True)
-class SpreadAdjust:
-    """Spread re-scaling about a fixed center: y -> center + (y - center) / c."""
-
-    c: float
-    median: float
-
-    def __post_init__(self):
-        if not self.c > 0.0:
-            raise ValueError("spread adjustment parameter c must be strictly positive")
-
-
-CdfTransform = BetaTransform | SpreadAdjust
-
-
-@dataclass(frozen=True)
-class Transformed(PredictiveDist):
-    """A base distribution composed with a CDF transform."""
-
-    base: PredictiveDist
-    transform: CdfTransform
-
-    def _pullback(self, y) -> np.ndarray:
-        t = self.transform
-        return t.median + (_as_array(y) - t.median) / t.c
-
     def cdf(self, y):
-        t = self.transform
-        if isinstance(t, SpreadAdjust):
-            return _match(y, _as_array(self.base.cdf(self._pullback(y))))
-        return _match(y, betainc(t.alpha, t.beta, _unit(self.base.cdf(y))))
+        return _match(y, betainc(self.alpha, self.beta, _unit(self.base.cdf(y))))
 
     def cdf_left(self, y):
-        t = self.transform
-        if isinstance(t, SpreadAdjust):
-            return _match(y, _as_array(self.base.cdf_left(self._pullback(y))))
-        return _match(y, betainc(t.alpha, t.beta, _unit(self.base.cdf_left(y))))
+        return _match(y, betainc(self.alpha, self.beta, _unit(self.base.cdf_left(y))))
 
     @property
     def has_density(self) -> bool:
         return self.base.has_density
 
     def density(self, y):
-        t = self.transform
-        if isinstance(t, SpreadAdjust):
-            g = _as_array(self.base.density(self._pullback(y))) / t.c
-            return _match(y, g)
         g = _as_array(self.base.density(y))
         u = _as_array(self.base.cdf(y))
         with np.errstate(invalid="ignore", over="ignore"):
-            out = np.where(g > 0.0, _beta_pdf(u, t.alpha, t.beta) * g, 0.0)
+            out = np.where(g > 0.0, _beta_pdf(u, self.alpha, self.beta) * g, 0.0)
         return _match(y, out)
 
     def support(self):
-        lo, hi = self.base.support()
-        t = self.transform
-        if isinstance(t, SpreadAdjust):
-            pushforward = lambda x: t.median + t.c * (x - t.median) if np.isfinite(x) else x
-            return (pushforward(lo), pushforward(hi))
-        return (lo, hi)
+        return self.base.support()
 
     def atom_locations(self):
-        locs = self.base.atom_locations()
-        t = self.transform
-        if isinstance(t, SpreadAdjust):
-            return t.median + t.c * (locs - t.median)
-        return locs
+        return self.base.atom_locations()
 
     def quantile(self, p):
         p_arr = _as_array(p)
         if np.any((p_arr <= 0.0) | (p_arr >= 1.0)):
             raise ValueError("quantile level must lie strictly inside (0, 1)")
-        t = self.transform
-        if isinstance(t, SpreadAdjust):
-            base_q = _as_array(self.base.quantile(p_arr))
-            return _match(p, t.median + t.c * (base_q - t.median))
-        return _match(p, _as_array(self.base.quantile(betaincinv(t.alpha, t.beta, p_arr))))
+        return _match(p, _as_array(self.base.quantile(betaincinv(self.alpha, self.beta, p_arr))))
 
     def median(self) -> float:
-        t = self.transform
-        if isinstance(t, SpreadAdjust):
-            return t.median + t.c * (self.base.median() - t.median)
-        return float(self.base.quantile(float(betaincinv(t.alpha, t.beta, 0.5))))
-
-    def mean(self) -> float:
-        t = self.transform
-        if isinstance(t, SpreadAdjust):
-            return t.median + t.c * (self.base.mean() - t.median)
-        return super().mean()
-
-    def variance(self) -> float:
-        t = self.transform
-        if isinstance(t, SpreadAdjust):
-            return t.c * t.c * self.base.variance()
-        return super().variance()
-
-    def sample(self, rng, n):
-        t = self.transform
-        if isinstance(t, SpreadAdjust):
-            return t.median + t.c * (self.base.sample(rng, n) - t.median)
-        u = (rng.integers(0, 1 << 53, size=n) + 0.5) / float(1 << 53)
-        return np.atleast_1d(_as_array(self.base.quantile(betaincinv(t.alpha, t.beta, u))))
+        return float(self.base.quantile(float(betaincinv(self.alpha, self.beta, 0.5))))
 
 
 def validate_cdf(d: PredictiveDist, grid=None) -> None:

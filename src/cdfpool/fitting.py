@@ -7,7 +7,10 @@ vector, on the simplex with the last one eliminated or, for generalized
 links that only need a positive weight sum, on the positive orthant.  The
 beta parameters and the common spread are optimized in log space, and a
 weight that runs into the boundary triggers a restart under a logarithmic
-barrier.  The plain linear pool uses multiplicative (EM) weight updates.
+barrier.  One result step serves all three fits: standard errors from the
+Hessian in these coordinates, the log-space parameters converted by the
+delta method, and the boundary flags.  The plain linear pool uses
+multiplicative (EM) weight updates.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .pools import BlpSpec, GlpSpec, LinkFunction, PoolSpec, SlpSpec, TlpSpec, p
 
 CDF_CLAMP = 1e-12
 DENSITY_FLOOR = 1e-300
+BOUNDARY_WEIGHT = 1e-8  # a fitted weight below this is reported as boundary-active
 
 FLAG_NO_CONVERGENCE = "no_convergence"
 FLAG_SINGULAR_HESSIAN = "singular_hessian"
@@ -55,13 +59,15 @@ class FitResult:
     """Outcome of a pool fit.
 
     ``trace`` holds the objective (sum of log scores) at accepted iterates;
-    it is nondecreasing for interior fits.  Barrier stages used for
-    boundary-active weights maximize a penalized objective, so their raw
-    trace may dip.  ``std_errors`` come from the inverse Hessian at the
-    optimum, with the eliminated weight's error obtained by the delta
-    method; they are None when the Hessian is singular.  ``iterations``
-    counts accepted Newton steps over all barrier stages, or EM updates for
-    the linear pool.
+    it is nondecreasing unless a weight ran into the boundary away from a
+    stationary point: the barrier stages that follow maximize a penalized
+    objective, so their raw trace may dip.  ``std_errors`` come from the
+    inverse Hessian at the optimum in the fitted coordinates; the
+    eliminated simplex weight and the log-space parameters (c, alpha, beta)
+    get theirs by the delta method.  They are None when the Hessian is
+    singular.  ``boundary_active`` marks weights below 1e-8.
+    ``iterations`` counts accepted Newton steps over all barrier stages, or
+    EM updates for the linear pool.
     """
 
     spec: PoolSpec
@@ -111,6 +117,28 @@ class _Design:
         return self.F.shape[1]
 
 
+def _case_arrays(data):
+    """The outcomes (J,) and, if every component is Gaussian, their (mu, sd) as (J, k).
+
+    Raises DomainViolation naming the first case with a non-finite outcome
+    or Gaussian parameter.
+    """
+    y = np.array([case.y for case in data])
+    finite = np.isfinite(y)
+    gaussian = None
+    if all(type(c) is Gaussian for case in data for c in case.components):
+        mu = np.array([[c.mu for c in case.components] for case in data])
+        sd = np.array([[c.sigma for c in case.components] for case in data])
+        finite &= np.all(np.isfinite(mu) & np.isfinite(sd), axis=1)
+        gaussian = (mu, sd)
+    if not np.all(finite):
+        raise DomainViolation(
+            f"case {int(np.argmin(finite))} has a non-finite outcome or component "
+            "parameter"
+        )
+    return y, gaussian
+
+
 def _build_design(data) -> _Design:
     data = list(data)
     if not data:
@@ -118,25 +146,12 @@ def _build_design(data) -> _Design:
     k = len(data[0].components)
     if any(len(case.components) != k for case in data):
         raise LengthMismatch("all cases must have the same number of components")
-    y = np.array([case.y for case in data])
-    all_gaussian = all(
-        type(c) is Gaussian for case in data for c in case.components
-    )
-    finite = np.isfinite(y)
-    if all_gaussian:
-        mu = np.array([[c.mu for c in case.components] for case in data])
-        sd = np.array([[c.sigma for c in case.components] for case in data])
-        finite &= np.all(np.isfinite(mu) & np.isfinite(sd), axis=1)
-    if not np.all(finite):
-        raise DomainViolation(
-            f"case {int(np.argmin(finite))} has a non-finite outcome or component "
-            "parameter"
-        )
-    if all_gaussian:
+    y, gaussian = _case_arrays(data)
+    if gaussian is not None:
+        mu, sd = gaussian
         z = (y[:, None] - mu) / sd
         F = ndtr(z)
         f = np.exp(-0.5 * z * z) / (sd * np.sqrt(2.0 * np.pi))
-        gaussian = (mu, sd)
     else:
         if not all(c.has_density for case in data for c in case.components):
             raise DensityUnavailable("fitting requires absolutely continuous components")
@@ -146,7 +161,6 @@ def _build_design(data) -> _Design:
             for i, c in enumerate(case.components):
                 F[j, i] = c.cdf(case.y)
                 f[j, i] = c.density(case.y)
-        gaussian = None
     F = np.clip(F, CDF_CLAMP, 1.0 - CDF_CLAMP)
     return _Design(F=F, f=f, y=y, gaussian=gaussian)
 
@@ -374,13 +388,16 @@ def _newton_stage(derivs, weights, J, theta0, barrier_mu, max_iter, flags, trace
 def _newton_fit(derivs, weights, J, theta0):
     """Newton ascent with a barrier restart; (theta, iterations, converged, flags, trace).
 
-    If a weight runs into the boundary, the fit restarts from ``theta0``
-    under a logarithmic barrier whose weight is halved from 1e-2 down to 1e-8.
+    If a weight runs into the boundary (it ends below 1e-4 where the
+    gradient is still above 1e-4, so the stage stopped short of a
+    stationary point), the fit restarts from ``theta0`` under a logarithmic
+    barrier whose weight is halved from 1e-2 down to 1e-8.
     """
     flags: set[str] = set()
     trace: list[float] = []
     theta, iters, converged = _newton_stage(derivs, weights, J, theta0, None, 500, flags, trace)
-    if float(np.min(weights.full(theta))) < 1e-4:
+    if (float(np.min(weights.full(theta))) < 1e-4
+            and float(np.max(np.abs(derivs(theta)[1]))) > 1e-4):
         theta = theta0.copy()
         mu = 1e-2
         while mu >= 1e-8:
@@ -411,6 +428,35 @@ def _simplex_se_from_hessian(neg_hess, weights, other_names):
         head = cov[: weights.n, : weights.n]
         se[f"w_{weights.k}"] = float(np.sqrt(max(np.sum(head), 0.0)))
     return se
+
+
+def _newton_result(family, derivs, weights, J, theta0, **fixed) -> FitResult:
+    """Run ``_newton_fit`` and report it as a fit of ``family``.
+
+    theta holds the weights, then the log of each of the family's shape
+    parameters; their SEs come from the theta Hessian by the delta method.
+    ``fixed`` holds spec fields that are not fitted (the GLP link).
+    """
+    theta, iters, converged, flags, trace = _newton_fit(derivs, weights, J, theta0)
+    w = weights.full(theta)
+    shape = [float(np.exp(x)) for x in theta[weights.n:]]
+    ell, _, hess = derivs(theta)
+    se = _simplex_se_from_hessian(-hess, weights, family.shape_params)
+    if se is None:
+        flags.add(FLAG_SINGULAR_HESSIAN)
+    else:
+        for name, value in zip(family.shape_params, shape):
+            se[name] *= value  # d exp(x) / dx; exact at a stationary point
+    return FitResult(
+        spec=family(tuple(float(x) for x in w), *shape, **fixed),
+        std_errors=se,
+        mean_log_score_train=ell / J,
+        iterations=iters,
+        converged=converged,
+        boundary_active=tuple(bool(x < BOUNDARY_WEIGHT) for x in w),
+        trace=tuple(trace),
+        flags=tuple(sorted(flags)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +491,7 @@ def fit_blp(data, init: BlpSpec | None = None) -> FitResult:
 
     Starts from the nested linear pool (equal weights, alpha = beta = 1)
     unless ``init`` says otherwise.  If a weight runs into the simplex
-    boundary, the fit restarts under a logarithmic barrier whose weight is
-    halved from 1e-2 down to 1e-8, and the affected weights are flagged.
+    boundary, the fit restarts under a logarithmic barrier (``_newton_fit``).
     """
     design = _build_design(data)
     k = design.k
@@ -463,29 +508,8 @@ def fit_blp(data, init: BlpSpec | None = None) -> FitResult:
     else:
         theta0 = np.concatenate([weights.start(), [0.0, 0.0]])
 
-    theta, iters, converged, flags, trace = _newton_fit(
-        lambda th: _blp_theta_derivs(design, th), weights, design.J, theta0
-    )
-
-    w = weights.full(theta)
-    alpha = float(np.exp(theta[k - 1]))
-    beta = float(np.exp(theta[k]))
-    boundary = tuple(bool(x < 1e-5) for x in w)
-    ell, _, hess = _blp_core(design, theta[: k - 1], alpha, beta)
-    se = _simplex_se_from_hessian(-hess, weights, ["alpha", "beta"])
-    if se is None:
-        flags.add(FLAG_SINGULAR_HESSIAN)
-    spec = BlpSpec(w=tuple(float(x) for x in w), alpha=alpha, beta=beta)
-    return FitResult(
-        spec=spec,
-        std_errors=se,
-        mean_log_score_train=ell / design.J,
-        iterations=iters,
-        converged=converged,
-        boundary_active=boundary,
-        trace=tuple(trace),
-        flags=tuple(sorted(flags)),
-    )
+    return _newton_result(BlpSpec, lambda th: _blp_theta_derivs(design, th), weights,
+                          design.J, theta0)
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +575,7 @@ def fit_tlp(data) -> FitResult:
         mean_log_score_train=trace[-1] / J,
         iterations=it,
         converged=converged,
-        boundary_active=tuple(bool(x < 1e-8) for x in w),
+        boundary_active=tuple(bool(x < BOUNDARY_WEIGHT) for x in w),
         trace=tuple(trace),
         flags=tuple(sorted(flags)),
     )
@@ -642,34 +666,8 @@ def fit_slp(data) -> FitResult:
     else:
         densities = _spread_densities(data, design.y)
     weights = _Weights(k, simplex=True)
-
-    def derivs(th):
-        return _slp_derivs(densities, weights, th)
-
-    theta, iters, converged, flags, trace = _newton_fit(
-        derivs, weights, design.J, np.append(weights.start(), 0.0)
-    )
-    w = weights.full(theta)
-    c = float(np.exp(theta[-1]))
-
-    ell, _, H = derivs(theta)
-    se = _simplex_se_from_hessian(-H, weights, ["c"])
-    if se is None:
-        flags.add(FLAG_SINGULAR_HESSIAN)
-    else:
-        se["c"] *= c  # delta method from log c; exact at a stationary point
-
-    spec = SlpSpec(w=tuple(float(x_) for x_ in w), c=c)
-    return FitResult(
-        spec=spec,
-        std_errors=se,
-        mean_log_score_train=ell / design.J,
-        iterations=iters,
-        converged=converged,
-        boundary_active=tuple(bool(x_ < 1e-8) for x_ in w),
-        trace=tuple(trace),
-        flags=tuple(sorted(flags)),
-    )
+    return _newton_result(SlpSpec, lambda th: _slp_derivs(densities, weights, th), weights,
+                          design.J, np.append(weights.start(), 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -718,29 +716,8 @@ def fit_glp(data, link: LinkFunction) -> FitResult:
     b = link.apply(design.F)
     a = link.deriv(design.F) * design.f
     weights = _Weights(k, simplex=link.requires_simplex)
-
-    def derivs(th):
-        return _glp_derivs(b, a, link, weights, th)
-
-    theta, iters, converged, flags, trace = _newton_fit(
-        derivs, weights, design.J, weights.start()
-    )
-    w = weights.full(theta)
-    ell, _, hess = derivs(theta)
-    se = _simplex_se_from_hessian(-hess, weights, [])
-    if se is None:
-        flags.add(FLAG_SINGULAR_HESSIAN)
-    spec = GlpSpec(w=tuple(float(v) for v in w), link=link)
-    return FitResult(
-        spec=spec,
-        std_errors=se,
-        mean_log_score_train=ell / design.J,
-        iterations=iters,
-        converged=converged,
-        boundary_active=tuple(bool(v < 1e-8) for v in w),
-        trace=tuple(trace),
-        flags=tuple(sorted(flags)),
-    )
+    return _newton_result(GlpSpec, lambda th: _glp_derivs(b, a, link, weights, th), weights,
+                          design.J, weights.start(), link=link)
 
 
 # ---------------------------------------------------------------------------
@@ -792,7 +769,7 @@ def evaluate(spec: PoolSpec, data, rng_seed: int = 0, bins: int = 10) -> EvalRep
     if not data:
         raise TooFewSamples("empty evaluation set")
     dists = [pool(spec, case.components) for case in data]
-    ys = np.array([case.y for case in data])
+    ys, _ = _case_arrays(data)
     scores = np.array([log_score(d, y) for d, y in zip(dists, ys)])
     s = pit_sample(dists, ys, rng_seed)
     variances = np.array([d.variance() for d in dists])

@@ -16,7 +16,7 @@ import numpy as np
 from .distributions import Gaussian
 from .errors import SchemaError
 from .fitting import FitResult, ForecastCase
-from .pools import BlpSpec, GlpSpec, LinkFunction, PoolSpec, SlpSpec, TlpSpec
+from .pools import PoolSpec, spec_from_params, spec_params
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -126,28 +126,10 @@ def write_latents_csv(path: str, latents: dict) -> None:
 # parameter records: flat "key value" lines
 
 
-def method_name(spec: PoolSpec) -> str:
-    if isinstance(spec, TlpSpec):
-        return "tlp"
-    if isinstance(spec, SlpSpec):
-        return "slp"
-    if isinstance(spec, BlpSpec):
-        return "blp"
-    if isinstance(spec, GlpSpec):
-        return f"glp-{spec.link.value}"
-    raise SchemaError(f"unknown spec type {type(spec).__name__}")
-
-
 def params_text(result: FitResult) -> str:
     spec = result.spec
-    lines = [f"method {method_name(spec)}", f"k {spec.k}"]
-    for i, w in enumerate(spec.w, start=1):
-        lines.append(f"w_{i} {_fmt(w)}")
-    if isinstance(spec, SlpSpec):
-        lines.append(f"c {_fmt(spec.c)}")
-    if isinstance(spec, BlpSpec):
-        lines.append(f"alpha {_fmt(spec.alpha)}")
-        lines.append(f"beta {_fmt(spec.beta)}")
+    lines = [f"method {spec.method}", f"k {spec.k}"]
+    lines += [f"{name} {_fmt(value)}" for name, value in spec_params(spec).items()]
     if result.std_errors:
         for key in sorted(result.std_errors):
             lines.append(f"se_{key} {_fmt(result.std_errors[key])}")
@@ -178,24 +160,15 @@ def read_params(path: str) -> tuple[PoolSpec, dict]:
         if required not in kv:
             raise SchemaError(f"{path}: missing key {required!r}")
     method = kv["method"]
+    n_weights = sum(key.startswith("w_") for key in kv)
     try:
-        k = int(kv["k"])
-        w = tuple(float(kv[f"w_{i}"]) for i in range(1, k + 1))
+        if int(kv["k"]) != n_weights:
+            raise SchemaError(f"{path}: k is {kv['k']} but {n_weights} weights are given")
+        spec = spec_from_params(method, kv)
     except (KeyError, ValueError) as exc:
-        raise SchemaError(f"{path}: incomplete or non-numeric weights ({exc})") from exc
-    try:
-        if method == "tlp":
-            spec: PoolSpec = TlpSpec(w=w)
-        elif method == "slp":
-            spec = SlpSpec(w=w, c=float(kv["c"]))
-        elif method == "blp":
-            spec = BlpSpec(w=w, alpha=float(kv["alpha"]), beta=float(kv["beta"]))
-        elif method.startswith("glp-"):
-            spec = GlpSpec(w=w, link=LinkFunction(method[4:]))
-        else:
-            raise SchemaError(f"{path}: unknown method {method!r}")
-    except (KeyError, ValueError) as exc:
-        raise SchemaError(f"{path}: missing parameter for method {method!r} ({exc})") from exc
+        raise SchemaError(
+            f"{path}: missing, non-numeric or unknown entry for method {method!r} ({exc})"
+        ) from exc
     meta: dict = {key: val for key, val in kv.items()}
     if "flags" in meta:
         meta["flags"] = () if meta["flags"] == "none" else tuple(meta["flags"].split(","))

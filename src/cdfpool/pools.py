@@ -14,16 +14,16 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .distributions import (
-    BetaTransform,
+    BetaTransformed,
     Mixture,
     PredictiveDist,
-    SpreadAdjust,
-    Transformed,
+    SpreadAdjusted,
     _as_array,
     _match,
 )
@@ -110,6 +110,9 @@ def _check_simplex(w) -> tuple[float, ...]:
 class TlpSpec:
     """Traditional linear pool with simplex weights."""
 
+    method: ClassVar[str] = "tlp"
+    shape_params: ClassVar[tuple[str, ...]] = ()
+
     w: tuple[float, ...]
 
     def __post_init__(self):
@@ -123,6 +126,9 @@ class TlpSpec:
 @dataclass(frozen=True)
 class SlpSpec:
     """Spread-adjusted linear pool: simplex weights and a common spread c > 0."""
+
+    method: ClassVar[str] = "slp"
+    shape_params: ClassVar[tuple[str, ...]] = ("c",)
 
     w: tuple[float, ...]
     c: float
@@ -141,6 +147,9 @@ class SlpSpec:
 class BlpSpec:
     """Beta-transformed linear pool: simplex weights plus alpha, beta > 0."""
 
+    method: ClassVar[str] = "blp"
+    shape_params: ClassVar[tuple[str, ...]] = ("alpha", "beta")
+
     w: tuple[float, ...]
     alpha: float
     beta: float
@@ -158,6 +167,8 @@ class BlpSpec:
 @dataclass(frozen=True)
 class GlpSpec:
     """Generalized linear pool; the weight rule depends on the link."""
+
+    shape_params: ClassVar[tuple[str, ...]] = ()
 
     w: tuple[float, ...]
     link: LinkFunction
@@ -178,11 +189,41 @@ class GlpSpec:
             raise WeightConstraintViolation("weights must have positive sum")
 
     @property
+    def method(self) -> str:
+        return f"glp-{self.link.value}"
+
+    @property
     def k(self) -> int:
         return len(self.w)
 
 
 PoolSpec = TlpSpec | SlpSpec | BlpSpec | GlpSpec
+
+_LINEAR_FAMILIES = {cls.method: cls for cls in (TlpSpec, SlpSpec, BlpSpec)}
+
+
+def spec_params(spec: PoolSpec) -> dict[str, float]:
+    """The spec's named parameters in file order: w_1..w_k, then the shape parameters."""
+    params = {f"w_{i}": w for i, w in enumerate(spec.w, start=1)}
+    params.update((name, getattr(spec, name)) for name in spec.shape_params)
+    return params
+
+
+def spec_from_params(method: str, params) -> PoolSpec:
+    """Inverse of ``spec_params`` for the family named by ``method``.
+
+    ``params`` maps names to numbers or numeric strings; keys other than
+    w_1..w_k and the family's shape parameters are ignored.  Raises KeyError
+    for a missing parameter and ValueError for an unknown method or link.
+    """
+    k = sum(name.startswith("w_") for name in params)
+    w = tuple(float(params[f"w_{i}"]) for i in range(1, k + 1))
+    if method.startswith("glp-"):
+        return GlpSpec(w=w, link=LinkFunction(method.removeprefix("glp-")))
+    if method not in _LINEAR_FAMILIES:
+        raise ValueError(f"unknown method {method!r}")
+    cls = _LINEAR_FAMILIES[method]
+    return cls(w, *(float(params[name]) for name in cls.shape_params))
 
 
 @dataclass(frozen=True)
@@ -257,14 +298,10 @@ def pool(spec: PoolSpec, components) -> PredictiveDist:
     if isinstance(spec, TlpSpec):
         return Mixture(components, spec.w)
     if isinstance(spec, SlpSpec):
-        adjusted = tuple(
-            Transformed(c, SpreadAdjust(c=spec.c, median=c.median()))
-            for c in components
-        )
+        adjusted = tuple(SpreadAdjusted(c, spec.c, c.median()) for c in components)
         return Mixture(adjusted, spec.w)
     if isinstance(spec, BlpSpec):
-        return Transformed(Mixture(components, spec.w),
-                           BetaTransform(alpha=spec.alpha, beta=spec.beta))
+        return BetaTransformed(Mixture(components, spec.w), spec.alpha, spec.beta)
     if isinstance(spec, GlpSpec):
         if spec.link is LinkFunction.IDENTITY:
             return Mixture(components, spec.w)

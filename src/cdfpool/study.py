@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fitting import FitResult, evaluate, fit_blp, fit_slp, fit_tlp
-from .pools import TlpSpec
+from .pools import TlpSpec, spec_params
 from .sim import REGRESSION, DgpConfig, simulate
 
 DEFAULT_STUDY_SEED = 0
@@ -107,16 +107,9 @@ def reproduce_sim_study(seed: int = DEFAULT_STUDY_SEED,
         rmv[name] = rep.rmv
 
     checks = []
-    tlp_w = fits["tlp"].spec.w
-    for i in range(3):
-        target, band = REFERENCE_PARAMS[f"tlp w_{i + 1}"]
-        checks.append(CheckRow(f"tlp w_{i + 1}", tlp_w[i], target, band))
-    target, band = REFERENCE_PARAMS["slp c"]
-    checks.append(CheckRow("slp c", fits["slp"].spec.c, target, band))
-    target, band = REFERENCE_PARAMS["blp alpha"]
-    checks.append(CheckRow("blp alpha", fits["blp"].spec.alpha, target, band))
-    target, band = REFERENCE_PARAMS["blp beta"]
-    checks.append(CheckRow("blp beta", fits["blp"].spec.beta, target, band))
+    for key, (target, band) in REFERENCE_PARAMS.items():
+        method, param = key.split()
+        checks.append(CheckRow(key, spec_params(fits[method].spec)[param], target, band))
     for name, (target, band) in REFERENCE_PIT_VARIANCE.items():
         checks.append(CheckRow(f"{name} var(PIT)", pit_var[name], target, band))
     for name, (target, band) in REFERENCE_RMV.items():
@@ -166,14 +159,8 @@ def format_study_report(report: StudyReport) -> str:
     for name in METHODS:
         fit = report.fits[name]
         se = fit.std_errors or {}
-        parts = []
-        for i, w in enumerate(fit.spec.w, start=1):
-            parts.append(f"w_{i}={w:.3f} ({se.get(f'w_{i}', float('nan')):.3f})")
-        if name == "slp":
-            parts.append(f"c={fit.spec.c:.3f} ({se.get('c', float('nan')):.3f})")
-        if name == "blp":
-            parts.append(f"alpha={fit.spec.alpha:.3f} ({se.get('alpha', float('nan')):.3f})")
-            parts.append(f"beta={fit.spec.beta:.3f} ({se.get('beta', float('nan')):.3f})")
+        parts = [f"{param}={value:.3f} ({se.get(param, float('nan')):.3f})"
+                 for param, value in spec_params(fit.spec).items()]
         lines.append(f"  {name.upper()}: " + "  ".join(parts))
     lines.append("")
 

@@ -3,21 +3,23 @@ import pytest
 from numpy.testing import assert_allclose
 
 from cdfpool import (
-    BetaTransform,
+    BetaTransformed,
+    DomainViolation,
     EmptyInput,
     FiniteDiscrete,
     Gaussian,
     LengthMismatch,
     Mixture,
     PitSample,
+    TlpSpec,
     TooFewSamples,
-    Transformed,
     TwoPointBernoulli,
     dispersion_report,
     ks_uniformity,
     marginal_calibration_gap,
     pit_histogram,
     pit_sample,
+    pool,
     randomized_pit,
     reliability_bins,
     var_z_sigma,
@@ -67,6 +69,14 @@ class TestPitSample:
         with pytest.raises(LengthMismatch):
             pit_sample([Gaussian(0, 1)], [0.0, 1.0], rng_seed=0)
 
+    def test_non_finite_observation_rejected(self):
+        rng = np.random.default_rng(4)
+        y = rng.standard_normal(50)
+        y[17] = np.nan
+        forecasts = [pool(TlpSpec((0.5, 0.5)), (Gaussian(0, 1), Gaussian(1, 2)))] * 50
+        with pytest.raises(DomainViolation, match="observation 17"):
+            pit_sample(forecasts, y, rng_seed=0)
+
     def test_deterministic_given_seed(self):
         forecasts = [Gaussian(0, 1)] * 10
         y = np.linspace(-1, 1, 10)
@@ -90,7 +100,7 @@ class TestKsUniformity:
         [
             Gaussian(0.3, 1.4),
             Mixture((Gaussian(-1, 1), Gaussian(1.5, 0.7)), (0.4, 0.6)),
-            Transformed(Gaussian(0, 1), BetaTransform(1.6, 1.2)),
+            BetaTransformed(Gaussian(0, 1), 1.6, 1.2),
         ],
     )
     def test_continuous_pit_uniform(self, dist):

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cdfpool import BlpSpec, Gaussian, GlpSpec, LinkFunction, SlpSpec, TlpSpec
+from cdfpool import BlpSpec, Gaussian, GlpSpec, LinkFunction, SchemaError, SlpSpec, TlpSpec
 from cdfpool.cli import main
 from cdfpool.fitting import FitResult
 from cdfpool.io import (
@@ -40,20 +40,16 @@ class TestParamRoundTrip:
             SlpSpec((0.5, 0.5), c=0.7834567890123456),
             BlpSpec((1.0,), alpha=1.4923456789012345, beta=1.44),
             GlpSpec((0.9, 1.3), link=LinkFunction.PROBIT),
+            GlpSpec((0.25, 0.75), link=LinkFunction.IDENTITY),
+            GlpSpec((0.7123456789012345, 2.5), link=LinkFunction.LOG),
+            GlpSpec((0.1, 0.2, 0.7), link=LinkFunction.RECIPROCAL),
         ],
     )
     def test_exact_field_recovery(self, tmp_path, spec):
         path = str(tmp_path / "params.txt")
         write_params(path, _fit_result(spec))
         back, meta = read_params(path)
-        assert type(back) is type(spec)
-        assert back.w == spec.w
-        if isinstance(spec, SlpSpec):
-            assert back.c == spec.c
-        if isinstance(spec, BlpSpec):
-            assert back.alpha == spec.alpha and back.beta == spec.beta
-        if isinstance(spec, GlpSpec):
-            assert back.link is spec.link
+        assert back == spec
         assert meta["converged"] == "true"
 
     @pytest.mark.parametrize("flags", [(), ("no_convergence",),
@@ -64,6 +60,24 @@ class TestParamRoundTrip:
         assert f"flags {','.join(flags) or 'none'}\n" in open(path).read()
         _, meta = read_params(path)
         assert meta["flags"] == flags
+
+
+    @pytest.mark.parametrize("text", [
+        "method elp\nk 1\nw_1 1.0\n",
+        "method glp-cubic\nk 1\nw_1 1.0\n",
+        "method slp\nk 2\nw_1 0.5\nw_2 0.5\n",
+        "method tlp\nk 3\nw_1 0.5\nw_2 0.5\n",
+    ], ids=["unknown-method", "unknown-link", "slp-without-c", "k-mismatch"])
+    def test_bad_record_is_a_schema_error(self, tmp_path, capsys, text):
+        path = tmp_path / "params.txt"
+        path.write_text(text)
+        with pytest.raises(SchemaError):
+            read_params(str(path))
+        data = str(tmp_path / "test.csv")
+        run("simulate", "--dgp", "regression", "--n", "10", "--seed", "1", "--out", data)
+        assert run("evaluate", "--params", str(path), "--input", data,
+                   "--out", str(tmp_path / "eval.txt")) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 class TestDatasetRoundTrip:

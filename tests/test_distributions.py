@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from scipy.special import betaln, log_ndtr, ndtri
 
 from cdfpool import (
-    BetaTransform,
+    BetaTransformed,
     BlpSpec,
     DensityUnavailable,
     FiniteDiscrete,
@@ -17,8 +17,7 @@ from cdfpool import (
     MedianUndefined,
     Mixture,
     MomentUnavailable,
-    SpreadAdjust,
-    Transformed,
+    SpreadAdjusted,
     TwoPointBernoulli,
     pool,
     validate_cdf,
@@ -65,13 +64,13 @@ class TestDensity:
 
     def test_identity_beta_transform_keeps_density(self):
         base = Gaussian(0.3, 1.7)
-        t = Transformed(base, BetaTransform(1.0, 1.0))
+        t = BetaTransformed(base, 1.0, 1.0)
         ys = np.linspace(-4.0, 5.0, 50)
         assert_allclose(t.density(ys), base.density(ys), rtol=1e-12)
 
     def test_beta_2_1_of_uniform_like_base(self):
         # base with uniform CDF on (0,1): beta(2,1) density is 2u at u
-        t = Transformed(_UniformOnUnit(), BetaTransform(2.0, 1.0))
+        t = BetaTransformed(_UniformOnUnit(), 2.0, 1.0)
         assert t.density(0.5) == pytest.approx(1.0, rel=1e-12)
 
     def test_atomic_kinds_refuse(self):
@@ -118,12 +117,12 @@ class TestQuantile:
         assert d.quantile(0.76) == 2.0
 
     def test_beta_transform_inverts_square(self):
-        t = Transformed(_UniformOnUnit(), BetaTransform(2.0, 1.0))
+        t = BetaTransformed(_UniformOnUnit(), 2.0, 1.0)
         assert t.quantile(0.25) == pytest.approx(0.5, abs=1e-9)
 
     def test_round_trip_on_grid(self):
         for d in (Gaussian(1.0, 2.0), STANDARD_MIX,
-                  Transformed(STANDARD_MIX, BetaTransform(1.5, 2.0))):
+                  BetaTransformed(STANDARD_MIX, 1.5, 2.0)):
             ps = np.linspace(0.001, 0.999, 41)
             qs = np.asarray(d.quantile(ps))
             assert np.max(np.abs(np.asarray(d.cdf(qs)) - ps)) < 1e-9
@@ -137,18 +136,18 @@ class TestMoments:
         assert STANDARD_MIX.variance() == pytest.approx(2.0, rel=1e-12)
 
     def test_spread_adjust_scales_variance(self):
-        d = Transformed(Gaussian(0.0, 2.0), SpreadAdjust(c=0.5, median=0.0))
+        d = SpreadAdjusted(Gaussian(0.0, 2.0), c=0.5, center=0.0)
         assert d.variance() == pytest.approx(1.0, rel=1e-12)
 
     def test_beta_transform_of_mixture_that_passes_one(self):
         # these weights sum to 1 + 2e-16, so the mixture's CDF passes 1 by rounding
         w = (0.20689609319226915, 0.7048003422567792, 0.08830356455095174)
-        d = Transformed(Mixture((Gaussian(0.0, 1.0),) * 3, w), BetaTransform(2.7, 1.4))
+        d = BetaTransformed(Mixture((Gaussian(0.0, 1.0),) * 3, w), 2.7, 1.4)
         assert d.cdf(50.0) == 1.0
         assert d.variance() > 0.0
 
     def test_beta_transform_variance_by_quadrature(self):
-        d = Transformed(Gaussian(0.0, 1.0), BetaTransform(2.0, 2.0))
+        d = BetaTransformed(Gaussian(0.0, 1.0), 2.0, 2.0)
         # independent oracle: direct quadrature of y^2 against the density
         m = quad(lambda t: t * d.density(t), -10, 10, epsabs=1e-12)[0]
         v = quad(lambda t: (t - m) ** 2 * d.density(t), -10, 10, epsabs=1e-12)[0]
@@ -239,7 +238,7 @@ class TestGridMoments:
         # the base CDF rounds to 1 while B(u) is still short of 1 by up to
         # 1e-1, so the moments are either right or typed as unavailable
         mu, sd = 3.0, 0.01
-        d = Transformed(Gaussian(mu, sd), BetaTransform(alpha, beta))
+        d = BetaTransformed(Gaussian(mu, sd), alpha, beta)
         try:
             m, v = d.mean(), d.variance()
         except MomentUnavailable:
@@ -255,7 +254,7 @@ class TestGridMoments:
         assert m == pytest.approx(mu + sd * m_z, abs=1e-8 * sd)
 
     def test_atoms_have_no_grid_moments(self):
-        d = Transformed(TwoPointBernoulli(0.3), BetaTransform(2.0, 2.0))
+        d = BetaTransformed(TwoPointBernoulli(0.3), 2.0, 2.0)
         with pytest.raises(MomentUnavailable):
             d.variance()
 
@@ -265,8 +264,8 @@ class TestInvariants:
         dists = (
             Gaussian(0.7, 1.3),
             STANDARD_MIX,
-            Transformed(Gaussian(0.0, 1.0), BetaTransform(1.5, 2.5)),
-            Transformed(STANDARD_MIX, SpreadAdjust(c=0.6, median=0.0)),
+            BetaTransformed(Gaussian(0.0, 1.0), 1.5, 2.5),
+            SpreadAdjusted(STANDARD_MIX, c=0.6, center=0.0),
         )
         for d in dists:
             lo, hi = d.quantile(1e-9), d.quantile(1.0 - 1e-9)
@@ -278,7 +277,7 @@ class TestInvariants:
         dists = (
             Gaussian(0.2, 0.9),
             STANDARD_MIX,
-            Transformed(Gaussian(0.0, 1.0), BetaTransform(1.8, 1.2)),
+            BetaTransformed(Gaussian(0.0, 1.0), 1.8, 1.2),
         )
         for d in dists:
             ys = np.asarray(d.quantile(rng.uniform(0.02, 0.98, size=100)))
@@ -293,7 +292,7 @@ class TestInvariants:
             FiniteDiscrete((0.0, 2.0), (0.4, 0.6)),
             STANDARD_MIX,
             Mixture((Gaussian(0, 1), TwoPointBernoulli(0.4)), (0.6, 0.4)),
-            Transformed(Gaussian(0, 1), BetaTransform(0.8, 2.0)),
+            BetaTransformed(Gaussian(0, 1), 0.8, 2.0),
         ):
             validate_cdf(d)
 
@@ -324,7 +323,7 @@ class TestConstruction:
 class TestSampling:
     def test_sample_matches_cdf(self):
         rng = np.random.default_rng(99)
-        d = Transformed(STANDARD_MIX, BetaTransform(1.4, 1.1))
+        d = BetaTransformed(STANDARD_MIX, 1.4, 1.1)
         xs = d.sample(rng, 20000)
         grid = np.linspace(-4, 4, 9)
         emp = np.searchsorted(np.sort(xs), grid, side="right") / xs.size

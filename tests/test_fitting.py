@@ -296,18 +296,33 @@ class TestFitSlp:
             assert a.mean_log_score_train == pytest.approx(b.mean_log_score_train, abs=1e-9)
 
     def test_monotone_trace_and_standard_errors(self, gaussian_cases):
-        interior = 0
         for fit in _NEWTON_FITS:
             res = fit(gaussian_cases)
             assert res.converged
-            # a weight below 1e-4 starts the barrier stages, whose trace may
-            # dip: here only the reciprocal link's w_3 = 5.6e-6 does
-            if min(res.spec.w) > 1e-4:
-                interior += 1
-                assert np.all(np.diff(np.asarray(res.trace)) >= -1e-12)
+            assert np.all(np.diff(np.asarray(res.trace)) >= -1e-12)
             assert res.std_errors is not None
             assert {f"w_{i}" for i in (1, 2, 3)} <= set(res.std_errors)
-        assert interior == 3
+
+    def test_small_interior_weight_needs_no_barrier_restart(self, gaussian_cases):
+        # the reciprocal link's w_3 = 5.6e-6 is a stationary point, not a
+        # boundary the first Newton stage ran into
+        res = fit_glp(gaussian_cases, LinkFunction.RECIPROCAL)
+        assert 0.0 < res.spec.w[2] < 1e-4
+        assert res.iterations < 40
+
+    @pytest.mark.parametrize("fit", [fit_slp, fit_blp,
+                                     lambda data: fit_glp(data, LinkFunction.RECIPROCAL)],
+                             ids=["slp", "blp", "glp-reciprocal"])
+    def test_unsupported_component_ends_on_the_boundary(self, fit):
+        rng = np.random.default_rng(1)
+        mu = rng.normal(size=300)
+        y = mu + rng.normal(size=300)
+        cases = [ForecastCase((Gaussian(m, 1.0), Gaussian(yj - 3.0, 0.5)), yj)
+                 for m, yj in zip(mu, y)]
+        res = fit(cases)
+        assert res.converged
+        assert res.spec.w[1] < 1e-8
+        assert res.boundary_active == (False, True)
 
     def test_non_gaussian_components_match_gaussian_closed_form(self, gaussian_cases):
         # a one-component mixture has the Gaussian's density but takes the
@@ -494,6 +509,12 @@ class TestEvaluate:
         assert solo.mean_log_score == pytest.approx(direct.mean_log_score, rel=1e-12)
         assert solo.pit_variance == pytest.approx(direct.pit_variance, rel=1e-12)
         assert solo.rmv == pytest.approx(direct.rmv, rel=1e-12)
+
+    def test_non_finite_outcome_rejected(self, gaussian_cases):
+        cases = list(gaussian_cases[:50])
+        cases[17] = ForecastCase(cases[17].components, np.nan)
+        with pytest.raises(DomainViolation, match="case 17"):
+            evaluate(TlpSpec((0.2, 0.3, 0.5)), cases)
 
     def test_histogram_counts_sum(self, gaussian_cases):
         rep = evaluate(BlpSpec((0.4, 0.3, 0.3), 1.2, 1.1), gaussian_cases[:60],

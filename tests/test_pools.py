@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import ndtr, ndtri
 
@@ -20,6 +22,8 @@ from cdfpool import (
     pool,
     randomized_pit,
     slp_limit_variance,
+    spec_from_params,
+    spec_params,
     validate_cdf,
 )
 
@@ -225,3 +229,37 @@ class TestSlpLimitVariance:
         m4 = np.mean((z - z.mean()) ** 4)
         se = np.sqrt(max(m4 - var**2, 0.0) / z.size)
         assert abs(var - bound) < 3 * se
+
+
+_POSITIVE = st.floats(min_value=1e-3, max_value=1e3)
+
+
+@st.composite
+def _specs(draw):
+    raw = draw(st.lists(_POSITIVE, min_size=1, max_size=5))
+    simplex = tuple(x / sum(raw) for x in raw)
+    family = draw(st.sampled_from(["tlp", "slp", "blp", *LinkFunction]))
+    if family == "tlp":
+        return TlpSpec(simplex)
+    if family == "slp":
+        return SlpSpec(simplex, c=draw(_POSITIVE))
+    if family == "blp":
+        return BlpSpec(simplex, alpha=draw(_POSITIVE), beta=draw(_POSITIVE))
+    return GlpSpec(simplex if family.requires_simplex else tuple(raw), link=family)
+
+
+class TestSpecParams:
+    def test_named_parameters_in_file_order(self):
+        assert list(spec_params(BlpSpec(W, alpha=1.5, beta=0.5)).items()) == [
+            ("w_1", 0.2), ("w_2", 0.5), ("w_3", 0.3), ("alpha", 1.5), ("beta", 0.5)]
+        assert list(spec_params(SlpSpec((1.0,), c=0.8))) == ["w_1", "c"]
+        assert list(spec_params(GlpSpec(W, LinkFunction.LOG))) == ["w_1", "w_2", "w_3"]
+
+    def test_method_names(self):
+        assert [s.method for s in (TlpSpec(W), SlpSpec(W, 1.0), BlpSpec(W, 1.0, 1.0))] == [
+            "tlp", "slp", "blp"]
+        assert GlpSpec(W, LinkFunction.RECIPROCAL).method == "glp-reciprocal"
+
+    @given(_specs())
+    def test_round_trip(self, spec):
+        assert spec_from_params(spec.method, spec_params(spec)) == spec
