@@ -5,6 +5,11 @@ evaluation surface (``cdf``, ``cdf_left``, ``density``, ``quantile``,
 ``mean``, ``variance``, ``sample``), so pooling and diagnostic code can stay
 agnostic of the concrete kind.  All evaluators accept scalars or numpy
 arrays and return a matching shape.
+
+``stack`` turns a list of per-case forecasts into a few objects of the same
+classes whose float parameters are (n, 1) columns, one row per case.  Their
+``cdf``, ``cdf_left`` and ``density`` take an (n, m) or (1, m) array of
+points and return (n, m): row i is case i's forecast at row i of the points.
 """
 
 from __future__ import annotations
@@ -110,6 +115,23 @@ class PredictiveDist:
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         u = (rng.integers(0, 1 << 53, size=n) + 0.5) / float(1 << 53)
         return np.atleast_1d(_as_array(self.quantile(u)))
+
+    # -- stacking (see ``stack``) -------------------------------------------
+
+    def _stack_key(self) -> tuple:
+        """Forecasts with equal keys stack into one object.
+
+        The key's first entry is the class whose ``_stack`` builds that
+        object; the rest fixes the shape (component kinds and counts, atom
+        count, link).  A kind without a stacked form keeps this default and
+        is evaluated row by row.  A subclass that changes how a concrete
+        kind evaluates must override it.
+        """
+        return (_RowStack,)
+
+    @classmethod
+    def _stack(cls, rows) -> PredictiveDist:
+        return _RowStack(tuple(rows))
 
     # -- generic numerics ---------------------------------------------------
 
@@ -236,6 +258,66 @@ def _simpson_rule(edges: np.ndarray, n: int):
     return np.concatenate(nodes), np.concatenate(full), np.concatenate(half)
 
 
+def stack(dists) -> list[tuple[np.ndarray, PredictiveDist]]:
+    """Group forecasts of the same shape; one stacked object per group.
+
+    Returns (indices, stacked) pairs in order of first appearance: row r of
+    ``stacked`` is the forecast ``dists[indices[r]]``.  The rows are not
+    validated again, since each was validated when it was built.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, d in enumerate(dists):
+        groups.setdefault(d._stack_key(), []).append(i)
+    return [(np.array(idx), _stack_rows([dists[i] for i in idx])) for idx in groups.values()]
+
+
+def _stack_rows(rows) -> PredictiveDist:
+    """One stacked object for forecasts that share a stack key."""
+    return rows[0]._stack_key()[0]._stack(rows)
+
+
+def _stack_components(rows) -> tuple[PredictiveDist, ...]:
+    """The i-th components of all rows, stacked, for each i."""
+    return tuple(_stack_rows(col) for col in zip(*(r.components for r in rows)))
+
+
+def _column(values) -> np.ndarray:
+    return np.array(values, dtype=float)[:, None]
+
+
+def _build(cls, **fields):
+    """An instance with the given fields, bypassing the per-row checks."""
+    out = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(out, name, value)
+    return out
+
+
+@dataclass(frozen=True)
+class _RowStack(PredictiveDist):
+    """Forecasts of kinds without a stacked form, evaluated one row at a time."""
+
+    rows: tuple[PredictiveDist, ...]
+
+    def _each(self, method: str, y) -> np.ndarray:
+        y = _as_array(y)
+        y = np.broadcast_to(y, (len(self.rows), y.shape[-1]))
+        return np.stack([_as_array(getattr(d, method)(yi)) for d, yi in zip(self.rows, y)])
+
+    def cdf(self, y):
+        return self._each("cdf", y)
+
+    def cdf_left(self, y):
+        return self._each("cdf_left", y)
+
+    @property
+    def has_density(self) -> bool:
+        return all(d.has_density for d in self.rows)
+
+    def density(self, y):
+        return self._each("density", y)
+
+
 @dataclass(frozen=True)
 class Gaussian(PredictiveDist):
     """Normal distribution with mean ``mu`` and standard deviation ``sigma``."""
@@ -276,6 +358,14 @@ class Gaussian(PredictiveDist):
     def sample(self, rng, n):
         return rng.normal(self.mu, self.sigma, size=n)
 
+    def _stack_key(self):
+        return (Gaussian,)
+
+    @classmethod
+    def _stack(cls, rows):
+        return _build(cls, mu=_column([r.mu for r in rows]),
+                      sigma=_column([r.sigma for r in rows]))
+
 
 @dataclass(frozen=True)
 class FiniteDiscrete(PredictiveDist):
@@ -300,21 +390,31 @@ class FiniteDiscrete(PredictiveDist):
 
     @cached_property
     def _cum(self) -> np.ndarray:
-        c = np.concatenate([[0.0], np.cumsum(self.masses)])
-        c[-1] = 1.0
+        masses = np.asarray(self.masses)
+        c = np.concatenate([np.zeros(masses.shape[:-1] + (1,)), np.cumsum(masses, axis=-1)],
+                           axis=-1)
+        c[..., -1] = 1.0
         return c
 
     @cached_property
     def _atoms_arr(self) -> np.ndarray:
         return np.asarray(self.atoms)
 
+    def _cum_at(self, y, side: str) -> np.ndarray:
+        """Mass of the atoms <= y (side "right") or < y (side "left")."""
+        y = _as_array(y)
+        if self._atoms_arr.ndim == 1:
+            return self._cum[np.searchsorted(self._atoms_arr, y, side=side)]
+        # stacked rows: count each row's atoms below its points
+        below = np.less_equal if side == "right" else np.less
+        count = below(self._atoms_arr[:, None, :], y[..., None]).sum(axis=-1)
+        return np.take_along_axis(self._cum, count, axis=1)
+
     def cdf(self, y):
-        idx = np.searchsorted(self._atoms_arr, _as_array(y), side="right")
-        return _match(y, self._cum[idx])
+        return _match(y, self._cum_at(y, "right"))
 
     def cdf_left(self, y):
-        idx = np.searchsorted(self._atoms_arr, _as_array(y), side="left")
-        return _match(y, self._cum[idx])
+        return _match(y, self._cum_at(y, "left"))
 
     def support(self):
         return (self.atoms[0], self.atoms[-1])
@@ -345,6 +445,14 @@ class FiniteDiscrete(PredictiveDist):
 
     def sample(self, rng, n):
         return rng.choice(self._atoms_arr, size=n, p=self.masses)
+
+    def _stack_key(self):
+        return (FiniteDiscrete, len(self.atoms))
+
+    @classmethod
+    def _stack(cls, rows):
+        return _build(cls, atoms=np.array([r.atoms for r in rows]),
+                      masses=np.array([r.masses for r in rows]))
 
 
 class TwoPointBernoulli(FiniteDiscrete):
@@ -432,6 +540,14 @@ class Mixture(PredictiveDist):
                 out[mask] = c.sample(rng, cnt)
         return out
 
+    def _stack_key(self):
+        return (Mixture, tuple(c._stack_key() for c in self.components))
+
+    @classmethod
+    def _stack(cls, rows):
+        return _build(cls, components=_stack_components(rows),
+                      weights=tuple(_column(col) for col in zip(*(r.weights for r in rows))))
+
 
 @dataclass(frozen=True)
 class SpreadAdjusted(PredictiveDist):
@@ -493,6 +609,14 @@ class SpreadAdjusted(PredictiveDist):
     def sample(self, rng, n):
         return self._pushforward(self.base.sample(rng, n))
 
+    def _stack_key(self):
+        return (SpreadAdjusted, self.base._stack_key())
+
+    @classmethod
+    def _stack(cls, rows):
+        return _build(cls, base=_stack_rows([r.base for r in rows]),
+                      c=_column([r.c for r in rows]), center=_column([r.center for r in rows]))
+
 
 @dataclass(frozen=True)
 class BetaTransformed(PredictiveDist):
@@ -540,6 +664,14 @@ class BetaTransformed(PredictiveDist):
 
     def median(self) -> float:
         return float(self.base.quantile(float(betaincinv(self.alpha, self.beta, 0.5))))
+
+    def _stack_key(self):
+        return (BetaTransformed, self.base._stack_key())
+
+    @classmethod
+    def _stack(cls, rows):
+        return _build(cls, base=_stack_rows([r.base for r in rows]),
+                      alpha=_column([r.alpha for r in rows]), beta=_column([r.beta for r in rows]))
 
 
 def validate_cdf(d: PredictiveDist, grid=None) -> None:

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import gammaln, ndtr, polygamma, psi
 
 from .calibration import pit_sample
-from .distributions import Gaussian, PredictiveDist, _as_array
+from .distributions import Gaussian, PredictiveDist, _as_array, _match, stack
 from .errors import (
     DegenerateDesign,
     DensityUnavailable,
@@ -179,10 +179,13 @@ def _check_clamp_fraction(design: _Design) -> None:
 # scores and beta moments
 
 
-def log_score(d: PredictiveDist, y: float) -> float:
-    """Log predictive density at the outcome, floored at 1e-300."""
-    val = float(d.density(y))
-    return float(np.log(max(val, DENSITY_FLOOR)))
+def log_score(d: PredictiveDist, y):
+    """Log predictive density at the outcome, floored at 1e-300.
+
+    A float for a scalar outcome; for a stacked ``d`` and an (n, 1) column of
+    outcomes, the (n, 1) scores of its rows.
+    """
+    return _match(y, np.log(np.maximum(_as_array(d.density(y)), DENSITY_FLOOR)))
 
 
 def beta_log_moments(alpha: float, beta: float):
@@ -770,7 +773,9 @@ def evaluate(spec: PoolSpec, data, rng_seed: int = 0, bins: int = 10) -> EvalRep
         raise TooFewSamples("empty evaluation set")
     dists = [pool(spec, case.components) for case in data]
     ys, _ = _case_arrays(data)
-    scores = np.array([log_score(d, y) for d, y in zip(dists, ys)])
+    scores = np.empty(ys.size)
+    for idx, d in stack(dists):
+        scores[idx] = log_score(d, ys[idx][:, None])[:, 0]
     s = pit_sample(dists, ys, rng_seed)
     variances = np.array([d.variance() for d in dists])
     counts, _ = np.histogram(s.z, bins=bins, range=(0.0, 1.0))

@@ -14,7 +14,7 @@ import tempfile
 import numpy as np
 
 from .distributions import Gaussian
-from .errors import SchemaError
+from .errors import SchemaError, WeightConstraintViolation
 from .fitting import FitResult, ForecastCase
 from .pools import PoolSpec, spec_from_params, spec_params
 
@@ -169,6 +169,8 @@ def read_params(path: str) -> tuple[PoolSpec, dict]:
         raise SchemaError(
             f"{path}: missing, non-numeric or unknown entry for method {method!r} ({exc})"
         ) from exc
+    except WeightConstraintViolation as exc:
+        raise SchemaError(f"{path}: parameters out of range for method {method!r} ({exc})") from exc
     meta: dict = {key: val for key, val in kv.items()}
     if "flags" in meta:
         meta["flags"] = () if meta["flags"] == "none" else tuple(meta["flags"].split(","))

@@ -25,7 +25,10 @@ from .distributions import (
     PredictiveDist,
     SpreadAdjusted,
     _as_array,
+    _build,
+    _column,
     _match,
+    _stack_components,
 )
 from .errors import DensityUnavailable, DomainViolation, WeightConstraintViolation
 
@@ -240,12 +243,16 @@ class GlpDistribution(PredictiveDist):
     w: tuple[float, ...]
     link: LinkFunction
 
+    def _link_sum(self, vals) -> np.ndarray:
+        """sum_i w_i vals_i; each w_i is a float, or a column for stacked rows."""
+        return sum(w * v for w, v in zip(self.w, vals))
+
     def _combine(self, vals: list[np.ndarray]) -> np.ndarray:
         stacked = np.stack(vals)
         all_low = np.all(stacked <= GLP_CLAMP, axis=0)
         all_high = np.all(stacked >= 1.0 - GLP_CLAMP, axis=0)
         clamped = np.clip(stacked, GLP_CLAMP, 1.0 - GLP_CLAMP)
-        s = np.tensordot(np.asarray(self.w), self.link.apply(clamped), axes=1)
+        s = self._link_sum(self.link.apply(clamped))
         out = np.clip(self.link.invert(s), 0.0, 1.0)
         return np.where(all_low, 0.0, np.where(all_high, 1.0, out))
 
@@ -268,10 +275,9 @@ class GlpDistribution(PredictiveDist):
         F = np.stack([np.clip(_as_array(c.cdf(y_arr)), GLP_CLAMP, 1.0 - GLP_CLAMP)
                       for c in self.components])
         f = np.stack([_as_array(c.density(y_arr)) for c in self.components])
-        w = np.asarray(self.w)
-        s = np.tensordot(w, self.link.apply(F), axes=1)
+        s = self._link_sum(self.link.apply(F))
         g = np.clip(self.link.invert(s), GLP_CLAMP, 1.0 - GLP_CLAMP)
-        num = np.tensordot(w, self.link.deriv(F) * f, axes=1)
+        num = self._link_sum(self.link.deriv(F) * f)
         return _match(y, np.maximum(num / self.link.deriv(g), 0.0))
 
     def support(self):
@@ -286,6 +292,15 @@ class GlpDistribution(PredictiveDist):
         # the clamp switches on where a component CDF crosses either bound
         bounds = np.array([GLP_CLAMP, 1.0 - GLP_CLAMP])
         return np.concatenate([_as_array(c.quantile(bounds)) for c in self.components])
+
+    def _stack_key(self):
+        return (GlpDistribution, self.link, tuple(c._stack_key() for c in self.components))
+
+    @classmethod
+    def _stack(cls, rows):
+        return _build(cls, components=_stack_components(rows),
+                      w=tuple(_column(col) for col in zip(*(r.w for r in rows))),
+                      link=rows[0].link)
 
 
 def pool(spec: PoolSpec, components) -> PredictiveDist:

@@ -209,6 +209,17 @@ class TestMarginalGap:
         with pytest.raises(EmptyInput):
             marginal_calibration_gap([], [], grid=[0.0])
 
+    def test_non_finite_observation_rejected(self):
+        y = np.linspace(-1.0, 1.0, 20)
+        y[7] = np.nan
+        with pytest.raises(DomainViolation, match="observation 7"):
+            marginal_calibration_gap([Gaussian(0, 1)] * 20, y, grid=np.linspace(-2, 2, 5))
+
+    def test_non_finite_grid_point_rejected(self):
+        grid = np.array([-1.0, 0.0, np.inf, 1.0])
+        with pytest.raises(DomainViolation, match="grid point 2"):
+            marginal_calibration_gap([Gaussian(0, 1)] * 3, [0.0, 1.0, 2.0], grid)
+
 
 class TestReliabilityBins:
     def test_constant_probability_fair_coin(self):

@@ -67,7 +67,10 @@ class TestParamRoundTrip:
         "method glp-cubic\nk 1\nw_1 1.0\n",
         "method slp\nk 2\nw_1 0.5\nw_2 0.5\n",
         "method tlp\nk 3\nw_1 0.5\nw_2 0.5\n",
-    ], ids=["unknown-method", "unknown-link", "slp-without-c", "k-mismatch"])
+        "method tlp\nk 2\nw_1 0.5\nw_2 0.6\n",
+        "method slp\nk 2\nw_1 0.5\nw_2 0.5\nc -1\n",
+    ], ids=["unknown-method", "unknown-link", "slp-without-c", "k-mismatch",
+            "weights-off-simplex", "negative-c"])
     def test_bad_record_is_a_schema_error(self, tmp_path, capsys, text):
         path = tmp_path / "params.txt"
         path.write_text(text)
