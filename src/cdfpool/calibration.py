@@ -97,10 +97,15 @@ def pit_sample(forecasts, obs, rng_seed: int) -> PitSample:
             f"{len(forecasts)} forecasts paired with {obs.size} observations"
         )
     _check_finite(obs, "observation")
+    return _stacked_pit_sample(stack(forecasts), obs, rng_seed)
+
+
+def _stacked_pit_sample(groups, obs: np.ndarray, rng_seed: int) -> PitSample:
+    """``pit_sample`` of forecasts already grouped by ``distributions.stack``."""
     rng = np.random.Generator(np.random.Philox(rng_seed))
     v = uniform_open(rng, obs.size)
     z = np.empty(obs.size)
-    for idx, d in stack(forecasts):
+    for idx, d in groups:
         y = obs[idx][:, None]
         left = _as_array(d.cdf_left(y))[:, 0]
         z[idx] = left + v[idx] * (_as_array(d.cdf(y))[:, 0] - left)

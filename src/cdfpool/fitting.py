@@ -1,26 +1,25 @@
 """Maximum log-score estimation of pool parameters.
 
-The beta-transformed, spread-adjusted and generalized pools are fitted by
-one Newton engine, the method of scoring with the exact analytic gradient
-and Hessian of the log-score sum.  Weights sit at the head of the parameter
-vector, on the simplex with the last one eliminated or, for generalized
-links that only need a positive weight sum, on the positive orthant.  The
-beta parameters and the common spread are optimized in log space, and a
-weight that runs into the boundary triggers a restart under a logarithmic
-barrier.  One result step serves all three fits: standard errors from the
-Hessian in these coordinates, the log-space parameters converted by the
-delta method, and the boundary flags.  The plain linear pool uses
-multiplicative (EM) weight updates.
+All four pools are fitted by one Newton engine, the method of scoring with
+the exact gradient and Hessian of the log-score sum.  Weights sit at the
+head of the parameter vector, on the simplex with one weight eliminated or,
+for generalized links that only need a positive weight sum, on the positive
+orthant; the spread and beta parameters are optimized in log space.
+Weights that run into the boundary are pinned at zero (an active set), and
+a Newton stage ends when its next step's predicted gain is below the
+rounding of the objective.  One result step gives every fit its standard
+errors (by the delta method for the log-space parameters) and flags.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from scipy.special import gammaln, ndtr, polygamma, psi
 
-from .calibration import pit_sample
+from .calibration import _stacked_pit_sample
 from .distributions import Gaussian, PredictiveDist, _as_array, _match, stack
 from .errors import (
     DegenerateDesign,
@@ -33,11 +32,15 @@ from .pools import BlpSpec, GlpSpec, LinkFunction, PoolSpec, SlpSpec, TlpSpec, p
 
 CDF_CLAMP = 1e-12
 DENSITY_FLOOR = 1e-300
-BOUNDARY_WEIGHT = 1e-8  # a fitted weight below this is reported as boundary-active
+BOUNDARY_WEIGHT = 1e-8  # a weight below this is boundary-active, and held or pinned there
+PIN_WEIGHT = 1e-4  # after a stage, pin a weight below this whose gradient points out by more
+ROUNDING_ULPS = 8  # a gain below this many ulps of the log-score sum cannot show
+GAIN_TOL = 1e-10  # per case: a change of the log-score sum below this is rounding noise
 
 FLAG_NO_CONVERGENCE = "no_convergence"
 FLAG_SINGULAR_HESSIAN = "singular_hessian"
 FLAG_FLAT_DIRECTION = "flat_direction"
+FLAG_CLAMPED_CASES = "clamped_cases"
 
 
 @dataclass(frozen=True)
@@ -58,16 +61,17 @@ class ForecastCase:
 class FitResult:
     """Outcome of a pool fit.
 
-    ``trace`` holds the objective (sum of log scores) at accepted iterates;
-    it is nondecreasing unless a weight ran into the boundary away from a
-    stationary point: the barrier stages that follow maximize a penalized
-    objective, so their raw trace may dip.  ``std_errors`` come from the
-    inverse Hessian at the optimum in the fitted coordinates; the
-    eliminated simplex weight and the log-space parameters (c, alpha, beta)
-    get theirs by the delta method.  They are None when the Hessian is
-    singular.  ``boundary_active`` marks weights below 1e-8.
-    ``iterations`` counts accepted Newton steps over all barrier stages, or
-    EM updates for the linear pool.
+    ``trace`` holds the objective (sum of log scores) at the start and at
+    every accepted iterate; it is non-decreasing up to rounding noise of
+    1e-10 per case at the last step of a stage or where a weight is pinned.
+    ``std_errors`` come from the inverse Hessian at the optimum in the
+    fitted coordinates, by the delta method for the eliminated simplex
+    weight and c, alpha, beta; None (flag ``flat_direction``) when it is
+    singular.  ``boundary_active`` marks weights below 1e-8.  ``iterations``
+    counts Newton steps, ``evaluations`` calls of the objective and its
+    derivatives, and ``grad_norm`` is the final max |gradient| over the free
+    coordinates.  Flag ``clamped_cases``: up to 1% of the cases have a
+    component CDF value at the clamp (more raise ``DomainViolation``).
     """
 
     spec: PoolSpec
@@ -78,6 +82,8 @@ class FitResult:
     boundary_active: tuple[bool, ...]
     trace: tuple[float, ...] = ()
     flags: tuple[str, ...] = ()
+    evaluations: int = 0
+    grad_norm: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -165,14 +171,16 @@ def _build_design(data) -> _Design:
     return _Design(F=F, f=f, y=y, gaussian=gaussian)
 
 
-def _check_clamp_fraction(design: _Design) -> None:
-    at_edge = (design.F <= CDF_CLAMP) | (design.F >= 1.0 - CDF_CLAMP)
-    frac = float(np.mean(np.any(at_edge, axis=1)))
+def _check_clamp_fraction(design: _Design) -> tuple[str, ...]:
+    """Flag ``clamped_cases`` if a case has a component CDF at the clamp; raise above 1%."""
+    at_edge = np.any((design.F <= CDF_CLAMP) | (design.F >= 1.0 - CDF_CLAMP), axis=1)
+    frac = float(np.mean(at_edge))
     if frac > 0.01:
         raise DomainViolation(
             f"{100 * frac:.1f}% of cases have component CDF values pinned at the "
             "clamp boundary; the data are incompatible with the model"
         )
+    return (FLAG_CLAMPED_CASES,) if frac > 0.0 else ()
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +211,9 @@ def beta_log_moments(alpha: float, beta: float):
     return float(e_log), float(e_log1m), float(v_log), float(v_log1m), float(cov)
 
 
-def _blp_core(design: _Design, w_head: np.ndarray, alpha: float, beta: float):
-    """Objective, gradient, and Hessian in (w_1..w_{k-1}, alpha, beta)."""
-    J, k = design.J, design.k
-    w = np.concatenate([w_head, [1.0 - float(np.sum(w_head))]])
+def _blp_core(design: _Design, weights, w: np.ndarray, alpha: float, beta: float):
+    """Objective, gradient, and Hessian at weights ``w`` in (theta's weights, alpha, beta)."""
+    J, n = design.J, weights.n
     SF = design.F @ w
     Sf = np.maximum(design.f @ w, DENSITY_FLOOR)
     logSF = np.log(SF)
@@ -220,24 +227,22 @@ def _blp_core(design: _Design, w_head: np.ndarray, alpha: float, beta: float):
         - J * (gammaln(alpha) + gammaln(beta) - gammaln(alpha + beta))
     )
 
-    dF = design.F[:, : k - 1] - design.F[:, k - 1 :]
-    df = design.f[:, : k - 1] - design.f[:, k - 1 :]
-    A = dF / SF[:, None]
-    B = dF / (1.0 - SF)[:, None]
-    C = df / Sf[:, None]
+    A = weights.columns(design.F / SF[:, None])
+    B = weights.columns(design.F / (1.0 - SF)[:, None])
+    C = weights.columns(design.f / Sf[:, None])
 
-    grad = np.empty(k + 1)
-    grad[: k - 1] = ((alpha - 1.0) * A - (beta - 1.0) * B + C).sum(axis=0)
-    grad[k - 1] = logSF.sum() - J * e_log
-    grad[k] = log1mSF.sum() - J * e_log1m
+    grad = np.empty(n + 2)
+    grad[:n] = ((alpha - 1.0) * A - (beta - 1.0) * B + C).sum(axis=0)
+    grad[n] = logSF.sum() - J * e_log
+    grad[n + 1] = log1mSF.sum() - J * e_log1m
 
-    hess = np.empty((k + 1, k + 1))
-    hess[: k - 1, : k - 1] = -(C.T @ C) - (alpha - 1.0) * (A.T @ A) - (beta - 1.0) * (B.T @ B)
-    hess[: k - 1, k - 1] = hess[k - 1, : k - 1] = A.sum(axis=0)
-    hess[: k - 1, k] = hess[k, : k - 1] = -B.sum(axis=0)
-    hess[k - 1, k - 1] = -J * v_log
-    hess[k, k] = -J * v_log1m
-    hess[k - 1, k] = hess[k, k - 1] = -J * cov
+    hess = np.empty((n + 2, n + 2))
+    hess[:n, :n] = -(C.T @ C) - (alpha - 1.0) * (A.T @ A) - (beta - 1.0) * (B.T @ B)
+    hess[:n, n] = hess[n, :n] = A.sum(axis=0)
+    hess[:n, n + 1] = hess[n + 1, :n] = -B.sum(axis=0)
+    hess[n, n] = -J * v_log
+    hess[n + 1, n + 1] = -J * v_log1m
+    hess[n, n + 1] = hess[n + 1, n] = -J * cov
     return float(ell), grad, hess
 
 
@@ -258,72 +263,82 @@ def blp_objective_and_derivatives(w, alpha: float, beta: float, data):
     if not (alpha > 0.0 and beta > 0.0):
         raise DomainViolation("alpha and beta must be strictly positive")
     _check_clamp_fraction(design)
-    return _blp_core(design, w[:-1], alpha, beta)
+    return _blp_core(design, _Weights(design.k, simplex=True), w, alpha, beta)
 
 
 # ---------------------------------------------------------------------------
-# Newton engine shared by the BLP, SLP and GLP fits
+# Newton engine shared by all four fits
 
 
 @dataclass(frozen=True)
 class _Weights:
     """Layout of the k pool weights at the head of a parameter vector theta.
 
-    On the simplex theta holds w_1..w_{k-1} and w_k = 1 - sum of the rest;
-    on the positive orthant theta holds all k weights.  Entries of theta
-    after the weights are the pool's other parameters.
+    ``free`` lists the weights not pinned at 0 (default: all).  Theta holds
+    them, but on the simplex the last is 1 - sum of the rest; then come the
+    pool's other parameters.  A *point* is (w_1..w_k, other parameters).
     """
 
     k: int
     simplex: bool
+    free: tuple[int, ...] | None = None
+
+    def __post_init__(self):
+        if self.free is None:
+            object.__setattr__(self, "free", tuple(range(self.k)))
+
+    @property
+    def head(self) -> list[int]:
+        """The weights held in theta."""
+        return list(self.free[:-1] if self.simplex else self.free)
 
     @property
     def n(self) -> int:
-        return self.k - 1 if self.simplex else self.k
+        return len(self.head)
 
     def start(self) -> np.ndarray:
         return np.full(self.n, 1.0 / self.k)
 
     def full(self, theta) -> np.ndarray:
-        head = np.asarray(theta[: self.n], dtype=float)
+        w = np.zeros(self.k)
+        w[self.head] = theta[: self.n]
         if self.simplex:
-            return np.append(head, 1.0 - float(np.sum(head)))
-        return head
+            w[self.free[-1]] = 1.0 - float(np.sum(theta[: self.n]))
+        return w
 
-    def reduce(self, g, H):
-        """Map a gradient and Hessian in all k weights (then the rest) to theta."""
-        if not self.simplex:
-            return g, H
-        T = np.delete(np.eye(g.size), self.k - 1, axis=1)
-        T[self.k - 1, : self.k - 1] = -1.0
-        return T.T @ g, T.T @ H @ T
+    def point(self, theta) -> np.ndarray:
+        return np.concatenate([self.full(theta), theta[self.n:]])
 
-    def barrier(self, theta, mu):
-        """The log barrier mu * sum(log w) with its gradient and Hessian in theta."""
-        w = self.full(theta)
-        pad = np.zeros(theta.size - self.n)
-        g, H = self.reduce(np.concatenate([mu / w, pad]),
-                           np.diag(np.concatenate([-mu / w**2, pad])))
-        return mu * float(np.sum(np.log(w))), g, H
+    def coords(self, point) -> np.ndarray:
+        return np.concatenate([point[self.head], point[self.k:]])
 
-    def max_step(self, theta, d, eta=1e-13) -> float:
-        """Largest step keeping every weight (including an eliminated one) > eta."""
-        w = self.full(theta)
+    def columns(self, X):
+        """Per-weight derivatives X (last axis: the k weights) in theta's weights.
+
+        Simplex differences are taken before any sum over cases, so that a
+        term common to all weights (a clamped outlier's) cannot swamp the rest.
+        """
+        if self.simplex:
+            return X[..., self.head] - X[..., self.free[-1:]]
+        return X[..., self.head]
+
+    def moves(self, theta, d):
+        """The free weights (on the simplex the eliminated one last) and their change along d."""
         d_w = d[: self.n]
         if self.simplex:
             d_w = np.append(d_w, -float(np.sum(d_w)))
-        shrinking = d_w < 0.0
-        if not np.any(shrinking):
-            return np.inf
-        return float(np.min((w[shrinking] - eta) / -d_w[shrinking]))
+        return self.full(theta)[list(self.free)], d_w
 
 
 def _ascent_direction(g, H, flags):
-    """Solve a modified Newton system; fall back to the gradient if singular."""
+    """Solve a modified Newton system; fall back to the gradient if singular.
+
+    The ridge starts at 1e-12 of the largest curvature: flatter directions are noise.
+    """
     n = g.size
     neg_h = -H
-    ridge = 0.0
     scale = max(float(np.max(np.abs(np.diag(neg_h)))), 1.0)
+    ridge = 1e-12 * scale
     for _ in range(30):
         try:
             L = np.linalg.cholesky(neg_h + ridge * np.eye(n))
@@ -332,85 +347,77 @@ def _ascent_direction(g, H, flags):
                 return d
         except np.linalg.LinAlgError:
             pass
-        ridge = max(10.0 * ridge, 1e-10 * scale)
+        ridge *= 10.0
     flags.add(FLAG_SINGULAR_HESSIAN)
     return g / scale
 
 
-def _newton_stage(derivs, weights, J, theta0, barrier_mu, max_iter, flags, trace):
-    """Backtracking Newton ascent; returns (theta, iterations, converged).
+def _feasible_direction(g, H, weights, theta, flags):
+    """The Newton direction with each weight at the boundary that it pushes out held.
 
-    ``derivs(theta)`` gives the log-score sum with its gradient and Hessian;
-    a barrier stage maximizes it plus ``weights.barrier``, but the trace
-    always records the log-score sum itself.
+    Such a weight (below BOUNDARY_WEIGHT, at most 1e-13 after the full step)
+    gets a zero entry; None if it is the eliminated simplex weight.
     """
+    keep = np.ones(g.size, dtype=bool)
+    d = _ascent_direction(g, H, flags)
+    while True:
+        w, d_w = weights.moves(theta, d)
+        out = (w < BOUNDARY_WEIGHT) & (w + d_w <= 1e-13)
+        if np.any(out[weights.n:]):
+            return None
+        out = out[: weights.n] & keep[: weights.n]
+        if not np.any(out):
+            return d
+        keep[: weights.n] &= ~out
+        d = np.zeros_like(g)
+        if np.any(keep):
+            d[keep] = _ascent_direction(g[keep], H[np.ix_(keep, keep)], flags)
 
-    def objective(th):
-        raw, g, H = derivs(th)
-        if barrier_mu is None:
-            return raw, raw, g, H
-        pen, g_pen, H_pen = weights.barrier(th, barrier_mu)
-        return raw, raw + pen, g + g_pen, H + H_pen
 
-    theta = theta0.copy()
-    raw, ell, g, H = objective(theta)
-    trace.append(raw)
-    it = 0
-    converged = False
-    while it < max_iter:
-        if np.max(np.abs(g)) < 1e-8:
-            converged = True
+def _newton_stage(objective, weights, J, theta, start, flags, trace):
+    """Backtracking Newton ascent over the free coordinates of ``weights``.
+
+    ``objective(theta)`` gives the log-score sum with its gradient and
+    Hessian, ``start`` its value at ``theta``.  Returns (theta, objective
+    there, steps, evaluations, converged); ``trace`` gets the objective at
+    the start and after every step.
+    """
+    (ell, g, H), steps, evals = start, 0, 0
+    trace.append(ell)
+    while steps < 500:
+        if np.max(np.abs(g), initial=0.0) < 1e-8:
+            return theta, (ell, g, H), steps, evals, True
+        d = _feasible_direction(g, H, weights, theta, flags)
+        if d is None:
             break
-        d = _ascent_direction(g, H, flags)
-        t = min(1.0, 0.999 * weights.max_step(theta, d))
-        if t <= 0.0 or not np.isfinite(t):
-            break
-        accepted = False
-        for _ in range(60):
-            cand = theta + t * d
-            raw_new, ell_new, g_new, H_new = objective(cand)
-            if np.isfinite(ell_new) and ell_new > ell:
-                accepted = True
+        w, d_w = weights.moves(theta, d)
+        shrink = d_w < 0.0
+        t_max = np.min((w[shrink] - 1e-13) / -d_w[shrink], initial=np.inf)
+        slope, floor = float(g @ d), ROUNDING_ULPS * np.spacing(abs(ell))
+        t = min(1.0, 0.999 * t_max) if 0.5 * slope >= floor else 0.0
+        while t * slope >= floor:  # below the rounding floor no gain can show
+            cand = objective(theta + t * d)
+            evals += 1
+            if np.isfinite(cand[0]) and cand[0] > ell:
                 break
             t *= 0.5
-        if not accepted:
-            # no ascent left in floating point: converged if the Newton
-            # decrement per case is as small as an accepted step's gain
-            converged = 0.5 * float(g @ d) / J < 1e-10
-            break
-        it += 1
-        delta = ell_new - ell
-        theta, raw, ell, g, H = cand, raw_new, ell_new, g_new, H_new
-        trace.append(raw)
-        if delta / J < 1e-10:
-            converged = True
-            break
-    return theta, it, converged
-
-
-def _newton_fit(derivs, weights, J, theta0):
-    """Newton ascent with a barrier restart; (theta, iterations, converged, flags, trace).
-
-    If a weight runs into the boundary (it ends below 1e-4 where the
-    gradient is still above 1e-4, so the stage stopped short of a
-    stationary point), the fit restarts from ``theta0`` under a logarithmic
-    barrier whose weight is halved from 1e-2 down to 1e-8.
-    """
-    flags: set[str] = set()
-    trace: list[float] = []
-    theta, iters, converged = _newton_stage(derivs, weights, J, theta0, None, 500, flags, trace)
-    if (float(np.min(weights.full(theta))) < 1e-4
-            and float(np.max(np.abs(derivs(theta)[1]))) > 1e-4):
-        theta = theta0.copy()
-        mu = 1e-2
-        while mu >= 1e-8:
-            theta, it, converged = _newton_stage(derivs, weights, J, theta, mu, 200,
-                                                 flags, trace)
-            iters += it
-            mu *= 0.5
-    if not converged:
-        flags.add(FLAG_NO_CONVERGENCE)
-    return theta, iters, converged, flags, trace
+        else:
+            if 0.5 * slope >= GAIN_TOL * J:
+                break
+            # what is left is within the noise of ell: take the full step if
+            # it is feasible and lowers ell by no more than that, and stop
+            if t_max >= 1.0 and np.any(d):
+                cand = objective(theta + d)
+                evals += 1
+                if cand[0] >= ell - GAIN_TOL * J:
+                    theta, (ell, g, H) = theta + d, cand
+                    steps += 1
+                    trace.append(ell)
+            return theta, (ell, g, H), steps, evals, True
+        theta, (ell, g, H) = theta + t * d, cand
+        steps += 1
+        trace.append(ell)
+    return theta, (ell, g, H), steps, evals, False
 
 
 def _simplex_se_from_hessian(neg_hess, weights, other_names):
@@ -427,38 +434,82 @@ def _simplex_se_from_hessian(neg_hess, weights, other_names):
         return None
     names = [f"w_{i + 1}" for i in range(weights.n)] + list(other_names)
     se = {name: float(np.sqrt(var)) for name, var in zip(names, diag)}
-    if weights.simplex and weights.k >= 2:
+    if weights.simplex:
         head = cov[: weights.n, : weights.n]
         se[f"w_{weights.k}"] = float(np.sqrt(max(np.sum(head), 0.0)))
     return se
 
 
-def _newton_result(family, derivs, weights, J, theta0, **fixed) -> FitResult:
-    """Run ``_newton_fit`` and report it as a fit of ``family``.
+def _newton_result(family, derivs, weights, J, theta0, flags=(), **fixed) -> FitResult:
+    """Fit ``family`` by Newton stages over an active set of weights pinned at 0.
 
-    theta holds the weights, then the log of each of the family's shape
-    parameters; their SEs come from the theta Hessian by the delta method.
-    ``fixed`` holds spec fields that are not fitted (the GLP link).
+    ``derivs(layout, theta)`` gives the log-score sum with its gradient and
+    Hessian in the theta of a ``_Weights`` layout: the weights, then the log
+    of each shape parameter.  After a stage, a weight below PIN_WEIGHT whose
+    gradient (relative to the largest weight's on the simplex) is below
+    -PIN_WEIGHT, or below BOUNDARY_WEIGHT and not above 0, is pinned, its
+    mass going to the largest weight; a pinned weight whose gradient turns
+    inward is released.  No pin may lower the objective by more than noise;
+    a stage that stopped short is retried with the largest weight eliminated.
+    ``flags`` join the engine's; ``fixed`` holds unfitted spec fields.
     """
-    theta, iters, converged, flags, trace = _newton_fit(derivs, weights, J, theta0)
-    w = weights.full(theta)
-    shape = [float(np.exp(x)) for x in theta[weights.n:]]
-    ell, _, hess = derivs(theta)
-    se = _simplex_se_from_hessian(-hess, weights, family.shape_params)
+    flags, trace = set(flags), []
+    layout, theta = weights, theta0
+    current = derivs(layout, theta)
+    steps, evals = 0, 1
+    for rounds_left in reversed(range(2 * weights.k)):
+        theta, last, s, e, converged = _newton_stage(
+            partial(derivs, layout), layout, J, theta, current, flags, trace)
+        steps, evals = steps + s, evals + e
+        point = layout.point(theta)
+        base = last if layout == weights else derivs(weights, weights.coords(point))
+        evals += layout != weights
+        w, g = point[: weights.k], base[1][: weights.n]
+        top = int(np.argmax(w))
+        if weights.simplex:  # gradients relative to the largest weight's
+            g = np.append(g, 0.0)
+            g -= g[top]
+        pinned = [i for i in range(weights.k) if i not in layout.free]
+        pin = [i for i in range(weights.k) if i != top and (
+            (w[i] < PIN_WEIGHT and g[i] < -PIN_WEIGHT)
+            or ((w[i] < BOUNDARY_WEIGHT or i in pinned) and g[i] <= 0.0))]
+        moved = point.copy()
+        if pin != pinned:
+            if weights.simplex:
+                moved[top] += moved[pin].sum()
+            moved[pin] = 0.0
+            evals += 1
+            if derivs(weights, weights.coords(moved))[0] < last[0] - GAIN_TOL * J:
+                pin, moved = pinned, point  # pinning would lower ell
+        free = [i for i in range(weights.k) if i not in pin and i != top] + [top]
+        new = replace(weights, free=tuple(free if weights.simplex else sorted(free)))
+        if (pin == pinned and (converged or new == layout)) or not rounds_left:
+            converged = converged and pin == pinned
+            break
+        layout, theta = new, new.coords(moved)
+        current = derivs(layout, theta)
+        evals += 1
+    if not converged:
+        flags.add(FLAG_NO_CONVERGENCE)
+    w = point[: weights.k]
+    shape = [float(np.exp(x)) for x in point[weights.k:]]
+    se = _simplex_se_from_hessian(-base[2], weights, family.shape_params)
     if se is None:
-        flags.add(FLAG_SINGULAR_HESSIAN)
+        flags.add(FLAG_FLAT_DIRECTION)
     else:
         for name, value in zip(family.shape_params, shape):
             se[name] *= value  # d exp(x) / dx; exact at a stationary point
     return FitResult(
         spec=family(tuple(float(x) for x in w), *shape, **fixed),
         std_errors=se,
-        mean_log_score_train=ell / J,
-        iterations=iters,
+        mean_log_score_train=last[0] / J,
+        iterations=steps,
         converged=converged,
         boundary_active=tuple(bool(x < BOUNDARY_WEIGHT) for x in w),
         trace=tuple(trace),
         flags=tuple(sorted(flags)),
+        evaluations=evals,
+        grad_norm=float(np.max(np.abs(last[1]), initial=0.0)),
     )
 
 
@@ -466,26 +517,19 @@ def _newton_result(family, derivs, weights, J, theta0, **fixed) -> FitResult:
 # beta-transformed pool
 
 
-def _blp_theta_derivs(design, theta):
-    """ell, gradient, Hessian in theta = (w_head, log alpha, log beta)."""
-    k = design.k
-    w_head = theta[: k - 1]
-    alpha = np.exp(theta[k - 1])
-    beta = np.exp(theta[k])
-    ell, g, H = _blp_core(design, w_head, alpha, beta)
+def _blp_derivs(design, weights, theta):
+    """ell, gradient, Hessian in theta = (weights, log alpha, log beta)."""
+    n = weights.n
+    alpha, beta = np.exp(theta[n]), np.exp(theta[n + 1])
+    ell, g, H = _blp_core(design, weights, weights.full(theta), alpha, beta)
 
     # chain rule for the log-parameterization of (alpha, beta)
-    ga, gb = g[k - 1], g[k]
-    g[k - 1] = alpha * ga
-    g[k] = beta * gb
-    H[: k - 1, k - 1] *= alpha
-    H[k - 1, : k - 1] *= alpha
-    H[: k - 1, k] *= beta
-    H[k, : k - 1] *= beta
-    haa, hbb, hab = H[k - 1, k - 1], H[k, k], H[k - 1, k]
-    H[k - 1, k - 1] = alpha * alpha * haa + alpha * ga
-    H[k, k] = beta * beta * hbb + beta * gb
-    H[k - 1, k] = H[k, k - 1] = alpha * beta * hab
+    scale = np.array([alpha, beta])
+    g_ab = g[n:].copy()
+    g[n:] *= scale
+    H[:, n:] *= scale
+    H[n:, :] *= scale[:, None]
+    H[n:, n:] += np.diag(scale * g_ab)
     return ell, g, H
 
 
@@ -493,15 +537,14 @@ def fit_blp(data, init: BlpSpec | None = None) -> FitResult:
     """Fit the beta-transformed pool by Newton's method on the log score.
 
     Starts from the nested linear pool (equal weights, alpha = beta = 1)
-    unless ``init`` says otherwise.  If a weight runs into the simplex
-    boundary, the fit restarts under a logarithmic barrier (``_newton_fit``).
+    unless ``init`` says otherwise.  A weight that runs into the simplex
+    boundary is pinned at zero (``_newton_result``).
     """
     design = _build_design(data)
     k = design.k
     if design.J < k + 2:
         raise TooFewSamples(f"need at least {k + 2} cases to fit k={k} components")
-    _check_clamp_fraction(design)
-
+    clamped = _check_clamp_fraction(design)
     weights = _Weights(k, simplex=True)
     if init is not None:
         theta0 = np.concatenate([
@@ -511,77 +554,30 @@ def fit_blp(data, init: BlpSpec | None = None) -> FitResult:
     else:
         theta0 = np.concatenate([weights.start(), [0.0, 0.0]])
 
-    return _newton_result(BlpSpec, lambda th: _blp_theta_derivs(design, th), weights,
-                          design.J, theta0)
+    return _newton_result(BlpSpec, partial(_blp_derivs, design), weights, design.J, theta0,
+                          flags=clamped)
 
 
 # ---------------------------------------------------------------------------
-# traditional linear pool: EM on the mixture weights
+# traditional linear pool
+
+
+def _tlp_derivs(f, weights, theta):
+    """ell, gradient (column sums of P = f / (f w)) and Hessian -P'P of the TLP log score."""
+    D = np.maximum(f @ weights.full(theta), DENSITY_FLOOR)
+    P = weights.columns(f / D[:, None])
+    return float(np.log(D).sum()), P.sum(axis=0), -(P.T @ P)
 
 
 def fit_tlp(data) -> FitResult:
-    """Fit linear-pool weights by multiplicative (EM) updates.
-
-    The objective (sum of log mixture densities over cases) is concave in
-    the weights, and each responsibility-average update cannot decrease it.
-    """
+    """Fit linear-pool weights by Newton's method on the log score, from equal weights."""
     design = _build_design(data)
-    J, k = design.J, design.k
-    if J < k + 1:
+    k = design.k
+    if design.J < k + 1:
         raise TooFewSamples(f"need at least {k + 1} cases to fit k={k} components")
-    f = design.f
-    w = np.full(k, 1.0 / k)
-
-    def ell_of(weights):
-        return float(np.log(np.maximum(f @ weights, DENSITY_FLOOR)).sum())
-
-    trace = [ell_of(w)]
-    converged = False
-    it = 0
-    for it in range(1, 200_000 + 1):
-        Sf = np.maximum(f @ w, DENSITY_FLOOR)
-        w_new = (f * w / Sf[:, None]).mean(axis=0)
-        s = w_new.sum()
-        if s <= 0.0 or not np.isfinite(s):
-            break
-        w_new /= s
-        ell_new = ell_of(w_new)
-        w = w_new
-        trace.append(ell_new)
-        if abs(trace[-1] - trace[-2]) < 1e-10:
-            converged = True
-            break
-
-    flags: set[str] = set()
-    if not converged:
-        flags.add(FLAG_NO_CONVERGENCE)
-
-    se = None
-    if k == 1:
-        se = {"w_1": 0.0}
-    else:
-        Sf = np.maximum(f @ w, DENSITY_FLOOR)
-        C = (f[:, : k - 1] - f[:, k - 1 :]) / Sf[:, None]
-        info = C.T @ C
-        cond = np.linalg.cond(info) if np.all(np.isfinite(info)) else np.inf
-        if cond > 1e12:
-            flags.add(FLAG_FLAT_DIRECTION)
-        else:
-            se = _simplex_se_from_hessian(info, _Weights(k, simplex=True), [])
-            if se is None:
-                flags.add(FLAG_FLAT_DIRECTION)
-
-    spec = TlpSpec(w=tuple(float(x) for x in w))
-    return FitResult(
-        spec=spec,
-        std_errors=se,
-        mean_log_score_train=trace[-1] / J,
-        iterations=it,
-        converged=converged,
-        boundary_active=tuple(bool(x < BOUNDARY_WEIGHT) for x in w),
-        trace=tuple(trace),
-        flags=tuple(sorted(flags)),
-    )
+    weights = _Weights(k, simplex=True)
+    return _newton_result(TlpSpec, partial(_tlp_derivs, design.f), weights, design.J,
+                          weights.start())
 
 
 # ---------------------------------------------------------------------------
@@ -635,19 +631,19 @@ def _spread_densities(data, y):
 
 def _slp_derivs(densities, weights, theta):
     """ell, gradient, Hessian of the SLP log score in theta = (w_head, log c)."""
-    k = weights.k
+    n = weights.n
     w = weights.full(theta)
     d, d1, d2 = densities(float(np.exp(theta[-1])))
     D = np.maximum(d @ w, DENSITY_FLOOR)
     P = d / D[:, None]
     P1 = d1 / D[:, None]
     e1 = P1 @ w
-    g = np.append(P.sum(axis=0), e1.sum())
-    H = np.empty((k + 1, k + 1))
-    H[:k, :k] = -(P.T @ P)
-    H[:k, k] = H[k, :k] = (P1 - P * e1[:, None]).sum(axis=0)
-    H[k, k] = float(np.sum((d2 @ w) / D - e1 * e1))
-    g, H = weights.reduce(g, H)
+    Pw = weights.columns(P)
+    g = np.append(Pw.sum(axis=0), e1.sum())
+    H = np.empty((n + 1, n + 1))
+    H[:n, :n] = -(Pw.T @ Pw)
+    H[:n, n] = H[n, :n] = weights.columns(P1 - P * e1[:, None]).sum(axis=0)
+    H[n, n] = float(np.sum((d2 @ w) / D - e1 * e1))
     return float(np.log(D).sum()), g, H
 
 
@@ -669,8 +665,8 @@ def fit_slp(data) -> FitResult:
     else:
         densities = _spread_densities(data, design.y)
     weights = _Weights(k, simplex=True)
-    return _newton_result(SlpSpec, lambda th: _slp_derivs(densities, weights, th), weights,
-                          design.J, np.append(weights.start(), 0.0))
+    return _newton_result(SlpSpec, partial(_slp_derivs, densities), weights, design.J,
+                          np.append(weights.start(), 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -683,22 +679,23 @@ def _glp_derivs(b, a, link, weights, theta):
     ``b = h(F)`` and ``a = h'(F) f`` are (J, k).  With s = b w and the
     pooled CDF g = h^{-1}(s), clamped to the open interval, the log density
     is log(a w) + phi(s) for phi(s) = -log|h'(h^{-1}(s))|, and phi is flat
-    where the clamp is active.
+    where the clamp is active.  |a w| is floored at 1e-300, as the density.
     """
     w = weights.full(theta)
     s = b @ w
     unclamped = link.invert(s)
     g = np.clip(unclamped, CDF_CLAMP, 1.0 - CDF_CLAMP)
     num = a @ w
+    num = np.copysign(np.maximum(np.abs(num), DENSITY_FLOOR), num)
     dens = np.maximum(num / link.deriv(g), DENSITY_FLOOR)
     phi1, phi2 = link.phi_derivs(s)
     free = g == unclamped
     phi1 = np.where(free, phi1, 0.0)
     phi2 = np.where(free, phi2, 0.0)
-    A = a / num[:, None]
-    grad = A.sum(axis=0) + b.T @ phi1
-    H = -(A.T @ A) + b.T @ (phi2[:, None] * b)
-    grad, H = weights.reduce(grad, H)
+    A = weights.columns(a / num[:, None])
+    B = weights.columns(b)
+    grad = A.sum(axis=0) + B.T @ phi1
+    H = -(A.T @ A) + B.T @ (phi2[:, None] * B)
     return float(np.log(dens).sum()), grad, H
 
 
@@ -716,11 +713,12 @@ def fit_glp(data, link: LinkFunction) -> FitResult:
     k = design.k
     if design.J < k + 1:
         raise TooFewSamples(f"need at least {k + 1} cases to fit k={k} components")
+    clamped = _check_clamp_fraction(design)
     b = link.apply(design.F)
     a = link.deriv(design.F) * design.f
     weights = _Weights(k, simplex=link.requires_simplex)
-    return _newton_result(GlpSpec, lambda th: _glp_derivs(b, a, link, weights, th), weights,
-                          design.J, weights.start(), link=link)
+    return _newton_result(GlpSpec, partial(_glp_derivs, b, a, link), weights, design.J,
+                          weights.start(), flags=clamped, link=link)
 
 
 # ---------------------------------------------------------------------------
@@ -773,10 +771,11 @@ def evaluate(spec: PoolSpec, data, rng_seed: int = 0, bins: int = 10) -> EvalRep
         raise TooFewSamples("empty evaluation set")
     dists = [pool(spec, case.components) for case in data]
     ys, _ = _case_arrays(data)
+    groups = stack(dists)
     scores = np.empty(ys.size)
-    for idx, d in stack(dists):
+    for idx, d in groups:
         scores[idx] = log_score(d, ys[idx][:, None])[:, 0]
-    s = pit_sample(dists, ys, rng_seed)
+    s = _stacked_pit_sample(groups, ys, rng_seed)
     variances = np.array([d.variance() for d in dists])
     counts, _ = np.histogram(s.z, bins=bins, range=(0.0, 1.0))
     return EvalReport(

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -29,6 +31,7 @@ from cdfpool import (
     simulate,
 )
 from cdfpool.fitting import (
+    FLAG_CLAMPED_CASES,
     FLAG_FLAT_DIRECTION,
     FLAG_NO_CONVERGENCE,
     _build_design,
@@ -520,3 +523,105 @@ class TestEvaluate:
         rep = evaluate(BlpSpec((0.4, 0.3, 0.3), 1.2, 1.1), gaussian_cases[:60],
                        rng_seed=9, bins=10)
         assert rep.histogram.sum() == 60
+
+
+class TestClampedOutliers:
+    """An outcome at 1e3 puts every component CDF of its case at the clamp."""
+
+    @staticmethod
+    def _cases(outliers):
+        cases = make_gaussian_cases(np.random.default_rng(5), J=200)
+        for j in range(outliers):
+            cases[j] = ForecastCase(cases[j].components, 1e3)
+        return cases
+
+    @pytest.mark.parametrize("link", [LinkFunction.LOG, LinkFunction.RECIPROCAL,
+                                      LinkFunction.PROBIT], ids=lambda link: link.value)
+    def test_glp_converges_and_flags_one_outlier(self, link):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = fit_glp(self._cases(1), link)
+        assert res.converged
+        assert FLAG_CLAMPED_CASES in res.flags
+        assert res.std_errors is not None
+
+    def test_blp_flags_one_outlier(self):
+        res = fit_blp(self._cases(1))
+        assert res.converged
+        assert FLAG_CLAMPED_CASES in res.flags
+        assert res.std_errors is not None
+
+    def test_no_flag_without_clamped_cases(self, gaussian_cases):
+        for res in (fit_blp(gaussian_cases), fit_glp(gaussian_cases, LinkFunction.LOG)):
+            assert FLAG_CLAMPED_CASES not in res.flags
+
+    @pytest.mark.parametrize("link", [None, LinkFunction.LOG, LinkFunction.RECIPROCAL,
+                                      LinkFunction.PROBIT],
+                             ids=["blp", "glp-log", "glp-reciprocal", "glp-probit"])
+    def test_five_percent_of_outliers_rejected(self, link):
+        cases = self._cases(10)
+        with pytest.raises(DomainViolation, match="5.0% of cases"):
+            fit_blp(cases) if link is None else fit_glp(cases, link)
+
+
+class TestObservability:
+    def test_slp_on_a_fit_workload_set_needs_few_evaluations(self):
+        # fit set 1 of the benchmark at seed 100, where the gradient never
+        # reaches 1e-8: the last step must stop at the rounding floor
+        cases = simulate(DgpConfig(kind="regression", n=5000, seed=104829)).cases
+        res = fit_slp(cases)
+        assert res.converged
+        assert res.evaluations <= 12
+        assert res.grad_norm < 1e-6 * len(cases)
+
+    @pytest.mark.parametrize("fit", [fit_tlp, fit_blp, *_NEWTON_FITS],
+                             ids=["tlp", "blp", "slp", "glp-log", "glp-reciprocal",
+                                  "glp-probit"])
+    def test_every_fit_reports_evaluations_and_gradient_norm(self, gaussian_cases, fit):
+        res = fit(gaussian_cases)
+        assert res.converged
+        assert res.evaluations >= res.iterations + 1
+        assert 0.0 <= res.grad_norm < 1e-6 * len(gaussian_cases)
+
+    def test_tlp_takes_newton_steps(self, study_report):
+        res = study_report.fits["tlp"]
+        assert res.converged
+        assert res.iterations <= 10
+
+
+class TestActiveSet:
+    def test_pin_that_would_lower_the_objective_is_refused(self):
+        # the third component sits about 3.5 of its sds above the outcome's,
+        # so the reciprocal link weighs it on the scale of its tiny CDF
+        # values, and moving its small weight to 0 costs log score
+        rng = np.random.default_rng(2)
+        cases = []
+        for _ in range(100):
+            mu = rng.normal(scale=0.8, size=2)
+            sd = 0.8 + rng.random(size=2)
+            pick = rng.integers(2)
+            y = mu[pick] + sd[pick] * rng.standard_normal()
+            far = mu[pick] + 7.0 + 0.5 * rng.standard_normal()
+            cases.append(ForecastCase((Gaussian(mu[0], sd[0]), Gaussian(mu[1], sd[1]),
+                                       Gaussian(far, 2.0)), y))
+        res = fit_glp(cases, LinkFunction.RECIPROCAL)
+        assert res.converged
+        assert np.all(np.diff(np.asarray(res.trace)) >= -1e-12)
+        assert 0.0 < res.spec.w[2] < 1e-6
+
+    def test_pinned_weight_whose_gradient_turns_inward_is_released(self):
+        # the third component sits 7.5 below the outcome's component: BLP's
+        # first stage runs w_3 into the boundary, but once w_1, w_2, alpha
+        # and beta have settled, w_3 belongs inside
+        rng = np.random.default_rng(5)
+        cases = []
+        for _ in range(74):
+            mu = rng.normal(scale=0.8, size=3)
+            sd = 0.8 + rng.random(size=3)
+            pick = rng.integers(2)
+            y = mu[pick] + sd[pick] * rng.standard_normal()
+            mu[2], sd[2] = mu[pick] - 7.47, 2.0
+            cases.append(ForecastCase(tuple(map(Gaussian, mu, sd)), y))
+        res = fit_blp(cases)
+        assert res.converged
+        assert res.spec.w[2] > 1e-4

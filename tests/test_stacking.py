@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 import cdfpool.calibration
+import cdfpool.fitting
 from cdfpool import (
     BetaTransformed,
     BlpSpec,
@@ -221,3 +222,14 @@ class TestNoPerCaseLoops:
         cdf_calls = _counting(monkeypatch, Gaussian, "cdf")
         marginal_calibration_gap(forecasts, obs, np.linspace(-3.0, 3.0, 201))
         assert len(cdf_calls) <= self.K * -(-self.J // 256)
+
+
+class TestEvaluateStacksOnce:
+    def test_log_scores_and_pit_share_one_stack(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        cases = [ForecastCase(tuple(Gaussian(m, 1.0) for m in row), y)
+                 for row, y in zip(rng.normal(size=(300, 3)), rng.normal(size=300))]
+        in_fitting = _counting(monkeypatch, cdfpool.fitting, "stack")
+        in_calibration = _counting(monkeypatch, cdfpool.calibration, "stack")
+        evaluate(TlpSpec((0.2, 0.3, 0.5)), cases, rng_seed=4)
+        assert len(in_fitting) + len(in_calibration) == 1
