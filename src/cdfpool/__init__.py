@@ -43,6 +43,7 @@ from .fitting import (
     ComponentRegression,
     EvalReport,
     FitResult,
+    ForecastBatch,
     ForecastCase,
     beta_log_moments,
     blp_objective_and_derivatives,

@@ -13,12 +13,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import kolmogorov, ndtr
+from scipy.special import gammaln, kolmogorov, ndtr
 
 from .distributions import PredictiveDist, _as_array, stack
 from .errors import DomainViolation, EmptyInput, LengthMismatch, TooFewSamples
 
 NEUTRAL_PIT_VARIANCE = 1.0 / 12.0
+
+# ks_uniformity's p-value is exact up to this sample size (the exact regime of
+# Simard & L'Ecuyer 2011) and the asymptotic Kolmogorov tail above it.
+KS_EXACT_MAX_N = 140
 
 # The marginal gap stacks this many forecasts at a time: 256 cases on a
 # 201-point grid keep each CDF temporary near 0.4 MB.
@@ -221,12 +225,44 @@ def ks_statistic(z) -> float:
     return float(max(d_plus, d_minus))
 
 
+def _ks_exact_cdf(n: int, d: float) -> float:
+    """P(D_n < d) for the KS distance of n uniforms, by the matrix method of
+    Marsaglia, Tsang & Wang (2003, JSS 8(18)).
+
+    With k = floor(n d) + 1 and h = k - n d, the probability is
+    n!/n^n times entry (k, k) of H^n for a (2k - 1)-square matrix H.  Its
+    entries lie in [0, 1] and each row sums to at most e, so for n <= 140
+    the power neither overflows nor cancels.
+    """
+    k = int(n * d) + 1
+    m = 2 * k - 1
+    h = k - n * d
+    i = np.arange(m)
+    lag = i[:, None] - i[None, :] + 1
+    H = (lag >= 0).astype(float)
+    powers = h ** (i + 1.0)
+    H[:, 0] -= powers
+    H[-1, :] -= powers[::-1]
+    if 2.0 * h > 1.0:
+        H[-1, 0] += (2.0 * h - 1.0) ** m
+    H *= np.exp(-gammaln(np.maximum(lag, 0) + 1.0))
+    entry = np.linalg.matrix_power(H, n)[k - 1, k - 1]
+    return float(entry * np.prod(np.arange(1, n + 1) / n))
+
+
 def ks_uniformity(z) -> tuple[float, float]:
-    """KS statistic and asymptotic p-value for uniformity on [0, 1]."""
+    """KS statistic and p-value for uniformity on [0, 1].
+
+    The p-value is exact (``_ks_exact_cdf``) for samples of up to
+    KS_EXACT_MAX_N values and the asymptotic Kolmogorov tail for larger ones.
+    """
     z = _as_array(z)
     stat = ks_statistic(z)
-    pvalue = float(kolmogorov(np.sqrt(z.size) * stat))
-    return stat, pvalue
+    if z.size > KS_EXACT_MAX_N:
+        return stat, float(kolmogorov(np.sqrt(z.size) * stat))
+    if z.size * stat * stat >= 18.0:  # p <= 2 exp(-2 n d^2) < 5e-16, below rounding of 1 - P
+        return stat, 0.0
+    return stat, min(max(1.0 - _ks_exact_cdf(z.size, stat), 0.0), 1.0)
 
 
 def calibration_report(forecasts, obs, rng_seed: int, grid=None, bins: int = 10

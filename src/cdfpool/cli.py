@@ -126,7 +126,7 @@ def _cmd_diagnose(m: RunManifest) -> int:
     spec, _ = pio.read_params(m.params)
     cases = pio.read_dataset_csv(m.input)
     dists = [pool(spec, case.components) for case in cases]
-    obs = np.array([case.y for case in cases])
+    obs = cases.y
     s = pit_sample(dists, obs, m.seed)
     disp = dispersion_report(s)
     stat, pval = ks_uniformity(s.z)

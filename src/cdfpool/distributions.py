@@ -9,7 +9,9 @@ arrays and return a matching shape.
 ``stack`` turns a list of per-case forecasts into a few objects of the same
 classes whose float parameters are (n, 1) columns, one row per case.  Their
 ``cdf``, ``cdf_left`` and ``density`` take an (n, m) or (1, m) array of
-points and return (n, m): row i is case i's forecast at row i of the points.
+points and return (n, m): row i is case i's forecast at row i of the points;
+``median`` returns the (n, 1) column of the rows' medians, and ``_row(i)``
+builds row i as a per-case object again.
 """
 
 from __future__ import annotations
@@ -97,14 +99,20 @@ class PredictiveDist:
             raise ValueError("quantile level must lie strictly inside (0, 1)")
         return _match(p, self._quantile_bisect(np.atleast_1d(p_arr)).reshape(p_arr.shape))
 
-    def median(self) -> float:
-        """The unique median, or MedianUndefined if the CDF is flat at 1/2."""
-        lo = float(self.quantile(0.5 - 1e-9))
-        hi = float(self.quantile(0.5 + 1e-9))
-        scale = max(float(self.quantile(0.75)) - float(self.quantile(0.25)), 1e-12)
-        if hi - lo > 1e-3 * scale + 10.0 * _QUANTILE_ATOL:
+    def median(self):
+        """The unique median, or MedianUndefined if the CDF is flat at 1/2.
+
+        A stacked object with n > 1 rows returns the (n, 1) column of its
+        rows' medians.
+        """
+        n = _as_array(self.cdf(np.zeros((1, 1)))).shape[0]  # 1 unless stacked
+        levels = np.tile([0.5 - 1e-9, 0.5 + 1e-9, 0.25, 0.75], (n, 1))
+        lo, hi, q1, q3 = _as_array(self.quantile(levels)).T
+        scale = np.maximum(q3 - q1, 1e-12)
+        if np.any(hi - lo > 1e-3 * scale + 10.0 * _QUANTILE_ATOL):
             raise MedianUndefined("CDF is flat at probability 1/2; no unique median")
-        return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+        return mid[:, None] if n > 1 else float(mid[0])
 
     def mean(self) -> float:
         return self._quadrature_moments()[0]
@@ -133,6 +141,10 @@ class PredictiveDist:
     def _stack(cls, rows) -> PredictiveDist:
         return _RowStack(tuple(rows))
 
+    def _row(self, i: int) -> PredictiveDist:
+        """Row i of a stacked object, as the per-case object that it stacks."""
+        raise TypeError(f"{type(self).__name__} is not a stacked object")
+
     # -- generic numerics ---------------------------------------------------
 
     def _quantile_bisect(self, p: np.ndarray) -> np.ndarray:
@@ -150,14 +162,15 @@ class PredictiveDist:
             if not bad.any():
                 break
             hi[bad] = 2.0 * hi[bad] + 1.0
+        # each level stops on its own, so it gets the value it gets alone
         while True:
             mid = 0.5 * (lo + hi)
-            stuck = (mid <= lo) | (mid >= hi)
-            if np.all((hi - lo <= _QUANTILE_ATOL) | stuck):
+            done = (hi - lo <= _QUANTILE_ATOL) | (mid <= lo) | (mid >= hi)
+            if np.all(done):
                 break
             ge = _as_array(self.cdf(mid)) >= p
-            hi = np.where(ge & ~stuck, mid, hi)
-            lo = np.where(~ge & ~stuck, mid, lo)
+            hi = np.where(ge & ~done, mid, hi)
+            lo = np.where(~ge & ~done, mid, lo)
         return hi
 
     def _tail_bracket(self) -> tuple[float, float, float, float]:
@@ -276,6 +289,13 @@ def _stack_rows(rows) -> PredictiveDist:
     return rows[0]._stack_key()[0]._stack(rows)
 
 
+def _stack_column(rows) -> PredictiveDist:
+    """One stacked object for any forecasts; rows of mixed shapes are evaluated one by one."""
+    if len({d._stack_key() for d in rows}) == 1:
+        return _stack_rows(rows)
+    return _RowStack(tuple(rows))
+
+
 def _stack_components(rows) -> tuple[PredictiveDist, ...]:
     """The i-th components of all rows, stacked, for each i."""
     return tuple(_stack_rows(col) for col in zip(*(r.components for r in rows)))
@@ -283,6 +303,11 @@ def _stack_components(rows) -> tuple[PredictiveDist, ...]:
 
 def _column(values) -> np.ndarray:
     return np.array(values, dtype=float)[:, None]
+
+
+def _at(x, i: int) -> float:
+    """Row i of a stacked parameter: an (n, 1) column, or a float shared by every row."""
+    return float(x[i, 0]) if np.ndim(x) else float(x)
 
 
 def _build(cls, **fields):
@@ -316,6 +341,9 @@ class _RowStack(PredictiveDist):
 
     def density(self, y):
         return self._each("density", y)
+
+    def _row(self, i):
+        return self.rows[i]
 
 
 @dataclass(frozen=True)
@@ -365,6 +393,9 @@ class Gaussian(PredictiveDist):
     def _stack(cls, rows):
         return _build(cls, mu=_column([r.mu for r in rows]),
                       sigma=_column([r.sigma for r in rows]))
+
+    def _row(self, i):
+        return Gaussian(_at(self.mu, i), _at(self.sigma, i))
 
 
 @dataclass(frozen=True)
@@ -454,6 +485,9 @@ class FiniteDiscrete(PredictiveDist):
         return _build(cls, atoms=np.array([r.atoms for r in rows]),
                       masses=np.array([r.masses for r in rows]))
 
+    def _row(self, i):
+        return FiniteDiscrete(self.atoms[i], self.masses[i])
+
 
 class TwoPointBernoulli(FiniteDiscrete):
     """Binary-outcome forecast with success coded as outcome 0.
@@ -471,6 +505,22 @@ class TwoPointBernoulli(FiniteDiscrete):
 
     def __repr__(self):
         return f"TwoPointBernoulli(p={self.p})"
+
+    def _stack_key(self):
+        return (TwoPointBernoulli,)
+
+    @classmethod
+    def _stack(cls, rows):
+        return cls._stacked(_column([r.p for r in rows]))
+
+    @classmethod
+    def _stacked(cls, p) -> TwoPointBernoulli:
+        """Stacked forecasts with success probabilities ``p``, an (n, 1) column."""
+        return _build(cls, p=p, atoms=np.broadcast_to([0.0, 1.0], (p.shape[0], 2)),
+                      masses=np.hstack([p, 1.0 - p]))
+
+    def _row(self, i):
+        return TwoPointBernoulli(_at(self.p, i))
 
 
 @dataclass(frozen=True)
@@ -548,6 +598,10 @@ class Mixture(PredictiveDist):
         return _build(cls, components=_stack_components(rows),
                       weights=tuple(_column(col) for col in zip(*(r.weights for r in rows))))
 
+    def _row(self, i):
+        return Mixture(tuple(c._row(i) for c in self.components),
+                       tuple(_at(w, i) for w in self.weights))
+
 
 @dataclass(frozen=True)
 class SpreadAdjusted(PredictiveDist):
@@ -617,6 +671,9 @@ class SpreadAdjusted(PredictiveDist):
         return _build(cls, base=_stack_rows([r.base for r in rows]),
                       c=_column([r.c for r in rows]), center=_column([r.center for r in rows]))
 
+    def _row(self, i):
+        return SpreadAdjusted(self.base._row(i), _at(self.c, i), _at(self.center, i))
+
 
 @dataclass(frozen=True)
 class BetaTransformed(PredictiveDist):
@@ -672,6 +729,9 @@ class BetaTransformed(PredictiveDist):
     def _stack(cls, rows):
         return _build(cls, base=_stack_rows([r.base for r in rows]),
                       alpha=_column([r.alpha for r in rows]), beta=_column([r.beta for r in rows]))
+
+    def _row(self, i):
+        return BetaTransformed(self.base._row(i), _at(self.alpha, i), _at(self.beta, i))
 
 
 def validate_cdf(d: PredictiveDist, grid=None) -> None:

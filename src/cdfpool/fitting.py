@@ -1,5 +1,11 @@
 """Maximum log-score estimation of pool parameters.
 
+Training and evaluation data are a ``ForecastBatch``: the J outcomes and k
+stacked component forecasts with (J, 1) parameter columns.  A fit builds
+its (J, k) arrays of component CDF values and densities at the outcomes
+with one ``cdf`` and one ``density`` call per component column; a plain
+list of ``ForecastCase`` is stacked into a batch first.
+
 All four pools are fitted by one Newton engine, the method of scoring with
 the exact gradient and Hessian of the log-score sum.  Weights sit at the
 head of the parameter vector, on the simplex with one weight eliminated or,
@@ -13,14 +19,24 @@ errors (by the delta method for the log-space parameters) and flags.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
-from scipy.special import gammaln, ndtr, polygamma, psi
+from scipy.special import gammaln, polygamma, psi
 
 from .calibration import _stacked_pit_sample
-from .distributions import Gaussian, PredictiveDist, _as_array, _match, stack
+from .distributions import (
+    Gaussian,
+    PredictiveDist,
+    _as_array,
+    _build,
+    _match,
+    _stack_column,
+    stack,
+)
 from .errors import (
     DegenerateDesign,
     DensityUnavailable,
@@ -55,6 +71,92 @@ class ForecastCase:
         object.__setattr__(self, "y", float(self.y))
         if not self.components:
             raise ValueError("a case needs at least one component forecast")
+
+
+class ForecastBatch(Sequence):
+    """J cases held as columns: outcomes ``y`` (J,) and k stacked ``components``.
+
+    Component i is one object of a ``distributions`` class whose parameters
+    are (J, 1) columns, row j holding case j's forecast (the form ``stack``
+    builds), so one ``cdf`` or ``density`` call at a (J, m) array evaluates
+    it for every case.  A batch is a read-only sequence of ``ForecastCase``;
+    case j is built from the columns when it is first indexed or iterated,
+    and kept.  Raises DomainViolation naming the first case with a
+    non-finite outcome or Gaussian component parameter.
+    """
+
+    def __init__(self, y, components, _cases=None):
+        y = np.asarray(y, dtype=float).view()
+        y.flags.writeable = False
+        components = tuple(components)
+        if y.ndim != 1:
+            raise LengthMismatch("the outcomes must be one-dimensional")
+        if y.size and not components:
+            raise ValueError("a case needs at least one component forecast")
+        finite = np.isfinite(y)
+        for c in components:
+            if type(c) is Gaussian:
+                ok = np.isfinite(c.mu) & np.isfinite(c.sigma)
+                finite &= np.broadcast_to(ok, (y.size, 1))[:, 0]
+        if not np.all(finite):
+            raise DomainViolation(
+                f"case {int(np.argmin(finite))} has a non-finite outcome or component "
+                "parameter"
+            )
+        self._y, self._components = y, components
+        self._cases = [None] * y.size if _cases is None else list(_cases)
+        self._all_built = _cases is not None
+
+    @classmethod
+    def from_cases(cls, cases) -> ForecastBatch:
+        """The batch of a sequence of ``ForecastCase``; a batch is returned as it is.
+
+        Each component column is stacked by ``distributions.stack`` rules; a
+        column whose forecasts differ in shape is evaluated row by row.
+        """
+        if isinstance(cases, ForecastBatch):
+            return cases
+        cases = tuple(cases)
+        k = len(cases[0].components) if cases else 0
+        if any(len(case.components) != k for case in cases):
+            raise LengthMismatch("all cases must have the same number of components")
+        columns = [_stack_column(col) for col in zip(*(case.components for case in cases))]
+        return cls([case.y for case in cases], columns, cases)
+
+    @property
+    def y(self) -> np.ndarray:
+        return self._y
+
+    @property
+    def components(self) -> tuple[PredictiveDist, ...]:
+        return self._components
+
+    def __len__(self) -> int:
+        return self._y.size
+
+    def _case(self, j: int) -> ForecastCase:
+        if self._cases[j] is None:
+            self._cases[j] = ForecastCase(tuple(c._row(j) for c in self._components),
+                                          self._y[j])
+        return self._cases[j]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self._case, range(*index.indices(len(self)))))
+        j = operator.index(index)
+        j += len(self) if j < 0 else 0
+        if not 0 <= j < len(self):
+            raise IndexError("case index out of range")
+        return self._case(j)
+
+    def __iter__(self):
+        if not self._all_built:
+            self._cases = list(map(self._case, range(len(self))))
+            self._all_built = True
+        return iter(self._cases)
+
+    def __repr__(self) -> str:
+        return f"ForecastBatch(J={len(self)}, k={len(self._components)})"
 
 
 @dataclass(frozen=True)
@@ -123,52 +225,26 @@ class _Design:
         return self.F.shape[1]
 
 
-def _case_arrays(data):
-    """The outcomes (J,) and, if every component is Gaussian, their (mu, sd) as (J, k).
-
-    Raises DomainViolation naming the first case with a non-finite outcome
-    or Gaussian parameter.
-    """
-    y = np.array([case.y for case in data])
-    finite = np.isfinite(y)
-    gaussian = None
-    if all(type(c) is Gaussian for case in data for c in case.components):
-        mu = np.array([[c.mu for c in case.components] for case in data])
-        sd = np.array([[c.sigma for c in case.components] for case in data])
-        finite &= np.all(np.isfinite(mu) & np.isfinite(sd), axis=1)
-        gaussian = (mu, sd)
-    if not np.all(finite):
-        raise DomainViolation(
-            f"case {int(np.argmin(finite))} has a non-finite outcome or component "
-            "parameter"
-        )
-    return y, gaussian
-
-
 def _build_design(data) -> _Design:
-    data = list(data)
-    if not data:
+    """The design of a batch (or a list of cases) at its outcomes.
+
+    One ``cdf`` and one ``density`` call per component column give F and f;
+    F is clamped to [CDF_CLAMP, 1 - CDF_CLAMP].  ``gaussian`` is set when
+    every component column is Gaussian.
+    """
+    batch = ForecastBatch.from_cases(data)
+    if not len(batch):
         raise TooFewSamples("empty training set")
-    k = len(data[0].components)
-    if any(len(case.components) != k for case in data):
-        raise LengthMismatch("all cases must have the same number of components")
-    y, gaussian = _case_arrays(data)
-    if gaussian is not None:
-        mu, sd = gaussian
-        z = (y[:, None] - mu) / sd
-        F = ndtr(z)
-        f = np.exp(-0.5 * z * z) / (sd * np.sqrt(2.0 * np.pi))
-    else:
-        if not all(c.has_density for case in data for c in case.components):
-            raise DensityUnavailable("fitting requires absolutely continuous components")
-        F = np.empty((len(data), k))
-        f = np.empty((len(data), k))
-        for j, case in enumerate(data):
-            for i, c in enumerate(case.components):
-                F[j, i] = c.cdf(case.y)
-                f[j, i] = c.density(case.y)
-    F = np.clip(F, CDF_CLAMP, 1.0 - CDF_CLAMP)
-    return _Design(F=F, f=f, y=y, gaussian=gaussian)
+    comps = batch.components
+    if not all(c.has_density for c in comps):
+        raise DensityUnavailable("fitting requires absolutely continuous components")
+    y = batch.y[:, None]
+    F = np.clip(np.hstack([c.cdf(y) for c in comps]), CDF_CLAMP, 1.0 - CDF_CLAMP)
+    f = np.hstack([c.density(y) for c in comps])
+    gaussian = None
+    if all(type(c) is Gaussian for c in comps):
+        gaussian = (np.hstack([c.mu for c in comps]), np.hstack([c.sigma for c in comps]))
+    return _Design(F=F, f=f, y=batch.y, gaussian=gaussian)
 
 
 def _check_clamp_fraction(design: _Design) -> tuple[str, ...]:
@@ -604,26 +680,23 @@ def _gaussian_spread_densities(mu, sd, y):
     return densities
 
 
-def _spread_densities(data, y):
-    """Like ``_gaussian_spread_densities`` for any continuous components.
+def _spread_densities(components, y):
+    """Like ``_gaussian_spread_densities`` for any continuous component columns.
 
-    The adjusted density f(m + (y - m) / c) / c is evaluated at c and at c
-    times exp(+-SPREAD_FD_STEP); its log-c derivatives are the central
-    differences of the three (J, k) arrays.
+    The adjusted density f(m + (y - m) / c) / c about each row's median m
+    is evaluated at c and at c times exp(+-SPREAD_FD_STEP); its log-c
+    derivatives are the central differences of the three (J, k) arrays.
     """
-    comps = [case.components for case in data]
-    medians = np.array([[c.median() for c in row] for row in comps])
+    medians = [c.median() for c in components]
     h = SPREAD_FD_STEP
     steps = np.exp(np.array([-h, 0.0, h]))
+    y = y[:, None]
 
     def densities(c):
         cs = c * steps
-        vals = np.empty((3,) + medians.shape)
-        for j, row in enumerate(comps):
-            for i, comp in enumerate(row):
-                m = medians[j, i]
-                vals[:, j, i] = np.asarray(comp.density(m + (y[j] - m) / cs)) / cs
-        lo, d, hi = vals
+        vals = np.stack([_as_array(comp.density(m + (y - m) / cs)) / cs
+                         for comp, m in zip(components, medians)], axis=-1)
+        lo, d, hi = vals.transpose(1, 0, 2)
         return d, (hi - lo) / (2.0 * h), (hi - 2.0 * d + lo) / (h * h)
 
     return densities
@@ -655,15 +728,15 @@ def fit_slp(data) -> FitResult:
     in log c for other continuous components.  Standard errors are reported
     in (w, c).
     """
-    data = list(data)
-    design = _build_design(data)
+    batch = ForecastBatch.from_cases(data)
+    design = _build_design(batch)
     k = design.k
     if design.J < k + 2:
         raise TooFewSamples(f"need at least {k + 2} cases to fit k={k} components")
     if design.gaussian is not None:
         densities = _gaussian_spread_densities(*design.gaussian, design.y)
     else:
-        densities = _spread_densities(data, design.y)
+        densities = _spread_densities(batch.components, design.y)
     weights = _Weights(k, simplex=True)
     return _newton_result(SlpSpec, partial(_slp_derivs, densities), weights, design.J,
                           np.append(weights.start(), 0.0))
@@ -744,20 +817,18 @@ def fit_gaussian_component(x, y) -> ComponentRegression:
     return ComponentRegression(a=a, b=b, sigma=sigma)
 
 
-def gaussian_cases_from_regressions(x_matrix, y, regressions) -> list[ForecastCase]:
+def gaussian_cases_from_regressions(x_matrix, y, regressions) -> ForecastBatch:
     """Turn raw point forecasts into Gaussian forecast cases via bias correction."""
     x_matrix = np.atleast_2d(_as_array(x_matrix))
     y = _as_array(y)
     if x_matrix.shape[0] != y.size or x_matrix.shape[1] != len(regressions):
         raise LengthMismatch("x_matrix must be (n cases) x (k members)")
-    cases = []
-    for j in range(y.size):
-        comps = tuple(
-            Gaussian(mu=r.a + r.b * x_matrix[j, i], sigma=max(r.sigma, 1e-12))
-            for i, r in enumerate(regressions)
-        )
-        cases.append(ForecastCase(components=comps, y=float(y[j])))
-    return cases
+    comps = tuple(
+        _build(Gaussian, mu=(r.a + r.b * x_matrix[:, i])[:, None],
+               sigma=np.full((y.size, 1), max(r.sigma, 1e-12)))
+        for i, r in enumerate(regressions)
+    )
+    return ForecastBatch(y, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -766,11 +837,11 @@ def gaussian_cases_from_regressions(x_matrix, y, regressions) -> list[ForecastCa
 
 def evaluate(spec: PoolSpec, data, rng_seed: int = 0, bins: int = 10) -> EvalReport:
     """Score a pool spec on a dataset: mean log score, PIT variance, RMV."""
-    data = list(data)
-    if not data:
+    batch = ForecastBatch.from_cases(data)
+    if not len(batch):
         raise TooFewSamples("empty evaluation set")
-    dists = [pool(spec, case.components) for case in data]
-    ys, _ = _case_arrays(data)
+    dists = [pool(spec, case.components) for case in batch]
+    ys = batch.y
     groups = stack(dists)
     scores = np.empty(ys.size)
     for idx, d in groups:

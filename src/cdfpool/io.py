@@ -7,15 +7,14 @@ format floats with ``repr``, which round-trips exactly through ``float``.
 from __future__ import annotations
 
 import csv
-import math
 import os
 import tempfile
 
 import numpy as np
 
-from .distributions import Gaussian
-from .errors import SchemaError, WeightConstraintViolation
-from .fitting import FitResult, ForecastCase
+from .distributions import Gaussian, _build
+from .errors import LengthMismatch, SchemaError, WeightConstraintViolation
+from .fitting import FitResult, ForecastBatch
 from .pools import PoolSpec, spec_from_params, spec_params
 
 
@@ -47,7 +46,12 @@ def dataset_header(k: int) -> list[str]:
     return cols
 
 
-def read_dataset_csv(path: str) -> list[ForecastCase]:
+def read_dataset_csv(path: str) -> ForecastBatch:
+    """The cases of a dataset file; every component column is a view of one parsed array.
+
+    Raises SchemaError naming the row (and column) of a short or long row, a
+    non-numeric or non-finite value, or an ``sd`` that is not positive.
+    """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             lines = [ln for ln in fh if ln.strip() and not ln.lstrip().startswith("#")]
@@ -66,45 +70,56 @@ def read_dataset_csv(path: str) -> list[ForecastCase]:
     for want, got in zip(expected, header):
         if want != got:
             raise SchemaError(f"{path}: missing or misplaced column {want!r} (found {got!r})")
-    cases = []
+    values = []
     for r, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
             raise SchemaError(f"{path}: row {r} has {len(row)} fields, expected {len(header)}")
         try:
-            vals = [float(x) for x in row]
-        except ValueError as exc:
-            raise SchemaError(f"{path}: row {r}: non-numeric value ({exc})") from exc
-        for name, val in zip(header, vals):
-            if not math.isfinite(val):
-                raise SchemaError(f"{path}: row {r}: {name} must be finite, got {val}")
-        comps = []
-        for i in range(k):
-            mu, sd = vals[1 + 2 * i], vals[2 + 2 * i]
-            if not sd > 0.0:
-                raise SchemaError(f"{path}: row {r}: sd_{i + 1} must be positive, got {sd}")
-            comps.append(Gaussian(mu, sd))
-        cases.append(ForecastCase(components=tuple(comps), y=vals[0]))
-    return cases
+            values.append([float(x) for x in row])
+        except ValueError:
+            for name, text in zip(header, row):  # find the field that failed
+                try:
+                    float(text)
+                except ValueError as exc:
+                    raise SchemaError(
+                        f"{path}: row {r}: {name}: non-numeric value ({exc})") from exc
+    data = np.array(values, dtype=float).reshape(len(values), len(header))
+    finite = np.isfinite(data)
+    if not np.all(finite):
+        j, i = divmod(int(np.argmin(finite)), len(header))
+        raise SchemaError(
+            f"{path}: row {j + 2}: {header[i]} must be finite, got {float(data[j, i])}"
+        )
+    positive = data[:, 2::2] > 0.0
+    if not np.all(positive):
+        j, i = divmod(int(np.argmin(positive)), k)
+        raise SchemaError(
+            f"{path}: row {j + 2}: sd_{i + 1} must be positive, got {float(data[j, 2 + 2 * i])}"
+        )
+    components = tuple(_build(Gaussian, mu=data[:, 1 + 2 * i:2 + 2 * i],
+                              sigma=data[:, 2 + 2 * i:3 + 2 * i]) for i in range(k))
+    return ForecastBatch(data[:, 0], components)
 
 
 def write_dataset_csv(path: str, cases) -> None:
-    cases = list(cases)
-    if not cases:
+    """Write a batch (or a list of cases) whose components are all Gaussian."""
+    try:
+        batch = ForecastBatch.from_cases(cases)
+    except LengthMismatch as exc:
+        raise SchemaError(str(exc)) from exc
+    if not len(batch):
         raise SchemaError("refusing to write an empty dataset")
-    k = len(cases[0].components)
-    out = [",".join(dataset_header(k))]
-    for case in cases:
-        if len(case.components) != k:
-            raise SchemaError("all cases must have the same number of components")
-        fields = [_fmt(case.y)]
-        for c in case.components:
-            if not isinstance(c, Gaussian):
-                raise SchemaError(
-                    "the CSV schema covers Gaussian components only; "
-                    f"got {type(c).__name__}"
-                )
-            fields += [_fmt(c.mu), _fmt(c.sigma)]
-        out.append(",".join(fields))
+    if not all(isinstance(c, Gaussian) for c in batch.components):
+        kind = next(c for case in batch for c in case.components if not isinstance(c, Gaussian))
+        raise SchemaError(
+            f"the CSV schema covers Gaussian components only; got {type(kind).__name__}"
+        )
+    columns = [batch.y[:, None]]
+    for c in batch.components:
+        columns += [c.mu, c.sigma]
+    table = np.hstack([np.broadcast_to(col, (len(batch), 1)) for col in columns])
+    out = [",".join(dataset_header(len(batch.components)))]
+    out += [",".join(map(repr, row)) for row in table.tolist()]
     atomic_write_text(path, "\n".join(out) + "\n")
 
 

@@ -25,6 +25,7 @@ from .distributions import (
     PredictiveDist,
     SpreadAdjusted,
     _as_array,
+    _at,
     _build,
     _column,
     _match,
@@ -301,6 +302,10 @@ class GlpDistribution(PredictiveDist):
         return _build(cls, components=_stack_components(rows),
                       w=tuple(_column(col) for col in zip(*(r.w for r in rows))),
                       link=rows[0].link)
+
+    def _row(self, i):
+        return GlpDistribution(tuple(c._row(i) for c in self.components),
+                               tuple(_at(w, i) for w in self.w), self.link)
 
 
 def pool(spec: PoolSpec, components) -> PredictiveDist:

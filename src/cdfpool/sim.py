@@ -2,9 +2,10 @@
 
 Each generator emits forecast cases together with the latent variables that
 produced them, so tests can condition on information sets directly.  The
-``check_*`` functions run the statistical diagnostics that the generators
-are designed to exhibit, using vectorized closed forms of the component
-CDFs for large-sample work.
+cases are a ``ForecastBatch`` whose component columns are views of the
+drawn arrays.  The ``check_*`` functions run the statistical diagnostics
+that the generators are designed to exhibit, using vectorized closed forms
+of the component CDFs for large-sample work.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from .calibration import (
     ks_uniformity,
     uniform_open,
 )
-from .distributions import FiniteDiscrete, Gaussian, Mixture, TwoPointBernoulli
+from .distributions import FiniteDiscrete, Gaussian, Mixture, TwoPointBernoulli, _build
 from .errors import InvalidConfig
-from .fitting import ForecastCase
+from .fitting import ForecastBatch
 from .pools import coherent_probit_pool
 
 REGRESSION = "regression"
@@ -67,7 +68,7 @@ class DgpConfig:
 
 @dataclass(frozen=True)
 class SimResult:
-    cases: list[ForecastCase]
+    cases: ForecastBatch
     latents: dict[str, np.ndarray]
 
 
@@ -192,66 +193,46 @@ def _draw_ternary(rng, n):
 # public simulation entry point
 
 
+def _col(x, n: int) -> np.ndarray:
+    """A length-n draw, or a constant repeated n times, as an (n, 1) column view."""
+    return np.broadcast_to(np.reshape(x, (-1, 1)), (n, 1))
+
+
+def _gaussians(n: int, mu, sd) -> Gaussian:
+    """Stacked Gaussian forecasts N(mu_j, sd_j^2), j < n."""
+    return _build(Gaussian, mu=_col(mu, n), sigma=_col(sd, n))
+
+
 def simulate(config: DgpConfig) -> SimResult:
     """Draw a dataset of forecast cases plus per-case latent records."""
     rng = _rng(config.seed)
     n = config.n
     if config.kind == REGRESSION:
         y, means, sds, latents = _draw_regression(rng, n, config.a1, config.a2, config.a3)
-        cases = [
-            ForecastCase(
-                components=tuple(Gaussian(means[j, i], sds[i]) for i in range(3)),
-                y=y[j],
-            )
-            for j in range(n)
-        ]
+        components = tuple(_gaussians(n, means[:, i], sds[i]) for i in range(3))
     elif config.kind == FSIGMA:
         x = rng.standard_normal(n)
         eps = rng.standard_normal(n)
         y = x + eps
         latents = {"x": x, "eps": eps}
-        cases = [
-            ForecastCase(components=(Gaussian(x[j], config.sigma),), y=y[j])
-            for j in range(n)
-        ]
+        components = (_gaussians(n, x, config.sigma),)
     elif config.kind == BINARY_PROBIT:
         y, p1, p2, latents = _draw_binary(rng, n, config.sigma1, config.sigma2)
-        cases = [
-            ForecastCase(
-                components=(TwoPointBernoulli(p1[j]), TwoPointBernoulli(p2[j])),
-                y=y[j],
-            )
-            for j in range(n)
-        ]
+        components = (TwoPointBernoulli._stacked(_col(p1, n)),
+                      TwoPointBernoulli._stacked(_col(p2, n)))
     elif config.kind == FORECASTER_QUARTET:
         y, mu, tau, latents = _draw_quartet(rng, n)
-        root2 = np.sqrt(2.0)
-        cases = [
-            ForecastCase(
-                components=(
-                    Gaussian(mu[j], 1.0),
-                    Gaussian(0.0, root2),
-                    Mixture((Gaussian(mu[j], 1.0), Gaussian(mu[j] + tau[j], 1.0)),
-                            (0.5, 0.5)),
-                    Gaussian(-mu[j], 1.0),
-                ),
-                y=y[j],
-            )
-            for j in range(n)
-        ]
+        unfocused = _build(Mixture, components=(_gaussians(n, mu, 1.0),
+                                                _gaussians(n, mu + tau, 1.0)),
+                           weights=(_col(0.5, n), _col(0.5, n)))
+        components = (_gaussians(n, mu, 1.0), _gaussians(n, 0.0, np.sqrt(2.0)), unfocused,
+                      _gaussians(n, -mu, 1.0))
     else:
         y, scenario, latents = _draw_ternary(rng, n)
-        cases = [
-            ForecastCase(
-                components=(
-                    FiniteDiscrete(TERNARY_OUTCOMES,
-                                   TERNARY_SCENARIOS[scenario[j]].forecast_masses),
-                ),
-                y=y[j],
-            )
-            for j in range(n)
-        ]
-    return SimResult(cases=cases, latents=latents)
+        masses = np.array([s.forecast_masses for s in TERNARY_SCENARIOS])[scenario]
+        components = (_build(FiniteDiscrete, masses=masses,
+                             atoms=np.broadcast_to(TERNARY_OUTCOMES, masses.shape)),)
+    return SimResult(cases=ForecastBatch(y, components), latents=latents)
 
 
 # ---------------------------------------------------------------------------
