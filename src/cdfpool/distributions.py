@@ -10,8 +10,10 @@ arrays and return a matching shape.
 classes whose float parameters are (n, 1) columns, one row per case.  Their
 ``cdf``, ``cdf_left`` and ``density`` take an (n, m) or (1, m) array of
 points and return (n, m): row i is case i's forecast at row i of the points;
-``median`` returns the (n, 1) column of the rows' medians, and ``_row(i)``
-builds row i as a per-case object again.
+``quantile`` takes levels in the same shapes, ``median`` returns the (n, 1)
+column of the rows' medians, and ``_row(i)`` builds row i as a per-case
+object again.  ``Gaussian._stacked`` and its siblings build a stacked
+object straight from columns that are already checked.
 """
 
 from __future__ import annotations
@@ -97,7 +99,8 @@ class PredictiveDist:
         p_arr = _as_array(p)
         if np.any((p_arr <= 0.0) | (p_arr >= 1.0)):
             raise ValueError("quantile level must lie strictly inside (0, 1)")
-        return _match(p, self._quantile_bisect(np.atleast_1d(p_arr)).reshape(p_arr.shape))
+        q = self._quantile_bisect(np.atleast_1d(p_arr))
+        return _match(p, q if np.ndim(p_arr) else q.reshape(()))
 
     def median(self):
         """The unique median, or MedianUndefined if the CDF is flat at 1/2.
@@ -105,14 +108,13 @@ class PredictiveDist:
         A stacked object with n > 1 rows returns the (n, 1) column of its
         rows' medians.
         """
-        n = _as_array(self.cdf(np.zeros((1, 1)))).shape[0]  # 1 unless stacked
-        levels = np.tile([0.5 - 1e-9, 0.5 + 1e-9, 0.25, 0.75], (n, 1))
-        lo, hi, q1, q3 = _as_array(self.quantile(levels)).T
+        levels = np.array([[0.5 - 1e-9, 0.5 + 1e-9, 0.25, 0.75]])
+        lo, hi, q1, q3 = _as_array(self.quantile(levels)).T  # one row per stacked row
         scale = np.maximum(q3 - q1, 1e-12)
         if np.any(hi - lo > 1e-3 * scale + 10.0 * _QUANTILE_ATOL):
             raise MedianUndefined("CDF is flat at probability 1/2; no unique median")
         mid = 0.5 * (lo + hi)
-        return mid[:, None] if n > 1 else float(mid[0])
+        return mid[:, None] if mid.size > 1 else float(mid[0])
 
     def mean(self) -> float:
         return self._quadrature_moments()[0]
@@ -148,15 +150,21 @@ class PredictiveDist:
     # -- generic numerics ---------------------------------------------------
 
     def _quantile_bisect(self, p: np.ndarray) -> np.ndarray:
+        """Quantiles by bisection; a stacked object spreads (1, m) levels over its rows."""
         lo_s, hi_s = self.support()
         lo = np.full(p.shape, lo_s - 1.0 if np.isfinite(lo_s) else -1.0)
-        hi = np.full(p.shape, hi_s if np.isfinite(hi_s) else 1.0)
+        cdf_lo = _as_array(self.cdf(lo))
+        shape = np.broadcast_shapes(cdf_lo.shape, p.shape)
+        p = np.broadcast_to(p, shape)
+        lo = np.broadcast_to(lo, shape).copy()
+        hi = np.full(shape, hi_s if np.isfinite(hi_s) else 1.0)
         # expand until cdf(lo) < p <= cdf(hi)
         for _ in range(200):
-            bad = _as_array(self.cdf(lo)) >= p
+            bad = cdf_lo >= p
             if not bad.any():
                 break
             lo[bad] = 2.0 * lo[bad] - 1.0
+            cdf_lo = _as_array(self.cdf(lo))
         for _ in range(200):
             bad = _as_array(self.cdf(hi)) < p
             if not bad.any():
@@ -342,6 +350,12 @@ class _RowStack(PredictiveDist):
     def density(self, y):
         return self._each("density", y)
 
+    def quantile(self, p):
+        return self._each("quantile", p)
+
+    def median(self):
+        return np.array([[d.median()] for d in self.rows])
+
     def _row(self, i):
         return self.rows[i]
 
@@ -391,8 +405,12 @@ class Gaussian(PredictiveDist):
 
     @classmethod
     def _stack(cls, rows):
-        return _build(cls, mu=_column([r.mu for r in rows]),
-                      sigma=_column([r.sigma for r in rows]))
+        return cls._stacked(_column([r.mu for r in rows]), _column([r.sigma for r in rows]))
+
+    @classmethod
+    def _stacked(cls, mu, sigma) -> Gaussian:
+        """Stacked forecasts N(mu_j, sigma_j^2) from (n, 1) columns, unchecked."""
+        return _build(cls, mu=mu, sigma=sigma)
 
     def _row(self, i):
         return Gaussian(_at(self.mu, i), _at(self.sigma, i))
@@ -453,19 +471,29 @@ class FiniteDiscrete(PredictiveDist):
     def atom_locations(self):
         return self._atoms_arr.copy()
 
+    def _first_at_or_above(self, p: np.ndarray) -> np.ndarray:
+        """Index of the first atom whose cumulative mass reaches p (row by row when stacked)."""
+        cum = self._cum[..., 1:]
+        if cum.ndim == 1:
+            return np.searchsorted(cum, p, side="left")
+        return (cum[:, None, :] < p[..., None]).sum(axis=-1)
+
     def quantile(self, p):
         p_arr = _as_array(p)
         if np.any((p_arr <= 0.0) | (p_arr >= 1.0)):
             raise ValueError("quantile level must lie strictly inside (0, 1)")
-        idx = np.searchsorted(self._cum[1:], p_arr, side="left")
-        return _match(p, self._atoms_arr[idx])
+        idx = self._first_at_or_above(p_arr)
+        if self._atoms_arr.ndim == 1:
+            return _match(p, self._atoms_arr[idx])
+        return np.take_along_axis(self._atoms_arr, idx, axis=1)
 
-    def median(self) -> float:
-        cum = self._cum[1:]
-        i = int(np.searchsorted(cum, 0.5, side="left"))
-        if cum[i] == 0.5 and i + 1 < len(self.atoms):
+    def median(self):
+        i = self._first_at_or_above(np.full(self._atoms_arr.shape[:-1] + (1,), 0.5))
+        cum = np.take_along_axis(self._cum[..., 1:], i, axis=-1)
+        if np.any((cum == 0.5) & (i + 1 < self._atoms_arr.shape[-1])):
             raise MedianUndefined("CDF equals 1/2 on a whole interval")
-        return self.atoms[i]
+        m = np.take_along_axis(self._atoms_arr, i, axis=-1)
+        return m if m.ndim > 1 else float(m[0])
 
     def mean(self) -> float:
         return float(np.dot(self.masses, self.atoms))
@@ -482,8 +510,12 @@ class FiniteDiscrete(PredictiveDist):
 
     @classmethod
     def _stack(cls, rows):
-        return _build(cls, atoms=np.array([r.atoms for r in rows]),
-                      masses=np.array([r.masses for r in rows]))
+        return cls._stacked(np.array([r.atoms for r in rows]), np.array([r.masses for r in rows]))
+
+    @classmethod
+    def _stacked(cls, atoms, masses) -> FiniteDiscrete:
+        """Stacked forecasts from (n, m) arrays of atoms and masses, unchecked."""
+        return _build(cls, atoms=atoms, masses=masses)
 
     def _row(self, i):
         return FiniteDiscrete(self.atoms[i], self.masses[i])
@@ -595,8 +627,13 @@ class Mixture(PredictiveDist):
 
     @classmethod
     def _stack(cls, rows):
-        return _build(cls, components=_stack_components(rows),
-                      weights=tuple(_column(col) for col in zip(*(r.weights for r in rows))))
+        return cls._stacked(_stack_components(rows),
+                            tuple(_column(col) for col in zip(*(r.weights for r in rows))))
+
+    @classmethod
+    def _stacked(cls, components, weights) -> Mixture:
+        """Stacked mixtures of stacked components with (n, 1) weight columns, unchecked."""
+        return _build(cls, components=components, weights=weights)
 
     def _row(self, i):
         return Mixture(tuple(c._row(i) for c in self.components),
@@ -719,8 +756,11 @@ class BetaTransformed(PredictiveDist):
             raise ValueError("quantile level must lie strictly inside (0, 1)")
         return _match(p, _as_array(self.base.quantile(betaincinv(self.alpha, self.beta, p_arr))))
 
-    def median(self) -> float:
-        return float(self.base.quantile(float(betaincinv(self.alpha, self.beta, 0.5))))
+    def median(self):
+        level = betaincinv(self.alpha, self.beta, 0.5)  # an (n, 1) column when stacked
+        if np.ndim(level):
+            return _as_array(self.base.quantile(level))
+        return float(self.base.quantile(float(level)))
 
     def _stack_key(self):
         return (BetaTransformed, self.base._stack_key())

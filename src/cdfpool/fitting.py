@@ -32,7 +32,6 @@ from .distributions import (
     Gaussian,
     PredictiveDist,
     _as_array,
-    _build,
     _match,
     _stack_column,
     stack,
@@ -824,8 +823,8 @@ def gaussian_cases_from_regressions(x_matrix, y, regressions) -> ForecastBatch:
     if x_matrix.shape[0] != y.size or x_matrix.shape[1] != len(regressions):
         raise LengthMismatch("x_matrix must be (n cases) x (k members)")
     comps = tuple(
-        _build(Gaussian, mu=(r.a + r.b * x_matrix[:, i])[:, None],
-               sigma=np.full((y.size, 1), max(r.sigma, 1e-12)))
+        Gaussian._stacked((r.a + r.b * x_matrix[:, i])[:, None],
+                          np.full((y.size, 1), max(r.sigma, 1e-12)))
         for i, r in enumerate(regressions)
     )
     return ForecastBatch(y, comps)

@@ -12,7 +12,7 @@ import tempfile
 
 import numpy as np
 
-from .distributions import Gaussian, _build
+from .distributions import Gaussian
 from .errors import LengthMismatch, SchemaError, WeightConstraintViolation
 from .fitting import FitResult, ForecastBatch
 from .pools import PoolSpec, spec_from_params, spec_params
@@ -96,8 +96,8 @@ def read_dataset_csv(path: str) -> ForecastBatch:
         raise SchemaError(
             f"{path}: row {j + 2}: sd_{i + 1} must be positive, got {float(data[j, 2 + 2 * i])}"
         )
-    components = tuple(_build(Gaussian, mu=data[:, 1 + 2 * i:2 + 2 * i],
-                              sigma=data[:, 2 + 2 * i:3 + 2 * i]) for i in range(k))
+    components = tuple(Gaussian._stacked(data[:, 1 + 2 * i:2 + 2 * i],
+                                         data[:, 2 + 2 * i:3 + 2 * i]) for i in range(k))
     return ForecastBatch(data[:, 0], components)
 
 

@@ -22,7 +22,7 @@ from .calibration import (
     ks_uniformity,
     uniform_open,
 )
-from .distributions import FiniteDiscrete, Gaussian, Mixture, TwoPointBernoulli, _build
+from .distributions import FiniteDiscrete, Gaussian, Mixture, TwoPointBernoulli
 from .errors import InvalidConfig
 from .fitting import ForecastBatch
 from .pools import coherent_probit_pool
@@ -200,7 +200,7 @@ def _col(x, n: int) -> np.ndarray:
 
 def _gaussians(n: int, mu, sd) -> Gaussian:
     """Stacked Gaussian forecasts N(mu_j, sd_j^2), j < n."""
-    return _build(Gaussian, mu=_col(mu, n), sigma=_col(sd, n))
+    return Gaussian._stacked(_col(mu, n), _col(sd, n))
 
 
 def simulate(config: DgpConfig) -> SimResult:
@@ -222,16 +222,17 @@ def simulate(config: DgpConfig) -> SimResult:
                       TwoPointBernoulli._stacked(_col(p2, n)))
     elif config.kind == FORECASTER_QUARTET:
         y, mu, tau, latents = _draw_quartet(rng, n)
-        unfocused = _build(Mixture, components=(_gaussians(n, mu, 1.0),
-                                                _gaussians(n, mu + tau, 1.0)),
-                           weights=(_col(0.5, n), _col(0.5, n)))
+        unfocused = Mixture._stacked((_gaussians(n, mu, 1.0), _gaussians(n, mu + tau, 1.0)),
+                                     (_col(0.5, n), _col(0.5, n)))
         components = (_gaussians(n, mu, 1.0), _gaussians(n, 0.0, np.sqrt(2.0)), unfocused,
                       _gaussians(n, -mu, 1.0))
     else:
         y, scenario, latents = _draw_ternary(rng, n)
         masses = np.array([s.forecast_masses for s in TERNARY_SCENARIOS])[scenario]
-        components = (_build(FiniteDiscrete, masses=masses,
-                             atoms=np.broadcast_to(TERNARY_OUTCOMES, masses.shape)),)
+        components = (FiniteDiscrete._stacked(np.broadcast_to(TERNARY_OUTCOMES, masses.shape),
+                                              masses),)
+    for draw in latents.values():  # the columns view these arrays
+        draw.flags.writeable = False
     return SimResult(cases=ForecastBatch(y, components), latents=latents)
 
 

@@ -18,8 +18,10 @@ from cdfpool import (
     ForecastCase,
     Gaussian,
     LinkFunction,
+    MedianUndefined,
     Mixture,
     SchemaError,
+    SpreadAdjusted,
     TwoPointBernoulli,
     fit_blp,
     fit_glp,
@@ -75,6 +77,33 @@ def per_case_simulation(cfg):
             for j in range(n)]
 
 
+def per_case_slp(cases):
+    """The SLP fit of ``cases`` with medians and spread-adjusted densities taken case by case."""
+    medians = np.array([[c.median() for c in case.components] for case in cases])
+    steps = np.exp(np.array([-1e-4, 0.0, 1e-4]))
+
+    def densities(c):
+        cs = c * steps
+        vals = np.empty((3,) + medians.shape)
+        for j, case in enumerate(cases):
+            for i, comp in enumerate(case.components):
+                m = medians[j, i]
+                vals[:, j, i] = np.asarray(comp.density(m + (case.y - m) / cs)) / cs
+        lo, d, hi = vals
+        return d, (hi - lo) / 2e-4, (hi - 2.0 * d + lo) / 1e-8
+
+    weights = _Weights(medians.shape[1], simplex=True)
+    return _newton_result(SlpSpec, partial(_slp_derivs, densities), weights, len(cases),
+                          np.append(weights.start(), 0.0))
+
+
+def assert_same_slp_fit(got, want):
+    np.testing.assert_allclose(got.spec.w, want.spec.w, rtol=0, atol=1e-12)
+    assert got.spec.c == pytest.approx(want.spec.c, rel=1e-12)
+    assert got.mean_log_score_train == pytest.approx(want.mean_log_score_train, rel=1e-12)
+    assert got.iterations == want.iterations and got.converged == want.converged
+
+
 def _fit_all(cases):
     fits = [fit_tlp(cases), fit_slp(cases), fit_blp(cases)]
     return fits + [fit_glp(cases, LinkFunction(link)) for link in ("log", "reciprocal", "probit")]
@@ -100,6 +129,13 @@ class TestSequence:
             batch[5]
         with pytest.raises(ValueError):
             batch.y[0] = 0.0
+
+    def test_draws_behind_the_columns_are_read_only(self):
+        for kind, name in [("regression", "x1"), ("fsigma", "x"), ("binary_probit", "p1"),
+                           ("forecaster_quartet", "mu"), ("ternary", "scenario")]:
+            latents = simulate(DgpConfig(kind=kind, n=4, seed=2)).latents
+            with pytest.raises(ValueError):
+                latents[name][0] = 0.5
 
     def test_from_cases_keeps_the_cases(self, gaussian_cases):
         batch = ForecastBatch.from_cases(gaussian_cases)
@@ -139,30 +175,27 @@ class TestFitsOnBatches:
 
     def test_slp_on_mixture_columns_matches_per_case_path(self):
         batch = simulate(DgpConfig(kind="forecaster_quartet", n=300, seed=4)).cases
-        got = fit_slp(batch)
+        assert_same_slp_fit(fit_slp(batch), per_case_slp(list(batch)))
 
-        # the per-case recipe: medians and spread-adjusted densities case by case
-        cases = list(batch)
-        medians = np.array([[c.median() for c in case.components] for case in cases])
-        steps = np.exp(np.array([-1e-4, 0.0, 1e-4]))
+    def test_slp_on_blp_pooled_cases_matches_per_case_path(self):
+        spec = BlpSpec((0.4, 0.6), 1.3, 0.8)
+        cases = []
+        for case in simulate(DgpConfig(kind="regression", n=120, seed=8)).cases:
+            blp = pool(spec, case.components[:2])
+            adjusted = SpreadAdjusted(blp, 1.2, blp.median())
+            cases.append(ForecastCase((blp, adjusted, case.components[2]), case.y))
+        assert_same_slp_fit(fit_slp(cases), per_case_slp(cases))
 
-        def densities(c):
-            cs = c * steps
-            vals = np.empty((3,) + medians.shape)
-            for j, case in enumerate(cases):
-                for i, comp in enumerate(case.components):
-                    m = medians[j, i]
-                    vals[:, j, i] = np.asarray(comp.density(m + (case.y - m) / cs)) / cs
-            lo, d, hi = vals
-            return d, (hi - lo) / 2e-4, (hi - 2.0 * d + lo) / 1e-8
-
-        weights = _Weights(4, simplex=True)
-        want = _newton_result(SlpSpec, partial(_slp_derivs, densities), weights, len(cases),
-                              np.append(weights.start(), 0.0))
-        np.testing.assert_allclose(got.spec.w, want.spec.w, rtol=0, atol=1e-12)
-        assert got.spec.c == pytest.approx(want.spec.c, rel=1e-12)
-        assert got.mean_log_score_train == pytest.approx(want.mean_log_score_train, rel=1e-12)
-        assert got.iterations == want.iterations and got.converged == want.converged
+    def test_slp_on_a_mixed_kind_column_matches_per_case_path(self):
+        cases = []
+        for j, case in enumerate(simulate(DgpConfig(kind="regression", n=120, seed=9)).cases):
+            g0, g1, _ = case.components
+            first = g0 if j % 2 else Mixture((g0, g1), (0.3, 0.7))
+            cases.append(ForecastCase((first, g1), case.y))
+        column = ForecastBatch.from_cases(cases).components[0]
+        np.testing.assert_array_equal(column.median()[1::2, 0], [c.components[0].mu
+                                                                 for c in cases[1::2]])
+        assert_same_slp_fit(fit_slp(cases), per_case_slp(cases))
 
     def test_stacked_median_is_the_column_of_case_medians(self):
         batch = simulate(DgpConfig(kind="forecaster_quartet", n=50, seed=5)).cases
@@ -282,6 +315,37 @@ class TestExactKs:
         code = "import sys, cdfpool; sys.exit('scipy.stats' in sys.modules)"
         env = dict(os.environ, PYTHONPATH=src)
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_stacked_median_and_quantile_of_every_kind():
+    g = [Gaussian(0.0, 1.0), Gaussian(1.0, 2.0), Gaussian(-0.5, 0.7)]
+    blp = [pool(BlpSpec((0.3, 0.7), a, 1.2), g[:2]) for a in (0.8, 1.3, 2.0)]
+    kinds = [
+        g,
+        [TwoPointBernoulli(p) for p in (0.25, 0.7, 0.9)],
+        [FiniteDiscrete((0.0, 1.0, 2.0), m) for m in ((0.2, 0.2, 0.6), (0.6, 0.3, 0.1),
+                                                      (0.1, 0.5, 0.4))],
+        [pool(TlpSpec(w), g[:2]) for w in ((0.3, 0.7), (0.6, 0.4), (0.5, 0.5))],
+        [pool(SlpSpec((0.3, 0.7), c), g[:2]) for c in (0.8, 1.3, 2.0)],
+        blp,
+        [SpreadAdjusted(b, 1.4, b.median()) for b in blp],
+        [pool(GlpSpec(w, LinkFunction.PROBIT), g[:2]) for w in ((0.3, 0.7), (1.2, 0.4),
+                                                                 (0.5, 0.5))],
+        [g[0], Mixture(tuple(g[:2]), (0.5, 0.5)), blp[0]],
+    ]
+    levels = np.array([[0.1, 0.5, 0.95]])
+    for rows in kinds:
+        stacked = _stack_column(rows)
+        np.testing.assert_array_equal(np.reshape(stacked.median(), -1),
+                                      [r.median() for r in rows])
+        np.testing.assert_array_equal(stacked.quantile(levels),
+                                      [r.quantile(levels[0]) for r in rows])
+
+
+def test_stacked_discrete_median_flat_at_one_half():
+    rows = [FiniteDiscrete((0.0, 1.0), (0.3, 0.7)), FiniteDiscrete((0.0, 1.0), (0.5, 0.5))]
+    with pytest.raises(MedianUndefined):
+        _stack_column(rows).median()
 
 
 def test_rows_of_every_stacked_kind_round_trip():
