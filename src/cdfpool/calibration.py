@@ -24,7 +24,7 @@ NEUTRAL_PIT_VARIANCE = 1.0 / 12.0
 # Simard & L'Ecuyer 2011) and the asymptotic Kolmogorov tail above it.
 KS_EXACT_MAX_N = 140
 
-# The marginal gap stacks this many forecasts at a time: 256 cases on a
+# The marginal gap evaluates this many stacked rows at a time: 256 cases on a
 # 201-point grid keep each CDF temporary near 0.4 MB.
 _GAP_CHUNK = 256
 
@@ -88,24 +88,31 @@ def _check_finite(x: np.ndarray, what: str) -> None:
         raise DomainViolation(f"{what} {int(np.argmin(finite))} is not finite")
 
 
+def _groups(forecasts, obs: np.ndarray) -> list:
+    """The forecasts as (indices, stacked) groups, checked against the observations.
+
+    A list is grouped by ``distributions.stack``; one stacked forecast, whose
+    rows are the cases, is one group.
+    """
+    stacked = isinstance(forecasts, PredictiveDist)
+    n = forecasts._rows() if stacked else len(forecasts)
+    if n != obs.size:
+        raise LengthMismatch(f"{n} forecasts paired with {obs.size} observations")
+    _check_finite(obs, "observation")
+    return [(slice(None), forecasts)] if stacked else stack(forecasts)
+
+
 def pit_sample(forecasts, obs, rng_seed: int) -> PitSample:
     """The randomized PIT of each forecast at its observation, with seeded uniforms.
 
-    Case j gets the j-th auxiliary uniform.  Forecasts of the same shape are
-    stacked (``distributions.stack``), so each group costs one ``cdf_left``
-    and one ``cdf`` call; the values equal ``randomized_pit`` case by case.
+    ``forecasts`` is a list of per-case forecasts or one stacked forecast
+    whose rows are the cases, such as ``pool(spec, batch.components)``.
+    Case j gets the j-th auxiliary uniform.  Each group of stacked forecasts
+    costs one ``cdf_left`` and one ``cdf`` call; the values equal
+    ``randomized_pit`` case by case.
     """
     obs = _as_array(obs)
-    if len(forecasts) != obs.size:
-        raise LengthMismatch(
-            f"{len(forecasts)} forecasts paired with {obs.size} observations"
-        )
-    _check_finite(obs, "observation")
-    return _stacked_pit_sample(stack(forecasts), obs, rng_seed)
-
-
-def _stacked_pit_sample(groups, obs: np.ndarray, rng_seed: int) -> PitSample:
-    """``pit_sample`` of forecasts already grouped by ``distributions.stack``."""
+    groups = _groups(forecasts, obs)
     rng = np.random.Generator(np.random.Philox(rng_seed))
     v = uniform_open(rng, obs.size)
     z = np.empty(obs.size)
@@ -166,24 +173,23 @@ def var_z_sigma(sigma: float) -> float:
 def marginal_calibration_gap(forecasts, obs, grid) -> float:
     """Sup over the grid of |average forecast CDF - empirical CDF of obs|.
 
-    The forecasts are stacked _GAP_CHUNK at a time, and each stacked group
-    adds its CDF rows on the whole grid to the running sum.
+    ``forecasts`` is a list of per-case forecasts or one stacked forecast
+    whose rows are the cases (see ``pit_sample``).  Each group of stacked
+    forecasts adds its CDF rows on the whole grid to the running sum,
+    _GAP_CHUNK rows at a time.
     """
     obs = _as_array(obs)
     grid = _as_array(grid)
-    if len(forecasts) == 0 or obs.size == 0 or grid.size == 0:
+    if obs.size == 0 or grid.size == 0:
         raise EmptyInput("forecasts, observations, and grid must be nonempty")
-    if len(forecasts) != obs.size:
-        raise LengthMismatch(
-            f"{len(forecasts)} forecasts paired with {obs.size} observations"
-        )
-    _check_finite(obs, "observation")
+    groups = _groups(forecasts, obs)
     _check_finite(grid, "grid point")
     acc = np.zeros(grid.size)
-    for start in range(0, len(forecasts), _GAP_CHUNK):
-        for _, d in stack(forecasts[start:start + _GAP_CHUNK]):
-            acc += _as_array(d.cdf(grid[None, :])).sum(axis=0)
-    acc /= len(forecasts)
+    for idx, d in groups:
+        for start in range(0, obs[idx].size, _GAP_CHUNK):
+            rows = d._take(slice(start, start + _GAP_CHUNK))
+            acc += _as_array(rows.cdf(grid[None, :])).sum(axis=0)
+    acc /= obs.size
     ecdf = np.searchsorted(np.sort(obs), grid, side="right") / obs.size
     return float(np.max(np.abs(acc - ecdf)))
 

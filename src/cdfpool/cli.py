@@ -65,6 +65,16 @@ def _hist_path(out: str) -> str:
     return base + "_hist.csv"
 
 
+def _write_report(m: RunManifest, lines: list[str], counts) -> int:
+    """Write the report lines to ``m.out``, the PIT histogram beside it, and print the lines."""
+    pio.atomic_write_text(m.out, "\n".join(lines) + "\n")
+    pio.write_histogram_csv(_hist_path(m.out), counts)
+    if m.svg:
+        pio.write_histogram_svg(m.svg, counts)
+    print("\n".join(lines))
+    return 0
+
+
 def _cmd_simulate(m: RunManifest) -> int:
     cfg = DgpConfig(kind=m.dgp, n=m.n, seed=m.seed, a1=m.a1, a2=m.a2, a3=m.a3,
                     sigma=m.sigma)
@@ -106,34 +116,26 @@ def _cmd_evaluate(m: RunManifest) -> int:
     spec, _ = pio.read_params(m.params)
     cases = pio.read_dataset_csv(m.input)
     report = evaluate(spec, cases, rng_seed=m.seed, bins=m.bins)
-    hist_path = _hist_path(m.out)
     lines = [
         f"mean_log_score {report.mean_log_score!r}",
         f"pit_variance {report.pit_variance!r}",
         f"rmv {report.rmv!r}",
         f"n {len(cases)}",
-        f"histogram {hist_path}",
+        f"histogram {_hist_path(m.out)}",
     ]
-    pio.atomic_write_text(m.out, "\n".join(lines) + "\n")
-    pio.write_histogram_csv(hist_path, report.histogram)
-    if m.svg:
-        pio.write_histogram_svg(m.svg, report.histogram)
-    print("\n".join(lines))
-    return 0
+    return _write_report(m, lines, report.histogram)
 
 
 def _cmd_diagnose(m: RunManifest) -> int:
     spec, _ = pio.read_params(m.params)
     cases = pio.read_dataset_csv(m.input)
-    dists = [pool(spec, case.components) for case in cases]
+    d = pool(spec, cases.components)
     obs = cases.y
-    s = pit_sample(dists, obs, m.seed)
+    s = pit_sample(d, obs, m.seed)
     disp = dispersion_report(s)
     stat, pval = ks_uniformity(s.z)
     grid = np.linspace(float(obs.min()), float(obs.max()), 201)
-    gap = marginal_calibration_gap(dists, obs, grid)
-    counts = pit_histogram(s.z, m.bins)
-    hist_path = _hist_path(m.out)
+    gap = marginal_calibration_gap(d, obs, grid)
     lines = [
         f"n {len(cases)}",
         f"ks_statistic {stat!r}",
@@ -142,14 +144,9 @@ def _cmd_diagnose(m: RunManifest) -> int:
         f"ci_halfwidth {disp.ci_halfwidth!r}",
         f"classification {disp.classification}",
         f"marginal_gap {gap!r}",
-        f"histogram {hist_path}",
+        f"histogram {_hist_path(m.out)}",
     ]
-    pio.atomic_write_text(m.out, "\n".join(lines) + "\n")
-    pio.write_histogram_csv(hist_path, counts)
-    if m.svg:
-        pio.write_histogram_svg(m.svg, counts)
-    print("\n".join(lines))
-    return 0
+    return _write_report(m, lines, pit_histogram(s.z, m.bins))
 
 
 def _cmd_reproduce(m: RunManifest) -> int:

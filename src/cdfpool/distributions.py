@@ -10,9 +10,10 @@ arrays and return a matching shape.
 classes whose float parameters are (n, 1) columns, one row per case.  Their
 ``cdf``, ``cdf_left`` and ``density`` take an (n, m) or (1, m) array of
 points and return (n, m): row i is case i's forecast at row i of the points;
-``quantile`` takes levels in the same shapes, ``median`` returns the (n, 1)
-column of the rows' medians, and ``_row(i)`` builds row i as a per-case
-object again.  ``Gaussian._stacked`` and its siblings build a stacked
+``quantile`` takes levels in the same shapes; ``mean``, ``variance`` and
+``median`` return the (n, 1) column of the rows' values; ``_row(i)`` builds
+row i as a per-case object again and ``_take(rows)`` the stacked object of a
+slice of the rows.  ``Gaussian._stacked`` and its siblings build a stacked
 object straight from columns that are already checked.
 """
 
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 from scipy.special import betainc, betaincinv, betaln, ndtr, ndtri
@@ -116,11 +117,13 @@ class PredictiveDist:
         mid = 0.5 * (lo + hi)
         return mid[:, None] if mid.size > 1 else float(mid[0])
 
-    def mean(self) -> float:
-        return self._quadrature_moments()[0]
+    def mean(self):
+        """The mean; a stacked object returns the (n, 1) column of its rows' means."""
+        return self._each_row("mean") if self._rows() else self._quadrature_moments()[0]
 
-    def variance(self) -> float:
-        return self._quadrature_moments()[1]
+    def variance(self):
+        """The variance; a stacked object returns the (n, 1) column of its rows' variances."""
+        return self._each_row("variance") if self._rows() else self._quadrature_moments()[1]
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         u = (rng.integers(0, 1 << 53, size=n) + 0.5) / float(1 << 53)
@@ -147,17 +150,30 @@ class PredictiveDist:
         """Row i of a stacked object, as the per-case object that it stacks."""
         raise TypeError(f"{type(self).__name__} is not a stacked object")
 
+    def _rows(self) -> int:
+        """The number of stacked rows; 0 for a per-case object."""
+        return _row_count(tuple(vars(self).values()))
+
+    def _take(self, rows: slice) -> PredictiveDist:
+        """The stacked object of the given rows: each (n, .) array and sub-forecast is sliced."""
+        return _build(type(self), **{name: _take_rows(v, rows) for name, v in vars(self).items()})
+
+    def _each_row(self, method: str) -> np.ndarray:
+        """The (n, 1) column of ``method()`` on each row, built by ``_row``."""
+        return np.array([[getattr(self._row(i), method)()] for i in range(self._rows())])
+
     # -- generic numerics ---------------------------------------------------
 
     def _quantile_bisect(self, p: np.ndarray) -> np.ndarray:
         """Quantiles by bisection; a stacked object spreads (1, m) levels over its rows."""
-        lo_s, hi_s = self.support()
-        lo = np.full(p.shape, lo_s - 1.0 if np.isfinite(lo_s) else -1.0)
+        lo_s, hi_s = self.support()  # floats, or (n, 1) columns of the rows' bounds
+        lo = np.where(np.isfinite(lo_s), lo_s - 1.0, -1.0)
+        lo = np.broadcast_to(lo, np.broadcast_shapes(lo.shape, p.shape))
         cdf_lo = _as_array(self.cdf(lo))
         shape = np.broadcast_shapes(cdf_lo.shape, p.shape)
         p = np.broadcast_to(p, shape)
         lo = np.broadcast_to(lo, shape).copy()
-        hi = np.full(shape, hi_s if np.isfinite(hi_s) else 1.0)
+        hi = np.broadcast_to(np.where(np.isfinite(hi_s), hi_s, 1.0), shape).copy()
         # expand until cdf(lo) < p <= cdf(hi)
         for _ in range(200):
             bad = cdf_lo >= p
@@ -309,6 +325,27 @@ def _stack_components(rows) -> tuple[PredictiveDist, ...]:
     return tuple(_stack_rows(col) for col in zip(*(r.components for r in rows)))
 
 
+def _row_count(x) -> int:
+    """Rows of the stacked parameters in x (a distribution, tuple or array); 0 if none.
+
+    Parameters are the instance attributes; only stacked ones are 2-D arrays.
+    """
+    if isinstance(x, PredictiveDist):
+        return x._rows()
+    if isinstance(x, tuple):
+        return max(map(_row_count, x), default=0)
+    return np.shape(x)[0] if np.ndim(x) == 2 else 0
+
+
+def _take_rows(x, rows: slice):
+    """x with its stacked parameters cut to the given rows."""
+    if isinstance(x, PredictiveDist):
+        return x._take(rows)
+    if isinstance(x, tuple):
+        return tuple(_take_rows(v, rows) for v in x)
+    return x[rows] if np.ndim(x) == 2 else x
+
+
 def _column(values) -> np.ndarray:
     return np.array(values, dtype=float)[:, None]
 
@@ -354,7 +391,13 @@ class _RowStack(PredictiveDist):
         return self._each("quantile", p)
 
     def median(self):
-        return np.array([[d.median()] for d in self.rows])
+        return self._each_row("median")
+
+    def _rows(self):
+        return len(self.rows)
+
+    def _take(self, rows):
+        return _RowStack(self.rows[rows])
 
     def _row(self, i):
         return self.rows[i]
@@ -388,13 +431,13 @@ class Gaussian(PredictiveDist):
             raise ValueError("quantile level must lie strictly inside (0, 1)")
         return _match(p, self.mu + self.sigma * ndtri(p_arr))
 
-    def median(self) -> float:
+    def median(self):
         return self.mu
 
-    def mean(self) -> float:
+    def mean(self):
         return self.mu
 
-    def variance(self) -> float:
+    def variance(self):
         return self.sigma * self.sigma
 
     def sample(self, rng, n):
@@ -466,7 +509,9 @@ class FiniteDiscrete(PredictiveDist):
         return _match(y, self._cum_at(y, "left"))
 
     def support(self):
-        return (self.atoms[0], self.atoms[-1])
+        if self._atoms_arr.ndim == 1:
+            return (self.atoms[0], self.atoms[-1])
+        return (self._atoms_arr[:, :1], self._atoms_arr[:, -1:])
 
     def atom_locations(self):
         return self._atoms_arr.copy()
@@ -495,10 +540,14 @@ class FiniteDiscrete(PredictiveDist):
         m = np.take_along_axis(self._atoms_arr, i, axis=-1)
         return m if m.ndim > 1 else float(m[0])
 
-    def mean(self) -> float:
+    def mean(self):
+        if self._atoms_arr.ndim > 1:
+            return super().mean()
         return float(np.dot(self.masses, self.atoms))
 
-    def variance(self) -> float:
+    def variance(self):
+        if self._atoms_arr.ndim > 1:
+            return super().variance()
         m = self.mean()
         return float(np.dot(self.masses, (self._atoms_arr - m) ** 2))
 
@@ -594,23 +643,19 @@ class Mixture(PredictiveDist):
 
     def support(self):
         los, his = zip(*(c.support() for c in self.components))
-        return (min(los), max(his))
+        return (reduce(np.minimum, los), reduce(np.maximum, his))
 
     def atom_locations(self):
         locs = np.concatenate([c.atom_locations() for c in self.components])
         return np.unique(locs)
 
-    def mean(self) -> float:
-        return float(sum(w * c.mean() for w, c in zip(self.weights, self.components)))
+    def mean(self):
+        return sum(w * c.mean() for w, c in zip(self.weights, self.components))
 
-    def variance(self) -> float:
+    def variance(self):
         m = self.mean()
-        return float(
-            sum(
-                w * (c.variance() + (c.mean() - m) ** 2)
-                for w, c in zip(self.weights, self.components)
-            )
-        )
+        return sum(w * (c.variance() + (c.mean() - m) ** 2)
+                   for w, c in zip(self.weights, self.components))
 
     def sample(self, rng, n):
         idx = rng.choice(len(self.components), size=n, p=self.weights)
@@ -676,8 +721,7 @@ class SpreadAdjusted(PredictiveDist):
         return _match(y, _as_array(self.base.density(self._pullback(y))) / self.c)
 
     def support(self):
-        lo, hi = self.base.support()
-        return tuple(self._pushforward(x) if np.isfinite(x) else x for x in (lo, hi))
+        return tuple(self._pushforward(x) for x in self.base.support())  # keeps +-inf
 
     def atom_locations(self):
         return self._pushforward(self.base.atom_locations())
@@ -688,13 +732,13 @@ class SpreadAdjusted(PredictiveDist):
             raise ValueError("quantile level must lie strictly inside (0, 1)")
         return _match(p, self._pushforward(_as_array(self.base.quantile(p_arr))))
 
-    def median(self) -> float:
+    def median(self):
         return self._pushforward(self.base.median())
 
-    def mean(self) -> float:
+    def mean(self):
         return self._pushforward(self.base.mean())
 
-    def variance(self) -> float:
+    def variance(self):
         return self.c * self.c * self.base.variance()
 
     def sample(self, rng, n):

@@ -27,15 +27,8 @@ from functools import partial
 import numpy as np
 from scipy.special import gammaln, polygamma, psi
 
-from .calibration import _stacked_pit_sample
-from .distributions import (
-    Gaussian,
-    PredictiveDist,
-    _as_array,
-    _match,
-    _stack_column,
-    stack,
-)
+from .calibration import pit_sample
+from .distributions import Gaussian, PredictiveDist, _as_array, _match, _stack_column
 from .errors import (
     DegenerateDesign,
     DensityUnavailable,
@@ -835,18 +828,17 @@ def gaussian_cases_from_regressions(x_matrix, y, regressions) -> ForecastBatch:
 
 
 def evaluate(spec: PoolSpec, data, rng_seed: int = 0, bins: int = 10) -> EvalReport:
-    """Score a pool spec on a dataset: mean log score, PIT variance, RMV."""
+    """Score a pool spec on a dataset: mean log score, PIT variance, RMV.
+
+    The batch's columns are pooled once, into one stacked forecast whose rows are the cases.
+    """
     batch = ForecastBatch.from_cases(data)
     if not len(batch):
         raise TooFewSamples("empty evaluation set")
-    dists = [pool(spec, case.components) for case in batch]
-    ys = batch.y
-    groups = stack(dists)
-    scores = np.empty(ys.size)
-    for idx, d in groups:
-        scores[idx] = log_score(d, ys[idx][:, None])[:, 0]
-    s = _stacked_pit_sample(groups, ys, rng_seed)
-    variances = np.array([d.variance() for d in dists])
+    d = pool(spec, batch.components)
+    scores = log_score(d, batch.y[:, None])[:, 0]
+    s = pit_sample(d, batch.y, rng_seed)
+    variances = np.ravel(d.variance())
     counts, _ = np.histogram(s.z, bins=bins, range=(0.0, 1.0))
     return EvalReport(
         mean_log_score=float(scores.mean()),

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import reduce
 from typing import ClassVar
 
 import numpy as np
@@ -283,7 +284,7 @@ class GlpDistribution(PredictiveDist):
 
     def support(self):
         los, his = zip(*(c.support() for c in self.components))
-        return (max(los), min(his))
+        return (reduce(np.maximum, los), reduce(np.minimum, his))
 
     def atom_locations(self):
         locs = np.concatenate([c.atom_locations() for c in self.components])

@@ -4,8 +4,9 @@ Each generator emits forecast cases together with the latent variables that
 produced them, so tests can condition on information sets directly.  The
 cases are a ``ForecastBatch`` whose component columns are views of the
 drawn arrays.  The ``check_*`` functions run the statistical diagnostics
-that the generators are designed to exhibit, using vectorized closed forms
-of the component CDFs for large-sample work.
+that the generators are designed to exhibit: they simulate a batch and pass
+its stacked columns, or pools of them, to the library's ``pit_sample`` and
+``marginal_calibration_gap``.
 """
 
 from __future__ import annotations
@@ -17,15 +18,15 @@ from scipy.special import ndtr
 
 from .calibration import (
     NEUTRAL_PIT_VARIANCE,
-    PitSample,
     dispersion_report,
     ks_uniformity,
-    uniform_open,
+    marginal_calibration_gap,
+    pit_sample,
 )
 from .distributions import FiniteDiscrete, Gaussian, Mixture, TwoPointBernoulli
 from .errors import InvalidConfig
 from .fitting import ForecastBatch
-from .pools import coherent_probit_pool
+from .pools import TlpSpec, coherent_probit_pool, pool
 
 REGRESSION = "regression"
 FSIGMA = "fsigma"
@@ -34,6 +35,9 @@ FORECASTER_QUARTET = "forecaster_quartet"
 TERNARY = "ternary"
 
 _KINDS = (REGRESSION, FSIGMA, BINARY_PROBIT, FORECASTER_QUARTET, TERNARY)
+
+# The checkers draw their PIT uniforms from Philox(seed + 2**32): no 32-bit data seed uses it.
+_PIT_KEY_OFFSET = 2**32
 
 
 @dataclass(frozen=True)
@@ -77,7 +81,7 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# raw latent draws (shared by simulate() and the vectorized checkers)
+# raw latent draws
 
 
 def _draw_regression(rng, n, a1, a2, a3):
@@ -264,14 +268,13 @@ def check_linear_pool_overdispersion(n: int, seed: int, weights=None,
     """
     if n < 10_000:
         raise InvalidConfig("need n >= 10^4 for a reliable interval")
-    rng = _rng(seed)
-    y, means, sds, _ = _draw_regression(rng, n, *a)
-    k = means.shape[1]
-    w = np.full(k, 1.0 / k) if weights is None else np.asarray(weights, dtype=float)
-    z_comp = ndtr((y[:, None] - means) / sds)
-    z_pool = z_comp @ w
-    rep = dispersion_report(PitSample(z=z_pool, v=np.full(n, 0.5)))
-    comp_vars = tuple(float(np.var(z_comp[:, i], ddof=1)) for i in range(k))
+    batch = simulate(DgpConfig(REGRESSION, n, seed, *a)).cases
+    k = len(batch.components)
+    w = (1.0 / k,) * k if weights is None else weights
+    rep = dispersion_report(pit_sample(pool(TlpSpec(w), batch.components), batch.y,
+                                       seed + _PIT_KEY_OFFSET))
+    comp_vars = tuple(float(np.var(pit_sample(c, batch.y, seed + _PIT_KEY_OFFSET).z, ddof=1))
+                      for c in batch.components)
     return OverdispersionReport(
         pit_variance=rep.pit_variance,
         ci_lo=rep.pit_variance - rep.ci_halfwidth,
@@ -280,10 +283,6 @@ def check_linear_pool_overdispersion(n: int, seed: int, weights=None,
         passed=rep.pit_variance + rep.ci_halfwidth < NEUTRAL_PIT_VARIANCE,
         component_pit_variances=comp_vars,
     )
-
-
-def _bernoulli_pit(y, p, v):
-    return np.where(y == 0.0, v * p, p + v * (1.0 - p))
 
 
 def _reliability_max_sigma_dev(p, y, bins=10):
@@ -329,29 +328,22 @@ def check_binary_calibration_equivalence(n: int, seed: int, sigma1: float = 1.0,
     """
     if n < 10_000:
         raise InvalidConfig("need n >= 10^4")
-    rng = _rng(seed)
-    y, p1, p2, _ = _draw_binary(rng, n, sigma1, sigma2)
-    v = uniform_open(rng, n)
+    sim = simulate(DgpConfig(BINARY_PROBIT, n, seed, sigma1=sigma1, sigma2=sigma2))
+    y, p1, p2 = sim.cases.y, sim.latents["p1"], sim.latents["p2"]
 
     def ks_p(p):
-        return ks_uniformity(_bernoulli_pit(y, p, v))[1]
+        forecasts = TwoPointBernoulli._stacked(p[:, None])
+        return ks_uniformity(pit_sample(forecasts, y, seed + _PIT_KEY_OFFSET).z)[1]
 
     def bern_score(p):
         pr = np.where(y == 0.0, p, 1.0 - p)
         return float(np.log(np.maximum(pr, 1e-300)).mean())
 
-    p_sq = p1 * p1
     p_pool = coherent_probit_pool(p1, p2, sigma1, sigma2)
-    p_lin = 0.5 * (p1 + p2)
-
-    ks_cal = ks_p(p1)
-    rel_cal = _reliability_max_sigma_dev(p1, y, bins)
-    ks_mis = ks_p(p_sq)
-    rel_mis = _reliability_max_sigma_dev(p_sq, y, bins)
-    ks_pool = ks_p(p_pool)
-    rel_pool = _reliability_max_sigma_dev(p_pool, y, bins)
+    (ks_cal, rel_cal), (ks_mis, rel_mis), (ks_pool, rel_pool) = (
+        (ks_p(p), _reliability_max_sigma_dev(p, y, bins)) for p in (p1, p1 * p1, p_pool))
     score_pool = bern_score(p_pool)
-    score_lin = bern_score(p_lin)
+    score_lin = bern_score(0.5 * (p1 + p2))
     passed = (
         ks_cal > 0.01 and rel_cal <= 3.0
         and ks_mis < 0.01 and rel_mis > 3.0
@@ -394,54 +386,18 @@ def check_quartet_classification(n: int, seed: int) -> QuartetReport:
     passes only the PIT test; the sign-reversed forecaster passes only the
     marginal-gap band.
     """
-    rng = _rng(seed)
-    y, mu, tau, _ = _draw_quartet(rng, n)
-    root2 = np.sqrt(2.0)
+    batch = simulate(DgpConfig(FORECASTER_QUARTET, n, seed)).cases
+    y = batch.y
     grid = np.linspace(float(y.min()), float(y.max()), 201)
-    ecdf = np.searchsorted(np.sort(y), grid, side="right") / n
     threshold = marginal_gap_threshold(n)
-
-    pits = {
-        "perfect": ndtr(y - mu),
-        "climatological": ndtr(y / root2),
-        "unfocused": 0.5 * (ndtr(y - mu) + ndtr(y - mu - tau)),
-        "sign_reversed": ndtr(y + mu),
-    }
-
-    def mean_cdf(make_row):
-        acc = np.zeros(grid.size)
-        chunk = 4096
-        for start in range(0, n, chunk):
-            sl = slice(start, min(start + chunk, n))
-            acc += make_row(sl).sum(axis=0)
-        return acc / n
-
-    gaps = {
-        "perfect": mean_cdf(lambda sl: ndtr(grid[None, :] - mu[sl, None])),
-        "climatological": ndtr(grid / root2),
-        "unfocused": mean_cdf(
-            lambda sl: 0.5 * (ndtr(grid[None, :] - mu[sl, None])
-                              + ndtr(grid[None, :] - mu[sl, None] - tau[sl, None]))
-        ),
-        "sign_reversed": mean_cdf(lambda sl: ndtr(grid[None, :] + mu[sl, None])),
-    }
-
+    # (PIT test, gap band) verdicts, in the order of the batch's columns
+    expected = {"perfect": (True, True), "climatological": (True, True),
+                "unfocused": (True, False), "sign_reversed": (False, True)}
     rows = []
-    for name in ("perfect", "climatological", "unfocused", "sign_reversed"):
-        _, pval = ks_uniformity(pits[name])
-        gap = float(np.max(np.abs(gaps[name] - ecdf)))
-        rows.append(QuartetRow(
-            name=name,
-            ks_pvalue=pval,
-            marginal_gap=gap,
-            ks_pass=pval > 0.01,
-            marginal_pass=gap < threshold,
-        ))
-    expected = {
-        "perfect": (True, True),
-        "climatological": (True, True),
-        "unfocused": (True, False),
-        "sign_reversed": (False, True),
-    }
+    for name, forecasts in zip(expected, batch.components):
+        _, pval = ks_uniformity(pit_sample(forecasts, y, seed + _PIT_KEY_OFFSET).z)
+        gap = marginal_calibration_gap(forecasts, y, grid)
+        rows.append(QuartetRow(name, pval, gap, ks_pass=pval > 0.01,
+                               marginal_pass=gap < threshold))
     ok = all((r.ks_pass, r.marginal_pass) == expected[r.name] for r in rows)
     return QuartetReport(rows=tuple(rows), matches_expected=ok)

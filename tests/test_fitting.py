@@ -11,6 +11,7 @@ from cdfpool import (
     DegenerateDesign,
     DgpConfig,
     DomainViolation,
+    ForecastBatch,
     ForecastCase,
     Gaussian,
     LinkFunction,
@@ -163,7 +164,9 @@ class TestFitBlp:
         n = 100_000
         x = rng.standard_normal(n)
         y = x + rng.standard_normal(n)
-        cases = [ForecastCase((Gaussian(x[j], 1.0),), y[j]) for j in range(n)]
+        # one batch for the fit and all 37 objective calls, stacked once
+        cases = ForecastBatch.from_cases([ForecastCase((Gaussian(x[j], 1.0),), y[j])
+                                          for j in range(n)])
         res = fit_blp(cases)
         assert res.converged
         se_a = res.std_errors["alpha"]

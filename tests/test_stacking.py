@@ -1,5 +1,7 @@
 """Stacked forecasts: the list-level diagnostics against their per-case definitions."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings
@@ -7,14 +9,20 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 import cdfpool.calibration
+import cdfpool.cli
+import cdfpool.distributions
 import cdfpool.fitting
 from cdfpool import (
     BetaTransformed,
     BlpSpec,
+    DensityUnavailable,
+    DgpConfig,
     FiniteDiscrete,
+    ForecastBatch,
     ForecastCase,
     Gaussian,
     GlpSpec,
+    LengthMismatch,
     LinkFunction,
     MedianUndefined,
     Mixture,
@@ -29,8 +37,9 @@ from cdfpool import (
     pit_sample,
     pool,
     randomized_pit,
+    simulate,
 )
-from cdfpool.distributions import stack
+from cdfpool.distributions import _stack_column, stack
 
 
 class Logistic(PredictiveDist):
@@ -229,7 +238,140 @@ class TestEvaluateStacksOnce:
         rng = np.random.default_rng(9)
         cases = [ForecastCase(tuple(Gaussian(m, 1.0) for m in row), y)
                  for row, y in zip(rng.normal(size=(300, 3)), rng.normal(size=300))]
-        in_fitting = _counting(monkeypatch, cdfpool.fitting, "stack")
+        in_distributions = _counting(monkeypatch, cdfpool.distributions, "stack")
         in_calibration = _counting(monkeypatch, cdfpool.calibration, "stack")
         evaluate(TlpSpec((0.2, 0.3, 0.5)), cases, rng_seed=4)
-        assert len(in_fitting) + len(in_calibration) == 1
+        # the batch's columns are pooled as they are, so nothing is stacked
+        assert len(in_distributions) + len(in_calibration) <= 1
+
+    def test_evaluate_pools_the_batch_once_and_builds_no_case(self, monkeypatch):
+        batch = simulate(DgpConfig(kind="regression", n=1000, seed=12)).cases
+        pools = _counting(monkeypatch, cdfpool.fitting, "pool")
+        built = _counting(monkeypatch, cdfpool.fitting, "ForecastCase")
+        evaluate(SlpSpec((0.2, 0.3, 0.5), 0.8), batch, rng_seed=4)
+        assert (len(pools), len(built)) == (1, 0)
+        assert all(case is None for case in batch._cases)
+
+    def test_cli_diagnose_pools_once_and_builds_no_case(self, monkeypatch, tmp_path):
+        data, params = str(tmp_path / "data.csv"), str(tmp_path / "params.txt")
+        assert cdfpool.cli.main(["simulate", "--dgp", "regression", "--n", "1000", "--seed", "13",
+                         "--out", data]) == 0
+        assert cdfpool.cli.main(["fit", "--method", "blp", "--input", data, "--out", params]) == 0
+        pools = _counting(monkeypatch, cdfpool.cli, "pool")
+        built = _counting(monkeypatch, cdfpool.fitting, "ForecastCase")
+        assert cdfpool.cli.main(["diagnose", "--params", params, "--input", data,
+                         "--out", str(tmp_path / "diag.txt")]) == 0
+        assert (len(pools), len(built)) == (1, 0)
+
+
+# ---------------------------------------------------------------------------
+# one stacked forecast per data set: pooling the batch's columns against
+# pooling its cases one by one
+
+_FAMILIES = [lambda w: TlpSpec(w), lambda w: SlpSpec(w, 0.7), lambda w: BlpSpec(w, 1.4, 0.8)] + [
+    partial(GlpSpec, link=link) for link in LinkFunction]
+
+
+@st.composite
+def _batch(draw, min_rows, max_rows):
+    """A batch of k Gaussian columns, or of two-Gaussian mixture columns, and its outcomes."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, k = draw(st.integers(min_rows, max_rows)), draw(st.integers(1, 3))
+
+    def gaussians():
+        return Gaussian._stacked(rng.normal(size=(n, 1)), 0.5 + rng.random((n, 1)))
+
+    def column(kind):
+        if kind == "gaussian":
+            return gaussians()
+        w = rng.uniform(0.1, 0.9, size=(n, 1))
+        return Mixture._stacked((gaussians(), gaussians()), (w, 1.0 - w))
+
+    kinds = draw(st.lists(st.sampled_from(["gaussian", "mixture"]), min_size=k, max_size=k))
+    return ForecastBatch(rng.normal(scale=1.2, size=n), [column(c) for c in kinds])
+
+
+def _family(draw, k):
+    raw = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=k, max_size=k)))
+    return draw(st.sampled_from(_FAMILIES))(tuple(raw / raw.sum()))
+
+
+class TestPooledColumns:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.data(), _batch(1, 40), st.integers(0, 2**32 - 1))
+    def test_pit_sample_is_bit_identical(self, data, batch, seed):
+        spec = _family(data.draw, len(batch.components))
+        per_case = [pool(spec, case.components) for case in batch]
+        stacked = pit_sample(pool(spec, batch.components), batch.y, seed)
+        np.testing.assert_array_equal(stacked.z, pit_sample(per_case, batch.y, seed).z)
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(st.data(), _batch(257, 700))
+    def test_marginal_gap_over_several_chunks_is_equal(self, data, batch):
+        spec = _family(data.draw, len(batch.components))
+        per_case = [pool(spec, case.components) for case in batch]
+        grid = np.linspace(-3.0, 3.0, 41)
+        assert (marginal_calibration_gap(pool(spec, batch.components), batch.y, grid)
+                == marginal_calibration_gap(per_case, batch.y, grid))
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(st.data(), _batch(2, 12))
+    def test_evaluate_rmv_matches_per_case_variances(self, data, batch):
+        spec = _family(data.draw, len(batch.components))
+        want = np.sqrt(np.mean([pool(spec, case.components).variance() for case in batch]))
+        assert evaluate(spec, batch).rmv == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_stacked_moments_are_the_rows_moments(self):
+        g = [Gaussian(0.0, 1.0), Gaussian(1.0, 2.0)]
+        kinds = [
+            [FiniteDiscrete((0.0, 1.0, 3.0), m) for m in ((0.2, 0.2, 0.6), (0.6, 0.3, 0.1))],
+            [pool(SlpSpec((0.3, 0.7), c), g) for c in (0.8, 1.3)],
+            [pool(BlpSpec((0.3, 0.7), a, 1.2), g) for a in (0.8, 1.3)],
+            [pool(GlpSpec(w, LinkFunction.LOG), g) for w in ((0.3, 0.7), (1.2, 0.4))],
+            [g[0], Mixture(tuple(g), (0.5, 0.5)), Logistic(0.5, 1.0)],
+        ]
+        for rows in kinds:
+            stacked = _stack_column(rows)
+            for method in ("mean", "variance"):
+                column = getattr(stacked, method)()
+                assert column.shape == (len(rows), 1)
+                np.testing.assert_array_equal(column[:, 0], [getattr(r, method)() for r in rows])
+
+    def test_row_count_must_match_the_observations(self):
+        batch = simulate(DgpConfig(kind="regression", n=30, seed=14)).cases
+        d = pool(TlpSpec((0.2, 0.3, 0.5)), batch.components)
+        with pytest.raises(LengthMismatch, match="29 observations"):
+            pit_sample(d, batch.y[:-1], 0)
+        with pytest.raises(LengthMismatch, match="30 forecasts paired with 29"):
+            marginal_calibration_gap(d, batch.y[:-1], np.linspace(-2.0, 2.0, 5))
+        with pytest.raises(LengthMismatch):
+            pit_sample(d._take(slice(0, 10)), batch.y, 0)
+
+
+class TestAtomsInStackedColumns:
+    """Stacked forecasts with atoms have per-row supports."""
+
+    def _cases(self):
+        atoms = FiniteDiscrete((0.0, 1.0), (0.5, 0.5))
+        rows = [Mixture((atoms, Gaussian(m, s)), (w, 1.0 - w))
+                for m, s, w in ((0.3, 1.0, 0.4), (1.5, 0.5, 0.2), (-0.5, 2.0, 0.6))]
+        return [ForecastCase((r, Gaussian(0.0, 1.0)), y) for r, y in zip(rows, (0.2, 1.0, -1.0))]
+
+    def test_stacked_median_is_each_rows_median(self):
+        cases = self._cases()
+        column = ForecastBatch.from_cases(cases).components[0]
+        want = [case.components[0].median() for case in cases]
+        np.testing.assert_array_equal(column.median()[:, 0], want)
+        assert want[0] == pytest.approx(0.3, abs=1e-8)  # 0.2 + 0.6 Phi(0) = 1/2
+
+    def test_pooled_columns_with_atoms_equal_the_per_case_pools(self):
+        cases = self._cases()
+        spec = SlpSpec((0.5, 0.5), 1.2)
+        d = pool(spec, ForecastBatch.from_cases(cases).components)
+        y = np.array([case.y for case in cases])[:, None]
+        np.testing.assert_array_equal(d.cdf(y)[:, 0],
+                                      [pool(spec, case.components).cdf(case.y) for case in cases])
+
+    def test_evaluate_still_needs_densities(self):
+        with pytest.raises(DensityUnavailable):
+            evaluate(SlpSpec((0.5, 0.5), 1.2), self._cases())
