@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, kolmogorov, ndtr
+from scipy.special import gammaln, kolmogorov
 
 from .distributions import PredictiveDist, _as_array, stack
 from .errors import DomainViolation, EmptyInput, LengthMismatch, TooFewSamples
@@ -70,8 +70,10 @@ class DispersionReport:
 @dataclass(frozen=True)
 class CalibrationReport:
     ks_statistic: float
+    ks_pvalue: float
     marginal_gap: float
     histogram: np.ndarray
+    pit: PitSample
 
 
 def randomized_pit(d: PredictiveDist, y: float, v: float) -> float:
@@ -109,7 +111,8 @@ def pit_sample(forecasts, obs, rng_seed: int) -> PitSample:
     whose rows are the cases, such as ``pool(spec, batch.components)``.
     Case j gets the j-th auxiliary uniform.  Each group of stacked forecasts
     costs one ``cdf_left`` and one ``cdf`` call; the values equal
-    ``randomized_pit`` case by case.
+    ``randomized_pit`` case by case.  Raises DomainViolation naming the
+    first case whose PIT is not finite.
     """
     obs = _as_array(obs)
     groups = _groups(forecasts, obs)
@@ -120,6 +123,7 @@ def pit_sample(forecasts, obs, rng_seed: int) -> PitSample:
         y = obs[idx][:, None]
         left = _as_array(d.cdf_left(y))[:, 0]
         z[idx] = left + v[idx] * (_as_array(d.cdf(y))[:, 0] - left)
+    _check_finite(z, "the PIT of case")
     return PitSample(z=z, v=v)
 
 
@@ -151,23 +155,14 @@ def dispersion_report(s: PitSample) -> DispersionReport:
 def var_z_sigma(sigma: float) -> float:
     """PIT variance of the forecast N(X, sigma^2) for Y = X + noise.
 
-    Both X and the noise are standard normal.  The two unit-interval
-    integrals defining the variance are evaluated after substituting
-    z = Phi(t), which removes the inverse-normal endpoint singularity.
+    Both X and the noise are standard normal, so the PIT is Phi(noise /
+    sigma) and its variance is the closed form arcsin(1 / (1 + sigma^2)) /
+    (2 pi), from the orthant probability of two correlated normals; it is
+    1/12 at sigma = 1.
     """
     if not sigma > 0.0:
         raise ValueError("sigma must be strictly positive")
-    # imported here: scipy.integrate adds to every process that imports cdfpool
-    from scipy.integrate import quad
-
-    def phi(t):
-        return np.exp(-0.5 * t * t) / np.sqrt(2.0 * np.pi)
-
-    first, _ = quad(lambda t: ndtr(t) * (1.0 - ndtr(sigma * t)) * phi(t),
-                    -np.inf, np.inf, epsabs=1e-12, epsrel=1e-12, limit=200)
-    second, _ = quad(lambda t: (1.0 - ndtr(sigma * t)) * phi(t),
-                     -np.inf, np.inf, epsabs=1e-12, epsrel=1e-12, limit=200)
-    return 2.0 * first - second * second
+    return float(np.arcsin(1.0 / (1.0 + sigma * sigma)) / (2.0 * np.pi))
 
 
 def marginal_calibration_gap(forecasts, obs, grid) -> float:
@@ -176,7 +171,8 @@ def marginal_calibration_gap(forecasts, obs, grid) -> float:
     ``forecasts`` is a list of per-case forecasts or one stacked forecast
     whose rows are the cases (see ``pit_sample``).  Each group of stacked
     forecasts adds its CDF rows on the whole grid to the running sum,
-    _GAP_CHUNK rows at a time.
+    _GAP_CHUNK rows at a time.  Raises DomainViolation where the average
+    CDF is not finite.
     """
     obs = _as_array(obs)
     grid = _as_array(grid)
@@ -190,6 +186,7 @@ def marginal_calibration_gap(forecasts, obs, grid) -> float:
             rows = d._take(slice(start, start + _GAP_CHUNK))
             acc += _as_array(rows.cdf(grid[None, :])).sum(axis=0)
     acc /= obs.size
+    _check_finite(acc, "the average forecast CDF at grid point")
     ecdf = np.searchsorted(np.sort(obs), grid, side="right") / obs.size
     return float(np.max(np.abs(acc - ecdf)))
 
@@ -273,14 +270,18 @@ def ks_uniformity(z) -> tuple[float, float]:
 
 def calibration_report(forecasts, obs, rng_seed: int, grid=None, bins: int = 10
                        ) -> CalibrationReport:
-    """Bundle the KS distance, marginal gap, and PIT histogram for a dataset."""
+    """Bundle the KS test, marginal gap, PIT histogram, and the PIT sample for a dataset.
+
+    The default grid is 201 points spanning the observations; pass
+    ``dispersion_report(report.pit)`` for the PIT variance.
+    """
     obs = _as_array(obs)
     if grid is None:
         if obs.size == 0:
             raise EmptyInput("no observations")
         grid = np.linspace(float(obs.min()), float(obs.max()), 201)
     s = pit_sample(forecasts, obs, rng_seed)
-    stat, _ = ks_uniformity(s.z)
+    stat, pval = ks_uniformity(s.z)
     gap = marginal_calibration_gap(forecasts, obs, grid)
-    return CalibrationReport(ks_statistic=stat, marginal_gap=gap,
-                             histogram=pit_histogram(s.z, bins))
+    return CalibrationReport(ks_statistic=stat, ks_pvalue=pval, marginal_gap=gap,
+                             histogram=pit_histogram(s.z, bins), pit=s)

@@ -1,5 +1,7 @@
 """Command-line interface tying simulation, fitting, evaluation, and diagnostics.
 
+Each command is a thin adapter over one library call; its options are
+declared once in ``build_parser``, which also binds the command's function.
 Exit codes follow a stable contract: 0 on success, 1 on numerical failure,
 2 on input or schema errors.
 """
@@ -9,55 +11,27 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
-
-import numpy as np
+from functools import partial
 
 from . import io as pio
-from .calibration import (
-    dispersion_report,
-    ks_uniformity,
-    marginal_calibration_gap,
-    pit_histogram,
-    pit_sample,
-)
+from .calibration import calibration_report, dispersion_report
 from .errors import CdfPoolError, InvalidConfig, SchemaError
 from .fitting import evaluate, fit_blp, fit_glp, fit_slp, fit_tlp
 from .pools import LinkFunction, pool, spec_params
 from .sim import FSIGMA, REGRESSION, DgpConfig, simulate
 from .study import DEFAULT_STUDY_SEED, DEFAULT_STUDY_SIZE, format_study_report, reproduce_sim_study
 
-FIT_METHODS = ("tlp", "slp", "blp", "glp-log", "glp-reciprocal", "glp-probit")
-CSV_DGPS = (REGRESSION, FSIGMA)
 
+def _fitters() -> dict:
+    """--method name -> fitter; the keys are the choices of --method.
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Resolved arguments for one CLI invocation."""
-
-    command: str
-    input: str | None = None
-    params: str | None = None
-    out: str | None = None
-    method: str | None = None
-    seed: int = 0
-    bins: int = 10
-    n: int = 500
-    j: int = DEFAULT_STUDY_SIZE
-    dgp: str | None = None
-    a1: float = 1.0
-    a2: float = 1.0
-    a3: float = 1.1
-    sigma: float = 1.0
-    latents_out: str | None = None
-    svg: str | None = None
-
-    def validate(self) -> None:
-        for path in (self.input, self.params):
-            if path is not None and not os.path.exists(path):
-                raise SchemaError(f"input file does not exist: {path}")
-        if self.bins < 1:
-            raise SchemaError("bins must be at least 1")
+    Built from this module's bindings at each call, so a fitter rebound here
+    (as the benchmark's tracer does) is the one that runs.
+    """
+    return {"tlp": fit_tlp, "slp": fit_slp, "blp": fit_blp} | {
+        f"glp-{link.value}": partial(fit_glp, link=link)
+        for link in (LinkFunction.LOG, LinkFunction.RECIPROCAL, LinkFunction.PROBIT)
+    }
 
 
 def _hist_path(out: str) -> str:
@@ -65,41 +39,29 @@ def _hist_path(out: str) -> str:
     return base + "_hist.csv"
 
 
-def _write_report(m: RunManifest, lines: list[str], counts) -> int:
-    """Write the report lines to ``m.out``, the PIT histogram beside it, and print the lines."""
-    pio.atomic_write_text(m.out, "\n".join(lines) + "\n")
-    pio.write_histogram_csv(_hist_path(m.out), counts)
-    if m.svg:
-        pio.write_histogram_svg(m.svg, counts)
+def _write_report(args, lines: list[str], counts) -> int:
+    """Write the report lines to ``--out``, the PIT histogram beside it, and print the lines."""
+    pio.atomic_write_text(args.out, "\n".join(lines) + "\n")
+    pio.write_histogram_csv(_hist_path(args.out), counts)
+    if args.svg:
+        pio.write_histogram_svg(args.svg, counts)
     print("\n".join(lines))
     return 0
 
 
-def _cmd_simulate(m: RunManifest) -> int:
-    cfg = DgpConfig(kind=m.dgp, n=m.n, seed=m.seed, a1=m.a1, a2=m.a2, a3=m.a3,
-                    sigma=m.sigma)
-    result = simulate(cfg)
-    pio.write_dataset_csv(m.out, result.cases)
-    if m.latents_out:
-        pio.write_latents_csv(m.latents_out, result.latents)
-    print(f"wrote {len(result.cases)} cases to {m.out}")
+def _cmd_simulate(args) -> int:
+    result = simulate(DgpConfig(kind=args.dgp, n=args.n, seed=args.seed, a1=args.a1,
+                                a2=args.a2, a3=args.a3, sigma=args.sigma))
+    pio.write_dataset_csv(args.out, result.cases)
+    if args.latents_out:
+        pio.write_latents_csv(args.latents_out, result.latents)
+    print(f"wrote {len(result.cases)} cases to {args.out}")
     return 0
 
 
-def _fit_dispatch(method: str, cases):
-    if method == "tlp":
-        return fit_tlp(cases)
-    if method == "slp":
-        return fit_slp(cases)
-    if method == "blp":
-        return fit_blp(cases)
-    return fit_glp(cases, LinkFunction(method[4:]))
-
-
-def _cmd_fit(m: RunManifest) -> int:
-    cases = pio.read_dataset_csv(m.input)
-    result = _fit_dispatch(m.method, cases)
-    pio.write_params(m.out, result)
+def _cmd_fit(args) -> int:
+    result = _fitters()[args.method](pio.read_dataset_csv(args.input))
+    pio.write_params(args.out, result)
     se = result.std_errors or {}
     print(f"{'parameter':<12}{'estimate':>12}{'std.error':>12}")
     for name, value in spec_params(result.spec).items():
@@ -112,48 +74,42 @@ def _cmd_fit(m: RunManifest) -> int:
     return 0
 
 
-def _cmd_evaluate(m: RunManifest) -> int:
-    spec, _ = pio.read_params(m.params)
-    cases = pio.read_dataset_csv(m.input)
-    report = evaluate(spec, cases, rng_seed=m.seed, bins=m.bins)
+def _cmd_evaluate(args) -> int:
+    spec, _ = pio.read_params(args.params)
+    batch = pio.read_dataset_csv(args.input)
+    report = evaluate(spec, batch, rng_seed=args.seed, bins=args.bins)
     lines = [
         f"mean_log_score {report.mean_log_score!r}",
         f"pit_variance {report.pit_variance!r}",
         f"rmv {report.rmv!r}",
-        f"n {len(cases)}",
-        f"histogram {_hist_path(m.out)}",
+        f"n {len(batch)}",
+        f"histogram {_hist_path(args.out)}",
     ]
-    return _write_report(m, lines, report.histogram)
+    return _write_report(args, lines, report.histogram)
 
 
-def _cmd_diagnose(m: RunManifest) -> int:
-    spec, _ = pio.read_params(m.params)
-    cases = pio.read_dataset_csv(m.input)
-    d = pool(spec, cases.components)
-    obs = cases.y
-    s = pit_sample(d, obs, m.seed)
-    disp = dispersion_report(s)
-    stat, pval = ks_uniformity(s.z)
-    grid = np.linspace(float(obs.min()), float(obs.max()), 201)
-    gap = marginal_calibration_gap(d, obs, grid)
+def _cmd_diagnose(args) -> int:
+    spec, _ = pio.read_params(args.params)
+    batch = pio.read_dataset_csv(args.input)
+    rep = calibration_report(pool(spec, batch.components), batch.y, args.seed, bins=args.bins)
+    disp = dispersion_report(rep.pit)
     lines = [
-        f"n {len(cases)}",
-        f"ks_statistic {stat!r}",
-        f"ks_pvalue {pval!r}",
+        f"n {len(batch)}",
+        f"ks_statistic {rep.ks_statistic!r}",
+        f"ks_pvalue {rep.ks_pvalue!r}",
         f"pit_variance {disp.pit_variance!r}",
         f"ci_halfwidth {disp.ci_halfwidth!r}",
         f"classification {disp.classification}",
-        f"marginal_gap {gap!r}",
-        f"histogram {_hist_path(m.out)}",
+        f"marginal_gap {rep.marginal_gap!r}",
+        f"histogram {_hist_path(args.out)}",
     ]
-    return _write_report(m, lines, pit_histogram(s.z, m.bins))
+    return _write_report(args, lines, rep.histogram)
 
 
-def _cmd_reproduce(m: RunManifest) -> int:
-    report = reproduce_sim_study(seed=m.seed, j=m.j)
-    text = format_study_report(report)
-    if m.out:
-        pio.atomic_write_text(m.out, text)
+def _cmd_reproduce(args) -> int:
+    text = format_study_report(reproduce_sim_study(seed=args.seed, j=args.j))
+    if args.out:
+        pio.atomic_write_text(args.out, text)
     print(text, end="")
     return 0
 
@@ -166,64 +122,51 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser("simulate", help="draw a dataset from a built-in process")
-    p_sim.add_argument("--dgp", required=True, choices=CSV_DGPS)
+    def command(name, run, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        return p
+
+    p_sim = command("simulate", _cmd_simulate, "draw a dataset from a built-in process")
+    p_sim.add_argument("--dgp", required=True, choices=(REGRESSION, FSIGMA))
     p_sim.add_argument("--n", type=int, default=500)
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--a1", type=float, default=1.0)
-    p_sim.add_argument("--a2", type=float, default=1.0)
-    p_sim.add_argument("--a3", type=float, default=1.1)
-    p_sim.add_argument("--sigma", type=float, default=1.0)
-    p_sim.add_argument("--out", required=True)
-    p_sim.add_argument("--latents-out", dest="latents_out")
+    for flag, default in (("--a1", 1.0), ("--a2", 1.0), ("--a3", 1.1), ("--sigma", 1.0)):
+        p_sim.add_argument(flag, type=float, default=default)
+    p_sim.add_argument("--latents-out")
 
-    p_fit = sub.add_parser("fit", help="fit pool parameters by maximum log score")
-    p_fit.add_argument("--method", required=True, choices=FIT_METHODS)
+    p_fit = command("fit", _cmd_fit, "fit pool parameters by maximum log score")
+    p_fit.add_argument("--method", required=True, choices=tuple(_fitters()))
     p_fit.add_argument("--input", required=True)
-    p_fit.add_argument("--out", required=True)
-    p_fit.add_argument("--seed", type=int, default=0)
 
-    p_eval = sub.add_parser("evaluate", help="score fitted parameters on a dataset")
-    p_eval.add_argument("--params", required=True)
-    p_eval.add_argument("--input", required=True)
-    p_eval.add_argument("--out", required=True)
-    p_eval.add_argument("--seed", type=int, default=0)
-    p_eval.add_argument("--bins", type=int, default=10)
-    p_eval.add_argument("--svg")
+    for name, run, help in (("evaluate", _cmd_evaluate, "score fitted parameters on a dataset"),
+                            ("diagnose", _cmd_diagnose, "PIT calibration diagnostics")):
+        p = command(name, run, help)
+        for flag in ("--params", "--input"):
+            p.add_argument(flag, required=True)
+        p.add_argument("--bins", type=int, default=10)
+        p.add_argument("--svg")
 
-    p_diag = sub.add_parser("diagnose", help="PIT calibration diagnostics")
-    p_diag.add_argument("--params", required=True)
-    p_diag.add_argument("--input", required=True)
-    p_diag.add_argument("--out", required=True)
-    p_diag.add_argument("--seed", type=int, default=0)
-    p_diag.add_argument("--bins", type=int, default=10)
-    p_diag.add_argument("--svg")
-
-    p_rep = sub.add_parser("reproduce-sim-study",
-                           help="simulate, fit, and compare against reference values")
-    p_rep.add_argument("--seed", type=int, default=DEFAULT_STUDY_SEED)
+    p_rep = command("reproduce-sim-study", _cmd_reproduce,
+                    "simulate, fit, and compare against reference values")
     p_rep.add_argument("--j", type=int, default=DEFAULT_STUDY_SIZE)
-    p_rep.add_argument("--out")
 
+    # options of every command, added last so that argparse's missing-option errors
+    # name each command's own options first; only the study's --out is optional
+    for p in sub.choices.values():
+        p.add_argument("--seed", type=int, default=DEFAULT_STUDY_SEED if p is p_rep else 0)
+        p.add_argument("--out", required=p is not p_rep)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    fields = {k: v for k, v in vars(args).items() if v is not None}
-    manifest = RunManifest(**fields)
+    args = build_parser().parse_args(argv)
     try:
-        manifest.validate()
-        if manifest.command == "simulate":
-            return _cmd_simulate(manifest)
-        if manifest.command == "fit":
-            return _cmd_fit(manifest)
-        if manifest.command == "evaluate":
-            return _cmd_evaluate(manifest)
-        if manifest.command == "diagnose":
-            return _cmd_diagnose(manifest)
-        return _cmd_reproduce(manifest)
+        for path in (getattr(args, "input", None), getattr(args, "params", None)):
+            if path is not None and not os.path.exists(path):
+                raise SchemaError(f"input file does not exist: {path}")
+        if getattr(args, "bins", 1) < 1:
+            raise SchemaError("bins must be at least 1")
+        return args.run(args)
     except (SchemaError, InvalidConfig, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,6 +19,7 @@ object straight from columns that are already checked.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -346,6 +347,33 @@ def _take_rows(x, rows: slice):
     return x[rows] if np.ndim(x) == 2 else x
 
 
+def _finite_rows(x, n: int) -> np.ndarray:
+    """Which of n rows have only finite float parameters in x (a distribution, tuple or value).
+
+    Parameters are the instance attributes, nested distributions included;
+    a 2-D array holds one row per case, any other number is shared by every
+    row.  The rows of a ``_RowStack`` are checked in ``stack`` groups, and
+    one by one where their kind has no stacked form.
+    """
+    if isinstance(x, _RowStack):
+        ok = np.empty(n, dtype=bool)
+        for idx, group in stack(x.rows):
+            if isinstance(group, _RowStack):
+                ok[idx] = [_finite_rows(tuple(vars(d).values()), 1)[0] for d in group.rows]
+            else:
+                ok[idx] = _finite_rows(group, idx.size)
+        return ok
+    if isinstance(x, PredictiveDist):
+        x = tuple(vars(x).values())
+    if isinstance(x, tuple):
+        return reduce(np.logical_and, (_finite_rows(v, n) for v in x), np.ones(n, dtype=bool))
+    if np.ndim(x) == 2:
+        return np.broadcast_to(np.all(np.isfinite(x), axis=1), (n,))
+    if isinstance(x, (numbers.Real, np.ndarray)):
+        return np.full(n, bool(np.all(np.isfinite(x))))
+    return np.ones(n, dtype=bool)
+
+
 def _column(values) -> np.ndarray:
     return np.array(values, dtype=float)[:, None]
 
@@ -622,6 +650,8 @@ class Mixture(PredictiveDist):
             raise ValueError("weights must be nonnegative")
         if abs(sum(w) - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1 within 1e-12")
+        if not all(map(math.isfinite, w)):
+            raise ValueError("weights must be finite")
 
     def cdf(self, y):
         acc = sum(w * _as_array(c.cdf(y)) for w, c in zip(self.weights, self.components))

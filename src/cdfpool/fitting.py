@@ -28,7 +28,7 @@ import numpy as np
 from scipy.special import gammaln, polygamma, psi
 
 from .calibration import pit_sample
-from .distributions import Gaussian, PredictiveDist, _as_array, _match, _stack_column
+from .distributions import Gaussian, PredictiveDist, _as_array, _finite_rows, _match, _stack_column
 from .errors import (
     DegenerateDesign,
     DensityUnavailable,
@@ -74,7 +74,7 @@ class ForecastBatch(Sequence):
     it for every case.  A batch is a read-only sequence of ``ForecastCase``;
     case j is built from the columns when it is first indexed or iterated,
     and kept.  Raises DomainViolation naming the first case with a
-    non-finite outcome or Gaussian component parameter.
+    non-finite outcome or component parameter, nested ones included.
     """
 
     def __init__(self, y, components, _cases=None):
@@ -85,11 +85,7 @@ class ForecastBatch(Sequence):
             raise LengthMismatch("the outcomes must be one-dimensional")
         if y.size and not components:
             raise ValueError("a case needs at least one component forecast")
-        finite = np.isfinite(y)
-        for c in components:
-            if type(c) is Gaussian:
-                ok = np.isfinite(c.mu) & np.isfinite(c.sigma)
-                finite &= np.broadcast_to(ok, (y.size, 1))[:, 0]
+        finite = np.isfinite(y) & _finite_rows(components, y.size)
         if not np.all(finite):
             raise DomainViolation(
                 f"case {int(np.argmin(finite))} has a non-finite outcome or component "

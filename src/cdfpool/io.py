@@ -49,8 +49,9 @@ def dataset_header(k: int) -> list[str]:
 def read_dataset_csv(path: str) -> ForecastBatch:
     """The cases of a dataset file; every component column is a view of one parsed array.
 
-    Raises SchemaError naming the row (and column) of a short or long row, a
-    non-numeric or non-finite value, or an ``sd`` that is not positive.
+    Raises SchemaError for a file without data rows, and naming the row (and
+    column) of a short or long row, a non-numeric or non-finite value, or an
+    ``sd`` that is not positive.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -70,6 +71,8 @@ def read_dataset_csv(path: str) -> ForecastBatch:
     for want, got in zip(expected, header):
         if want != got:
             raise SchemaError(f"{path}: missing or misplaced column {want!r} (found {got!r})")
+    if len(rows) == 1:
+        raise SchemaError(f"{path}: dataset file has a header but no rows")
     values = []
     for r, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):

@@ -13,6 +13,7 @@ Four aggregation families are provided, all operating on the CDF scale:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import reduce
 from typing import ClassVar
@@ -100,6 +101,12 @@ class LinkFunction(enum.Enum):
         return -s, -np.ones_like(s)
 
 
+def _require_finite(what: str, *values: float) -> None:
+    """Reject NaN and infinities, which the comparisons of the range checks let through."""
+    if not all(math.isfinite(v) for v in values):
+        raise WeightConstraintViolation(f"{what} must be finite")
+
+
 def _check_simplex(w) -> tuple[float, ...]:
     w = tuple(float(x) for x in w)
     if not w:
@@ -108,6 +115,7 @@ def _check_simplex(w) -> tuple[float, ...]:
         raise WeightConstraintViolation("weights must be nonnegative")
     if abs(sum(w) - 1.0) > 1e-12:
         raise WeightConstraintViolation("weights must sum to 1 within 1e-12")
+    _require_finite("weights", *w)
     return w
 
 
@@ -142,6 +150,7 @@ class SlpSpec:
         object.__setattr__(self, "w", _check_simplex(self.w))
         if not self.c > 0.0:
             raise WeightConstraintViolation("spread parameter c must be positive")
+        _require_finite("spread parameter c", self.c)
 
     @property
     def k(self) -> int:
@@ -163,6 +172,7 @@ class BlpSpec:
         object.__setattr__(self, "w", _check_simplex(self.w))
         if not (self.alpha > 0.0 and self.beta > 0.0):
             raise WeightConstraintViolation("alpha and beta must be positive")
+        _require_finite("alpha and beta", self.alpha, self.beta)
 
     @property
     def k(self) -> int:
@@ -192,6 +202,7 @@ class GlpSpec:
                 )
         elif not sum(w) > 0.0:
             raise WeightConstraintViolation("weights must have positive sum")
+        _require_finite("weights", *w)
 
     @property
     def method(self) -> str:

@@ -30,7 +30,7 @@ from cdfpool import (
     ks_uniformity,
     simulate,
 )
-from cdfpool.distributions import _stack_column, _stack_rows
+from cdfpool.distributions import _RowStack, _stack_column, _stack_rows
 from cdfpool.fitting import _build_design, _newton_result, _slp_derivs, _Weights
 from cdfpool.io import read_dataset_csv, write_dataset_csv
 from cdfpool.pools import BlpSpec, GlpSpec, SlpSpec, TlpSpec, pool
@@ -166,6 +166,45 @@ class TestSequence:
         batch = ForecastBatch.from_cases(cases)
         F = batch.components[0].cdf(batch.y[:, None])[:, 0]
         np.testing.assert_array_equal(F, [c.components[0].cdf(c.y) for c in cases])
+
+
+def _cases_with_a_nested_nan(mixed: bool):
+    """50 cases of a mixture and a Gaussian column; case 23's mixture holds N(nan, 1).
+
+    With ``mixed`` every even case's first forecast is a plain Gaussian, so
+    the first column is evaluated row by row.
+    """
+    rng = np.random.default_rng(5)
+    cases = []
+    for j in range(50):
+        inner = Gaussian(np.nan if j == 23 else rng.normal(), 1.0)
+        first = Mixture((inner, Gaussian(rng.normal(), 1.5)), (0.4, 0.6))
+        if mixed and j % 2 == 0:
+            first = Gaussian(rng.normal(), 1.2)
+        cases.append(ForecastCase((first, Gaussian(rng.normal(), 0.9)), rng.normal()))
+    return cases
+
+
+class TestNestedNonFiniteParameters:
+    @pytest.mark.parametrize("mixed", [False, True], ids=["stacked", "row-by-row"])
+    @pytest.mark.parametrize("run", [
+        fit_tlp, fit_slp, fit_blp,
+        partial(fit_glp, link=LinkFunction.LOG),
+        partial(fit_glp, link=LinkFunction.RECIPROCAL),
+        partial(fit_glp, link=LinkFunction.PROBIT),
+        partial(cdfpool.evaluate, TlpSpec((0.5, 0.5))),
+    ], ids=["tlp", "slp", "blp", "glp-log", "glp-reciprocal", "glp-probit", "evaluate"])
+    def test_fits_and_evaluate_name_the_case(self, run, mixed):
+        with pytest.raises(DomainViolation, match="case 23 has a non-finite"):
+            run(_cases_with_a_nested_nan(mixed))
+
+    @pytest.mark.parametrize("mixed", [False, True], ids=["stacked", "row-by-row"])
+    def test_finite_cases_still_build(self, mixed):
+        cases = _cases_with_a_nested_nan(mixed)
+        del cases[23]
+        batch = ForecastBatch.from_cases(cases)
+        assert len(batch) == 49
+        assert isinstance(batch.components[0], _RowStack) == mixed
 
 
 class TestFitsOnBatches:

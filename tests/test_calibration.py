@@ -77,6 +77,11 @@ class TestPitSample:
         with pytest.raises(DomainViolation, match="observation 17"):
             pit_sample(forecasts, y, rng_seed=0)
 
+    def test_non_finite_pit_names_the_case(self):
+        forecasts = [Gaussian(0, 1), Gaussian(1, 1), Gaussian(np.nan, 1.0)]
+        with pytest.raises(DomainViolation, match="PIT of case 2 is not finite"):
+            pit_sample(forecasts, [0.0, 0.1, 0.2], rng_seed=0)
+
     def test_deterministic_given_seed(self):
         forecasts = [Gaussian(0, 1)] * 10
         y = np.linspace(-1, 1, 10)
@@ -220,6 +225,11 @@ class TestMarginalGap:
         with pytest.raises(DomainViolation, match="grid point 2"):
             marginal_calibration_gap([Gaussian(0, 1)] * 3, [0.0, 1.0, 2.0], grid)
 
+    def test_non_finite_average_cdf_rejected(self):
+        forecasts = [Gaussian(0, 1), Gaussian(np.nan, 1.0), Gaussian(1, 1)]
+        with pytest.raises(DomainViolation, match="average forecast CDF at grid point 0"):
+            marginal_calibration_gap(forecasts, [0.0, 1.0, 2.0], [-1.0, 0.0, 1.0])
+
 
 class TestReliabilityBins:
     def test_constant_probability_fair_coin(self):
@@ -279,6 +289,22 @@ class TestCalibrationReport:
         assert rep.histogram.sum() == n
         assert rep.histogram.size == 8
         assert rep.marginal_gap >= 0.0
+        assert rep.ks_pvalue == ks_uniformity(rep.pit.z)[1]
+        np.testing.assert_array_equal(rep.pit.z, pit_sample(forecasts, y, 12).z)
+
+    def test_fields(self):
+        from dataclasses import fields
+
+        from cdfpool import CalibrationReport
+
+        assert [f.name for f in fields(CalibrationReport)] == [
+            "ks_statistic", "ks_pvalue", "marginal_gap", "histogram", "pit"]
+
+    def test_single_case_reports(self):
+        from cdfpool import calibration_report
+
+        rep = calibration_report([Gaussian(0.0, 1.0)], [0.3], rng_seed=1)
+        assert len(rep.pit) == 1
 
 
 class TestQuantileDomain:

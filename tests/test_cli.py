@@ -249,6 +249,86 @@ class TestErrorContract:
                    "--out", str(tmp_path / "d.csv"))
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["evaluate", "diagnose"])
+    @pytest.mark.parametrize("text", [
+        "method tlp\nk 2\nw_1 nan\nw_2 1.0\n",
+        "method slp\nk 2\nw_1 0.5\nw_2 0.5\nc inf\n",
+        "method glp-log\nk 2\nw_1 inf\nw_2 1.0\n",
+    ], ids=["nan-weight", "inf-c", "inf-glp-weight"])
+    def test_non_finite_params_rejected(self, tmp_path, capsys, command, text):
+        params, data = tmp_path / "params.txt", str(tmp_path / "test.csv")
+        params.write_text(text)
+        run("simulate", "--dgp", "regression", "--n", "10", "--seed", "1", "--out", data)
+        assert run(command, "--params", str(params), "--input", data,
+                   "--out", str(tmp_path / "report.txt")) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "report.txt").exists()
+
+    @pytest.mark.parametrize("command", ["fit", "evaluate", "diagnose"])
+    def test_header_only_dataset_rejected(self, tmp_path, capsys, command):
+        data = tmp_path / "empty.csv"
+        data.write_text("# no cases\ny,mu_1,sd_1\n")
+        params = str(tmp_path / "params.txt")
+        write_params(params, _fit_result(TlpSpec((1.0,))))
+        args = ["--method", "tlp"] if command == "fit" else ["--params", params]
+        assert run(command, *args, "--input", str(data), "--out", str(tmp_path / "out.txt")) == 2
+        assert "no rows" in capsys.readouterr().err
+
+
+class TestOptions:
+    # (flag, dest, default, type, required, choices) of every subcommand's options
+    OPTIONS = {
+        "simulate": [
+            ("--a1", "a1", 1.0, float, False, None),
+            ("--a2", "a2", 1.0, float, False, None),
+            ("--a3", "a3", 1.1, float, False, None),
+            ("--dgp", "dgp", None, None, True, ("regression", "fsigma")),
+            ("--latents-out", "latents_out", None, None, False, None),
+            ("--n", "n", 500, int, False, None),
+            ("--out", "out", None, None, True, None),
+            ("--seed", "seed", 0, int, False, None),
+            ("--sigma", "sigma", 1.0, float, False, None),
+        ],
+        "fit": [
+            ("--input", "input", None, None, True, None),
+            ("--method", "method", None, None, True,
+             ("tlp", "slp", "blp", "glp-log", "glp-reciprocal", "glp-probit")),
+            ("--out", "out", None, None, True, None),
+            ("--seed", "seed", 0, int, False, None),
+        ],
+        "evaluate": [
+            ("--bins", "bins", 10, int, False, None),
+            ("--input", "input", None, None, True, None),
+            ("--out", "out", None, None, True, None),
+            ("--params", "params", None, None, True, None),
+            ("--seed", "seed", 0, int, False, None),
+            ("--svg", "svg", None, None, False, None),
+        ],
+        "reproduce-sim-study": [
+            ("--j", "j", 500, int, False, None),
+            ("--out", "out", None, None, False, None),
+            ("--seed", "seed", 0, int, False, None),
+        ],
+    }
+    OPTIONS["diagnose"] = OPTIONS["evaluate"]
+
+    def test_every_subcommand_keeps_its_options(self):
+        import argparse
+
+        from cdfpool.cli import build_parser
+
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(self.OPTIONS)
+        for name, subparser in sub.choices.items():
+            got = sorted(
+                (a.option_strings[0], a.dest, a.default, a.type, a.required,
+                 tuple(a.choices) if a.choices else None)
+                for a in subparser._actions if not isinstance(a, argparse._HelpAction)
+            )
+            assert got == self.OPTIONS[name], name
+            assert all(len(a.option_strings) == 1 for a in subparser._actions[1:]), name
+
 
 class TestDiagnosticCsv:
     def test_reliability_rows_serialize(self, tmp_path):

@@ -13,6 +13,7 @@ from cdfpool import (
     GlpSpec,
     LinkFunction,
     MedianUndefined,
+    Mixture,
     SlpSpec,
     TlpSpec,
     TwoPointBernoulli,
@@ -125,6 +126,26 @@ class TestPoolValidity:
         flat = FiniteDiscrete((0.0, 1.0), (0.5, 0.5))
         with pytest.raises(MedianUndefined):
             pool(SlpSpec((0.5, 0.5), c=0.9), (flat, Gaussian(0, 1)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("build", [
+        lambda x: TlpSpec((x, 1.0)),
+        lambda x: SlpSpec((0.5, 0.5), x),
+        lambda x: BlpSpec((0.5, 0.5), x, 1.0),
+        lambda x: BlpSpec((0.5, 0.5), 1.0, x),
+        lambda x: GlpSpec((x, 1.0), LinkFunction.PROBIT),
+        lambda x: GlpSpec((x, 1.0), LinkFunction.LOG),
+        lambda x: GlpSpec((x, 0.5), LinkFunction.RECIPROCAL),
+    ], ids=["tlp-w", "slp-c", "blp-alpha", "blp-beta", "glp-probit-w", "glp-log-w",
+            "glp-reciprocal-w"])
+    def test_specs_reject_non_finite_parameters(self, build, bad):
+        with pytest.raises(WeightConstraintViolation):
+            build(bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_mixture_rejects_non_finite_weights(self, bad):
+        with pytest.raises(ValueError):
+            Mixture(COMPS[:2], (bad, 1.0))
 
 
 class TestPitFactorization:

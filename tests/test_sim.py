@@ -55,9 +55,9 @@ class TestRegression:
     def test_components_are_probabilistically_calibrated(self):
         n = 100_000
         res = simulate(DgpConfig(kind=REGRESSION, n=n, seed=2))
-        y = np.array([c.y for c in res.cases])
+        y = res.cases.y
         for i in range(3):
-            mu = np.array([c.components[i].mu for c in res.cases])
+            mu = res.cases.components[i].mu[:, 0]
             sd = res.cases[0].components[i].sigma
             z = ndtr((y - mu) / sd)
             _, pval = ks_uniformity(z)
@@ -75,7 +75,7 @@ class TestFsigma:
     def test_ideal_forecast_neutrally_dispersed(self):
         n = 100_000
         res = simulate(DgpConfig(kind=FSIGMA, n=n, seed=4, sigma=1.0))
-        y = np.array([c.y for c in res.cases])
+        y = res.cases.y
         z = ndtr((y - res.latents["x"]) / 1.0)
         rep = dispersion_report(PitSample(z=z, v=np.full(n, 0.5)))
         assert abs(rep.pit_variance - NEUTRAL_PIT_VARIANCE) <= rep.ci_halfwidth
@@ -122,7 +122,7 @@ class TestTernary:
         n = 100_000
         res = simulate(DgpConfig(kind=TERNARY, n=n, seed=8))
         scen = res.latents["scenario"].astype(int)
-        y = np.array([c.y for c in res.cases])
+        y = res.cases.y
         masses = np.array([s.forecast_masses for s in TERNARY_SCENARIOS])
         cums = np.concatenate([np.zeros((2, 1)), np.cumsum(masses, axis=1)], axis=1)
         idx = y.astype(int)

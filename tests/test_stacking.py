@@ -17,6 +17,7 @@ from cdfpool import (
     BlpSpec,
     DensityUnavailable,
     DgpConfig,
+    DomainViolation,
     FiniteDiscrete,
     ForecastBatch,
     ForecastCase,
@@ -148,6 +149,18 @@ class TestStack:
         assert isinstance(slp.components[0], SpreadAdjusted)
         assert slp.components[0].c.shape == (3, 1)
         assert isinstance(blp, BetaTransformed)
+
+    @pytest.mark.parametrize("nested", [False, True], ids=["own-column", "mixture-component"])
+    def test_kind_without_stacked_form_is_checked_row_by_row(self, nested):
+        def forecast(loc):
+            d = Logistic(loc, 0.7)
+            return Mixture((d, Gaussian(0.0, 1.0)), (0.5, 0.5)) if nested else d
+
+        cases = [ForecastCase((forecast(0.1 * j), Gaussian(0.0, 2.0)), 0.0) for j in range(6)]
+        assert len(ForecastBatch.from_cases(cases)) == 6
+        cases[4] = ForecastCase((forecast(np.inf), Gaussian(0.0, 2.0)), 0.0)
+        with pytest.raises(DomainViolation, match="case 4 has a non-finite"):
+            ForecastBatch.from_cases(cases)
 
 
 class TestStackedEquivalence:
