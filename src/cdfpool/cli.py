@@ -146,15 +146,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--bins", type=int, default=10)
         p.add_argument("--svg")
 
+    # added last so that argparse's missing-option errors name each command's own options first
+    for p in sub.choices.values():
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out", required=True)
+
     p_rep = command("reproduce-sim-study", _cmd_reproduce,
                     "simulate, fit, and compare against reference values")
     p_rep.add_argument("--j", type=int, default=DEFAULT_STUDY_SIZE)
-
-    # options of every command, added last so that argparse's missing-option errors
-    # name each command's own options first; only the study's --out is optional
-    for p in sub.choices.values():
-        p.add_argument("--seed", type=int, default=DEFAULT_STUDY_SEED if p is p_rep else 0)
-        p.add_argument("--out", required=p is not p_rep)
+    p_rep.add_argument("--seed", type=int, default=DEFAULT_STUDY_SEED)
+    p_rep.add_argument("--out")
     return parser
 
 

@@ -19,7 +19,6 @@ object straight from columns that are already checked.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -352,17 +351,10 @@ def _finite_rows(x, n: int) -> np.ndarray:
 
     Parameters are the instance attributes, nested distributions included;
     a 2-D array holds one row per case, any other number is shared by every
-    row.  The rows of a ``_RowStack`` are checked in ``stack`` groups, and
-    one by one where their kind has no stacked form.
+    row.  The rows of a ``_RowStack`` are checked one by one.
     """
     if isinstance(x, _RowStack):
-        ok = np.empty(n, dtype=bool)
-        for idx, group in stack(x.rows):
-            if isinstance(group, _RowStack):
-                ok[idx] = [_finite_rows(tuple(vars(d).values()), 1)[0] for d in group.rows]
-            else:
-                ok[idx] = _finite_rows(group, idx.size)
-        return ok
+        return np.array([_finite_rows(d, 1)[0] for d in x.rows], dtype=bool)
     if isinstance(x, PredictiveDist):
         x = tuple(vars(x).values())
     if isinstance(x, tuple):
@@ -648,10 +640,8 @@ class Mixture(PredictiveDist):
             raise ValueError("components and weights must be nonempty and equally long")
         if any(x < 0.0 for x in w):
             raise ValueError("weights must be nonnegative")
-        if abs(sum(w) - 1.0) > 1e-12:
+        if not abs(sum(w) - 1.0) <= 1e-12:  # written so that NaN and inf fail too
             raise ValueError("weights must sum to 1 within 1e-12")
-        if not all(map(math.isfinite, w)):
-            raise ValueError("weights must be finite")
 
     def cdf(self, y):
         acc = sum(w * _as_array(c.cdf(y)) for w, c in zip(self.weights, self.components))

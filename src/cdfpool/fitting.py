@@ -28,7 +28,15 @@ import numpy as np
 from scipy.special import gammaln, polygamma, psi
 
 from .calibration import pit_sample
-from .distributions import Gaussian, PredictiveDist, _as_array, _finite_rows, _match, _stack_column
+from .distributions import (
+    Gaussian,
+    PredictiveDist,
+    _as_array,
+    _finite_rows,
+    _match,
+    _row_count,
+    _stack_column,
+)
 from .errors import (
     DegenerateDesign,
     DensityUnavailable,
@@ -73,8 +81,9 @@ class ForecastBatch(Sequence):
     builds), so one ``cdf`` or ``density`` call at a (J, m) array evaluates
     it for every case.  A batch is a read-only sequence of ``ForecastCase``;
     case j is built from the columns when it is first indexed or iterated,
-    and kept.  Raises DomainViolation naming the first case with a
-    non-finite outcome or component parameter, nested ones included.
+    and kept.  Raises LengthMismatch for a column whose row count is not J,
+    and DomainViolation naming the first case with a non-finite outcome or
+    component parameter, nested ones included.
     """
 
     def __init__(self, y, components, _cases=None):
@@ -85,6 +94,8 @@ class ForecastBatch(Sequence):
             raise LengthMismatch("the outcomes must be one-dimensional")
         if y.size and not components:
             raise ValueError("a case needs at least one component forecast")
+        if any(_row_count(c) not in (0, y.size) for c in components):
+            raise LengthMismatch("each component column needs one row per outcome")
         finite = np.isfinite(y) & _finite_rows(components, y.size)
         if not np.all(finite):
             raise DomainViolation(

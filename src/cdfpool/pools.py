@@ -101,21 +101,14 @@ class LinkFunction(enum.Enum):
         return -s, -np.ones_like(s)
 
 
-def _require_finite(what: str, *values: float) -> None:
-    """Reject NaN and infinities, which the comparisons of the range checks let through."""
-    if not all(math.isfinite(v) for v in values):
-        raise WeightConstraintViolation(f"{what} must be finite")
-
-
 def _check_simplex(w) -> tuple[float, ...]:
     w = tuple(float(x) for x in w)
     if not w:
         raise WeightConstraintViolation("at least one weight is required")
     if any(x < 0.0 for x in w):
         raise WeightConstraintViolation("weights must be nonnegative")
-    if abs(sum(w) - 1.0) > 1e-12:
+    if not abs(sum(w) - 1.0) <= 1e-12:  # written so that NaN and inf fail too
         raise WeightConstraintViolation("weights must sum to 1 within 1e-12")
-    _require_finite("weights", *w)
     return w
 
 
@@ -148,9 +141,8 @@ class SlpSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "w", _check_simplex(self.w))
-        if not self.c > 0.0:
-            raise WeightConstraintViolation("spread parameter c must be positive")
-        _require_finite("spread parameter c", self.c)
+        if not 0.0 < self.c < math.inf:
+            raise WeightConstraintViolation("spread parameter c must be positive and finite")
 
     @property
     def k(self) -> int:
@@ -170,9 +162,8 @@ class BlpSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "w", _check_simplex(self.w))
-        if not (self.alpha > 0.0 and self.beta > 0.0):
-            raise WeightConstraintViolation("alpha and beta must be positive")
-        _require_finite("alpha and beta", self.alpha, self.beta)
+        if not (0.0 < self.alpha < math.inf and 0.0 < self.beta < math.inf):
+            raise WeightConstraintViolation("alpha and beta must be positive and finite")
 
     @property
     def k(self) -> int:
@@ -196,13 +187,12 @@ class GlpSpec:
         if any(x < 0.0 for x in w):
             raise WeightConstraintViolation("weights must be nonnegative")
         if self.link.requires_simplex:
-            if abs(sum(w) - 1.0) > 1e-12:
+            if not abs(sum(w) - 1.0) <= 1e-12:
                 raise WeightConstraintViolation(
                     f"{self.link.value} link requires weights summing to 1"
                 )
-        elif not sum(w) > 0.0:
-            raise WeightConstraintViolation("weights must have positive sum")
-        _require_finite("weights", *w)
+        elif not 0.0 < sum(w) < math.inf:
+            raise WeightConstraintViolation("weights must have a positive finite sum")
 
     @property
     def method(self) -> str:

@@ -17,6 +17,7 @@ from cdfpool import (
     ForecastBatch,
     ForecastCase,
     Gaussian,
+    LengthMismatch,
     LinkFunction,
     MedianUndefined,
     Mixture,
@@ -158,6 +159,16 @@ class TestSequence:
         object.__setattr__(column, "sigma", sd)
         with pytest.raises(DomainViolation, match="case 4 has a non-finite"):
             ForecastBatch(y, [column])
+
+    @pytest.mark.parametrize("rows", [
+        [Gaussian(0.0, 1.0)] * 4,
+        [Gaussian(0.0, 1.0), Mixture((Gaussian(0.0, 1.0), Gaussian(1.0, 1.0)), (0.5, 0.5))] * 2,
+    ], ids=["stacked", "row-by-row"])
+    def test_a_column_of_the_wrong_length_is_rejected(self, rows):
+        column = ForecastBatch.from_cases([ForecastCase((d,), 0.0) for d in rows]).components[0]
+        for n in (3, 5):
+            with pytest.raises(LengthMismatch):
+                ForecastBatch(np.zeros(n), [column])
 
     def test_rows_of_mixed_kinds_stay_per_case(self):
         cases = [ForecastCase((Gaussian(0.0, 1.0),), 0.3),
