@@ -52,7 +52,7 @@ class PitSample:
         object.__setattr__(self, "v", v)
         if z.shape != v.shape:
             raise LengthMismatch("z and v must have equal length")
-        if np.any((z < 0.0) | (z > 1.0)):
+        if not np.all((z >= 0.0) & (z <= 1.0)):  # written so that NaN fails too
             raise ValueError("PIT values must lie in [0, 1]")
 
     def __len__(self) -> int:
@@ -90,18 +90,16 @@ def _check_finite(x: np.ndarray, what: str) -> None:
         raise DomainViolation(f"{what} {int(np.argmin(finite))} is not finite")
 
 
-def _groups(forecasts, obs: np.ndarray) -> list:
-    """The forecasts as (indices, stacked) groups, checked against the observations.
+def _paired(forecasts, obs: np.ndarray) -> PredictiveDist:
+    """The forecasts as one stacked forecast, one row per observation, every observation finite.
 
-    A list is grouped by ``distributions.stack``; one stacked forecast, whose
-    rows are the cases, is one group.
+    A list is stacked by ``distributions.stack``; a stacked forecast is used as it is.
     """
-    stacked = isinstance(forecasts, PredictiveDist)
-    n = forecasts._rows() if stacked else len(forecasts)
-    if n != obs.size:
-        raise LengthMismatch(f"{n} forecasts paired with {obs.size} observations")
+    d = forecasts if isinstance(forecasts, PredictiveDist) else stack(forecasts)
+    if d._rows() != obs.size:
+        raise LengthMismatch(f"{d._rows()} forecasts paired with {obs.size} observations")
     _check_finite(obs, "observation")
-    return [(slice(None), forecasts)] if stacked else stack(forecasts)
+    return d
 
 
 def pit_sample(forecasts, obs, rng_seed: int) -> PitSample:
@@ -109,20 +107,18 @@ def pit_sample(forecasts, obs, rng_seed: int) -> PitSample:
 
     ``forecasts`` is a list of per-case forecasts or one stacked forecast
     whose rows are the cases, such as ``pool(spec, batch.components)``.
-    Case j gets the j-th auxiliary uniform.  Each group of stacked forecasts
-    costs one ``cdf_left`` and one ``cdf`` call; the values equal
-    ``randomized_pit`` case by case.  Raises DomainViolation naming the
-    first case whose PIT is not finite.
+    Case j gets the j-th auxiliary uniform.  The stacked forecast costs one
+    ``cdf_left`` and one ``cdf`` call; the values equal ``randomized_pit``
+    case by case.  Raises DomainViolation naming the first case whose PIT is
+    not finite.
     """
     obs = _as_array(obs)
-    groups = _groups(forecasts, obs)
+    d = _paired(forecasts, obs)
     rng = np.random.Generator(np.random.Philox(rng_seed))
     v = uniform_open(rng, obs.size)
-    z = np.empty(obs.size)
-    for idx, d in groups:
-        y = obs[idx][:, None]
-        left = _as_array(d.cdf_left(y))[:, 0]
-        z[idx] = left + v[idx] * (_as_array(d.cdf(y))[:, 0] - left)
+    y = obs[:, None]
+    left = _as_array(d.cdf_left(y))[:, 0]
+    z = left + v * (_as_array(d.cdf(y))[:, 0] - left)
     _check_finite(z, "the PIT of case")
     return PitSample(z=z, v=v)
 
@@ -169,22 +165,20 @@ def marginal_calibration_gap(forecasts, obs, grid) -> float:
     """Sup over the grid of |average forecast CDF - empirical CDF of obs|.
 
     ``forecasts`` is a list of per-case forecasts or one stacked forecast
-    whose rows are the cases (see ``pit_sample``).  Each group of stacked
-    forecasts adds its CDF rows on the whole grid to the running sum,
-    _GAP_CHUNK rows at a time.  Raises DomainViolation where the average
-    CDF is not finite.
+    whose rows are the cases (see ``pit_sample``).  The stacked forecast
+    adds its CDF rows on the whole grid to the running sum, _GAP_CHUNK rows
+    at a time.  Raises DomainViolation where the average CDF is not finite.
     """
     obs = _as_array(obs)
     grid = _as_array(grid)
     if obs.size == 0 or grid.size == 0:
         raise EmptyInput("forecasts, observations, and grid must be nonempty")
-    groups = _groups(forecasts, obs)
+    d = _paired(forecasts, obs)
     _check_finite(grid, "grid point")
     acc = np.zeros(grid.size)
-    for idx, d in groups:
-        for start in range(0, obs[idx].size, _GAP_CHUNK):
-            rows = d._take(slice(start, start + _GAP_CHUNK))
-            acc += _as_array(rows.cdf(grid[None, :])).sum(axis=0)
+    for start in range(0, obs.size, _GAP_CHUNK):
+        rows = d._take(slice(start, start + _GAP_CHUNK))
+        acc += _as_array(rows.cdf(grid[None, :])).sum(axis=0)
     acc /= obs.size
     _check_finite(acc, "the average forecast CDF at grid point")
     ecdf = np.searchsorted(np.sort(obs), grid, side="right") / obs.size
@@ -273,13 +267,15 @@ def calibration_report(forecasts, obs, rng_seed: int, grid=None, bins: int = 10
     """Bundle the KS test, marginal gap, PIT histogram, and the PIT sample for a dataset.
 
     The default grid is 201 points spanning the observations; pass
-    ``dispersion_report(report.pit)`` for the PIT variance.
+    ``dispersion_report(report.pit)`` for the PIT variance.  A list of
+    forecasts is stacked once, for both the PIT and the marginal gap.
     """
     obs = _as_array(obs)
     if grid is None:
         if obs.size == 0:
             raise EmptyInput("no observations")
         grid = np.linspace(float(obs.min()), float(obs.max()), 201)
+    forecasts = _paired(forecasts, obs)
     s = pit_sample(forecasts, obs, rng_seed)
     stat, pval = ks_uniformity(s.z)
     gap = marginal_calibration_gap(forecasts, obs, grid)

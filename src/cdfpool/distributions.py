@@ -6,22 +6,27 @@ evaluation surface (``cdf``, ``cdf_left``, ``density``, ``quantile``,
 agnostic of the concrete kind.  All evaluators accept scalars or numpy
 arrays and return a matching shape.
 
-``stack`` turns a list of per-case forecasts into a few objects of the same
-classes whose float parameters are (n, 1) columns, one row per case.  Their
-``cdf``, ``cdf_left`` and ``density`` take an (n, m) or (1, m) array of
-points and return (n, m): row i is case i's forecast at row i of the points;
-``quantile`` takes levels in the same shapes; ``mean``, ``variance`` and
-``median`` return the (n, 1) column of the rows' values; ``_row(i)`` builds
-row i as a per-case object again and ``_take(rows)`` the stacked object of a
-slice of the rows.  ``Gaussian._stacked`` and its siblings build a stacked
-object straight from columns that are already checked.
+``stack`` turns a list of per-case forecasts into one object whose row i is
+forecast i.  A kind's parameters are its public instance attributes, stacked
+by one rule: a float becomes an (n, 1) column, a tuple is stacked element by
+element, a nested forecast recursively, and any other value (a link) is
+shared by all rows; forecasts of mixed shapes give a ``_RowStack``, evaluated
+row by row.  The stacked ``cdf``, ``cdf_left`` and ``density`` take an (n, m)
+or (1, m) array of points and return (n, m), row i being case i's forecast at
+row i of the points; ``quantile`` takes levels in the same shapes; ``mean``,
+``variance`` and ``median`` return (n, 1) columns.  ``_row(i)`` rebuilds case
+i, checked as at construction, ``_take(rows)`` slices the rows, and
+``Gaussian._stacked(mu, sigma)`` and its siblings build a stacked object from
+checked, stacked parameters in declaration order.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import numbers
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from operator import attrgetter
 
 import numpy as np
 from scipy.special import betainc, betaincinv, betaln, ndtr, ndtri
@@ -96,12 +101,11 @@ class PredictiveDist:
         return np.empty(0)
 
     def quantile(self, p):
-        """Generalized inverse inf{y : cdf(y) >= p} for p in (0, 1)."""
+        """Generalized inverse inf{y : cdf(y) >= p} for p in (0, 1); a NaN level is rejected."""
         p_arr = _as_array(p)
-        if np.any((p_arr <= 0.0) | (p_arr >= 1.0)):
+        if not np.all((p_arr > 0.0) & (p_arr < 1.0)):
             raise ValueError("quantile level must lie strictly inside (0, 1)")
-        q = self._quantile_bisect(np.atleast_1d(p_arr))
-        return _match(p, q if np.ndim(p_arr) else q.reshape(()))
+        return _match(p, self._quantile(p_arr))
 
     def median(self):
         """The unique median, or MedianUndefined if the CDF is flat at 1/2.
@@ -142,21 +146,45 @@ class PredictiveDist:
         """
         return (_RowStack,)
 
+    def _params(self) -> dict:
+        """The parameters: the public instance attributes, in the order they were set."""
+        return {name: v for name, v in vars(self).items() if name[0] != "_"}
+
     @classmethod
     def _stack(cls, rows) -> PredictiveDist:
-        return _RowStack(tuple(rows))
+        """Forecasts that share a stack key as one object, each parameter by ``_stack_param``."""
+        return _build(cls, {name: _stack_param(list(map(attrgetter(name), rows)))
+                            for name in rows[0]._params()})
+
+    @classmethod
+    def _stacked(cls, *params) -> PredictiveDist:
+        """A stacked object from stacked, checked parameters in declaration order."""
+        names = (f.name for f in dataclasses.fields(cls))
+        return _build(cls, dict(zip(names, params, strict=True)))
 
     def _row(self, i: int) -> PredictiveDist:
-        """Row i of a stacked object, as the per-case object that it stacks."""
-        raise TypeError(f"{type(self).__name__} is not a stacked object")
+        """Row i of a stacked object, as the per-case object that it stacks, checked again.
+
+        Each parameter (see ``_params``, inlined: this runs once per case) is
+        read by ``_row_param``.
+        """
+        out = object.__new__(type(self))
+        for name, v in vars(self).items():
+            if name[0] != "_":
+                object.__setattr__(out, name, _row_param(v, i))
+        out.__post_init__()
+        return out
+
+    def __post_init__(self):
+        """Checks of a per-case object's parameters, which ``_row`` reruns; none by default."""
 
     def _rows(self) -> int:
         """The number of stacked rows; 0 for a per-case object."""
-        return _row_count(tuple(vars(self).values()))
+        return _row_count(tuple(self._params().values()))
 
     def _take(self, rows: slice) -> PredictiveDist:
         """The stacked object of the given rows: each (n, .) array and sub-forecast is sliced."""
-        return _build(type(self), **{name: _take_rows(v, rows) for name, v in vars(self).items()})
+        return _build(type(self), {name: _take_rows(v, rows) for name, v in self._params().items()})
 
     def _each_row(self, method: str) -> np.ndarray:
         """The (n, 1) column of ``method()`` on each row, built by ``_row``."""
@@ -164,8 +192,9 @@ class PredictiveDist:
 
     # -- generic numerics ---------------------------------------------------
 
-    def _quantile_bisect(self, p: np.ndarray) -> np.ndarray:
-        """Quantiles by bisection; a stacked object spreads (1, m) levels over its rows."""
+    def _quantile(self, p: np.ndarray) -> np.ndarray:
+        """Quantiles at checked levels by bisection; a stacked object spreads (1, m) levels
+        over its rows.  A kind with an inverse in closed form overrides this."""
         lo_s, hi_s = self.support()  # floats, or (n, 1) columns of the rows' bounds
         lo = np.where(np.isfinite(lo_s), lo_s - 1.0, -1.0)
         lo = np.broadcast_to(lo, np.broadcast_shapes(lo.shape, p.shape))
@@ -295,40 +324,50 @@ def _simpson_rule(edges: np.ndarray, n: int):
     return np.concatenate(nodes), np.concatenate(full), np.concatenate(half)
 
 
-def stack(dists) -> list[tuple[np.ndarray, PredictiveDist]]:
-    """Group forecasts of the same shape; one stacked object per group.
+def stack(dists) -> PredictiveDist:
+    """One stacked object whose row i is the forecast ``dists[i]``.
 
-    Returns (indices, stacked) pairs in order of first appearance: row r of
-    ``stacked`` is the forecast ``dists[indices[r]]``.  The rows are not
-    validated again, since each was validated when it was built.
+    Forecasts that share a stack key are stacked parameter by parameter;
+    forecasts of mixed shapes give a ``_RowStack``, evaluated row by row.
+    The rows are not validated again, since each was validated when it was
+    built.
     """
-    groups: dict[tuple, list[int]] = {}
-    for i, d in enumerate(dists):
-        groups.setdefault(d._stack_key(), []).append(i)
-    return [(np.array(idx), _stack_rows([dists[i] for i in idx])) for idx in groups.values()]
+    keys = {d._stack_key() for d in dists}
+    cls = next(iter(keys))[0] if len(keys) == 1 else _RowStack
+    return cls._stack(dists)
 
 
-def _stack_rows(rows) -> PredictiveDist:
-    """One stacked object for forecasts that share a stack key."""
-    return rows[0]._stack_key()[0]._stack(rows)
+def _stack_param(values):
+    """One parameter of every row, stacked: a float into an (n, 1) column, a
+    tuple element by element, a forecast recursively; any other value, such
+    as a link, is shared by all rows."""
+    first = values[0]
+    if isinstance(first, PredictiveDist):
+        return first._stack_key()[0]._stack(values)
+    if isinstance(first, tuple):
+        # one list per element: zip(*values) would make an iterator per row
+        return tuple(_stack_param([v[j] for v in values]) for j in range(len(first)))
+    if isinstance(first, (numbers.Real, np.ndarray)):
+        return np.array(values, dtype=float)[:, None]
+    return first
 
 
-def _stack_column(rows) -> PredictiveDist:
-    """One stacked object for any forecasts; rows of mixed shapes are evaluated one by one."""
-    if len({d._stack_key() for d in rows}) == 1:
-        return _stack_rows(rows)
-    return _RowStack(tuple(rows))
-
-
-def _stack_components(rows) -> tuple[PredictiveDist, ...]:
-    """The i-th components of all rows, stacked, for each i."""
-    return tuple(_stack_rows(col) for col in zip(*(r.components for r in rows)))
+def _row_param(x, i: int):
+    """Row i of a stacked parameter: a float from a column, a per-case forecast
+    from a stacked one, a tuple of these; a shared value as it is."""
+    if isinstance(x, np.ndarray) and x.ndim == 2:
+        return float(x[i, 0])
+    if isinstance(x, PredictiveDist):
+        return x._row(i)
+    if isinstance(x, tuple):
+        return tuple([_row_param(v, i) for v in x])
+    return x
 
 
 def _row_count(x) -> int:
     """Rows of the stacked parameters in x (a distribution, tuple or array); 0 if none.
 
-    Parameters are the instance attributes; only stacked ones are 2-D arrays.
+    Parameters are the public instance attributes; only stacked ones are 2-D arrays.
     """
     if isinstance(x, PredictiveDist):
         return x._rows()
@@ -349,14 +388,14 @@ def _take_rows(x, rows: slice):
 def _finite_rows(x, n: int) -> np.ndarray:
     """Which of n rows have only finite float parameters in x (a distribution, tuple or value).
 
-    Parameters are the instance attributes, nested distributions included;
+    Parameters are the public instance attributes, nested distributions included;
     a 2-D array holds one row per case, any other number is shared by every
     row.  The rows of a ``_RowStack`` are checked one by one.
     """
     if isinstance(x, _RowStack):
         return np.array([_finite_rows(d, 1)[0] for d in x.rows], dtype=bool)
     if isinstance(x, PredictiveDist):
-        x = tuple(vars(x).values())
+        x = tuple(x._params().values())
     if isinstance(x, tuple):
         return reduce(np.logical_and, (_finite_rows(v, n) for v in x), np.ones(n, dtype=bool))
     if np.ndim(x) == 2:
@@ -366,16 +405,7 @@ def _finite_rows(x, n: int) -> np.ndarray:
     return np.ones(n, dtype=bool)
 
 
-def _column(values) -> np.ndarray:
-    return np.array(values, dtype=float)[:, None]
-
-
-def _at(x, i: int) -> float:
-    """Row i of a stacked parameter: an (n, 1) column, or a float shared by every row."""
-    return float(x[i, 0]) if np.ndim(x) else float(x)
-
-
-def _build(cls, **fields):
+def _build(cls, fields: dict):
     """An instance with the given fields, bypassing the per-row checks."""
     out = object.__new__(cls)
     for name, value in fields.items():
@@ -392,7 +422,8 @@ class _RowStack(PredictiveDist):
     def _each(self, method: str, y) -> np.ndarray:
         y = _as_array(y)
         y = np.broadcast_to(y, (len(self.rows), y.shape[-1]))
-        return np.stack([_as_array(getattr(d, method)(yi)) for d, yi in zip(self.rows, y)])
+        return np.array([_as_array(getattr(d, method)(yi)) for d, yi in zip(self.rows, y)]
+                        ).reshape(y.shape)
 
     def cdf(self, y):
         return self._each("cdf", y)
@@ -407,20 +438,24 @@ class _RowStack(PredictiveDist):
     def density(self, y):
         return self._each("density", y)
 
-    def quantile(self, p):
+    def _quantile(self, p):
         return self._each("quantile", p)
 
     def median(self):
         return self._each_row("median")
+
+    @classmethod
+    def _stack(cls, rows):
+        return cls(tuple(rows))
+
+    def _row(self, i):
+        return self.rows[i]
 
     def _rows(self):
         return len(self.rows)
 
     def _take(self, rows):
         return _RowStack(self.rows[rows])
-
-    def _row(self, i):
-        return self.rows[i]
 
 
 @dataclass(frozen=True)
@@ -445,11 +480,8 @@ class Gaussian(PredictiveDist):
         z = (_as_array(y) - self.mu) / self.sigma
         return _match(y, np.exp(-0.5 * z * z) / (self.sigma * np.sqrt(2.0 * np.pi)))
 
-    def quantile(self, p):
-        p_arr = _as_array(p)
-        if np.any((p_arr <= 0.0) | (p_arr >= 1.0)):
-            raise ValueError("quantile level must lie strictly inside (0, 1)")
-        return _match(p, self.mu + self.sigma * ndtri(p_arr))
+    def _quantile(self, p):
+        return self.mu + self.sigma * ndtri(p)
 
     def median(self):
         return self.mu
@@ -466,22 +498,13 @@ class Gaussian(PredictiveDist):
     def _stack_key(self):
         return (Gaussian,)
 
-    @classmethod
-    def _stack(cls, rows):
-        return cls._stacked(_column([r.mu for r in rows]), _column([r.sigma for r in rows]))
-
-    @classmethod
-    def _stacked(cls, mu, sigma) -> Gaussian:
-        """Stacked forecasts N(mu_j, sigma_j^2) from (n, 1) columns, unchecked."""
-        return _build(cls, mu=mu, sigma=sigma)
-
-    def _row(self, i):
-        return Gaussian(_at(self.mu, i), _at(self.sigma, i))
-
 
 @dataclass(frozen=True)
 class FiniteDiscrete(PredictiveDist):
-    """Purely atomic distribution on finitely many ascending support points."""
+    """Purely atomic distribution on finitely many ascending support points.
+
+    Stacked, ``atoms`` and ``masses`` are tuples of (n, 1) columns.
+    """
 
     atoms: tuple[float, ...]
     masses: tuple[float, ...]
@@ -502,7 +525,7 @@ class FiniteDiscrete(PredictiveDist):
 
     @cached_property
     def _cum(self) -> np.ndarray:
-        masses = np.asarray(self.masses)
+        masses = np.hstack(self.masses)
         c = np.concatenate([np.zeros(masses.shape[:-1] + (1,)), np.cumsum(masses, axis=-1)],
                            axis=-1)
         c[..., -1] = 1.0
@@ -510,7 +533,7 @@ class FiniteDiscrete(PredictiveDist):
 
     @cached_property
     def _atoms_arr(self) -> np.ndarray:
-        return np.asarray(self.atoms)
+        return np.hstack(self.atoms)
 
     def _cum_at(self, y, side: str) -> np.ndarray:
         """Mass of the atoms <= y (side "right") or < y (side "left")."""
@@ -529,9 +552,7 @@ class FiniteDiscrete(PredictiveDist):
         return _match(y, self._cum_at(y, "left"))
 
     def support(self):
-        if self._atoms_arr.ndim == 1:
-            return (self.atoms[0], self.atoms[-1])
-        return (self._atoms_arr[:, :1], self._atoms_arr[:, -1:])
+        return (self.atoms[0], self.atoms[-1])
 
     def atom_locations(self):
         return self._atoms_arr.copy()
@@ -543,13 +564,10 @@ class FiniteDiscrete(PredictiveDist):
             return np.searchsorted(cum, p, side="left")
         return (cum[:, None, :] < p[..., None]).sum(axis=-1)
 
-    def quantile(self, p):
-        p_arr = _as_array(p)
-        if np.any((p_arr <= 0.0) | (p_arr >= 1.0)):
-            raise ValueError("quantile level must lie strictly inside (0, 1)")
-        idx = self._first_at_or_above(p_arr)
+    def _quantile(self, p):
+        idx = self._first_at_or_above(p)
         if self._atoms_arr.ndim == 1:
-            return _match(p, self._atoms_arr[idx])
+            return self._atoms_arr[idx]
         return np.take_along_axis(self._atoms_arr, idx, axis=1)
 
     def median(self):
@@ -577,18 +595,6 @@ class FiniteDiscrete(PredictiveDist):
     def _stack_key(self):
         return (FiniteDiscrete, len(self.atoms))
 
-    @classmethod
-    def _stack(cls, rows):
-        return cls._stacked(np.array([r.atoms for r in rows]), np.array([r.masses for r in rows]))
-
-    @classmethod
-    def _stacked(cls, atoms, masses) -> FiniteDiscrete:
-        """Stacked forecasts from (n, m) arrays of atoms and masses, unchecked."""
-        return _build(cls, atoms=atoms, masses=masses)
-
-    def _row(self, i):
-        return FiniteDiscrete(self.atoms[i], self.masses[i])
-
 
 class TwoPointBernoulli(FiniteDiscrete):
     """Binary-outcome forecast with success coded as outcome 0.
@@ -598,11 +604,13 @@ class TwoPointBernoulli(FiniteDiscrete):
     """
 
     def __init__(self, p: float):
-        p = float(p)
-        if not 0.0 <= p <= 1.0:
+        object.__setattr__(self, "p", float(p))
+        super().__init__(atoms=(0.0, 1.0), masses=(self.p, 1.0 - self.p))
+
+    def __post_init__(self):
+        if not 0.0 <= self.p <= 1.0:
             raise ValueError("success probability must lie in [0, 1]")
-        object.__setattr__(self, "p", p)
-        super().__init__(atoms=(0.0, 1.0), masses=(p, 1.0 - p))
+        super().__post_init__()
 
     def __repr__(self):
         return f"TwoPointBernoulli(p={self.p})"
@@ -611,17 +619,10 @@ class TwoPointBernoulli(FiniteDiscrete):
         return (TwoPointBernoulli,)
 
     @classmethod
-    def _stack(cls, rows):
-        return cls._stacked(_column([r.p for r in rows]))
-
-    @classmethod
     def _stacked(cls, p) -> TwoPointBernoulli:
         """Stacked forecasts with success probabilities ``p``, an (n, 1) column."""
-        return _build(cls, p=p, atoms=np.broadcast_to([0.0, 1.0], (p.shape[0], 2)),
-                      masses=np.hstack([p, 1.0 - p]))
-
-    def _row(self, i):
-        return TwoPointBernoulli(_at(self.p, i))
+        return _build(cls, {"p": p, "atoms": (np.zeros_like(p), np.ones_like(p)),
+                            "masses": (p, 1.0 - p)})
 
 
 @dataclass(frozen=True)
@@ -688,21 +689,7 @@ class Mixture(PredictiveDist):
         return out
 
     def _stack_key(self):
-        return (Mixture, tuple(c._stack_key() for c in self.components))
-
-    @classmethod
-    def _stack(cls, rows):
-        return cls._stacked(_stack_components(rows),
-                            tuple(_column(col) for col in zip(*(r.weights for r in rows))))
-
-    @classmethod
-    def _stacked(cls, components, weights) -> Mixture:
-        """Stacked mixtures of stacked components with (n, 1) weight columns, unchecked."""
-        return _build(cls, components=components, weights=weights)
-
-    def _row(self, i):
-        return Mixture(tuple(c._row(i) for c in self.components),
-                       tuple(_at(w, i) for w in self.weights))
+        return (Mixture, tuple([c._stack_key() for c in self.components]))
 
 
 @dataclass(frozen=True)
@@ -746,11 +733,8 @@ class SpreadAdjusted(PredictiveDist):
     def atom_locations(self):
         return self._pushforward(self.base.atom_locations())
 
-    def quantile(self, p):
-        p_arr = _as_array(p)
-        if np.any((p_arr <= 0.0) | (p_arr >= 1.0)):
-            raise ValueError("quantile level must lie strictly inside (0, 1)")
-        return _match(p, self._pushforward(_as_array(self.base.quantile(p_arr))))
+    def _quantile(self, p):
+        return self._pushforward(_as_array(self.base.quantile(p)))
 
     def median(self):
         return self._pushforward(self.base.median())
@@ -766,14 +750,6 @@ class SpreadAdjusted(PredictiveDist):
 
     def _stack_key(self):
         return (SpreadAdjusted, self.base._stack_key())
-
-    @classmethod
-    def _stack(cls, rows):
-        return _build(cls, base=_stack_rows([r.base for r in rows]),
-                      c=_column([r.c for r in rows]), center=_column([r.center for r in rows]))
-
-    def _row(self, i):
-        return SpreadAdjusted(self.base._row(i), _at(self.c, i), _at(self.center, i))
 
 
 @dataclass(frozen=True)
@@ -814,11 +790,8 @@ class BetaTransformed(PredictiveDist):
     def atom_locations(self):
         return self.base.atom_locations()
 
-    def quantile(self, p):
-        p_arr = _as_array(p)
-        if np.any((p_arr <= 0.0) | (p_arr >= 1.0)):
-            raise ValueError("quantile level must lie strictly inside (0, 1)")
-        return _match(p, _as_array(self.base.quantile(betaincinv(self.alpha, self.beta, p_arr))))
+    def _quantile(self, p):
+        return _as_array(self.base.quantile(betaincinv(self.alpha, self.beta, p)))
 
     def median(self):
         level = betaincinv(self.alpha, self.beta, 0.5)  # an (n, 1) column when stacked
@@ -828,14 +801,6 @@ class BetaTransformed(PredictiveDist):
 
     def _stack_key(self):
         return (BetaTransformed, self.base._stack_key())
-
-    @classmethod
-    def _stack(cls, rows):
-        return _build(cls, base=_stack_rows([r.base for r in rows]),
-                      alpha=_column([r.alpha for r in rows]), beta=_column([r.beta for r in rows]))
-
-    def _row(self, i):
-        return BetaTransformed(self.base._row(i), _at(self.alpha, i), _at(self.beta, i))
 
 
 def validate_cdf(d: PredictiveDist, grid=None) -> None:

@@ -35,7 +35,7 @@ from .distributions import (
     _finite_rows,
     _match,
     _row_count,
-    _stack_column,
+    stack,
 )
 from .errors import (
     DegenerateDesign,
@@ -110,8 +110,8 @@ class ForecastBatch(Sequence):
     def from_cases(cls, cases) -> ForecastBatch:
         """The batch of a sequence of ``ForecastCase``; a batch is returned as it is.
 
-        Each component column is stacked by ``distributions.stack`` rules; a
-        column whose forecasts differ in shape is evaluated row by row.
+        Each component column is stacked by ``distributions.stack``; a column
+        whose forecasts differ in shape is evaluated row by row.
         """
         if isinstance(cases, ForecastBatch):
             return cases
@@ -119,7 +119,7 @@ class ForecastBatch(Sequence):
         k = len(cases[0].components) if cases else 0
         if any(len(case.components) != k for case in cases):
             raise LengthMismatch("all cases must have the same number of components")
-        columns = [_stack_column(col) for col in zip(*(case.components for case in cases))]
+        columns = [stack(col) for col in zip(*(case.components for case in cases))]
         return cls([case.y for case in cases], columns, cases)
 
     @property

@@ -27,11 +27,7 @@ from .distributions import (
     PredictiveDist,
     SpreadAdjusted,
     _as_array,
-    _at,
-    _build,
-    _column,
     _match,
-    _stack_components,
 )
 from .errors import DensityUnavailable, DomainViolation, WeightConstraintViolation
 
@@ -297,17 +293,7 @@ class GlpDistribution(PredictiveDist):
         return np.concatenate([_as_array(c.quantile(bounds)) for c in self.components])
 
     def _stack_key(self):
-        return (GlpDistribution, self.link, tuple(c._stack_key() for c in self.components))
-
-    @classmethod
-    def _stack(cls, rows):
-        return _build(cls, components=_stack_components(rows),
-                      w=tuple(_column(col) for col in zip(*(r.w for r in rows))),
-                      link=rows[0].link)
-
-    def _row(self, i):
-        return GlpDistribution(tuple(c._row(i) for c in self.components),
-                               tuple(_at(w, i) for w in self.w), self.link)
+        return (GlpDistribution, self.link, tuple([c._stack_key() for c in self.components]))
 
 
 def pool(spec: PoolSpec, components) -> PredictiveDist:

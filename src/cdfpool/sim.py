@@ -233,8 +233,8 @@ def simulate(config: DgpConfig) -> SimResult:
     else:
         y, scenario, latents = _draw_ternary(rng, n)
         masses = np.array([s.forecast_masses for s in TERNARY_SCENARIOS])[scenario]
-        components = (FiniteDiscrete._stacked(np.broadcast_to(TERNARY_OUTCOMES, masses.shape),
-                                              masses),)
+        components = (FiniteDiscrete._stacked(tuple(_col(a, n) for a in TERNARY_OUTCOMES),
+                                              tuple(m[:, None] for m in masses.T)),)
     for draw in latents.values():  # the columns view these arrays
         draw.flags.writeable = False
     return SimResult(cases=ForecastBatch(y, components), latents=latents)

@@ -31,7 +31,7 @@ from cdfpool import (
     ks_uniformity,
     simulate,
 )
-from cdfpool.distributions import _RowStack, _stack_column, _stack_rows
+from cdfpool.distributions import _RowStack, stack
 from cdfpool.fitting import _build_design, _newton_result, _slp_derivs, _Weights
 from cdfpool.io import read_dataset_csv, write_dataset_csv
 from cdfpool.pools import BlpSpec, GlpSpec, SlpSpec, TlpSpec, pool
@@ -154,7 +154,7 @@ class TestSequence:
     def test_arrays_reject_a_non_finite_value(self, bad):
         y, mu, sd = np.zeros(6), np.zeros((6, 1)), np.ones((6, 1))
         {"y": y, "mu": mu, "sd": sd}[bad][4] = np.inf
-        column = _stack_rows([Gaussian(0.0, 1.0)] * 6)
+        column = stack([Gaussian(0.0, 1.0)] * 6)
         object.__setattr__(column, "mu", mu)
         object.__setattr__(column, "sigma", sd)
         with pytest.raises(DomainViolation, match="case 4 has a non-finite"):
@@ -385,7 +385,7 @@ def test_stacked_median_and_quantile_of_every_kind():
     ]
     levels = np.array([[0.1, 0.5, 0.95]])
     for rows in kinds:
-        stacked = _stack_column(rows)
+        stacked = stack(rows)
         np.testing.assert_array_equal(np.reshape(stacked.median(), -1),
                                       [r.median() for r in rows])
         np.testing.assert_array_equal(stacked.quantile(levels),
@@ -395,7 +395,7 @@ def test_stacked_median_and_quantile_of_every_kind():
 def test_stacked_discrete_median_flat_at_one_half():
     rows = [FiniteDiscrete((0.0, 1.0), (0.3, 0.7)), FiniteDiscrete((0.0, 1.0), (0.5, 0.5))]
     with pytest.raises(MedianUndefined):
-        _stack_column(rows).median()
+        stack(rows).median()
 
 
 def test_rows_of_every_stacked_kind_round_trip():
@@ -411,6 +411,6 @@ def test_rows_of_every_stacked_kind_round_trip():
         [g[0], Mixture(tuple(g), (0.5, 0.5))],
     ]
     for rows in kinds:
-        stacked = _stack_column(rows)
+        stacked = stack(rows)
         assert [stacked._row(i) for i in range(2)] == rows
         assert all(type(a) is type(b) for a, b in zip(map(stacked._row, range(2)), rows))

@@ -2,15 +2,20 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import cdfpool.calibration
 from cdfpool import (
     BetaTransformed,
     DomainViolation,
     EmptyInput,
     FiniteDiscrete,
     Gaussian,
+    GlpSpec,
     LengthMismatch,
+    LinkFunction,
     Mixture,
     PitSample,
+    SlpSpec,
+    SpreadAdjusted,
     TlpSpec,
     TooFewSamples,
     TwoPointBernoulli,
@@ -24,6 +29,7 @@ from cdfpool import (
     reliability_bins,
     var_z_sigma,
 )
+from cdfpool.distributions import stack
 from cdfpool.calibration import (
     NEUTRAL_PIT_VARIANCE,
     NEUTRALLY_DISPERSED,
@@ -57,6 +63,10 @@ class TestPitSample:
         # MC standard error of the variance estimate for a uniform sample
         se = np.sqrt((1 / 80 - (1 / 12) ** 2) / n)
         assert abs(var - NEUTRAL_PIT_VARIANCE) < 3 * se
+
+    def test_nan_pit_value_rejected(self):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            PitSample(z=[np.nan, 0.5, 0.2], v=[0.5, 0.5, 0.5])
 
     def test_tight_wrong_forecasts_pin_pit_to_ends(self):
         rng = np.random.default_rng(2)
@@ -306,8 +316,59 @@ class TestCalibrationReport:
         rep = calibration_report([Gaussian(0.0, 1.0)], [0.3], rng_seed=1)
         assert len(rep.pit) == 1
 
+    def test_stacks_a_list_once_and_a_stacked_forecast_never(self, monkeypatch):
+        from cdfpool import calibration_report
+
+        rng = np.random.default_rng(34)
+        forecasts = [Gaussian(m, 1.0) for m in rng.standard_normal(50)]
+        y = rng.standard_normal(50)
+        stacked = stack(forecasts)
+        calls = []
+        monkeypatch.setattr(cdfpool.calibration, "stack",
+                            lambda dists: calls.append(1) or stack(dists))
+        from_list = calibration_report(forecasts, y, rng_seed=2)
+        assert len(calls) == 1
+        from_stacked = calibration_report(stacked, y, rng_seed=2)
+        assert len(calls) == 1
+        assert from_list.marginal_gap == from_stacked.marginal_gap
+        np.testing.assert_array_equal(from_list.pit.z, from_stacked.pit.z)
+
+
+_G = (Gaussian(0.0, 1.0), Gaussian(1.0, 2.0))
+_EVERY_KIND = {
+    "gaussian": _G[0],
+    "finite-discrete": FiniteDiscrete((0.0, 1.0, 2.0), (0.2, 0.3, 0.5)),
+    "bernoulli": TwoPointBernoulli(0.3),
+    "mixture": Mixture(_G, (0.5, 0.5)),
+    "spread-adjusted": SpreadAdjusted(_G[1], 1.5, 1.0),
+    "beta-transformed": BetaTransformed(_G[0], 2.0, 0.5),
+    "glp": pool(GlpSpec((0.4, 0.6), LinkFunction.PROBIT), _G),
+    "slp": pool(SlpSpec((0.4, 0.6), 0.8), _G),
+    "stacked": stack([_G[0], _G[1]]),
+    "row-by-row": stack([_G[0], Mixture(_G, (0.5, 0.5))]),
+}
+
 
 class TestQuantileDomain:
+    @pytest.mark.parametrize("kind", list(_EVERY_KIND))
+    @pytest.mark.parametrize("p", [np.nan, 0.0, 1.0, [[0.5, np.nan]], [[0.5, 1.0]]],
+                             ids=["nan", "zero", "one", "array-nan", "array-one"])
+    def test_every_kind_rejects_levels_outside_open_interval(self, kind, p):
+        d = _EVERY_KIND[kind]
+        if np.ndim(p) == 0 and d._rows():
+            p = [[p]]  # a stacked forecast takes (1, m) levels
+        with pytest.raises(ValueError, match="strictly inside"):
+            d.quantile(p)
+
+    @pytest.mark.parametrize("kind", list(_EVERY_KIND))
+    def test_every_kind_accepts_levels_inside(self, kind):
+        d = _EVERY_KIND[kind]
+        levels = np.array([[0.25, 0.75]])
+        q = np.asarray(d.quantile(levels if d._rows() else levels[0]))
+        assert np.all(np.isfinite(q))
+        if not d._rows():
+            assert np.isfinite(d.quantile(0.5))
+
     def test_levels_outside_open_interval_rejected(self):
         for p in (0.0, 1.0, -0.1, 1.1):
             with pytest.raises(ValueError):

@@ -40,7 +40,7 @@ from cdfpool import (
     randomized_pit,
     simulate,
 )
-from cdfpool.distributions import _stack_column, stack
+from cdfpool.distributions import _RowStack, stack
 
 
 class Logistic(PredictiveDist):
@@ -130,21 +130,23 @@ def _case_gap(forecasts, obs, grid):
 
 
 class TestStack:
-    def test_groups_by_shape_and_keeps_every_index(self):
+    def test_one_shape_stacks_to_columns_mixed_shapes_to_rows(self):
         g = [Gaussian(0.0, 1.0), Gaussian(1.0, 2.0)]
+        gauss = stack(g)
+        assert isinstance(gauss, Gaussian)
+        assert gauss.mu.shape == (2, 1)
         forecasts = [g[0], TwoPointBernoulli(0.3), pool(TlpSpec((0.5, 0.5)), g), g[1],
                      FiniteDiscrete((0.0, 1.0, 2.0), (0.2, 0.3, 0.5)), Logistic(0.0, 1.0),
                      pool(TlpSpec((0.4, 0.6)), g)]
-        groups = stack(forecasts)
-        assert [list(idx) for idx, _ in groups] == [[0, 3], [1], [2, 6], [4], [5]]
-        gauss = groups[0][1]
-        assert isinstance(gauss, Gaussian)
-        assert gauss.mu.shape == (2, 1)
+        mixed = stack(forecasts)
+        assert isinstance(mixed, _RowStack)
+        assert mixed._rows() == len(forecasts)
+        assert all(mixed._row(i) is f for i, f in enumerate(forecasts))
 
     def test_pool_kinds_keep_their_class(self):
         g = [Gaussian(0.0, 1.0), Gaussian(1.0, 2.0)]
-        ((_, slp),) = stack([pool(SlpSpec((0.5, 0.5), 1.3), g)] * 3)
-        ((_, blp),) = stack([pool(BlpSpec((0.5, 0.5), 1.2, 0.8), g)] * 3)
+        slp = stack([pool(SlpSpec((0.5, 0.5), 1.3), g)] * 3)
+        blp = stack([pool(BlpSpec((0.5, 0.5), 1.2, 0.8), g)] * 3)
         assert isinstance(slp, Mixture)
         assert isinstance(slp.components[0], SpreadAdjusted)
         assert slp.components[0].c.shape == (3, 1)
@@ -161,6 +163,86 @@ class TestStack:
         cases[4] = ForecastCase((forecast(np.inf), Gaussian(0.0, 2.0)), 0.0)
         with pytest.raises(DomainViolation, match="case 4 has a non-finite"):
             ForecastBatch.from_cases(cases)
+
+
+# ---------------------------------------------------------------------------
+# the stacking rule: lists of one shape, each row with its own parameters
+
+
+def _leaf_recipe(draw):
+    """A leaf kind, fixed for the list; each call of the recipe draws its parameters."""
+    kind = draw(st.sampled_from(["gaussian", "logistic", "bernoulli", "discrete"]))
+    if kind == "gaussian":
+        return lambda d: Gaussian(d(_loc), d(_scale))
+    if kind == "logistic":
+        return lambda d: Logistic(d(_loc), d(_scale))
+    if kind == "bernoulli":
+        return lambda d: TwoPointBernoulli(d(st.floats(0.05, 0.95)))
+    m = draw(st.integers(1, 4))
+
+    def discrete(d):
+        atoms = sorted(d(st.lists(_quarter, min_size=m, max_size=m, unique=True)))
+        raw = np.array(d(st.lists(st.floats(0.1, 1.0), min_size=m, max_size=m)))
+        return FiniteDiscrete(tuple(atoms), tuple(raw / raw.sum()))
+    return discrete
+
+
+def _pool_recipe(draw):
+    """A pool of two or three leaves: family, link and leaf kinds fixed, parameters per row."""
+    k = draw(st.integers(2, 3))
+    leaves = [_leaf_recipe(draw) for _ in range(k)]
+    family = draw(st.sampled_from(["tlp", "slp", "blp", "glp"]))
+    link = draw(st.sampled_from(list(LinkFunction)))
+    spec = {"tlp": _weights(k).map(TlpSpec),
+            "slp": st.builds(SlpSpec, _weights(k), st.floats(0.5, 2.0)),
+            "blp": st.builds(BlpSpec, _weights(k), st.floats(0.5, 3.0), st.floats(0.5, 3.0)),
+            "glp": _weights(k).map(lambda w: GlpSpec(w, link))}[family]
+    return lambda d: pool(d(spec), [leaf(d) for leaf in leaves])
+
+
+@st.composite
+def _one_shape(draw):
+    """One to nine forecasts of one shape: a leaf kind, or a pool of any family."""
+    recipe = _leaf_recipe(draw) if draw(st.booleans()) else _pool_recipe(draw)
+    try:
+        return [recipe(draw) for _ in range(draw(st.integers(1, 9)))]
+    except MedianUndefined:  # a spread-adjusted pool needs component medians
+        reject()
+
+
+class TestStackingRule:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(_one_shape())
+    def test_rows_come_back_equal(self, rows):
+        stacked = stack(rows)
+        assert stacked._rows() == len(rows)
+        for i, row in enumerate(rows):
+            back = stacked._row(i)
+            assert back == row
+            assert type(back) is type(row)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(_one_shape())
+    def test_each_row_evaluates_bit_for_bit_as_its_case(self, rows):
+        stacked = stack(rows)
+        grid = np.linspace(-3.5, 3.5, 29)
+        for method in ("cdf", "cdf_left"):
+            values = getattr(stacked, method)(grid[None, :])
+            for i, row in enumerate(rows):
+                np.testing.assert_array_equal(values[i], getattr(row, method)(grid))
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.data(), _one_shape())
+    def test_take_evaluates_as_the_stack_of_the_slice(self, data, rows):
+        start = data.draw(st.integers(0, len(rows) - 1))
+        stop = data.draw(st.integers(start + 1, len(rows)))
+        taken = stack(rows)._take(slice(start, stop))
+        direct = stack(rows[start:stop])
+        grid = np.linspace(-3.5, 3.5, 29)[None, :]
+        assert taken._rows() == direct._rows() == stop - start
+        for method in ("cdf", "cdf_left"):
+            np.testing.assert_array_equal(getattr(taken, method)(grid),
+                                          getattr(direct, method)(grid))
 
 
 class TestStackedEquivalence:
@@ -344,7 +426,7 @@ class TestPooledColumns:
             [g[0], Mixture(tuple(g), (0.5, 0.5)), Logistic(0.5, 1.0)],
         ]
         for rows in kinds:
-            stacked = _stack_column(rows)
+            stacked = stack(rows)
             for method in ("mean", "variance"):
                 column = getattr(stacked, method)()
                 assert column.shape == (len(rows), 1)
