@@ -93,10 +93,10 @@ def _check_finite(x: np.ndarray, what: str) -> None:
 def _paired(forecasts, obs: np.ndarray) -> PredictiveDist:
     """The forecasts as one stacked forecast, one row per observation, every observation finite.
 
-    A list is stacked by ``distributions.stack``; a stacked forecast is used as it is.
+    A list is stacked by ``stack``; a forecast is used as it is, a per-case one for every row.
     """
     d = forecasts if isinstance(forecasts, PredictiveDist) else stack(forecasts)
-    if d._rows() != obs.size:
+    if d._rows() not in (0, obs.size):
         raise LengthMismatch(f"{d._rows()} forecasts paired with {obs.size} observations")
     _check_finite(obs, "observation")
     return d
@@ -164,10 +164,10 @@ def var_z_sigma(sigma: float) -> float:
 def marginal_calibration_gap(forecasts, obs, grid) -> float:
     """Sup over the grid of |average forecast CDF - empirical CDF of obs|.
 
-    ``forecasts`` is a list of per-case forecasts or one stacked forecast
-    whose rows are the cases (see ``pit_sample``).  The stacked forecast
-    adds its CDF rows on the whole grid to the running sum, _GAP_CHUNK rows
-    at a time.  Raises DomainViolation where the average CDF is not finite.
+    ``forecasts`` is a list of per-case forecasts or one stacked forecast whose rows
+    are the cases (see ``pit_sample``), a shared forecast being one row.  Its CDF rows
+    on the grid are added to the running sum, _GAP_CHUNK rows at a time.  Raises
+    DomainViolation where the average CDF is not finite.
     """
     obs = _as_array(obs)
     grid = _as_array(grid)
@@ -176,10 +176,10 @@ def marginal_calibration_gap(forecasts, obs, grid) -> float:
     d = _paired(forecasts, obs)
     _check_finite(grid, "grid point")
     acc = np.zeros(grid.size)
-    for start in range(0, obs.size, _GAP_CHUNK):
+    for start in range(0, max(d._rows(), 1), _GAP_CHUNK):
         rows = d._take(slice(start, start + _GAP_CHUNK))
         acc += _as_array(rows.cdf(grid[None, :])).sum(axis=0)
-    acc /= obs.size
+    acc /= max(d._rows(), 1)
     _check_finite(acc, "the average forecast CDF at grid point")
     ecdf = np.searchsorted(np.sort(obs), grid, side="right") / obs.size
     return float(np.max(np.abs(acc - ecdf)))

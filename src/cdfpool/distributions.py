@@ -14,8 +14,9 @@ shared by all rows; forecasts of mixed shapes give a ``_RowStack``, evaluated
 row by row.  The stacked ``cdf``, ``cdf_left`` and ``density`` take an (n, m)
 or (1, m) array of points and return (n, m), row i being case i's forecast at
 row i of the points; ``quantile`` takes levels in the same shapes; ``mean``,
-``variance`` and ``median`` return (n, 1) columns.  ``_row(i)`` rebuilds case
-i, checked as at construction, ``_take(rows)`` slices the rows, and
+``variance`` and ``median`` return (n, 1) columns.  A per-case object runs the
+same code as a 1-row stack.  ``_row(i)`` rebuilds case i, checked as at
+construction, ``_take(rows)`` cuts the rows, and
 ``Gaussian._stacked(mu, sigma)`` and its siblings build a stacked object from
 checked, stacked parameters in declaration order.
 """
@@ -25,7 +26,7 @@ from __future__ import annotations
 import dataclasses
 import numbers
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, partialmethod, reduce
 from operator import attrgetter
 
 import numpy as np
@@ -44,6 +45,7 @@ _BRACKET_ROUNDS = 80  # each round at least halves the bracket
 _GRID_POINTS = 401  # odd, for Simpson's rule
 _GRID_DOUBLINGS = 3  # refinements tried before the moments are declared unavailable
 _GRID_RTOL = 1e-8  # agreement demanded between the full- and half-grid Simpson sums
+_MOMENT_CHUNK = 64  # stacked rows integrated at a time: keeps each (rows, nodes) temporary small
 
 
 def _as_array(y) -> np.ndarray:
@@ -110,8 +112,7 @@ class PredictiveDist:
     def median(self):
         """The unique median, or MedianUndefined if the CDF is flat at 1/2.
 
-        A stacked object with n > 1 rows returns the (n, 1) column of its
-        rows' medians.
+        A stacked object returns the (n, 1) column of its rows' medians.
         """
         levels = np.array([[0.5 - 1e-9, 0.5 + 1e-9, 0.25, 0.75]])
         lo, hi, q1, q3 = _as_array(self.quantile(levels)).T  # one row per stacked row
@@ -119,15 +120,15 @@ class PredictiveDist:
         if np.any(hi - lo > 1e-3 * scale + 10.0 * _QUANTILE_ATOL):
             raise MedianUndefined("CDF is flat at probability 1/2; no unique median")
         mid = 0.5 * (lo + hi)
-        return mid[:, None] if mid.size > 1 else float(mid[0])
+        return mid[:, None] if self._rows() else float(mid[0])
 
     def mean(self):
         """The mean; a stacked object returns the (n, 1) column of its rows' means."""
-        return self._each_row("mean") if self._rows() else self._quadrature_moments()[0]
+        return self._quadrature_moments()[0]
 
     def variance(self):
         """The variance; a stacked object returns the (n, 1) column of its rows' variances."""
-        return self._each_row("variance") if self._rows() else self._quadrature_moments()[1]
+        return self._quadrature_moments()[1]
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         u = (rng.integers(0, 1 << 53, size=n) + 0.5) / float(1 << 53)
@@ -182,13 +183,9 @@ class PredictiveDist:
         """The number of stacked rows; 0 for a per-case object."""
         return _row_count(tuple(self._params().values()))
 
-    def _take(self, rows: slice) -> PredictiveDist:
-        """The stacked object of the given rows: each (n, .) array and sub-forecast is sliced."""
+    def _take(self, rows) -> PredictiveDist:
+        """The given rows (a slice or index array): each (n, .) array and sub-forecast is cut."""
         return _build(type(self), {name: _take_rows(v, rows) for name, v in self._params().items()})
-
-    def _each_row(self, method: str) -> np.ndarray:
-        """The (n, 1) column of ``method()`` on each row, built by ``_row``."""
-        return np.array([[getattr(self._row(i), method)()] for i in range(self._rows())])
 
     # -- generic numerics ---------------------------------------------------
 
@@ -226,8 +223,8 @@ class PredictiveDist:
             lo = np.where(~ge & ~done, mid, lo)
         return hi
 
-    def _tail_bracket(self) -> tuple[float, float, float, float]:
-        """The bulk [lo, hi] and the CDF's limits g0, g1 at -2^63 and +2^63.
+    def _tail_bracket(self, first: int):
+        """The bulk [lo, hi] and the CDF's limits g0, g1 at -2^63 and +2^63, as (n, 1) columns.
 
         Rounding can leave a CDF short of 0 or 1 in the far tails (a mixture
         whose weights sum to 1 - 1e-16 under a beta transform), so the tails
@@ -235,93 +232,106 @@ class PredictiveDist:
         cdf(hi) >= g1 - _TAIL_MASS.  The bracket first doubles outward
         from [-1, 1] in one vectorised call, then shrinks to the coarse-grid
         cells that still hold the two tail points, until the bulk spans at
-        least half the bracket.
+        least half the bracket; a settled row keeps its bracket.  Row i is row ``first + i``.
         """
         n = _BRACKET_LADDER.size
-        c = _as_array(self.cdf(np.concatenate([-_BRACKET_LADDER, _BRACKET_LADDER])))
-        g0, g1 = float(c[n - 1]), float(c[-1])
-        if not g1 - g0 >= 1.0 - _LIMIT_GAP:
+        c = _as_array(self.cdf(np.concatenate([-_BRACKET_LADDER, _BRACKET_LADDER])[None, :]))
+        g0, g1 = c[:, n - 1:n], c[:, -1:]
+        short = ~(g1 - g0 >= 1.0 - _LIMIT_GAP)
+        if short.any():
+            i = int(np.argmax(short))
             raise MomentUnavailable(
-                f"{type(self).__name__} CDF rises only from {g0:g} to {g1:g} "
-                f"over +-{_BRACKET_LADDER[-1]:g}"
+                f"{type(self).__name__} row {first + i}: CDF rises only from {g0[i, 0]:g} "
+                f"to {g1[i, 0]:g} over +-{_BRACKET_LADDER[-1]:g}"
             )
-        lo = -_BRACKET_LADDER[np.argmax(c[:n] <= g0 + _TAIL_MASS)]
-        hi = _BRACKET_LADDER[np.argmax(c[n:] >= g1 - _TAIL_MASS)]
+        lo = -_BRACKET_LADDER[np.argmax(c[:, :n] <= g0 + _TAIL_MASS, axis=1)]
+        hi = _BRACKET_LADDER[np.argmax(c[:, n:] >= g1 - _TAIL_MASS, axis=1)]
+        rows, active = np.arange(lo.size), np.ones(lo.size, dtype=bool)
         for _ in range(_BRACKET_ROUNDS):
-            t = np.linspace(lo, hi, _BRACKET_POINTS)
+            t = np.linspace(lo, hi, _BRACKET_POINTS, axis=1)
             c = _as_array(self.cdf(t))
-            # c[0] <= g0 + _TAIL_MASS and c[-1] >= g1 - _TAIL_MASS, so i < j
-            i = int(np.argmax(c > g0 + _TAIL_MASS)) - 1
-            j = int(np.argmax(c >= g1 - _TAIL_MASS))
-            lo, hi = t[i], t[j]
-            if 2 * (j - i) > _BRACKET_POINTS - 1:
+            # c[:, 0] <= g0 + _TAIL_MASS and c[:, -1] >= g1 - _TAIL_MASS, so i < j
+            i = np.argmax(c > g0 + _TAIL_MASS, axis=1) - 1
+            j = np.argmax(c >= g1 - _TAIL_MASS, axis=1)
+            lo, hi = np.where(active, t[rows, i], lo), np.where(active, t[rows, j], hi)
+            active &= 2 * (j - i) <= _BRACKET_POINTS - 1
+            if not active.any():
                 break
-        return float(lo), float(hi), g0, g1
+        return lo[:, None], hi[:, None], g0, g1
 
     def _kinks(self) -> np.ndarray:
-        """Points where the CDF may lose smoothness; Simpson panels end there."""
-        return np.empty(0)
+        """Points where the CDF may lose smoothness, a row per stacked row; panels end there."""
+        return np.empty((1, 0))
 
-    def _quadrature_moments(self) -> tuple[float, float]:
+    def _quadrature_moments(self):
         """Mean and variance from the CDF G alone, integrated by parts.
 
         On [lo, hi] from ``_tail_bracket``, E[Y] = lo + int (1 - G) and
         E[(Y - lo)^2] = 2 int (t - lo)(1 - G), with G rescaled to run from
         0 to 1 between the CDF's far limits, by Simpson's rule on panels
         split at ``_kinks``.  The same CDF values on every other node give
-        a second estimate; the grid doubles until the two agree to
-        _GRID_RTOL, and MomentUnavailable is raised if they never do.
+        a second estimate; a row's grid doubles until the two agree to
+        _GRID_RTOL, and MomentUnavailable naming the row is raised if they
+        never do.  Rows are integrated _MOMENT_CHUNK at a time, each on its
+        own nodes and summed in node order, so a row's moments do not depend
+        on the rows beside it.  Returns (n, 1) columns; a per-case object is
+        the 1-row case (row 0 in errors) and gets floats.
         """
         if not self.has_density:
             raise MomentUnavailable(
                 f"{type(self).__name__} has atoms; quadrature moments undefined"
             )
-        lo, hi, g0, g1 = self._tail_bracket()
-        kinks = self._kinks()
-        edges = np.unique(np.concatenate([[lo, hi], kinks[(kinks > lo) & (kinks < hi)]]))
-        n = _GRID_POINTS
-        for _ in range(_GRID_DOUBLINGS + 1):
-            t, w_full, w_half = _simpson_rule(edges, n)
-            tail = (g1 - _as_array(self.cdf(t))) / (g1 - g0)
-            rows = np.stack([tail, 2.0 * (t - lo) * tail])
-            full, half = rows @ w_full, rows @ w_half
-            m, v = lo + full[0], full[1] - full[0] ** 2
-            m_half, v_half = lo + half[0], half[1] - half[0] ** 2
-            if v > 0.0 and (abs(m - m_half) <= _GRID_RTOL * np.sqrt(v)
-                            and abs(v - v_half) <= _GRID_RTOL * v):
-                return float(m), float(v)
-            n = 2 * n - 1
-        raise MomentUnavailable(
-            f"{type(self).__name__} moments did not settle on a "
-            f"{(n + 1) // 2}-point Simpson grid over [{lo:g}, {hi:g}]"
-        )
-
-
-def _simpson_weights(n: int) -> np.ndarray:
-    w = np.full(n, 2.0)
-    w[1::2] = 4.0
-    w[0] = w[-1] = 1.0
-    return w
+        out = np.empty((2, max(self._rows(), 1), 1))
+        for first in range(0, out.shape[1], _MOMENT_CHUNK):
+            chunk = self._take(slice(first, first + _MOMENT_CHUNK))
+            lo, hi, g0, g1 = chunk._tail_bracket(first)
+            edges = np.sort(np.hstack([lo, np.clip(chunk._kinks(), lo, hi), hi]), axis=1)
+            todo, n = np.arange(lo.size), _GRID_POINTS
+            for _ in range(_GRID_DOUBLINGS + 1):
+                t, w = _simpson_rule(edges[todo], n)
+                tail = (g1[todo] - _as_array(chunk._take(todo).cdf(t))) / (g1[todo] - g0[todo])
+                parts = np.stack([tail, 2.0 * (t - lo[todo]) * tail])
+                s = np.cumsum(parts * w[:, None], axis=-1)[..., -1:]  # (grid, part, row, 1)
+                m, v = lo[todo] + s[:, 0], s[:, 1] - s[:, 0] ** 2  # full grid, then half grid
+                ok = ((v[0] > 0.0) & (np.abs(m[0] - m[1]) <= _GRID_RTOL * np.sqrt(np.abs(v[0])))
+                      & (np.abs(v[0] - v[1]) <= _GRID_RTOL * v[0]))[:, 0]
+                out[:, first + todo[ok]] = m[0, ok], v[0, ok]
+                todo, n = todo[~ok], 2 * n - 1
+                if not todo.size:
+                    break
+            else:
+                i = todo[0]
+                raise MomentUnavailable(
+                    f"{type(self).__name__} row {first + i}: moments did not settle on a "
+                    f"{(n + 1) // 2}-point Simpson grid over [{lo[i, 0]:g}, {hi[i, 0]:g}]"
+                )
+        return (out[0], out[1]) if self._rows() else (float(out[0, 0, 0]), float(out[1, 0, 0]))
 
 
 def _simpson_rule(edges: np.ndarray, n: int):
-    """About n nodes on [edges[0], edges[-1]] with full- and half-grid Simpson weights.
+    """Nodes t and their full- and half-grid Simpson weights w[0], w[1], a row per row of edges.
 
-    Each panel between consecutive edges gets 4q + 1 equally spaced nodes,
-    with q in proportion to its length, so that the nodes and every other
-    node are both odd Simpson grids on every panel.
+    Each panel between consecutive edges gets 4q + 1 equally spaced nodes, q >= 1 in
+    proportion to its length, so that the nodes and every other node are both odd Simpson
+    grids on every panel (of zero weight if its length is 0).  A row gets about n nodes
+    and is padded to the longest row by nodes at its last edge with zero weights.
     """
-    spans = np.diff(edges)
-    quarters = np.maximum(1, np.round((n - 1) / 4 * spans / spans.sum())).astype(int)
-    nodes, full, half = [], [], []
-    for a, span, q in zip(edges, spans, quarters):
-        h = span / (4 * q)
-        w_half = np.zeros(4 * q + 1)
-        w_half[::2] = 2.0 * _simpson_weights(2 * q + 1)
-        nodes.append(a + h * np.arange(4 * q + 1))
-        full.append(_simpson_weights(4 * q + 1) * (h / 3.0))
-        half.append(w_half * (h / 3.0))
-    return np.concatenate(nodes), np.concatenate(full), np.concatenate(half)
+    spans = np.diff(edges, axis=1)
+    q = np.maximum(1, np.round((n - 1) / 4 * spans / spans.sum(axis=1, keepdims=True))).astype(int)
+    size = (4 * q + 1).ravel()
+    # every node, row by row and panel by panel: its panel and its index j in that panel
+    panel = np.repeat(np.arange(size.size), size)
+    j = np.arange(panel.size) - (np.cumsum(size) - size)[panel]
+    h, end = (spans / (4 * q)).ravel()[panel], (j == 0) | (j == size[panel] - 1)
+    length = size.reshape(q.shape).sum(axis=1)
+    nodes = np.arange(length.max()) < length[:, None]  # a row's nodes, then its padding
+    t = np.repeat(edges[:, -1:], length.max(), axis=1)
+    w = np.zeros((2,) + t.shape)
+    t[nodes] = edges[:, :-1].ravel()[panel] + h * j
+    w[0][nodes] = np.where(end, 1.0, 2.0 + 2.0 * (j & 1)) * (h / 3.0)
+    # every other node: the half grid's weights 1, 4, 2, ..., 4, 1, doubled
+    w[1][nodes] = np.where(j & 1, 0.0, np.where(end, 2.0, 4.0 + 2.0 * (j & 2))) * (h / 3.0)
+    return t, w
 
 
 def stack(dists) -> PredictiveDist:
@@ -441,8 +451,13 @@ class _RowStack(PredictiveDist):
     def _quantile(self, p):
         return self._each("quantile", p)
 
-    def median(self):
-        return self._each_row("median")
+    def _each_row(self, method: str) -> np.ndarray:
+        """The (n, 1) column of ``method()`` on each row."""
+        return np.array([[getattr(d, method)()] for d in self.rows])
+
+    median = partialmethod(_each_row, "median")
+    mean = partialmethod(_each_row, "mean")
+    variance = partialmethod(_each_row, "variance")
 
     @classmethod
     def _stack(cls, rows):
@@ -455,7 +470,7 @@ class _RowStack(PredictiveDist):
         return len(self.rows)
 
     def _take(self, rows):
-        return _RowStack(self.rows[rows])
+        return _RowStack(tuple(self.rows[i] for i in np.arange(len(self.rows))[rows]))
 
 
 @dataclass(frozen=True)
@@ -516,81 +531,69 @@ class FiniteDiscrete(PredictiveDist):
         object.__setattr__(self, "masses", masses)
         if len(atoms) != len(masses) or not atoms:
             raise ValueError("atoms and masses must be nonempty and equally long")
-        if any(a2 <= a1 for a1, a2 in zip(atoms, atoms[1:])):
-            raise ValueError("atoms must be strictly ascending")
-        if any(m < 0.0 for m in masses):
+        if not all(a < b for a, b in zip((-np.inf,) + atoms, atoms + (np.inf,))):
+            raise ValueError("atoms must be finite and strictly ascending")
+        if not all(m >= 0.0 for m in masses):  # each check is written so that NaN fails it
             raise ValueError("masses must be nonnegative")
-        if abs(sum(masses) - 1.0) > 1e-12:
+        if not abs(sum(masses) - 1.0) <= 1e-12:
             raise ValueError("masses must sum to 1 within 1e-12")
 
     @cached_property
+    def _atoms(self) -> np.ndarray:
+        return np.stack(self.atoms, axis=-1)  # (k,), or (n, 1, k) when stacked
+
+    @cached_property
     def _cum(self) -> np.ndarray:
-        masses = np.hstack(self.masses)
-        c = np.concatenate([np.zeros(masses.shape[:-1] + (1,)), np.cumsum(masses, axis=-1)],
-                           axis=-1)
+        c = np.cumsum(np.stack((np.zeros_like(self.masses[0]),) + self.masses, axis=-1), axis=-1)
         c[..., -1] = 1.0
         return c
 
-    @cached_property
-    def _atoms_arr(self) -> np.ndarray:
-        return np.hstack(self.atoms)
+    @staticmethod
+    def _lookup(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+        """Entry ``index`` of ``table`` along its last axis, row by row when stacked."""
+        table = np.broadcast_to(table, index.shape + table.shape[-1:])
+        return np.take_along_axis(table, index[..., None], axis=-1)[..., 0]
 
-    def _cum_at(self, y, side: str) -> np.ndarray:
-        """Mass of the atoms <= y (side "right") or < y (side "left")."""
-        y = _as_array(y)
-        if self._atoms_arr.ndim == 1:
-            return self._cum[np.searchsorted(self._atoms_arr, y, side=side)]
-        # stacked rows: count each row's atoms below its points
-        below = np.less_equal if side == "right" else np.less
-        count = below(self._atoms_arr[:, None, :], y[..., None]).sum(axis=-1)
-        return np.take_along_axis(self._cum, count, axis=1)
+    def _cum_at(self, y, below) -> np.ndarray:
+        """Mass of the atoms <= y (``below`` is np.less_equal) or < y (np.less)."""
+        return self._lookup(self._cum, below(self._atoms, _as_array(y)[..., None]).sum(axis=-1))
 
     def cdf(self, y):
-        return _match(y, self._cum_at(y, "right"))
+        return _match(y, self._cum_at(y, np.less_equal))
 
     def cdf_left(self, y):
-        return _match(y, self._cum_at(y, "left"))
+        return _match(y, self._cum_at(y, np.less))
 
     def support(self):
         return (self.atoms[0], self.atoms[-1])
 
     def atom_locations(self):
-        return self._atoms_arr.copy()
-
-    def _first_at_or_above(self, p: np.ndarray) -> np.ndarray:
-        """Index of the first atom whose cumulative mass reaches p (row by row when stacked)."""
-        cum = self._cum[..., 1:]
-        if cum.ndim == 1:
-            return np.searchsorted(cum, p, side="left")
-        return (cum[:, None, :] < p[..., None]).sum(axis=-1)
+        return np.hstack(self.atoms)
 
     def _quantile(self, p):
-        idx = self._first_at_or_above(p)
-        if self._atoms_arr.ndim == 1:
-            return self._atoms_arr[idx]
-        return np.take_along_axis(self._atoms_arr, idx, axis=1)
+        # the first atom whose cumulative mass reaches p
+        return self._lookup(self._atoms, (self._cum[..., 1:] < p[..., None]).sum(axis=-1))
 
     def median(self):
-        i = self._first_at_or_above(np.full(self._atoms_arr.shape[:-1] + (1,), 0.5))
-        cum = np.take_along_axis(self._cum[..., 1:], i, axis=-1)
-        if np.any((cum == 0.5) & (i + 1 < self._atoms_arr.shape[-1])):
+        i = (self._cum[..., 1:] < 0.5).sum(axis=-1)  # 0-d, or an (n, 1) column when stacked
+        if np.any((self._lookup(self._cum[..., 1:], i) == 0.5) & (i + 1 < len(self.atoms))):
             raise MedianUndefined("CDF equals 1/2 on a whole interval")
-        m = np.take_along_axis(self._atoms_arr, i, axis=-1)
-        return m if m.ndim > 1 else float(m[0])
+        m = self._lookup(self._atoms, i)
+        return m if self._rows() else float(m)
+
+    def _total(self, x):
+        """The sum over atoms of mass times x, in atom order: an (n, 1) column when stacked."""
+        s = np.cumsum(np.stack(self.masses, axis=-1) * x, axis=-1)[..., -1]
+        return s if self._rows() else float(s)
 
     def mean(self):
-        if self._atoms_arr.ndim > 1:
-            return super().mean()
-        return float(np.dot(self.masses, self.atoms))
+        return self._total(self._atoms)
 
     def variance(self):
-        if self._atoms_arr.ndim > 1:
-            return super().variance()
-        m = self.mean()
-        return float(np.dot(self.masses, (self._atoms_arr - m) ** 2))
+        return self._total((self._atoms - np.expand_dims(self.mean(), -1)) ** 2)
 
     def sample(self, rng, n):
-        return rng.choice(self._atoms_arr, size=n, p=self.masses)
+        return rng.choice(self._atoms, size=n, p=self.masses)
 
     def _stack_key(self):
         return (FiniteDiscrete, len(self.atoms))
@@ -794,10 +797,7 @@ class BetaTransformed(PredictiveDist):
         return _as_array(self.base.quantile(betaincinv(self.alpha, self.beta, p)))
 
     def median(self):
-        level = betaincinv(self.alpha, self.beta, 0.5)  # an (n, 1) column when stacked
-        if np.ndim(level):
-            return _as_array(self.base.quantile(level))
-        return float(self.base.quantile(float(level)))
+        return self.base.quantile(betaincinv(self.alpha, self.beta, 0.5))  # per row when stacked
 
     def _stack_key(self):
         return (BetaTransformed, self.base._stack_key())

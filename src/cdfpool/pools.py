@@ -247,7 +247,7 @@ class GlpDistribution(PredictiveDist):
         return sum(w * v for w, v in zip(self.w, vals))
 
     def _combine(self, vals: list[np.ndarray]) -> np.ndarray:
-        stacked = np.stack(vals)
+        stacked = np.stack(np.broadcast_arrays(*vals))  # a shared component has one row
         all_low = np.all(stacked <= GLP_CLAMP, axis=0)
         all_high = np.all(stacked >= 1.0 - GLP_CLAMP, axis=0)
         clamped = np.clip(stacked, GLP_CLAMP, 1.0 - GLP_CLAMP)
@@ -271,9 +271,9 @@ class GlpDistribution(PredictiveDist):
         if not self.has_density:
             raise DensityUnavailable("a pool component carries point masses")
         y_arr = _as_array(y)
-        F = np.stack([np.clip(_as_array(c.cdf(y_arr)), GLP_CLAMP, 1.0 - GLP_CLAMP)
-                      for c in self.components])
-        f = np.stack([_as_array(c.density(y_arr)) for c in self.components])
+        F = np.clip(np.stack(np.broadcast_arrays(*(c.cdf(y_arr) for c in self.components))),
+                    GLP_CLAMP, 1.0 - GLP_CLAMP)
+        f = np.stack(np.broadcast_arrays(*(c.density(y_arr) for c in self.components)))
         s = self._link_sum(self.link.apply(F))
         g = np.clip(self.link.invert(s), GLP_CLAMP, 1.0 - GLP_CLAMP)
         num = self._link_sum(self.link.deriv(F) * f)
@@ -289,8 +289,8 @@ class GlpDistribution(PredictiveDist):
 
     def _kinks(self):
         # the clamp switches on where a component CDF crosses either bound
-        bounds = np.array([GLP_CLAMP, 1.0 - GLP_CLAMP])
-        return np.concatenate([_as_array(c.quantile(bounds)) for c in self.components])
+        bounds = np.array([[GLP_CLAMP, 1.0 - GLP_CLAMP]])
+        return np.hstack(np.broadcast_arrays(*(c.quantile(bounds) for c in self.components)))
 
     def _stack_key(self):
         return (GlpDistribution, self.link, tuple([c._stack_key() for c in self.components]))

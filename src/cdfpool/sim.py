@@ -228,7 +228,7 @@ def simulate(config: DgpConfig) -> SimResult:
         y, mu, tau, latents = _draw_quartet(rng, n)
         unfocused = Mixture._stacked((_gaussians(n, mu, 1.0), _gaussians(n, mu + tau, 1.0)),
                                      (_col(0.5, n), _col(0.5, n)))
-        components = (_gaussians(n, mu, 1.0), _gaussians(n, 0.0, np.sqrt(2.0)), unfocused,
+        components = (_gaussians(n, mu, 1.0), Gaussian(0.0, np.sqrt(2.0)), unfocused,
                       _gaussians(n, -mu, 1.0))
     else:
         y, scenario, latents = _draw_ternary(rng, n)

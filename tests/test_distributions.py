@@ -302,6 +302,20 @@ class TestConstruction:
         with pytest.raises(ValueError):
             FiniteDiscrete((0.0, 1.0), (0.5, 0.6))
 
+    @pytest.mark.parametrize("atoms, masses", [
+        ((0.0, 1.0), (np.nan, np.nan)),
+        ((0.0, 1.0), (np.nan, 1.0)),
+        ((0.0, 1.0), (0.5, np.inf)),
+        ((0.0, np.nan), (0.5, 0.5)),
+        ((np.nan,), (1.0,)),
+        ((0.0, np.inf), (0.5, 0.5)),
+        ((-np.inf, 0.0), (0.5, 0.5)),
+    ], ids=["nan-masses", "nan-mass", "inf-mass", "nan-atom", "lone-nan-atom", "inf-atom",
+            "minus-inf-atom"])
+    def test_non_finite_atoms_and_masses_rejected(self, atoms, masses):
+        with pytest.raises(ValueError):
+            FiniteDiscrete(atoms, masses)
+
     def test_weight_simplex_enforced(self):
         with pytest.raises(ValueError):
             Mixture((Gaussian(0, 1), Gaussian(1, 1)), (0.7, 0.4))

@@ -27,6 +27,7 @@ from cdfpool import (
     LinkFunction,
     MedianUndefined,
     Mixture,
+    MomentUnavailable,
     PredictiveDist,
     SlpSpec,
     SpreadAdjusted,
@@ -40,7 +41,7 @@ from cdfpool import (
     randomized_pit,
     simulate,
 )
-from cdfpool.distributions import _RowStack, stack
+from cdfpool.distributions import _MOMENT_CHUNK, _RowStack, stack
 
 
 class Logistic(PredictiveDist):
@@ -470,3 +471,128 @@ class TestAtomsInStackedColumns:
     def test_evaluate_still_needs_densities(self):
         with pytest.raises(DensityUnavailable):
             evaluate(SlpSpec((0.5, 0.5), 1.2), self._cases())
+
+
+class TestOneRowStacks:
+    """A per-case forecast gives floats; a stack of one row gives (1, 1) columns of them."""
+
+    G = (Gaussian(0.0, 1.0), Gaussian(1.0, 2.0))
+
+    @pytest.mark.parametrize("forecast", [
+        Gaussian(0.3, 1.2),
+        FiniteDiscrete((0.0, 1.0, 3.0), (0.2, 0.2, 0.6)),
+        TwoPointBernoulli(0.7),
+        Mixture(G, (0.3, 0.7)),
+        pool(SlpSpec((0.3, 0.7), 0.8), G),
+        pool(BlpSpec((0.3, 0.7), 1.3, 1.2), G),
+        pool(GlpSpec((0.3, 0.7), LinkFunction.LOG), G),
+        pool(GlpSpec((0.3, 0.7), LinkFunction.PROBIT), G),
+        Logistic(0.5, 1.0),
+    ], ids=["gaussian", "finite-discrete", "bernoulli", "tlp", "slp", "blp", "glp-log",
+            "glp-probit", "row-by-row"])
+    def test_median_mean_and_variance(self, forecast):
+        one_row = stack([forecast])
+        assert one_row._rows() == 1
+        for method in ("median", "mean", "variance"):
+            value, column = getattr(forecast, method)(), getattr(one_row, method)()
+            assert type(value) is float
+            assert column.shape == (1, 1)
+            assert column[0, 0] == value
+
+
+def _blp_rows(n, rng):
+    g = [Gaussian(m, s) for m, s in zip(rng.normal(size=n), 0.5 + rng.random(n))]
+    h = [Gaussian(m, s) for m, s in zip(rng.normal(size=n), 0.5 + rng.random(n))]
+    return [pool(BlpSpec((w, 1.0 - w), a, b), pair) for w, a, b, pair in
+            zip(rng.uniform(0.1, 0.9, n), rng.uniform(0.5, 3.0, n), rng.uniform(0.5, 3.0, n),
+                zip(g, h))]
+
+
+class TestStackedGridMoments:
+    """BLP and GLP moments of stacked rows come from one path over row chunks."""
+
+    @pytest.mark.parametrize("family", ["blp", "glp-log"])
+    def test_rows_beyond_one_chunk_equal_their_cases(self, family):
+        rng = np.random.default_rng(31)
+        n = 300
+        if family == "blp":
+            rows = _blp_rows(n, rng)
+            # narrow and far from 0: their brackets take more narrowing rounds than the others
+            narrow = BlpSpec((0.5, 0.5), 1.2, 0.9)
+            rows[::7] = [pool(narrow, [Gaussian(m, 0.02), Gaussian(m, 0.05)])
+                         for m in rng.uniform(20.0, 60.0, len(rows[::7]))]
+        else:
+            batch = simulate(DgpConfig(kind="regression", n=n, seed=31)).cases
+            raw = rng.uniform(0.1, 1.0, size=(n, 3))
+            rows = [pool(GlpSpec(tuple(w / w.sum()), LinkFunction.LOG), case.components)
+                    for w, case in zip(raw, batch)]
+        assert n > 2 * _MOMENT_CHUNK
+        stacked = stack(rows)
+        for method in ("mean", "variance"):
+            np.testing.assert_array_equal(getattr(stacked, method)()[:, 0],
+                                          [getattr(r, method)() for r in rows])
+
+    def test_pool_over_a_row_by_row_column_equals_its_cases(self):
+        rng = np.random.default_rng(35)
+        first = [Logistic(m, 0.8) if j % 3 else Gaussian(m, 1.1)
+                 for j, m in enumerate(rng.normal(size=150))]
+        cases = [ForecastCase((f, Gaussian(0.0, 2.0)), y)
+                 for f, y in zip(first, rng.normal(size=150))]
+        batch = ForecastBatch.from_cases(cases)
+        assert isinstance(batch.components[0], _RowStack)
+        for spec in (BlpSpec((0.4, 0.6), 1.3, 0.9), GlpSpec((0.4, 0.6), LinkFunction.PROBIT)):
+            np.testing.assert_array_equal(pool(spec, batch.components).variance()[:, 0],
+                                          [pool(spec, c.components).variance() for c in cases])
+
+    def test_no_row_objects_and_cdf_calls_per_chunk(self, monkeypatch):
+        stacked = stack(_blp_rows(1000, np.random.default_rng(32)))
+        rows = _counting(monkeypatch, PredictiveDist, "_row")
+        cdf_calls = _counting(monkeypatch, BetaTransformed, "cdf")
+        stacked.variance()
+        chunks = -(-1000 // _MOMENT_CHUNK)
+        # per chunk: the bracket's ladder and narrowing rounds, then one grid
+        assert (len(rows), len(cdf_calls) <= 4 * chunks) == (0, True)
+
+    def test_a_bad_row_is_named(self):
+        rows = _blp_rows(200, np.random.default_rng(33))
+        # heavy-tailed on a narrow base: the grid never settles
+        rows[150] = pool(BlpSpec((0.5, 0.5), 0.3, 0.3), [Gaussian(3.0, 0.01)] * 2)
+        with pytest.raises(MomentUnavailable, match="^BetaTransformed row 150: "):
+            stack(rows).variance()
+        with pytest.raises(MomentUnavailable, match="^BetaTransformed row 0: "):
+            rows[150].variance()
+
+
+class TestSharedColumn:
+    """A per-case forecast as a batch column is the forecast of every case."""
+
+    def _batches(self, n=300, seed=34):
+        batch = simulate(DgpConfig(kind="regression", n=n, seed=seed)).cases
+        shared = Gaussian(0.2, 1.5)
+        repeated = Gaussian._stacked(np.full((n, 1), 0.2), np.full((n, 1), 1.5))
+        return (ForecastBatch(batch.y, batch.components[:2] + (shared,)),
+                ForecastBatch(batch.y, batch.components[:2] + (repeated,)))
+
+    def test_diagnostics_equal_the_repeated_forecast(self):
+        shared, repeated = self._batches()
+        y, grid = shared.y, np.linspace(-4.0, 4.0, 201)
+        pairs = [(shared.components[2], repeated.components[2])] + [
+            (pool(spec, shared.components), pool(spec, repeated.components))
+            for spec in (TlpSpec((0.2, 0.3, 0.5)), GlpSpec((0.2, 0.3, 0.5), LinkFunction.PROBIT))]
+        for a, b in pairs:
+            np.testing.assert_array_equal(pit_sample(a, y, 7).z, pit_sample(b, y, 7).z)
+            assert (marginal_calibration_gap(a, y, grid)
+                    == pytest.approx(marginal_calibration_gap(b, y, grid), abs=1e-12))
+            want = b.density(grid[None, :])  # a shared forecast alone gives one row
+            np.testing.assert_array_equal(np.broadcast_to(a.density(grid[None, :]), want.shape),
+                                          want)
+
+    @pytest.mark.parametrize("make", _FAMILIES, ids=["tlp", "slp", "blp"] + [
+        f"glp-{link.value}" for link in LinkFunction])
+    def test_evaluate_equals_the_repeated_forecast(self, make):
+        shared, repeated = self._batches(n=150)
+        spec = make((0.2, 0.3, 0.5))
+        a, b = evaluate(spec, shared, rng_seed=3), evaluate(spec, repeated, rng_seed=3)
+        assert a.mean_log_score == b.mean_log_score
+        assert a.pit_variance == b.pit_variance
+        assert a.rmv == b.rmv
