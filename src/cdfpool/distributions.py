@@ -19,6 +19,10 @@ same code as a 1-row stack.  ``_row(i)`` rebuilds case i, checked as at
 construction, ``_take(rows)`` cuts the rows, and
 ``Gaussian._stacked(mu, sigma)`` and its siblings build a stacked object from
 checked, stacked parameters in declaration order.
+
+Kinds without closed-form moments (the beta-transformed and generalized
+pools) integrate their CDF by parts with Fejér's second rule on panels
+between the CDF's kinks, 64 rows at a time (``_quadrature_moments``).
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 import dataclasses
 import numbers
 from dataclasses import dataclass
-from functools import cached_property, partialmethod, reduce
+from functools import cache, cached_property, partialmethod, reduce
 from operator import attrgetter
 
 import numpy as np
@@ -36,15 +40,16 @@ from .errors import CdfPoolError, DensityUnavailable, MedianUndefined, MomentUna
 
 _QUANTILE_ATOL = 1e-10  # absolute tolerance in y for bisection inverses
 
-# Moments without a closed form integrate the CDF on a fixed Simpson grid.
+# Moments without a closed form integrate the CDF by Fejér's second rule on each panel.
 _TAIL_MASS = 1e-11  # probability left outside the integration bracket on each side
 _LIMIT_GAP = 1e-6  # shortfall of the CDF's far limits from 0 and 1 put down to rounding
 _BRACKET_LADDER = 2.0 ** np.arange(64)  # outward probes at -2^i and +2^i
+_NEAR_PROBES = 8  # the first call probes 2^0..2^7; rows with tails further out take the rest
 _BRACKET_POINTS = 65  # coarse grid that narrows the bracket onto the bulk
 _BRACKET_ROUNDS = 80  # each round at least halves the bracket
-_GRID_POINTS = 401  # odd, for Simpson's rule
-_GRID_DOUBLINGS = 3  # refinements tried before the moments are declared unavailable
-_GRID_RTOL = 1e-8  # agreement demanded between the full- and half-grid Simpson sums
+_GRID_POINTS = 128  # a row's starting intervals, shared by its panels in proportion to length
+_GRID_DOUBLINGS = 3  # doublings of every panel's intervals before the moments are unavailable
+_GRID_RTOL = 1e-8  # agreement demanded between the full and the half rule
 _MOMENT_CHUNK = 64  # stacked rows integrated at a time: keeps each (rows, nodes) temporary small
 
 
@@ -230,13 +235,16 @@ class PredictiveDist:
         whose weights sum to 1 - 1e-16 under a beta transform), so the tails
         are measured from those limits: cdf(lo) <= g0 + _TAIL_MASS and
         cdf(hi) >= g1 - _TAIL_MASS.  The bracket first doubles outward
-        from [-1, 1] in one vectorised call, then shrinks to the coarse-grid
-        cells that still hold the two tail points, until the bulk spans at
-        least half the bracket; a settled row keeps its bracket.  Row i is row ``first + i``.
+        from [-1, 1]: one call probes +-2^0..2^7 and the limits, and only the
+        rows whose tail points lie further out probe the whole ladder to
+        +-2^63.  It then shrinks to the coarse-grid cells that still hold the
+        two tail points, until the bulk spans at least half the bracket; a
+        settled row keeps its bracket.  Row i is row ``first + i``.
         """
-        n = _BRACKET_LADDER.size
-        c = _as_array(self.cdf(np.concatenate([-_BRACKET_LADDER, _BRACKET_LADDER])[None, :]))
-        g0, g1 = c[:, n - 1:n], c[:, -1:]
+        n, k = _BRACKET_LADDER.size, _NEAR_PROBES
+        near = np.append(_BRACKET_LADDER[:k], _BRACKET_LADDER[-1])  # 2^0..2^7, then 2^63
+        c = _as_array(self.cdf(np.concatenate([-near, near])[None, :]))
+        g0, g1 = c[:, k:k + 1], c[:, -1:]
         short = ~(g1 - g0 >= 1.0 - _LIMIT_GAP)
         if short.any():
             i = int(np.argmax(short))
@@ -244,8 +252,15 @@ class PredictiveDist:
                 f"{type(self).__name__} row {first + i}: CDF rises only from {g0[i, 0]:g} "
                 f"to {g1[i, 0]:g} over +-{_BRACKET_LADDER[-1]:g}"
             )
-        lo = -_BRACKET_LADDER[np.argmax(c[:, :n] <= g0 + _TAIL_MASS, axis=1)]
-        hi = _BRACKET_LADDER[np.argmax(c[:, n:] >= g1 - _TAIL_MASS, axis=1)]
+        lo = np.argmax(c[:, :k + 1] <= g0 + _TAIL_MASS, axis=1)
+        hi = np.argmax(c[:, k + 1:] >= g1 - _TAIL_MASS, axis=1)
+        far = np.flatnonzero((lo == k) | (hi == k))  # a tail point beyond 2^(k - 1)
+        if far.size:
+            c = _as_array(self._take(far).cdf(
+                np.concatenate([-_BRACKET_LADDER, _BRACKET_LADDER])[None, :]))
+            lo[far] = np.argmax(c[:, :n] <= g0[far] + _TAIL_MASS, axis=1)
+            hi[far] = np.argmax(c[:, n:] >= g1[far] - _TAIL_MASS, axis=1)
+        lo, hi = -_BRACKET_LADDER[lo], _BRACKET_LADDER[hi]
         rows, active = np.arange(lo.size), np.ones(lo.size, dtype=bool)
         for _ in range(_BRACKET_ROUNDS):
             t = np.linspace(lo, hi, _BRACKET_POINTS, axis=1)
@@ -268,14 +283,17 @@ class PredictiveDist:
 
         On [lo, hi] from ``_tail_bracket``, E[Y] = lo + int (1 - G) and
         E[(Y - lo)^2] = 2 int (t - lo)(1 - G), with G rescaled to run from
-        0 to 1 between the CDF's far limits, by Simpson's rule on panels
-        split at ``_kinks``.  The same CDF values on every other node give
-        a second estimate; a row's grid doubles until the two agree to
-        _GRID_RTOL, and MomentUnavailable naming the row is raised if they
-        never do.  Rows are integrated _MOMENT_CHUNK at a time, each on its
-        own nodes and summed in node order, so a row's moments do not depend
-        on the rows beside it.  Returns (n, 1) columns; a per-case object is
-        the 1-row case (row 0 in errors) and gets floats.
+        0 to 1 between the CDF's far limits, by Fejér's second rule on each
+        panel between ``_kinks``.  The rule's nodes lie inside the panel, so a
+        jump of G at a kink is never sampled, and the rule with half the
+        intervals uses every other node: the same CDF values give a second
+        estimate.  A row's panels share _GRID_POINTS intervals by length;
+        while its two estimates disagree by more than _GRID_RTOL, every panel
+        of the row doubles its intervals, and MomentUnavailable naming the row
+        is raised if they never agree.  Rows are integrated _MOMENT_CHUNK at
+        a time, each on its own nodes and summed in node order, so a row's
+        moments do not depend on the rows beside it.  Returns (n, 1) columns;
+        a per-case object is the 1-row case (row 0 in errors) and gets floats.
         """
         if not self.has_density:
             raise MomentUnavailable(
@@ -286,51 +304,70 @@ class PredictiveDist:
             chunk = self._take(slice(first, first + _MOMENT_CHUNK))
             lo, hi, g0, g1 = chunk._tail_bracket(first)
             edges = np.sort(np.hstack([lo, np.clip(chunk._kinks(), lo, hi), hi]), axis=1)
-            todo, n = np.arange(lo.size), _GRID_POINTS
+            spans = np.diff(edges, axis=1)
+            share = np.round(_GRID_POINTS / 2 * spans / (hi - lo))
+            # an even count of at least 4 intervals, so the half rule has a node; none if empty
+            size = np.where(spans > 0.0, 2 * np.maximum(share, 2), 0).astype(int)
+            todo = np.arange(lo.size)
             for _ in range(_GRID_DOUBLINGS + 1):
-                t, w = _simpson_rule(edges[todo], n)
+                t, w = _fejer_rule(edges[todo], spans[todo], size[todo])
                 tail = (g1[todo] - _as_array(chunk._take(todo).cdf(t))) / (g1[todo] - g0[todo])
                 parts = np.stack([tail, 2.0 * (t - lo[todo]) * tail])
-                s = np.cumsum(parts * w[:, None], axis=-1)[..., -1:]  # (grid, part, row, 1)
-                m, v = lo[todo] + s[:, 0], s[:, 1] - s[:, 0] ** 2  # full grid, then half grid
+                s = np.cumsum(parts * w[:, None], axis=-1)[..., -1:]  # (rule, part, row, 1)
+                m, v = lo[todo] + s[:, 0], s[:, 1] - s[:, 0] ** 2  # full rule, then half rule
                 ok = ((v[0] > 0.0) & (np.abs(m[0] - m[1]) <= _GRID_RTOL * np.sqrt(np.abs(v[0])))
                       & (np.abs(v[0] - v[1]) <= _GRID_RTOL * v[0]))[:, 0]
                 out[:, first + todo[ok]] = m[0, ok], v[0, ok]
-                todo, n = todo[~ok], 2 * n - 1
+                todo = todo[~ok]
                 if not todo.size:
                     break
+                size[todo] *= 2
             else:
                 i = todo[0]
                 raise MomentUnavailable(
-                    f"{type(self).__name__} row {first + i}: moments did not settle on a "
-                    f"{(n + 1) // 2}-point Simpson grid over [{lo[i, 0]:g}, {hi[i, 0]:g}]"
+                    f"{type(self).__name__} row {first + i}: moments did not settle on "
+                    f"{np.maximum(size[i] - 1, 0).sum()} Fejér nodes over "
+                    f"[{lo[i, 0]:g}, {hi[i, 0]:g}]"
                 )
         return (out[0], out[1]) if self._rows() else (float(out[0, 0, 0]), float(out[1, 0, 0]))
 
 
-def _simpson_rule(edges: np.ndarray, n: int):
-    """Nodes t and their full- and half-grid Simpson weights w[0], w[1], a row per row of edges.
+@cache
+def _fejer(n: int) -> np.ndarray:
+    """Fejér's second rule with n intervals on [0, 1] (n even), as rows: its n - 1 nodes
+    (1 - cos(pi j / n)) / 2, j = 1..n-1, their weights, and the weights of the rule
+    with n / 2 intervals, whose nodes are those of even j (0 at odd j)."""
+    theta = np.pi * np.arange(1, n) / n
+    k = np.arange(1, n, 2)
+    terms = np.sin(np.outer(theta, k)) / k
+    full = np.sin(theta) * terms.sum(axis=1) * 2.0 / n
+    half = np.sin(theta) * terms[:, :n // 4].sum(axis=1) * 4.0 / n
+    half[::2] = 0.0  # odd j
+    return np.stack([np.sin(theta / 2.0) ** 2, full, half])
 
-    Each panel between consecutive edges gets 4q + 1 equally spaced nodes, q >= 1 in
-    proportion to its length, so that the nodes and every other node are both odd Simpson
-    grids on every panel (of zero weight if its length is 0).  A row gets about n nodes
-    and is padded to the longest row by nodes at its last edge with zero weights.
+
+def _fejer_rule(edges: np.ndarray, spans: np.ndarray, size: np.ndarray):
+    """Nodes t and their full- and half-rule weights w[0], w[1], a row per row of edges.
+
+    Panel p of row r, from edges[r, p] over spans[r, p], gets Fejér's second rule
+    with size[r, p] intervals (even; 0 for no nodes).  Rows are padded to the
+    longest by nodes at their last edge with zero weights.
     """
-    spans = np.diff(edges, axis=1)
-    q = np.maximum(1, np.round((n - 1) / 4 * spans / spans.sum(axis=1, keepdims=True))).astype(int)
-    size = (4 * q + 1).ravel()
+    count = np.maximum(size - 1, 0).ravel()
     # every node, row by row and panel by panel: its panel and its index j in that panel
-    panel = np.repeat(np.arange(size.size), size)
-    j = np.arange(panel.size) - (np.cumsum(size) - size)[panel]
-    h, end = (spans / (4 * q)).ravel()[panel], (j == 0) | (j == size[panel] - 1)
-    length = size.reshape(q.shape).sum(axis=1)
+    panel = np.repeat(np.arange(count.size), count)
+    j = np.arange(panel.size) - (np.cumsum(count) - count)[panel]
+    sizes, which = np.unique(size, return_inverse=True)
+    tables = [_fejer(int(n)) for n in sizes]
+    start = np.cumsum([0] + [table.shape[1] for table in tables])[:-1]
+    x, w0, w1 = np.hstack(tables)[:, start[which.ravel()][panel] + j]
+    length = count.reshape(size.shape).sum(axis=1)
     nodes = np.arange(length.max()) < length[:, None]  # a row's nodes, then its padding
     t = np.repeat(edges[:, -1:], length.max(), axis=1)
     w = np.zeros((2,) + t.shape)
-    t[nodes] = edges[:, :-1].ravel()[panel] + h * j
-    w[0][nodes] = np.where(end, 1.0, 2.0 + 2.0 * (j & 1)) * (h / 3.0)
-    # every other node: the half grid's weights 1, 4, 2, ..., 4, 1, doubled
-    w[1][nodes] = np.where(j & 1, 0.0, np.where(end, 2.0, 4.0 + 2.0 * (j & 2))) * (h / 3.0)
+    h = spans.ravel()[panel]
+    t[nodes] = edges[:, :-1].ravel()[panel] + h * x
+    w[0][nodes], w[1][nodes] = h * w0, h * w1
     return t, w
 
 

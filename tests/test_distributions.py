@@ -10,6 +10,7 @@ from cdfpool import (
     BetaTransformed,
     BlpSpec,
     DensityUnavailable,
+    DgpConfig,
     FiniteDiscrete,
     Gaussian,
     GlpSpec,
@@ -19,7 +20,9 @@ from cdfpool import (
     MomentUnavailable,
     SpreadAdjusted,
     TwoPointBernoulli,
+    evaluate,
     pool,
+    simulate,
     validate_cdf,
 )
 from cdfpool.pools import GLP_CLAMP
@@ -211,7 +214,7 @@ def _assert_moments_close(d, oracle):
 
 
 class TestGridMoments:
-    """BLP and GLP moments come from a Simpson grid on the CDF; quad is the oracle."""
+    """BLP and GLP moments come from Fejér's second rule on the CDF; quad is the oracle."""
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(_components, st.floats(0.7, 5.0), st.floats(0.7, 5.0))
@@ -257,6 +260,59 @@ class TestGridMoments:
         d = BetaTransformed(TwoPointBernoulli(0.3), 2.0, 2.0)
         with pytest.raises(MomentUnavailable):
             d.variance()
+
+
+def _spec(family, w):
+    return BlpSpec(w, 1.7, 0.8) if family == "blp" else GlpSpec(w, family)
+
+
+class TestRuleCoverage:
+    """Brackets far from 0 or wide, and CDF jumps at panel edges."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(_components, st.floats(-1e4, 1e4),
+           st.sampled_from(["blp", LinkFunction.LOG, LinkFunction.PROBIT, LinkFunction.RECIPROCAL]))
+    def test_a_shift_moves_the_mean_only(self, raw, s, family):
+        comps, w = _gaussians(raw)
+        d = pool(_spec(family, w), comps)
+        shifted = pool(_spec(family, w), tuple(Gaussian(c.mu + s, c.sigma) for c in comps))
+        assert abs(shifted.mean() - d.mean() - s) <= 1e-8
+        assert abs(shifted.variance() - d.variance()) <= 1e-8
+
+    @pytest.mark.parametrize("spec", [
+        BlpSpec((0.5, 0.5), 1.3, 0.7), BlpSpec((0.3, 0.7), 0.8, 2.0),
+        GlpSpec((0.5, 0.5), LinkFunction.LOG), GlpSpec((0.4, 0.6), LinkFunction.PROBIT),
+    ], ids=["blp", "blp-skewed", "glp-log", "glp-probit"])
+    def test_wide_bracket_matches_quad(self, spec):
+        comps = (Gaussian(-45.0, 1.0), Gaussian(45.0, 1.0))
+        d = pool(spec, comps)
+        lo, hi, _, _ = d._tail_bracket(0)
+        assert hi[0, 0] - lo[0, 0] > 100.0
+        oracle = _density_oracle if isinstance(spec, BlpSpec) else _cdf_oracle
+        _assert_moments_close(d, oracle(d, comps))
+
+    # case 34 of simulate(regression, 300, seed=31)
+    _CASE = (Gaussian(-0.064, 1.79), Gaussian(-0.394, 1.79), Gaussian(-1.233, 1.73))
+
+    def test_log_pool_with_weights_below_one_matches_quad(self):
+        # the CDF jumps by about GLP_CLAMP^sum(w) where the lowest component crosses the clamp
+        d = pool(GlpSpec((0.111, 0.220, 0.113), LinkFunction.LOG), self._CASE)
+        edge = min(c.quantile(GLP_CLAMP) for c in self._CASE)
+        assert d.cdf(edge) - d.cdf(edge - 1e-9) > 1e-6
+        _assert_moments_close(d, _cdf_oracle(d, self._CASE))
+
+    @pytest.mark.parametrize("w", [(0.111, 0.220, 0.113), (0.2, 0.1, 0.15)])
+    def test_evaluate_log_pool_with_weights_below_one(self, w):
+        batch = simulate(DgpConfig(kind="regression", n=300, seed=31)).cases
+        spec = GlpSpec(w, LinkFunction.LOG)
+        assert np.isfinite(evaluate(spec, batch).rmv)
+        stacked = pool(spec, batch.components)
+        m, v = stacked.mean()[:, 0], stacked.variance()[:, 0]
+        for i in (0, 34, 99, 150, 299):
+            row = stacked._row(i)
+            m_ref, v_ref = _cdf_oracle(row, row.components)
+            assert v[i] == pytest.approx(v_ref, rel=1e-8)
+            assert abs(m[i] - m_ref) <= 1e-8 * np.sqrt(v_ref)
 
 
 class TestInvariants:

@@ -553,6 +553,38 @@ class TestStackedGridMoments:
         # per chunk: the bracket's ladder and narrowing rounds, then one grid
         assert (len(rows), len(cdf_calls) <= 4 * chunks) == (0, True)
 
+    def test_cdf_points_per_row(self, monkeypatch):
+        stacked = stack(_blp_rows(1000, np.random.default_rng(32)))
+        points, original = [], BetaTransformed.cdf
+
+        def counted(self, y):
+            out = original(self, y)
+            points.append(np.size(out))
+            return out
+
+        monkeypatch.setattr(BetaTransformed, "cdf", counted)
+        stacked.variance()
+        # the bracket's near probes and narrowing grids, then a 127-node rule
+        assert sum(points) <= 300 * 1000
+
+    @pytest.mark.parametrize("spec", [BlpSpec((0.3, 0.7), 1.4, 0.8),
+                                      GlpSpec((0.3, 0.7), LinkFunction.LOG)], ids=["blp", "glp-log"])
+    def test_rows_with_far_tails_equal_their_cases(self, spec, monkeypatch):
+        rng = np.random.default_rng(36)
+        rows = [pool(spec, [Gaussian(m, 1.0), Gaussian(m + 0.5, 1.3)]) for m in rng.normal(size=150)]
+        # tail points past 2^7: these rows, in every chunk, probe the whole bracket ladder
+        for i, (m, sd) in zip((5, 40, 70, 71, 140), ((1000.0, 1.0), (-1000.0, 1.0), (5000.0, 40.0),
+                                                     (-1000.0, 1.0), (-200.0, 2.0))):
+            rows[i] = pool(spec, [Gaussian(m, sd), Gaussian(m + 0.5, sd)])
+        want = [[getattr(r, method)() for r in rows] for method in ("mean", "variance")]
+        stacked = stack(rows)
+        cdf_calls = _counting(monkeypatch, type(stacked), "cdf")
+        np.testing.assert_array_equal(stacked.mean()[:, 0], want[0])
+        # per chunk: two ladder calls, up to three narrowing rounds and one rule; far rows
+        # narrowed from +-2^63 instead take a dozen rounds
+        assert len(cdf_calls) <= 6 * 3
+        np.testing.assert_array_equal(stacked.variance()[:, 0], want[1])
+
     def test_a_bad_row_is_named(self):
         rows = _blp_rows(200, np.random.default_rng(33))
         # heavy-tailed on a narrow base: the grid never settles
