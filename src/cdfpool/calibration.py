@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, kolmogorov
 
-from .distributions import PredictiveDist, _as_array, stack
+from .distributions import PredictiveDist, _as_array, stack, uniform_open
 from .errors import DomainViolation, EmptyInput, LengthMismatch, TooFewSamples
 
 NEUTRAL_PIT_VARIANCE = 1.0 / 12.0
@@ -31,11 +31,6 @@ _GAP_CHUNK = 256
 UNDERDISPERSED = "underdispersed"
 NEUTRALLY_DISPERSED = "neutrally_dispersed"
 OVERDISPERSED = "overdispersed"
-
-
-def uniform_open(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Uniform draws guaranteed to lie strictly inside (0, 1)."""
-    return (rng.integers(0, 1 << 53, size=n) + 0.5) / float(1 << 53)
 
 
 @dataclass(frozen=True)

@@ -70,6 +70,11 @@ def _unit(u) -> np.ndarray:
     return np.clip(_as_array(u), 0.0, 1.0)
 
 
+def uniform_open(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Uniform draws guaranteed to lie strictly inside (0, 1)."""
+    return (rng.integers(0, 1 << 53, size=n) + 0.5) / float(1 << 53)
+
+
 def _beta_pdf(u, alpha: float, beta: float) -> np.ndarray:
     u = np.clip(_as_array(u), 1e-300, 1.0 - 1e-16)
     with np.errstate(over="ignore"):
@@ -136,8 +141,7 @@ class PredictiveDist:
         return self._quadrature_moments()[1]
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        u = (rng.integers(0, 1 << 53, size=n) + 0.5) / float(1 << 53)
-        return np.atleast_1d(_as_array(self.quantile(u)))
+        return np.atleast_1d(_as_array(self.quantile(uniform_open(rng, n))))
 
     # -- stacking (see ``stack``) -------------------------------------------
 

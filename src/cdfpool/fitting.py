@@ -27,7 +27,7 @@ from functools import partial
 import numpy as np
 from scipy.special import gammaln, polygamma, psi
 
-from .calibration import pit_sample
+from .calibration import pit_histogram, pit_sample
 from .distributions import (
     Gaussian,
     PredictiveDist,
@@ -44,9 +44,8 @@ from .errors import (
     LengthMismatch,
     TooFewSamples,
 )
-from .pools import BlpSpec, GlpSpec, LinkFunction, PoolSpec, SlpSpec, TlpSpec, pool
+from .pools import CDF_CLAMP, BlpSpec, GlpSpec, LinkFunction, PoolSpec, SlpSpec, TlpSpec, pool
 
-CDF_CLAMP = 1e-12
 DENSITY_FLOOR = 1e-300
 BOUNDARY_WEIGHT = 1e-8  # a weight below this is boundary-active, and held or pinned there
 PIN_WEIGHT = 1e-4  # after a stage, pin a weight below this whose gradient points out by more
@@ -846,10 +845,9 @@ def evaluate(spec: PoolSpec, data, rng_seed: int = 0, bins: int = 10) -> EvalRep
     scores = log_score(d, batch.y[:, None])[:, 0]
     s = pit_sample(d, batch.y, rng_seed)
     variances = np.ravel(d.variance())
-    counts, _ = np.histogram(s.z, bins=bins, range=(0.0, 1.0))
     return EvalReport(
         mean_log_score=float(scores.mean()),
         pit_variance=float(np.var(s.z, ddof=1)),
         rmv=float(np.sqrt(variances.mean())),
-        histogram=counts,
+        histogram=pit_histogram(s.z, bins),
     )

@@ -12,7 +12,7 @@ import tempfile
 
 import numpy as np
 
-from .distributions import Gaussian
+from .distributions import Gaussian, _RowStack
 from .errors import LengthMismatch, SchemaError, WeightConstraintViolation
 from .fitting import FitResult, ForecastBatch
 from .pools import PoolSpec, spec_from_params, spec_params
@@ -113,7 +113,9 @@ def write_dataset_csv(path: str, cases) -> None:
     if not len(batch):
         raise SchemaError("refusing to write an empty dataset")
     if not all(isinstance(c, Gaussian) for c in batch.components):
-        kind = next(c for case in batch for c in case.components if not isinstance(c, Gaussian))
+        kind = next(c for c in batch.components if not isinstance(c, Gaussian))
+        if isinstance(kind, _RowStack):  # a column of mixed kinds names its first non-Gaussian row
+            kind = next(r for r in kind.rows if not isinstance(r, Gaussian))
         raise SchemaError(
             f"the CSV schema covers Gaussian components only; got {type(kind).__name__}"
         )

@@ -8,15 +8,24 @@ Four aggregation families are provided, all operating on the CDF scale:
 * beta-transformed linear pool: a beta CDF composed with the mixture;
 * generalized linear pool: link-transformed averaging
   h^{-1}(sum w_i h(F_i(y))).
+
+The four specs share one weight rule (``_PoolSpec``): weights are nonempty
+and nonnegative, and sum to 1 within 1e-12, except for the log and probit
+links, which only need a positive finite sum; every shape parameter is
+positive and finite.  Each link's h, h^{-1}, h' and the derivatives of its
+log-density term are one row of ``_LINK_FORMS``.  Component CDF values are
+clamped to [CDF_CLAMP, 1 - CDF_CLAMP], in the pooled GLP and in the fits'
+designs alike.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import reduce
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -31,7 +40,7 @@ from .distributions import (
 )
 from .errors import DensityUnavailable, DomainViolation, WeightConstraintViolation
 
-GLP_CLAMP = 1e-12  # CDF values fed to open-interval links are clamped to [eps, 1-eps]
+CDF_CLAMP = 1e-12  # CDF values fed to open-interval links are clamped to [eps, 1-eps]
 
 
 class LinkFunction(enum.Enum):
@@ -53,32 +62,13 @@ class LinkFunction(enum.Enum):
         return self in (LinkFunction.IDENTITY, LinkFunction.RECIPROCAL)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        if self is LinkFunction.IDENTITY:
-            return u
-        if self is LinkFunction.RECIPROCAL:
-            return 1.0 / u
-        if self is LinkFunction.LOG:
-            return np.log(u)
-        return ndtri(u)
+        return _LINK_FORMS[self].h(u)
 
     def invert(self, s: np.ndarray) -> np.ndarray:
-        if self is LinkFunction.IDENTITY:
-            return s
-        if self is LinkFunction.RECIPROCAL:
-            return 1.0 / s
-        if self is LinkFunction.LOG:
-            return np.exp(s)
-        return ndtr(s)
+        return _LINK_FORMS[self].h_inv(s)
 
     def deriv(self, u: np.ndarray) -> np.ndarray:
-        if self is LinkFunction.IDENTITY:
-            return np.ones_like(u)
-        if self is LinkFunction.RECIPROCAL:
-            return -1.0 / (u * u)
-        if self is LinkFunction.LOG:
-            return 1.0 / u
-        z = ndtri(u)
-        return np.sqrt(2.0 * np.pi) * np.exp(0.5 * z * z)
+        return _LINK_FORMS[self].dh(u)
 
     def phi_derivs(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """First two derivatives of phi(s) = -log|h'(h^{-1}(s))|.
@@ -88,37 +78,63 @@ class LinkFunction(enum.Enum):
         the log link, 2 log(1/s) for the reciprocal link and -s^2/2 plus a
         constant for the probit link.
         """
-        if self is LinkFunction.IDENTITY:
-            return np.zeros_like(s), np.zeros_like(s)
-        if self is LinkFunction.RECIPROCAL:
-            return -2.0 / s, 2.0 / (s * s)
-        if self is LinkFunction.LOG:
-            return np.ones_like(s), np.zeros_like(s)
-        return -s, -np.ones_like(s)
+        return _LINK_FORMS[self].dphi(s)
 
 
-def _check_simplex(w) -> tuple[float, ...]:
+class _LinkForms(NamedTuple):
+    h: Callable
+    h_inv: Callable
+    dh: Callable  # h'(u)
+    dphi: Callable  # s -> (phi'(s), phi''(s))
+
+
+def _probit_deriv(u):
+    z = ndtri(u)
+    return np.sqrt(2.0 * np.pi) * np.exp(0.5 * z * z)
+
+
+_LINK_FORMS = {
+    LinkFunction.IDENTITY: _LinkForms(lambda u: u, lambda s: s, np.ones_like,
+                                      lambda s: (np.zeros_like(s), np.zeros_like(s))),
+    LinkFunction.RECIPROCAL: _LinkForms(lambda u: 1.0 / u, lambda s: 1.0 / s,
+                                        lambda u: -1.0 / (u * u),
+                                        lambda s: (-2.0 / s, 2.0 / (s * s))),
+    LinkFunction.LOG: _LinkForms(np.log, np.exp, lambda u: 1.0 / u,
+                                 lambda s: (np.ones_like(s), np.zeros_like(s))),
+    LinkFunction.PROBIT: _LinkForms(ndtri, ndtr, _probit_deriv,
+                                    lambda s: (-s, -np.ones_like(s))),
+}
+
+
+def _check_weights(w, simplex: bool) -> tuple[float, ...]:
+    """``w`` as floats: nonempty, nonnegative, on the simplex or with a positive finite sum."""
     w = tuple(float(x) for x in w)
     if not w:
         raise WeightConstraintViolation("at least one weight is required")
     if any(x < 0.0 for x in w):
         raise WeightConstraintViolation("weights must be nonnegative")
-    if not abs(sum(w) - 1.0) <= 1e-12:  # written so that NaN and inf fail too
+    # each test is written so that NaN and inf fail it
+    if simplex and not abs(sum(w) - 1.0) <= 1e-12:
         raise WeightConstraintViolation("weights must sum to 1 within 1e-12")
+    if not simplex and not 0.0 < sum(w) < math.inf:
+        raise WeightConstraintViolation("weights must have a positive finite sum")
     return w
 
 
 @dataclass(frozen=True)
-class TlpSpec:
-    """Traditional linear pool with simplex weights."""
+class _PoolSpec:
+    """Weights ``w`` checked by ``_check_weights`` and positive, finite shape parameters."""
 
-    method: ClassVar[str] = "tlp"
     shape_params: ClassVar[tuple[str, ...]] = ()
+    _simplex: ClassVar[bool] = True
 
     w: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "w", _check_simplex(self.w))
+        object.__setattr__(self, "w", _check_weights(self.w, self._simplex))
+        for name in self.shape_params:
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise WeightConstraintViolation(f"{name} must be positive and finite")
 
     @property
     def k(self) -> int:
@@ -126,77 +142,46 @@ class TlpSpec:
 
 
 @dataclass(frozen=True)
-class SlpSpec:
+class TlpSpec(_PoolSpec):
+    """Traditional linear pool with simplex weights."""
+
+    method: ClassVar[str] = "tlp"
+
+
+@dataclass(frozen=True)
+class SlpSpec(_PoolSpec):
     """Spread-adjusted linear pool: simplex weights and a common spread c > 0."""
 
     method: ClassVar[str] = "slp"
     shape_params: ClassVar[tuple[str, ...]] = ("c",)
 
-    w: tuple[float, ...]
     c: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "w", _check_simplex(self.w))
-        if not 0.0 < self.c < math.inf:
-            raise WeightConstraintViolation("spread parameter c must be positive and finite")
-
-    @property
-    def k(self) -> int:
-        return len(self.w)
 
 
 @dataclass(frozen=True)
-class BlpSpec:
+class BlpSpec(_PoolSpec):
     """Beta-transformed linear pool: simplex weights plus alpha, beta > 0."""
 
     method: ClassVar[str] = "blp"
     shape_params: ClassVar[tuple[str, ...]] = ("alpha", "beta")
 
-    w: tuple[float, ...]
     alpha: float
     beta: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "w", _check_simplex(self.w))
-        if not (0.0 < self.alpha < math.inf and 0.0 < self.beta < math.inf):
-            raise WeightConstraintViolation("alpha and beta must be positive and finite")
-
-    @property
-    def k(self) -> int:
-        return len(self.w)
-
 
 @dataclass(frozen=True)
-class GlpSpec:
+class GlpSpec(_PoolSpec):
     """Generalized linear pool; the weight rule depends on the link."""
 
-    shape_params: ClassVar[tuple[str, ...]] = ()
-
-    w: tuple[float, ...]
     link: LinkFunction
 
-    def __post_init__(self):
-        w = tuple(float(x) for x in self.w)
-        object.__setattr__(self, "w", w)
-        if not w:
-            raise WeightConstraintViolation("at least one weight is required")
-        if any(x < 0.0 for x in w):
-            raise WeightConstraintViolation("weights must be nonnegative")
-        if self.link.requires_simplex:
-            if not abs(sum(w) - 1.0) <= 1e-12:
-                raise WeightConstraintViolation(
-                    f"{self.link.value} link requires weights summing to 1"
-                )
-        elif not 0.0 < sum(w) < math.inf:
-            raise WeightConstraintViolation("weights must have a positive finite sum")
+    @property
+    def _simplex(self) -> bool:
+        return self.link.requires_simplex
 
     @property
     def method(self) -> str:
         return f"glp-{self.link.value}"
-
-    @property
-    def k(self) -> int:
-        return len(self.w)
 
 
 PoolSpec = TlpSpec | SlpSpec | BlpSpec | GlpSpec
@@ -232,7 +217,7 @@ def spec_from_params(method: str, params) -> PoolSpec:
 class GlpDistribution(PredictiveDist):
     """Link-averaged pool h^{-1}(sum w_i h(F_i(y))) for an open-interval link.
 
-    Component CDF values are clamped to [GLP_CLAMP, 1 - GLP_CLAMP] before the
+    Component CDF values are clamped to [CDF_CLAMP, 1 - CDF_CLAMP] before the
     link is applied.  Wherever every component has numerically saturated at 0
     (or 1), the pooled CDF is set to exactly 0 (or 1); the same applies
     outside the components' common support.
@@ -248,9 +233,9 @@ class GlpDistribution(PredictiveDist):
 
     def _combine(self, vals: list[np.ndarray]) -> np.ndarray:
         stacked = np.stack(np.broadcast_arrays(*vals))  # a shared component has one row
-        all_low = np.all(stacked <= GLP_CLAMP, axis=0)
-        all_high = np.all(stacked >= 1.0 - GLP_CLAMP, axis=0)
-        clamped = np.clip(stacked, GLP_CLAMP, 1.0 - GLP_CLAMP)
+        all_low = np.all(stacked <= CDF_CLAMP, axis=0)
+        all_high = np.all(stacked >= 1.0 - CDF_CLAMP, axis=0)
+        clamped = np.clip(stacked, CDF_CLAMP, 1.0 - CDF_CLAMP)
         s = self._link_sum(self.link.apply(clamped))
         out = np.clip(self.link.invert(s), 0.0, 1.0)
         return np.where(all_low, 0.0, np.where(all_high, 1.0, out))
@@ -272,10 +257,10 @@ class GlpDistribution(PredictiveDist):
             raise DensityUnavailable("a pool component carries point masses")
         y_arr = _as_array(y)
         F = np.clip(np.stack(np.broadcast_arrays(*(c.cdf(y_arr) for c in self.components))),
-                    GLP_CLAMP, 1.0 - GLP_CLAMP)
+                    CDF_CLAMP, 1.0 - CDF_CLAMP)
         f = np.stack(np.broadcast_arrays(*(c.density(y_arr) for c in self.components)))
         s = self._link_sum(self.link.apply(F))
-        g = np.clip(self.link.invert(s), GLP_CLAMP, 1.0 - GLP_CLAMP)
+        g = np.clip(self.link.invert(s), CDF_CLAMP, 1.0 - CDF_CLAMP)
         num = self._link_sum(self.link.deriv(F) * f)
         return _match(y, np.maximum(num / self.link.deriv(g), 0.0))
 
@@ -289,7 +274,7 @@ class GlpDistribution(PredictiveDist):
 
     def _kinks(self):
         # the clamp switches on where a component CDF crosses either bound
-        bounds = np.array([[GLP_CLAMP, 1.0 - GLP_CLAMP]])
+        bounds = np.array([[CDF_CLAMP, 1.0 - CDF_CLAMP]])
         return np.hstack(np.broadcast_arrays(*(c.quantile(bounds) for c in self.components)))
 
     def _stack_key(self):
@@ -345,7 +330,7 @@ def slp_limit_variance(f0: PredictiveDist, components, w) -> float:
     """
     if not f0.has_density:
         raise DensityUnavailable("the observation law must be continuous")
-    w = _check_simplex(w)
+    w = _check_weights(w, simplex=True)
     medians = np.array([c.median() for c in components])
     if medians.size != len(w):
         raise WeightConstraintViolation("one weight per component is required")

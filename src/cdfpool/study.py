@@ -80,42 +80,31 @@ def reproduce_sim_study(seed: int = DEFAULT_STUDY_SEED,
     train = simulate(DgpConfig(kind=REGRESSION, n=j, seed=seed)).cases
     test = simulate(DgpConfig(kind=REGRESSION, n=j, seed=seed + _TEST_SEED_OFFSET)).cases
 
-    fits = {
-        "tlp": fit_tlp(train),
-        "slp": fit_slp(train),
-        "blp": fit_blp(train),
-    }
+    fits = {"tlp": fit_tlp(train), "slp": fit_slp(train), "blp": fit_blp(train)}
+    specs = {name: _component_spec(i) for i, name in enumerate(COMPONENTS)}
+    specs.update((name, fit.spec) for name, fit in fits.items())
 
     train_scores: dict[str, float] = {}
     test_scores: dict[str, float] = {}
     pit_var: dict[str, float] = {}
     rmv: dict[str, float] = {}
-
-    for i, name in enumerate(COMPONENTS):
-        spec = _component_spec(i)
-        train_scores[name] = evaluate(spec, train, rng_seed=seed).mean_log_score
+    for name, spec in specs.items():
+        train_scores[name] = (fits[name].mean_log_score_train if name in fits
+                              else evaluate(spec, train, rng_seed=seed).mean_log_score)
         rep = evaluate(spec, test, rng_seed=seed)
         test_scores[name] = rep.mean_log_score
         pit_var[name] = rep.pit_variance
         rmv[name] = rep.rmv
 
-    for name in METHODS:
-        train_scores[name] = fits[name].mean_log_score_train
-        rep = evaluate(fits[name].spec, test, rng_seed=seed)
-        test_scores[name] = rep.mean_log_score
-        pit_var[name] = rep.pit_variance
-        rmv[name] = rep.rmv
-
-    checks = []
-    for key, (target, band) in REFERENCE_PARAMS.items():
-        method, param = key.split()
-        checks.append(CheckRow(key, spec_params(fits[method].spec)[param], target, band))
-    for name, (target, band) in REFERENCE_PIT_VARIANCE.items():
-        checks.append(CheckRow(f"{name} var(PIT)", pit_var[name], target, band))
-    for name, (target, band) in REFERENCE_RMV.items():
-        checks.append(CheckRow(f"{name} RMV", rmv[name], target, band))
-    for name, (target, band) in REFERENCE_TEST_SCORE.items():
-        checks.append(CheckRow(f"{name} test score", test_scores[name], target, band))
+    params = {f"{m} {p}": v for m, fit in fits.items() for p, v in spec_params(fit.spec).items()}
+    checks = [
+        CheckRow(label.format(name), values[name], target, band)
+        for reference, label, values in ((REFERENCE_PARAMS, "{}", params),
+                                         (REFERENCE_PIT_VARIANCE, "{} var(PIT)", pit_var),
+                                         (REFERENCE_RMV, "{} RMV", rmv),
+                                         (REFERENCE_TEST_SCORE, "{} test score", test_scores))
+        for name, (target, band) in reference.items()
+    ]
 
     best_component = max(test_scores[name] for name in COMPONENTS)
     ordering_ok = (

@@ -25,7 +25,7 @@ from cdfpool import (
     simulate,
     validate_cdf,
 )
-from cdfpool.pools import GLP_CLAMP
+from cdfpool.pools import CDF_CLAMP
 
 STANDARD_MIX = Mixture((Gaussian(-1.0, 1.0), Gaussian(1.0, 1.0)), (0.5, 0.5))
 
@@ -182,7 +182,7 @@ def _cdf_oracle(d, comps):
     """
     lo = min(c.mu - 12.0 * c.sigma for c in comps)
     hi = max(c.mu + 12.0 * c.sigma for c in comps)
-    z = ndtri(GLP_CLAMP)
+    z = ndtri(CDF_CLAMP)
     kinks = [c.mu + s * z * c.sigma for c in comps for s in (-1.0, 1.0)]
     i1, i2 = _quad_moments(lambda t: 1.0 - d.cdf(t),
                            lambda t, _: 2.0 * (t - lo) * (1.0 - d.cdf(t)),
@@ -295,9 +295,9 @@ class TestRuleCoverage:
     _CASE = (Gaussian(-0.064, 1.79), Gaussian(-0.394, 1.79), Gaussian(-1.233, 1.73))
 
     def test_log_pool_with_weights_below_one_matches_quad(self):
-        # the CDF jumps by about GLP_CLAMP^sum(w) where the lowest component crosses the clamp
+        # the CDF jumps by about CDF_CLAMP^sum(w) where the lowest component crosses the clamp
         d = pool(GlpSpec((0.111, 0.220, 0.113), LinkFunction.LOG), self._CASE)
-        edge = min(c.quantile(GLP_CLAMP) for c in self._CASE)
+        edge = min(c.quantile(CDF_CLAMP) for c in self._CASE)
         assert d.cdf(edge) - d.cdf(edge - 1e-9) > 1e-6
         _assert_moments_close(d, _cdf_oracle(d, self._CASE))
 

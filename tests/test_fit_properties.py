@@ -135,6 +135,23 @@ def test_tlp_weights_permute_with_the_components(cases, random):
     assert_allclose(fit_tlp(permuted).spec.w, w[perm], rtol=0, atol=1e-7)
 
 
+@pytest.mark.parametrize("family", ["slp", "glp-log", "glp-probit"])
+@settings(max_examples=25, deadline=None)
+@given(cases=gaussian_designs(), random=st.randoms(use_true_random=False))
+def test_weights_and_shapes_permute_with_the_components(family, cases, random):
+    # BLP and the reciprocal link are left out: their log scores have more than one
+    # local maximum (the reciprocal's log(a w) - 2 log(b w) is not concave), and the
+    # two component orders can converge to different ones (CHANGES.md, FOUND lines)
+    k = len(cases[0].components)
+    perm = list(range(k))
+    random.shuffle(perm)
+    permuted = [ForecastCase(tuple(case.components[i] for i in perm), case.y) for case in cases]
+    base, moved = _fit(family, cases).spec, _fit(family, permuted).spec
+    assert_allclose(moved.w, np.asarray(base.w)[perm], rtol=0, atol=1e-7)
+    for name in base.shape_params:
+        assert getattr(moved, name) == pytest.approx(getattr(base, name), rel=1e-7)
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_derivatives_with_a_pinned_weight_match_finite_differences(family):
     # w_2 pinned at 0 and w_1 eliminated on the simplex, as after a pin

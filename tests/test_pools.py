@@ -1,12 +1,15 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import ndtr, ndtri
 
 from cdfpool import (
     BlpSpec,
+    CdfPoolError,
     DomainViolation,
     FiniteDiscrete,
     Gaussian,
@@ -27,6 +30,7 @@ from cdfpool import (
     spec_params,
     validate_cdf,
 )
+from cdfpool.pools import CDF_CLAMP
 
 COMPS = (Gaussian(-0.3, 1.2), Gaussian(0.7, 0.8), Gaussian(2.0, 1.5))
 W = (0.2, 0.5, 0.3)
@@ -284,3 +288,138 @@ class TestSpecParams:
     @given(_specs())
     def test_round_trip(self, spec):
         assert spec_from_params(spec.method, spec_params(spec)) == spec
+
+
+# ---------------------------------------------------------------------------
+# the one weight rule, the link table and the pooled CDF contract
+
+_SPECIAL = [0.0, 0.25, 0.5, 0.75, 1.0, 1.3, -0.1, 1e-300, 0.5 + 1e-13, math.nan, math.inf, -math.inf]
+_ANY_FLOAT = st.one_of(st.sampled_from(_SPECIAL), st.floats())
+_SHAPE = st.one_of(st.floats(0.01, 100.0), _ANY_FLOAT)  # valid about half the time
+
+
+@st.composite
+def _raw_weights(draw):
+    """Weight lists of length 0 to 4: any floats, or nonnegative floats divided by their
+    sum (when it is positive) and then moved off 1 by at most 1e-11."""
+    if draw(st.booleans()):
+        return draw(st.lists(_ANY_FLOAT, max_size=4))
+    w = draw(st.lists(st.floats(0.0, 100.0), max_size=4))
+    if sum(w) > 0.0:
+        w = [x / sum(w) for x in w]
+        w[0] += draw(st.sampled_from([0.0, 0.0, 5e-13, -5e-13, 2e-12, -2e-12, 1e-11]))
+    return w
+
+
+# family name -> (build from weights and two shape values, shapes used, simplex weights)
+_RULES = {
+    "tlp": (lambda w, a, b: TlpSpec(w), 0, True),
+    "slp": (lambda w, a, b: SlpSpec(w, a), 1, True),
+    "blp": (lambda w, a, b: BlpSpec(w, a, b), 2, True),
+    **{f"glp-{link.value}": (lambda w, a, b, link=link: GlpSpec(w, link), 0,
+                             link not in (LinkFunction.LOG, LinkFunction.PROBIT))
+       for link in LinkFunction},
+}
+
+
+def _documented_rule(w, shapes, simplex) -> bool:
+    """Nonempty, nonnegative weights summing to 1 within 1e-12 (or to a positive finite
+    sum off the simplex), and positive finite shape parameters."""
+    if not w or not all(x >= 0.0 for x in w):
+        return False
+    total = sum(w)
+    summed = abs(total - 1.0) <= 1e-12 if simplex else 0.0 < total < math.inf
+    return summed and all(0.0 < x < math.inf for x in shapes)
+
+
+class TestSpecRule:
+    @settings(max_examples=400)
+    @given(_raw_weights(), _SHAPE, _SHAPE)
+    def test_each_family_accepts_exactly_the_documented_rule(self, w, a, b):
+        for family, (build, n_shapes, simplex) in _RULES.items():
+            if not _documented_rule(w, (a, b)[:n_shapes], simplex):
+                with pytest.raises(WeightConstraintViolation):
+                    build(w, a, b)
+                continue
+            spec = build(w, a, b)
+            assert (spec.w, spec.k, spec.method) == (tuple(map(float, w)), len(w), family)
+            assert spec_from_params(family, spec_params(spec)) == spec
+
+    def test_slp_limit_variance_takes_the_simplex_rule(self):
+        with pytest.raises(WeightConstraintViolation):
+            slp_limit_variance(Gaussian(0, 1), COMPS[:2], (0.9, 1.2))
+
+
+_LEVELS = st.floats(min_value=CDF_CLAMP, max_value=1.0 - 1e-6)
+
+
+def _phi(link, s):
+    """phi(s) = -log|h'(h^{-1}(s))|."""
+    return -np.log(np.abs(link.deriv(link.invert(s))))
+
+
+class TestLinkTable:
+    """Each link's h, h^{-1}, h' and phi derivatives agree with each other on the clamp range.
+
+    Levels stop at 1 - 1e-6: above it the probit's h^{-1} is an upper-tail ``ndtr``
+    whose rounding the second difference of phi magnifies past any useful tolerance.
+    """
+
+    @given(st.sampled_from(list(LinkFunction)), _LEVELS)
+    def test_invert_undoes_apply(self, link, u):
+        assert link.invert(link.apply(np.array([u])))[0] == pytest.approx(u, rel=1e-11)
+
+    @given(st.sampled_from(list(LinkFunction)), _LEVELS)
+    def test_deriv_is_the_slope_of_apply(self, link, u):
+        step = 1e-4 * min(u, 1.0 - u)
+        up, down = np.array([u + step]), np.array([u - step])
+        h_up, h_down = link.apply(up)[0], link.apply(down)[0]
+        slope = (h_up - h_down) / (up[0] - down[0])
+        exact = link.deriv(np.array([u]))[0]
+        rounding = 8 * np.finfo(float).eps * max(abs(h_up), abs(h_down)) / (up[0] - down[0])
+        assert abs(slope - exact) <= 1e-6 * abs(exact) + rounding
+
+    @given(st.sampled_from(list(LinkFunction)), _LEVELS)
+    def test_phi_derivs_are_the_slopes_of_phi(self, link, u):
+        s = link.apply(np.array([u]))
+        d = 1e-3 * (1.0 + abs(s[0]))
+        lo, mid, hi = _phi(link, s - d)[0], _phi(link, s)[0], _phi(link, s + d)[0]
+        phi1, phi2 = (x[0] for x in link.phi_derivs(s))
+        assert (hi - lo) / (2 * d) == pytest.approx(phi1, rel=1e-5, abs=1e-6)
+        assert (hi - 2 * mid + lo) / (d * d) == pytest.approx(phi2, rel=1e-4, abs=1e-4)
+
+
+@st.composite
+def _random_pools(draw):
+    """A pool of one to four Gaussians; log and probit weights need not sum to 1."""
+    k = draw(st.integers(1, 4))
+    comps = [Gaussian(draw(st.floats(-5.0, 5.0)), draw(st.floats(0.1, 5.0))) for _ in range(k)]
+    raw = [draw(st.one_of(st.just(0.0), st.floats(0.05, 3.0))) for _ in range(k)]
+    assume(sum(raw) > 0.0)
+    simplex = tuple(x / sum(raw) for x in raw)
+    family = draw(st.sampled_from(["tlp", "slp", "blp", *LinkFunction]))
+    shape = st.floats(0.1, 10.0)
+    if family == "tlp":
+        spec = TlpSpec(simplex)
+    elif family == "slp":
+        spec = SlpSpec(simplex, draw(shape))
+    elif family == "blp":
+        # beta stays above 0.5: below 0.4 the pool can fail, as the test below shows
+        spec = BlpSpec(simplex, draw(shape), draw(st.floats(0.5, 10.0)))
+    else:
+        spec = GlpSpec(simplex if family.requires_simplex else tuple(raw), family)
+    return pool(spec, comps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_random_pools())
+def test_every_random_pool_is_a_cdf(d):
+    validate_cdf(d)
+
+
+@pytest.mark.xfail(strict=True, raises=CdfPoolError,
+                   reason="the BLP CDF tops out at betainc(alpha, beta, sum(w)); weights that "
+                          "sum to 1 - 2^-53 leave 1.03e-4 below 1 at beta = 0.25")
+def test_blp_with_small_beta_over_weights_summing_below_one_reaches_one():
+    w = (0.6609559208389623, 0.3390440791610376)  # sum(w) == 1 - 2**-53
+    validate_cdf(pool(BlpSpec(w, 1.0, 0.25), (Gaussian(0.0, 1.0), Gaussian(0.0, 1.0))))

@@ -29,6 +29,7 @@ from cdfpool import (
     Mixture,
     MomentUnavailable,
     PredictiveDist,
+    SchemaError,
     SlpSpec,
     SpreadAdjusted,
     TlpSpec,
@@ -42,6 +43,7 @@ from cdfpool import (
     simulate,
 )
 from cdfpool.distributions import _MOMENT_CHUNK, _RowStack, stack
+from cdfpool.io import write_dataset_csv
 
 
 class Logistic(PredictiveDist):
@@ -358,6 +360,23 @@ class TestEvaluateStacksOnce:
         assert cdfpool.cli.main(["diagnose", "--params", params, "--input", data,
                          "--out", str(tmp_path / "diag.txt")]) == 0
         assert (len(pools), len(built)) == (1, 0)
+
+
+class TestWriteBuildsNoCase:
+    J = 50
+
+    @pytest.mark.parametrize("column", [
+        lambda n: TwoPointBernoulli._stacked(np.full((n, 1), 0.3)),
+        lambda n: stack([Gaussian(0.0, 1.0)] * (n - 1) + [TwoPointBernoulli(0.4)]),
+    ], ids=["stacked", "mixed"])
+    def test_the_non_gaussian_kind_is_named_from_the_columns(self, monkeypatch, tmp_path,
+                                                               column):
+        gaussians = Gaussian._stacked(np.zeros((self.J, 1)), np.ones((self.J, 1)))
+        batch = ForecastBatch(np.zeros(self.J), (gaussians, column(self.J)))
+        built = _counting(monkeypatch, cdfpool.fitting, "ForecastCase")
+        with pytest.raises(SchemaError, match="got TwoPointBernoulli"):
+            write_dataset_csv(str(tmp_path / "x.csv"), batch)
+        assert len(built) == 0
 
 
 # ---------------------------------------------------------------------------
