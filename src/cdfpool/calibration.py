@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, kolmogorov
 
-from .distributions import PredictiveDist, _as_array, stack, uniform_open
+from .distributions import PredictiveDist, _as_array, _each_chunk, stack, uniform_open
 from .errors import DomainViolation, EmptyInput, LengthMismatch, TooFewSamples
 
 NEUTRAL_PIT_VARIANCE = 1.0 / 12.0
@@ -24,9 +24,9 @@ NEUTRAL_PIT_VARIANCE = 1.0 / 12.0
 # Simard & L'Ecuyer 2011) and the asymptotic Kolmogorov tail above it.
 KS_EXACT_MAX_N = 140
 
-# The marginal gap evaluates this many stacked rows at a time: 256 cases on a
-# 201-point grid keep each CDF temporary near 0.4 MB.
-_GAP_CHUNK = 256
+# The marginal gap evaluates this many stacked rows at a time, one chunk per
+# core: 128 cases on a 201-point grid keep each CDF temporary near 0.2 MB.
+_GAP_CHUNK = 128
 
 UNDERDISPERSED = "underdispersed"
 NEUTRALLY_DISPERSED = "neutrally_dispersed"
@@ -161,8 +161,9 @@ def marginal_calibration_gap(forecasts, obs, grid) -> float:
 
     ``forecasts`` is a list of per-case forecasts or one stacked forecast whose rows
     are the cases (see ``pit_sample``), a shared forecast being one row.  Its CDF rows
-    on the grid are added to the running sum, _GAP_CHUNK rows at a time.  Raises
-    DomainViolation where the average CDF is not finite.
+    on the grid are summed _GAP_CHUNK rows at a time, the chunks on every core, and
+    the chunk sums are added in chunk order, so the gap does not depend on the core
+    count.  Raises DomainViolation where the average CDF is not finite.
     """
     obs = _as_array(obs)
     grid = _as_array(grid)
@@ -170,10 +171,14 @@ def marginal_calibration_gap(forecasts, obs, grid) -> float:
         raise EmptyInput("forecasts, observations, and grid must be nonempty")
     d = _paired(forecasts, obs)
     _check_finite(grid, "grid point")
-    acc = np.zeros(grid.size)
-    for start in range(0, max(d._rows(), 1), _GAP_CHUNK):
+
+    def chunk_sum(start):
         rows = d._take(slice(start, start + _GAP_CHUNK))
-        acc += _as_array(rows.cdf(grid[None, :])).sum(axis=0)
+        return _as_array(rows.cdf(grid[None, :])).sum(axis=0)
+
+    acc = np.zeros(grid.size)
+    for s in _each_chunk(chunk_sum, d._rows(), _GAP_CHUNK):
+        acc += s
     acc /= max(d._rows(), 1)
     _check_finite(acc, "the average forecast CDF at grid point")
     ecdf = np.searchsorted(np.sort(obs), grid, side="right") / obs.size

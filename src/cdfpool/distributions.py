@@ -22,13 +22,20 @@ checked, stacked parameters in declaration order.
 
 Kinds without closed-form moments (the beta-transformed and generalized
 pools) integrate their CDF by parts with Fejér's second rule on panels
-between the CDF's kinks, 64 rows at a time (``_quadrature_moments``).
+between the CDF's kinks, _MOMENT_CHUNK rows at a time
+(``_quadrature_moments``).  Such row chunks run on one thread per core
+(``_each_chunk``); each chunk's result depends on its rows alone, so the
+results do not depend on the core count.
 """
 
 from __future__ import annotations
 
+import contextvars
 import dataclasses
 import numbers
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cache, cached_property, partialmethod, reduce
 from operator import attrgetter
@@ -51,6 +58,78 @@ _GRID_POINTS = 128  # a row's starting intervals, shared by its panels in propor
 _GRID_DOUBLINGS = 3  # doublings of every panel's intervals before the moments are unavailable
 _GRID_RTOL = 1e-8  # agreement demanded between the full and the half rule
 _MOMENT_CHUNK = 64  # stacked rows integrated at a time: keeps each (rows, nodes) temporary small
+
+
+_workers = None  # (executor, worker count) of the chunk runner, built on first use
+_workers_lock = threading.Lock()
+
+
+def _forget_workers():
+    """A forked child has none of its parent's threads, so it builds its own workers."""
+    global _workers, _workers_lock
+    _workers, _workers_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_workers)
+
+
+def _chunk_workers() -> tuple[ThreadPoolExecutor, int]:
+    """The executor of the chunk workers and their count, one per core beyond the caller's.
+
+    Built on first use.  With one core the count is 0, nothing is ever
+    submitted, and the executor starts no thread.
+    """
+    global _workers
+    with _workers_lock:
+        if _workers is None:
+            cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                     else os.cpu_count() or 1)
+            _workers = (ThreadPoolExecutor(max(cores - 1, 1), thread_name_prefix="cdfpool-chunk"),
+                        cores - 1)
+        return _workers
+
+
+def _each_chunk(fn, n_rows: int, size: int) -> list:
+    """``[fn(start) for start in range(0, max(n_rows, 1), size)]``, on every core.
+
+    The calling thread and the chunk workers take chunk starts from one
+    shared queue, in order; a worker runs in a copy of the caller's context,
+    so the caller's ``np.errstate`` holds there too.  Once a chunk raises,
+    no further chunk starts: the runner waits for the chunks under way and
+    raises the error of the first failing chunk, as the serial loop would.
+    """
+    starts = range(0, max(n_rows, 1), size)
+    out, errors = [None] * len(starts), {}
+    todo, lock = list(reversed(range(len(starts)))), threading.Lock()  # popped in chunk order
+
+    def drain():
+        while True:
+            with lock:
+                if not todo:
+                    return
+                i = todo.pop()
+            try:
+                out[i] = fn(starts[i])
+            except BaseException as e:
+                with lock:
+                    errors[i] = e
+                    todo.clear()
+
+    executor, workers = _chunk_workers()
+    helpers = [executor.submit(contextvars.copy_context().run, drain)
+               for _ in range(min(workers, len(starts) - 1))]
+    try:
+        drain()
+    finally:
+        with lock:
+            todo.clear()
+        for f in helpers:
+            if not f.cancel():  # a helper not yet started has nothing left to take
+                f.result()
+    if errors:
+        raise errors[min(errors)]
+    return out
 
 
 def _as_array(y) -> np.ndarray:
@@ -236,8 +315,8 @@ class PredictiveDist:
         """The bulk [lo, hi] and the CDF's limits g0, g1 at -2^63 and +2^63, as (n, 1) columns.
 
         Rounding can leave a CDF short of 0 or 1 in the far tails (a mixture
-        whose weights sum to 1 - 1e-16 under a beta transform), so the tails
-        are measured from those limits: cdf(lo) <= g0 + _TAIL_MASS and
+        whose weights sum to 1 - 2^-53), so the tails are measured from
+        those limits: cdf(lo) <= g0 + _TAIL_MASS and
         cdf(hi) >= g1 - _TAIL_MASS.  The bracket first doubles outward
         from [-1, 1]: one call probes +-2^0..2^7 and the limits, and only the
         rows whose tail points lie further out probe the whole ladder to
@@ -296,15 +375,16 @@ class PredictiveDist:
         of the row doubles its intervals, and MomentUnavailable naming the row
         is raised if they never agree.  Rows are integrated _MOMENT_CHUNK at
         a time, each on its own nodes and summed in node order, so a row's
-        moments do not depend on the rows beside it.  Returns (n, 1) columns;
+        moments do not depend on the rows beside it; the chunks run on every
+        core (``_each_chunk``).  Returns (n, 1) columns;
         a per-case object is the 1-row case (row 0 in errors) and gets floats.
         """
         if not self.has_density:
             raise MomentUnavailable(
                 f"{type(self).__name__} has atoms; quadrature moments undefined"
             )
-        out = np.empty((2, max(self._rows(), 1), 1))
-        for first in range(0, out.shape[1], _MOMENT_CHUNK):
+
+        def moments(first):
             chunk = self._take(slice(first, first + _MOMENT_CHUNK))
             lo, hi, g0, g1 = chunk._tail_bracket(first)
             edges = np.sort(np.hstack([lo, np.clip(chunk._kinks(), lo, hi), hi]), axis=1)
@@ -312,6 +392,7 @@ class PredictiveDist:
             share = np.round(_GRID_POINTS / 2 * spans / (hi - lo))
             # an even count of at least 4 intervals, so the half rule has a node; none if empty
             size = np.where(spans > 0.0, 2 * np.maximum(share, 2), 0).astype(int)
+            out = np.empty((2, lo.size, 1))
             todo = np.arange(lo.size)
             for _ in range(_GRID_DOUBLINGS + 1):
                 t, w = _fejer_rule(edges[todo], spans[todo], size[todo])
@@ -321,18 +402,19 @@ class PredictiveDist:
                 m, v = lo[todo] + s[:, 0], s[:, 1] - s[:, 0] ** 2  # full rule, then half rule
                 ok = ((v[0] > 0.0) & (np.abs(m[0] - m[1]) <= _GRID_RTOL * np.sqrt(np.abs(v[0])))
                       & (np.abs(v[0] - v[1]) <= _GRID_RTOL * v[0]))[:, 0]
-                out[:, first + todo[ok]] = m[0, ok], v[0, ok]
+                out[:, todo[ok]] = m[0, ok], v[0, ok]
                 todo = todo[~ok]
                 if not todo.size:
-                    break
+                    return out
                 size[todo] *= 2
-            else:
-                i = todo[0]
-                raise MomentUnavailable(
-                    f"{type(self).__name__} row {first + i}: moments did not settle on "
-                    f"{np.maximum(size[i] - 1, 0).sum()} Fejér nodes over "
-                    f"[{lo[i, 0]:g}, {hi[i, 0]:g}]"
-                )
+            i = todo[0]
+            raise MomentUnavailable(
+                f"{type(self).__name__} row {first + i}: moments did not settle on "
+                f"{np.maximum(size[i] - 1, 0).sum()} Fejér nodes over "
+                f"[{lo[i, 0]:g}, {hi[i, 0]:g}]"
+            )
+
+        out = np.concatenate(_each_chunk(moments, self._rows(), _MOMENT_CHUNK), axis=1)
         return (out[0], out[1]) if self._rows() else (float(out[0, 0, 0]), float(out[1, 0, 0]))
 
 
@@ -800,7 +882,9 @@ class SpreadAdjusted(PredictiveDist):
 class BetaTransformed(PredictiveDist):
     """A base distribution recalibrated on the probability scale: B_(alpha,beta)(F(y)).
 
-    Moments and samples come from the inherited CDF-based numerics.
+    F is the base CDF divided by its value at +inf where rounding leaves that
+    below 1 (``_top``), so the transform reaches exactly 1.  Moments and
+    samples come from the inherited CDF-based numerics.
     """
 
     base: PredictiveDist
@@ -811,19 +895,30 @@ class BetaTransformed(PredictiveDist):
         if not (self.alpha > 0.0 and self.beta > 0.0):
             raise ValueError("alpha and beta must be strictly positive")
 
+    @cached_property
+    def _top(self):
+        """min(1, base CDF at +inf), per row when stacked.  A mixture whose weights sum
+        to 1 - 2^-53 tops out there, and B would raise the shortfall to the power beta;
+        where the base reaches 1, dividing by 1.0 leaves every value as it is."""
+        top = np.minimum(_as_array(self.base.cdf(np.full((1, 1), np.inf))), 1.0)
+        return top if self._rows() else float(top[0, 0])
+
+    def _u(self, base_cdf) -> np.ndarray:
+        return _unit(_as_array(base_cdf) / self._top)
+
     def cdf(self, y):
-        return _match(y, betainc(self.alpha, self.beta, _unit(self.base.cdf(y))))
+        return _match(y, betainc(self.alpha, self.beta, self._u(self.base.cdf(y))))
 
     def cdf_left(self, y):
-        return _match(y, betainc(self.alpha, self.beta, _unit(self.base.cdf_left(y))))
+        return _match(y, betainc(self.alpha, self.beta, self._u(self.base.cdf_left(y))))
 
     @property
     def has_density(self) -> bool:
         return self.base.has_density
 
     def density(self, y):
-        g = _as_array(self.base.density(y))
-        u = _as_array(self.base.cdf(y))
+        g = _as_array(self.base.density(y)) / self._top
+        u = _as_array(self.base.cdf(y)) / self._top
         with np.errstate(invalid="ignore", over="ignore"):
             out = np.where(g > 0.0, _beta_pdf(u, self.alpha, self.beta) * g, 0.0)
         return _match(y, out)
@@ -835,10 +930,11 @@ class BetaTransformed(PredictiveDist):
         return self.base.atom_locations()
 
     def _quantile(self, p):
-        return _as_array(self.base.quantile(betaincinv(self.alpha, self.beta, p)))
+        return _as_array(self.base.quantile(betaincinv(self.alpha, self.beta, p) * self._top))
 
     def median(self):
-        return self.base.quantile(betaincinv(self.alpha, self.beta, 0.5))  # per row when stacked
+        # per row when stacked
+        return self.base.quantile(betaincinv(self.alpha, self.beta, 0.5) * self._top)
 
     def _stack_key(self):
         return (BetaTransformed, self.base._stack_key())

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import cdfpool.calibration
@@ -107,6 +109,37 @@ class TestPitSample:
         mixed = pit_sample([d, d, d, d, Mixture((Gaussian(0, 1), TwoPointBernoulli(0.4)), (0.6, 0.4))],
                            y, rng_seed=11)
         assert_allclose(same.z, mixed.z, rtol=0, atol=1e-15)
+
+
+@st.composite
+def _ideal_forecaster(draw, n=2000):
+    """n forecasts of one kind, each the law its outcome is drawn from (Czado, Gneiting
+    & Held, 2009): the drawn structure fixes the kind, the rest comes from a drawn seed."""
+    kind = draw(st.sampled_from(["gaussian", "finite-discrete", "bernoulli"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "gaussian":
+        scale = draw(st.floats(0.0, 5.0))
+        forecasts = [Gaussian(m, s) for m, s in
+                     zip(rng.normal(scale=scale, size=n), rng.uniform(0.1, 3.0, n))]
+    elif kind == "finite-discrete":
+        k = draw(st.integers(1, 5))
+        empty = draw(st.lists(st.booleans(), min_size=k, max_size=k))  # atoms of mass 0
+        masses = rng.dirichlet(np.ones(k), size=n) * ~np.array(empty)
+        masses[masses.sum(axis=1) == 0.0, -1] = 1.0
+        atoms = np.cumsum(rng.integers(1, 4, size=(n, k)), axis=1) - draw(st.integers(0, 6))
+        forecasts = [FiniteDiscrete(tuple(a), tuple(m / m.sum())) for a, m in zip(atoms, masses)]
+    else:
+        lo = draw(st.floats(0.0, 1.0))
+        hi = draw(st.floats(lo, 1.0))
+        forecasts = [TwoPointBernoulli(p) for p in rng.uniform(lo, hi, n)]
+    return forecasts, np.array([f.sample(rng, 1)[0] for f in forecasts])
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(_ideal_forecaster(), st.integers(0, 2**32 - 1))
+def test_the_ideal_forecasters_randomized_pit_is_uniform(ideal, seed):
+    forecasts, obs = ideal
+    assert ks_uniformity(pit_sample(forecasts, obs, seed).z)[1] > 1e-6
 
 
 class TestKsUniformity:

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy.special import ndtr, ndtri
+from scipy.special import betainc, ndtr, ndtri
 
 from cdfpool import (
     BlpSpec,
-    CdfPoolError,
     DomainViolation,
     FiniteDiscrete,
     Gaussian,
@@ -30,6 +29,7 @@ from cdfpool import (
     spec_params,
     validate_cdf,
 )
+from cdfpool.distributions import stack
 from cdfpool.pools import CDF_CLAMP
 
 COMPS = (Gaussian(-0.3, 1.2), Gaussian(0.7, 0.8), Gaussian(2.0, 1.5))
@@ -404,8 +404,7 @@ def _random_pools(draw):
     elif family == "slp":
         spec = SlpSpec(simplex, draw(shape))
     elif family == "blp":
-        # beta stays above 0.5: below 0.4 the pool can fail, as the test below shows
-        spec = BlpSpec(simplex, draw(shape), draw(st.floats(0.5, 10.0)))
+        spec = BlpSpec(simplex, draw(shape), draw(shape))
     else:
         spec = GlpSpec(simplex if family.requires_simplex else tuple(raw), family)
     return pool(spec, comps)
@@ -417,9 +416,21 @@ def test_every_random_pool_is_a_cdf(d):
     validate_cdf(d)
 
 
-@pytest.mark.xfail(strict=True, raises=CdfPoolError,
-                   reason="the BLP CDF tops out at betainc(alpha, beta, sum(w)); weights that "
-                          "sum to 1 - 2^-53 leave 1.03e-4 below 1 at beta = 0.25")
+_SHORT = (0.6609559208389623, 0.3390440791610376)  # sum(w) == 1 - 2**-53
+
+
 def test_blp_with_small_beta_over_weights_summing_below_one_reaches_one():
-    w = (0.6609559208389623, 0.3390440791610376)  # sum(w) == 1 - 2**-53
-    validate_cdf(pool(BlpSpec(w, 1.0, 0.25), (Gaussian(0.0, 1.0), Gaussian(0.0, 1.0))))
+    d = pool(BlpSpec(_SHORT, 1.0, 0.25), (Gaussian(0.0, 1.0), Gaussian(0.0, 1.0)))
+    validate_cdf(d)
+    assert d.cdf(1e8) == 1.0
+    p = np.array([0.01, 0.5, 0.99])
+    assert_allclose(d.cdf(d.quantile(p)), p, atol=1e-9)
+    stacked = stack([d, pool(BlpSpec((0.5, 0.5), 1.0, 0.25), (Gaussian(0.0, 1.0),) * 2)])
+    assert np.all(stacked.cdf(np.array([[1e8]])) == 1.0)
+
+
+def test_blp_over_weights_summing_to_one_is_the_beta_transform_of_the_mixture():
+    ys = np.random.default_rng(14).normal(scale=3.0, size=200)
+    d = pool(BlpSpec(W, 1.7, 0.3), COMPS)
+    assert sum(W) == 1.0
+    assert np.array_equal(d.cdf(ys), betainc(1.7, 0.3, np.clip(Mixture(COMPS, W).cdf(ys), 0, 1)))

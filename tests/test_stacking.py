@@ -1,5 +1,8 @@
 """Stacked forecasts: the list-level diagnostics against their per-case definitions."""
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import numpy as np
@@ -42,7 +45,8 @@ from cdfpool import (
     randomized_pit,
     simulate,
 )
-from cdfpool.distributions import _MOMENT_CHUNK, _RowStack, stack
+from cdfpool.calibration import _GAP_CHUNK
+from cdfpool.distributions import _MOMENT_CHUNK, _each_chunk, _RowStack, stack
 from cdfpool.io import write_dataset_csv
 
 
@@ -328,7 +332,7 @@ class TestNoPerCaseLoops:
         forecasts, obs = self._tlp_forecasts()
         cdf_calls = _counting(monkeypatch, Gaussian, "cdf")
         marginal_calibration_gap(forecasts, obs, np.linspace(-3.0, 3.0, 201))
-        assert len(cdf_calls) <= self.K * -(-self.J // 256)
+        assert len(cdf_calls) <= self.K * -(-self.J // _GAP_CHUNK)
 
 
 class TestEvaluateStacksOnce:
@@ -647,3 +651,107 @@ class TestSharedColumn:
         assert a.mean_log_score == b.mean_log_score
         assert a.pit_variance == b.pit_variance
         assert a.rmv == b.rmv
+
+
+@pytest.fixture(params=[0, 3], ids=["no-workers", "three-workers"])
+def workers(request, monkeypatch):
+    """The chunk runner with the given number of worker threads, whatever the core count."""
+    executor = ThreadPoolExecutor(max(request.param, 1))
+    monkeypatch.setattr(cdfpool.distributions, "_workers", (executor, request.param))
+    yield request.param
+    executor.shutdown()
+
+
+def _serial_gap(d, obs, grid):
+    """The marginal gap as one loop that adds the chunk sums in chunk order."""
+    acc = np.zeros(grid.size)
+    for start in range(0, d._rows(), _GAP_CHUNK):
+        acc += d._take(slice(start, start + _GAP_CHUNK)).cdf(grid[None, :]).sum(axis=0)
+    ecdf = np.searchsorted(np.sort(obs), grid, side="right") / obs.size
+    return float(np.max(np.abs(acc / d._rows() - ecdf)))
+
+
+class TestChunksOnEveryCore:
+    """Row chunks run on worker threads, and every result is that of the serial loop."""
+
+    J = 5 * _GAP_CHUNK + 17
+
+    def _forecasts(self, kind):
+        batch = simulate(DgpConfig(kind="regression", n=self.J, seed=41)).cases
+        rng = np.random.default_rng(41)
+        w = (0.2, 0.3, 0.5)
+        if kind == "atoms":
+            p = rng.uniform(0.05, 0.95, self.J)
+            return stack([TwoPointBernoulli(x) for x in p]), (rng.random(self.J) > p) * 1.0
+        if kind == "row-by-row":
+            rows = [Logistic(m, 0.8) if j % 3 else Gaussian(m, 1.1)
+                    for j, m in enumerate(rng.normal(size=self.J))]
+            return stack(rows), batch.y
+        spec = {"tlp": TlpSpec(w), "blp": BlpSpec(w, 1.4, 0.8),
+                "glp-probit": GlpSpec(w, LinkFunction.PROBIT)}[kind]
+        return pool(spec, batch.components), batch.y
+
+    @pytest.mark.parametrize("kind", ["tlp", "blp", "glp-probit", "atoms", "row-by-row"])
+    def test_gap_equals_the_serial_loop(self, kind, workers):
+        d, obs = self._forecasts(kind)
+        assert d._rows() == self.J
+        grid = np.linspace(-4.0, 4.0, 201)
+        assert marginal_calibration_gap(d, obs, grid) == _serial_gap(d, obs, grid)
+
+    @pytest.mark.parametrize("kind", ["blp", "glp-probit"])
+    def test_moments_equal_their_cases(self, kind, workers):
+        d, _ = self._forecasts(kind)
+        d = d._take(slice(0, 4 * _MOMENT_CHUNK + 9))
+        rows = [d._row(i) for i in range(d._rows())]
+        for method in ("mean", "variance"):
+            np.testing.assert_array_equal(getattr(d, method)()[:, 0],
+                                          [getattr(r, method)() for r in rows])
+
+    def test_first_failing_chunk_is_named(self, workers):
+        rng = np.random.default_rng(42)
+        rows = _blp_rows(6 * _MOMENT_CHUNK, rng)
+        # the third chunk's bad row fails slowly (its grid never settles), the fifth
+        # chunk's at once (its CDF rises only to about 1/2 over +-2^63)
+        rows[150] = pool(BlpSpec((0.5, 0.5), 0.3, 0.3), [Gaussian(3.0, 0.01)] * 2)
+        rows[300] = pool(BlpSpec((0.5, 0.5), 1.2, 0.9), [Gaussian(0.0, 1e30)] * 2)
+        assert (150 // _MOMENT_CHUNK, 300 // _MOMENT_CHUNK) == (2, 4)
+        with pytest.raises(MomentUnavailable, match="^BetaTransformed row 150: moments did not"):
+            stack(rows).variance()
+        good = _blp_rows(2 * _MOMENT_CHUNK + 5, rng)
+        np.testing.assert_array_equal(stack(good).variance()[:, 0], [r.variance() for r in good])
+
+    def test_chunks_see_the_callers_errstate(self, workers):
+        ran_elsewhere, seen = threading.Event(), []
+
+        def chunk(start):
+            seen.append((threading.get_ident(), np.geterr()))
+            if start:
+                ran_elsewhere.set()
+            elif workers:  # hold the first chunk until another thread has run one
+                assert ran_elsewhere.wait(timeout=30.0)
+
+        with np.errstate(over="ignore", divide="raise", under="warn", invalid="print"):
+            want = np.geterr()
+            _each_chunk(chunk, 1000, 64)
+        assert len(seen) == 16
+        assert all(state == want for _, state in seen)
+        assert (len({thread for thread, _ in seen}) > 1) == (workers > 0)
+        assert np.geterr() != want
+
+    def test_every_chunk_runs_once_under_fast_switching(self, monkeypatch):
+        executor = ThreadPoolExecutor(3)  # with the caller, four threads take chunks
+        monkeypatch.setattr(cdfpool.distributions, "_workers", (executor, 3))
+        ran = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out = _each_chunk(lambda start: ran.append(start) or start, 20000, 1)
+        finally:
+            sys.setswitchinterval(interval)
+            executor.shutdown()
+        assert out == list(range(20000))
+        assert sorted(ran) == out
+
+    def test_results_come_in_chunk_order(self, workers):
+        assert _each_chunk(lambda start: start, 1000, 64) == list(range(0, 1000, 64))
+        assert _each_chunk(lambda start: start, 0, 64) == [0]  # a per-case object is one chunk
