@@ -88,11 +88,13 @@ def _check_finite(x: np.ndarray, what: str) -> None:
 def _paired(forecasts, obs: np.ndarray) -> PredictiveDist:
     """The forecasts as one stacked forecast, one row per observation, every observation finite.
 
-    A list is stacked by ``stack``; a forecast is used as it is, a per-case one for every row.
+    A list, which must hold one forecast per observation, is stacked by ``stack``; a
+    forecast is used as it is, a per-case one for every row.
     """
     d = forecasts if isinstance(forecasts, PredictiveDist) else stack(forecasts)
-    if d._rows() not in (0, obs.size):
-        raise LengthMismatch(f"{d._rows()} forecasts paired with {obs.size} observations")
+    n = d._rows() or (obs.size if d is forecasts else 0)
+    if n != obs.size:
+        raise LengthMismatch(f"{n} forecasts paired with {obs.size} observations")
     _check_finite(obs, "observation")
     return d
 

@@ -8,17 +8,20 @@ arrays and return a matching shape.
 
 ``stack`` turns a list of per-case forecasts into one object whose row i is
 forecast i.  A kind's parameters are its public instance attributes, stacked
-by one rule: a float becomes an (n, 1) column, a tuple is stacked element by
-element, a nested forecast recursively, and any other value (a link) is
-shared by all rows; forecasts of mixed shapes give a ``_RowStack``, evaluated
-row by row.  The stacked ``cdf``, ``cdf_left`` and ``density`` take an (n, m)
-or (1, m) array of points and return (n, m), row i being case i's forecast at
-row i of the points; ``quantile`` takes levels in the same shapes; ``mean``,
-``variance`` and ``median`` return (n, 1) columns.  A per-case object runs the
-same code as a 1-row stack.  ``_row(i)`` rebuilds case i, checked as at
-construction, ``_take(rows)`` cuts the rows, and
-``Gaussian._stacked(mu, sigma)`` and its siblings build a stacked object from
-checked, stacked parameters in declaration order.
+by one rule that checks the rows' shapes in the same pass: forecasts stack
+if all are of one kind, a float becomes an (n, 1) column, tuples of one
+length are stacked element by element, a nested forecast recursively, and
+any other value (a link) must be the same object in every row.  A kind opts
+in to columns with the class marker ``_stacks = True``; forecasts of another
+kind are a ``_RowStack`` column, evaluated row by row, and so is the whole
+list at the first mismatch at any depth.  The stacked ``cdf``, ``cdf_left``
+and ``density`` take an (n, m) or (1, m) array of points and return (n, m),
+row i being case i's forecast at row i of the points; ``quantile`` takes
+levels in the same shapes; ``mean``, ``variance`` and ``median`` return
+(n, 1) columns.  A per-case object runs the same code as a 1-row stack.
+``_row(i)`` rebuilds case i, checked as at construction, ``_take(rows)``
+cuts the rows, and ``Gaussian._stacked(mu, sigma)`` and its siblings build
+a stacked object from checked, stacked parameters in declaration order.
 
 Kinds without closed-form moments (the beta-transformed and generalized
 pools) integrate their CDF by parts with Fejér's second rule on panels
@@ -163,7 +166,13 @@ def _beta_pdf(u, alpha: float, beta: float) -> np.ndarray:
 
 
 class PredictiveDist:
-    """Base class: a probability measure on the real line via its CDF."""
+    """Base class: a probability measure on the real line via its CDF.
+
+    ``_stacks`` marks a kind whose evaluators take (n, 1) parameter columns (see
+    ``stack``); a subclass whose evaluators need per-case parameters sets it to False.
+    """
+
+    _stacks = False
 
     # -- evaluation surface -------------------------------------------------
 
@@ -224,26 +233,9 @@ class PredictiveDist:
 
     # -- stacking (see ``stack``) -------------------------------------------
 
-    def _stack_key(self) -> tuple:
-        """Forecasts with equal keys stack into one object.
-
-        The key's first entry is the class whose ``_stack`` builds that
-        object; the rest fixes the shape (component kinds and counts, atom
-        count, link).  A kind without a stacked form keeps this default and
-        is evaluated row by row.  A subclass that changes how a concrete
-        kind evaluates must override it.
-        """
-        return (_RowStack,)
-
     def _params(self) -> dict:
         """The parameters: the public instance attributes, in the order they were set."""
         return {name: v for name, v in vars(self).items() if name[0] != "_"}
-
-    @classmethod
-    def _stack(cls, rows) -> PredictiveDist:
-        """Forecasts that share a stack key as one object, each parameter by ``_stack_param``."""
-        return _build(cls, {name: _stack_param(list(map(attrgetter(name), rows)))
-                            for name in rows[0]._params()})
 
     @classmethod
     def _stacked(cls, *params) -> PredictiveDist:
@@ -460,28 +452,47 @@ def _fejer_rule(edges: np.ndarray, spans: np.ndarray, size: np.ndarray):
 def stack(dists) -> PredictiveDist:
     """One stacked object whose row i is the forecast ``dists[i]``.
 
-    Forecasts that share a stack key are stacked parameter by parameter;
-    forecasts of mixed shapes give a ``_RowStack``, evaluated row by row.
-    The rows are not validated again, since each was validated when it was
-    built.
+    Forecasts of one shape are stacked parameter by parameter in one pass
+    (``_stack_param``); at the first mismatch in shape the list gives a
+    ``_RowStack``, evaluated row by row.  The rows are not validated again,
+    since each was validated when it was built.
     """
-    keys = {d._stack_key() for d in dists}
-    cls = next(iter(keys))[0] if len(keys) == 1 else _RowStack
-    return cls._stack(dists)
+    dists = tuple(dists)
+    try:
+        return _stack_param(dists) if dists else _RowStack(())
+    except _Ragged:
+        return _RowStack(dists)
+
+
+class _Ragged(Exception):
+    """Rows whose parameters differ in shape: ``stack`` evaluates them row by row."""
 
 
 def _stack_param(values):
-    """One parameter of every row, stacked: a float into an (n, 1) column, a
-    tuple element by element, a forecast recursively; any other value, such
-    as a link, is shared by all rows."""
+    """One parameter of every row, stacked; raises _Ragged where the rows differ in shape.
+
+    Forecasts of one kind are stacked parameter by parameter, or give a
+    ``_RowStack`` if the kind has no stacked form; a float becomes an (n, 1)
+    column; tuples of one length are stacked element by element; any other
+    value, such as a link, must be the same object in every row.
+    """
     first = values[0]
     if isinstance(first, PredictiveDist):
-        return first._stack_key()[0]._stack(values)
+        if len(set(map(type, values))) != 1:
+            raise _Ragged
+        if not first._stacks:
+            return _RowStack(tuple(values))
+        return _build(type(first), {name: _stack_param(list(map(attrgetter(name), values)))
+                                    for name in first._params()})
     if isinstance(first, tuple):
+        if len(set(map(len, values))) != 1:
+            raise _Ragged
         # one list per element: zip(*values) would make an iterator per row
         return tuple(_stack_param([v[j] for v in values]) for j in range(len(first)))
     if isinstance(first, (numbers.Real, np.ndarray)):
         return np.array(values, dtype=float)[:, None]
+    if len(set(map(id, values))) != 1:
+        raise _Ragged
     return first
 
 
@@ -582,10 +593,6 @@ class _RowStack(PredictiveDist):
     mean = partialmethod(_each_row, "mean")
     variance = partialmethod(_each_row, "variance")
 
-    @classmethod
-    def _stack(cls, rows):
-        return cls(tuple(rows))
-
     def _row(self, i):
         return self.rows[i]
 
@@ -600,6 +607,7 @@ class _RowStack(PredictiveDist):
 class Gaussian(PredictiveDist):
     """Normal distribution with mean ``mu`` and standard deviation ``sigma``."""
 
+    _stacks = True
     mu: float
     sigma: float
 
@@ -633,9 +641,6 @@ class Gaussian(PredictiveDist):
     def sample(self, rng, n):
         return rng.normal(self.mu, self.sigma, size=n)
 
-    def _stack_key(self):
-        return (Gaussian,)
-
 
 @dataclass(frozen=True)
 class FiniteDiscrete(PredictiveDist):
@@ -644,6 +649,7 @@ class FiniteDiscrete(PredictiveDist):
     Stacked, ``atoms`` and ``masses`` are tuples of (n, 1) columns.
     """
 
+    _stacks = True
     atoms: tuple[float, ...]
     masses: tuple[float, ...]
 
@@ -718,9 +724,6 @@ class FiniteDiscrete(PredictiveDist):
     def sample(self, rng, n):
         return rng.choice(self._atoms, size=n, p=self.masses)
 
-    def _stack_key(self):
-        return (FiniteDiscrete, len(self.atoms))
-
 
 class TwoPointBernoulli(FiniteDiscrete):
     """Binary-outcome forecast with success coded as outcome 0.
@@ -741,9 +744,6 @@ class TwoPointBernoulli(FiniteDiscrete):
     def __repr__(self):
         return f"TwoPointBernoulli(p={self.p})"
 
-    def _stack_key(self):
-        return (TwoPointBernoulli,)
-
     @classmethod
     def _stacked(cls, p) -> TwoPointBernoulli:
         """Stacked forecasts with success probabilities ``p``, an (n, 1) column."""
@@ -755,6 +755,7 @@ class TwoPointBernoulli(FiniteDiscrete):
 class Mixture(PredictiveDist):
     """Convex combination of component distributions."""
 
+    _stacks = True
     components: tuple[PredictiveDist, ...]
     weights: tuple[float, ...]
 
@@ -814,9 +815,6 @@ class Mixture(PredictiveDist):
                 out[mask] = c.sample(rng, cnt)
         return out
 
-    def _stack_key(self):
-        return (Mixture, tuple([c._stack_key() for c in self.components]))
-
 
 @dataclass(frozen=True)
 class SpreadAdjusted(PredictiveDist):
@@ -826,6 +824,7 @@ class SpreadAdjusted(PredictiveDist):
     distance from the center is scaled by c and the moments have closed forms.
     """
 
+    _stacks = True
     base: PredictiveDist
     c: float
     center: float
@@ -874,9 +873,6 @@ class SpreadAdjusted(PredictiveDist):
     def sample(self, rng, n):
         return self._pushforward(self.base.sample(rng, n))
 
-    def _stack_key(self):
-        return (SpreadAdjusted, self.base._stack_key())
-
 
 @dataclass(frozen=True)
 class BetaTransformed(PredictiveDist):
@@ -887,6 +883,7 @@ class BetaTransformed(PredictiveDist):
     samples come from the inherited CDF-based numerics.
     """
 
+    _stacks = True
     base: PredictiveDist
     alpha: float
     beta: float
@@ -935,9 +932,6 @@ class BetaTransformed(PredictiveDist):
     def median(self):
         # per row when stacked
         return self.base.quantile(betaincinv(self.alpha, self.beta, 0.5) * self._top)
-
-    def _stack_key(self):
-        return (BetaTransformed, self.base._stack_key())
 
 
 def validate_cdf(d: PredictiveDist, grid=None) -> None:

@@ -36,6 +36,7 @@ from .distributions import (
     PredictiveDist,
     SpreadAdjusted,
     _as_array,
+    _build,
     _match,
 )
 from .errors import DensityUnavailable, DomainViolation, WeightConstraintViolation
@@ -223,6 +224,7 @@ class GlpDistribution(PredictiveDist):
     outside the components' common support.
     """
 
+    _stacks = True
     components: tuple[PredictiveDist, ...]
     w: tuple[float, ...]
     link: LinkFunction
@@ -277,29 +279,28 @@ class GlpDistribution(PredictiveDist):
         bounds = np.array([[CDF_CLAMP, 1.0 - CDF_CLAMP]])
         return np.hstack(np.broadcast_arrays(*(c.quantile(bounds) for c in self.components)))
 
-    def _stack_key(self):
-        return (GlpDistribution, self.link, tuple([c._stack_key() for c in self.components]))
-
 
 def pool(spec: PoolSpec, components) -> PredictiveDist:
-    """Combine component distributions according to the pool specification."""
+    """Combine component distributions according to the pool specification.
+
+    The spec's checks stand for those of the pooled objects' constructors, which are skipped.
+    """
     components = tuple(components)
     if len(components) != spec.k:
         raise WeightConstraintViolation(
             f"spec has {spec.k} weights but {len(components)} components were given"
         )
-    if isinstance(spec, TlpSpec):
-        return Mixture(components, spec.w)
     if isinstance(spec, SlpSpec):
-        adjusted = tuple(SpreadAdjusted(c, spec.c, c.median()) for c in components)
-        return Mixture(adjusted, spec.w)
+        components = tuple([_build(SpreadAdjusted, {"base": c, "c": spec.c, "center": c.median()})
+                            for c in components])
+    elif isinstance(spec, GlpSpec) and spec.link is not LinkFunction.IDENTITY:
+        return _build(GlpDistribution, {"components": components, "w": spec.w, "link": spec.link})
+    elif not isinstance(spec, (TlpSpec, BlpSpec, GlpSpec)):
+        raise TypeError(f"unknown pool spec {type(spec).__name__}")
+    mixture = _build(Mixture, {"components": components, "weights": spec.w})
     if isinstance(spec, BlpSpec):
-        return BetaTransformed(Mixture(components, spec.w), spec.alpha, spec.beta)
-    if isinstance(spec, GlpSpec):
-        if spec.link is LinkFunction.IDENTITY:
-            return Mixture(components, spec.w)
-        return GlpDistribution(components=components, w=spec.w, link=spec.link)
-    raise TypeError(f"unknown pool spec {type(spec).__name__}")
+        return _build(BetaTransformed, {"base": mixture, "alpha": spec.alpha, "beta": spec.beta})
+    return mixture
 
 
 def coherent_probit_pool(p1, p2, sigma1: float, sigma2: float):

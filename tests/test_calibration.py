@@ -81,6 +81,10 @@ class TestPitSample:
         with pytest.raises(LengthMismatch):
             pit_sample([Gaussian(0, 1)], [0.0, 1.0], rng_seed=0)
 
+    def test_empty_forecast_list_is_a_length_mismatch(self):
+        with pytest.raises(LengthMismatch, match="0 forecasts paired with 2 observations"):
+            pit_sample([], [0.0, 1.0], rng_seed=0)
+
     def test_non_finite_observation_rejected(self):
         rng = np.random.default_rng(4)
         y = rng.standard_normal(50)
@@ -257,6 +261,11 @@ class TestMarginalGap:
         with pytest.raises(EmptyInput):
             marginal_calibration_gap([], [], grid=[0.0])
 
+    def test_empty_forecast_list_is_a_length_mismatch(self):
+        # an empty list is not a forecast shared by every observation
+        with pytest.raises(LengthMismatch, match="0 forecasts paired with 2 observations"):
+            marginal_calibration_gap([], [1.0, 2.0], np.linspace(0.0, 3.0, 7))
+
     def test_non_finite_observation_rejected(self):
         y = np.linspace(-1.0, 1.0, 20)
         y[7] = np.nan
@@ -334,6 +343,12 @@ class TestCalibrationReport:
         assert rep.marginal_gap >= 0.0
         assert rep.ks_pvalue == ks_uniformity(rep.pit.z)[1]
         np.testing.assert_array_equal(rep.pit.z, pit_sample(forecasts, y, 12).z)
+
+    def test_empty_forecast_list_is_a_length_mismatch(self):
+        from cdfpool import calibration_report
+
+        with pytest.raises(LengthMismatch, match="0 forecasts paired with 3 observations"):
+            calibration_report([], [0.0, 1.0, 2.0], rng_seed=0)
 
     def test_fields(self):
         from dataclasses import fields

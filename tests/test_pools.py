@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from scipy.special import betainc, ndtr, ndtri
 
 from cdfpool import (
+    BetaTransformed,
     BlpSpec,
     DomainViolation,
     FiniteDiscrete,
@@ -17,6 +18,7 @@ from cdfpool import (
     MedianUndefined,
     Mixture,
     SlpSpec,
+    SpreadAdjusted,
     TlpSpec,
     TwoPointBernoulli,
     WeightConstraintViolation,
@@ -30,7 +32,7 @@ from cdfpool import (
     validate_cdf,
 )
 from cdfpool.distributions import stack
-from cdfpool.pools import CDF_CLAMP
+from cdfpool.pools import CDF_CLAMP, GlpDistribution
 
 COMPS = (Gaussian(-0.3, 1.2), Gaussian(0.7, 0.8), Gaussian(2.0, 1.5))
 W = (0.2, 0.5, 0.3)
@@ -98,6 +100,22 @@ class TestGlpArithmetic:
         assert d.cdf(1.0) == 1.0
 
 
+SPECS = [TlpSpec(W), SlpSpec(W, c=0.7), BlpSpec(W, alpha=1.5, beta=1.4)] + [
+    GlpSpec(W, link) for link in LinkFunction]
+SPEC_IDS = ["tlp", "slp", "blp"] + [f"glp-{link.value}" for link in LinkFunction]
+
+
+def _checked_pool(spec, comps):
+    """The pool of ``comps`` built by the constructors, which check their parameters."""
+    if isinstance(spec, SlpSpec):
+        return Mixture(tuple(SpreadAdjusted(c, spec.c, c.median()) for c in comps), spec.w)
+    if isinstance(spec, BlpSpec):
+        return BetaTransformed(Mixture(comps, spec.w), spec.alpha, spec.beta)
+    if isinstance(spec, GlpSpec) and spec.link is not LinkFunction.IDENTITY:
+        return GlpDistribution(comps, spec.w, spec.link)
+    return Mixture(comps, spec.w)
+
+
 class TestPoolValidity:
     @pytest.mark.parametrize(
         "spec",
@@ -125,6 +143,19 @@ class TestPoolValidity:
     def test_component_count_must_match(self):
         with pytest.raises(WeightConstraintViolation):
             pool(TlpSpec((0.5, 0.5)), COMPS)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
+    def test_every_family_checks_the_component_count(self, spec):
+        with pytest.raises(WeightConstraintViolation, match="3 weights but 2 components"):
+            pool(spec, COMPS[:2])
+
+    @pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
+    def test_pool_equals_the_checked_constructors(self, spec):
+        comps = COMPS[:2] + (TwoPointBernoulli(0.3),)
+        want = _checked_pool(spec, comps)
+        got = pool(spec, comps)
+        assert type(got) is type(want)
+        assert got == want
 
     def test_slp_needs_unique_medians(self):
         flat = FiniteDiscrete((0.0, 1.0), (0.5, 0.5))

@@ -172,6 +172,48 @@ class TestStack:
             ForecastBatch.from_cases(cases)
 
 
+_G = (Gaussian(0.0, 1.0), Gaussian(1.0, 2.0), Gaussian(-0.5, 0.7))
+_HALVES = (0.5, 0.5)
+
+# lists whose rows differ in shape at one place only, so they are evaluated row by row
+_RAGGED = {
+    "atom-count": [FiniteDiscrete((0.0, 1.0), (0.4, 0.6)),
+                   FiniteDiscrete((0.0, 1.0, 2.0), (0.2, 0.3, 0.5))],
+    "link": [pool(GlpSpec(_HALVES, LinkFunction.LOG), _G[:2]),
+             pool(GlpSpec(_HALVES, LinkFunction.PROBIT), _G[:2])],
+    "component-count": [pool(TlpSpec(_HALVES), _G[:2]), pool(TlpSpec((0.2, 0.3, 0.5)), _G)],
+    "component-kind": [pool(BlpSpec(_HALVES, 1.2, 0.8), _G[:2]),
+                       pool(BlpSpec(_HALVES, 1.2, 0.8), (_G[0], TwoPointBernoulli(0.3)))],
+    "bernoulli-and-two-atoms": [TwoPointBernoulli(0.3), FiniteDiscrete((0.0, 1.0), (0.3, 0.7))],
+    "one-logistic": [Gaussian(0.0, 1.0), Logistic(0.0, 1.0), Gaussian(1.0, 1.0)],
+    "one-nested-logistic": [pool(TlpSpec(_HALVES), (Logistic(0.1 * j, 1.0) if j == 1 else _G[0],
+                                                   _G[1])) for j in range(3)],
+}
+
+
+class TestShapeRule:
+    @pytest.mark.parametrize("rows", _RAGGED.values(), ids=_RAGGED.keys())
+    def test_rows_of_different_shapes_are_kept_as_they_are(self, rows):
+        stacked = stack(rows)
+        assert isinstance(stacked, _RowStack)
+        assert stacked._rows() == len(rows)
+        assert all(stacked._row(i) is row for i, row in enumerate(rows))
+
+    def test_a_kind_without_stacked_form_in_every_row_is_a_row_by_row_column(self):
+        rows = [pool(SlpSpec(_HALVES, 1.3), (Logistic(0.1 * j, 1.0), _G[j])) for j in range(3)]
+        stacked = stack(rows)
+        assert type(stacked) is Mixture
+        logistic, gaussian = (c.base for c in stacked.components)
+        assert isinstance(logistic, _RowStack)
+        assert all(logistic._row(j) is row.components[0].base for j, row in enumerate(rows))
+        assert type(gaussian) is Gaussian
+        assert gaussian.mu.shape == (3, 1)
+
+    def test_a_shared_link_is_the_same_object(self):
+        rows = [pool(GlpSpec(w, LinkFunction.RECIPROCAL), _G[:2]) for w in (_HALVES, (0.3, 0.7))]
+        assert stack(rows).link is LinkFunction.RECIPROCAL
+
+
 # ---------------------------------------------------------------------------
 # the stacking rule: lists of one shape, each row with its own parameters
 
@@ -389,6 +431,7 @@ class TestWriteBuildsNoCase:
 
 _FAMILIES = [lambda w: TlpSpec(w), lambda w: SlpSpec(w, 0.7), lambda w: BlpSpec(w, 1.4, 0.8)] + [
     partial(GlpSpec, link=link) for link in LinkFunction]
+_FAMILY_IDS = ["tlp", "slp", "blp"] + [f"glp-{link.value}" for link in LinkFunction]
 
 
 @st.composite
@@ -416,6 +459,28 @@ def _family(draw, k):
 
 
 class TestPooledColumns:
+    @pytest.mark.parametrize("kind", ["regression", "forecaster_quartet", "binary_probit",
+                                      "ternary"])
+    @pytest.mark.parametrize("make", _FAMILIES, ids=_FAMILY_IDS)
+    def test_stacked_per_case_pools_are_the_pooled_columns(self, make, kind):
+        batch = simulate(DgpConfig(kind=kind, n=40, seed=15)).cases
+        k = len(batch.components)
+        spec = make((1.0 / k,) * k)
+        if isinstance(spec, SlpSpec) and kind == "ternary":
+            # every ternary forecast puts mass 1/2 on its first atom: no median to spread about
+            for components in (batch.components, next(iter(batch)).components):
+                with pytest.raises(MedianUndefined):
+                    pool(spec, components)
+            return
+        per_case = stack([pool(spec, case.components) for case in batch])
+        columns = pool(spec, batch.components)
+        assert type(per_case) is type(columns)
+        assert per_case._rows() == columns._rows() == len(batch)
+        grid = np.linspace(-4.0, 4.0, 33)[None, :]  # holds the atoms 0, 1 and 2
+        for method in ("cdf", "cdf_left"):
+            np.testing.assert_array_equal(getattr(per_case, method)(grid),
+                                          getattr(columns, method)(grid))
+
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.data(), _batch(1, 40), st.integers(0, 2**32 - 1))
     def test_pit_sample_is_bit_identical(self, data, batch, seed):
@@ -642,8 +707,7 @@ class TestSharedColumn:
             np.testing.assert_array_equal(np.broadcast_to(a.density(grid[None, :]), want.shape),
                                           want)
 
-    @pytest.mark.parametrize("make", _FAMILIES, ids=["tlp", "slp", "blp"] + [
-        f"glp-{link.value}" for link in LinkFunction])
+    @pytest.mark.parametrize("make", _FAMILIES, ids=_FAMILY_IDS)
     def test_evaluate_equals_the_repeated_forecast(self, make):
         shared, repeated = self._batches(n=150)
         spec = make((0.2, 0.3, 0.5))
