@@ -92,8 +92,8 @@ def _paired(forecasts, obs: np.ndarray) -> PredictiveDist:
     forecast is used as it is, a per-case one for every row.
     """
     d = forecasts if isinstance(forecasts, PredictiveDist) else stack(forecasts)
-    n = d._rows() or (obs.size if d is forecasts else 0)
-    if n != obs.size:
+    n = d._rows()
+    if n is not None and n != obs.size:
         raise LengthMismatch(f"{n} forecasts paired with {obs.size} observations")
     _check_finite(obs, "observation")
     return d
@@ -181,7 +181,7 @@ def marginal_calibration_gap(forecasts, obs, grid) -> float:
     acc = np.zeros(grid.size)
     for s in _each_chunk(chunk_sum, d._rows(), _GAP_CHUNK):
         acc += s
-    acc /= max(d._rows(), 1)
+    acc /= d._rows() or 1
     _check_finite(acc, "the average forecast CDF at grid point")
     ecdf = np.searchsorted(np.sort(obs), grid, side="right") / obs.size
     return float(np.max(np.abs(acc - ecdf)))
@@ -190,8 +190,9 @@ def marginal_calibration_gap(forecasts, obs, grid) -> float:
 def reliability_bins(p, y01, bins: int = 10):
     """Conditional success frequencies against binned forecast probabilities.
 
-    Success is coded as outcome 0.  Returns one (bin_center, freq, count)
-    triple per equal-width bin on [0, 1]; freq is nan for empty bins.
+    Success is coded as outcome 0.  Returns one (bin_center, freq, count,
+    mean_forecast) row per equal-width bin on [0, 1], mean_forecast being the
+    bin's average probability; freq and mean_forecast are nan for empty bins.
     """
     p = _as_array(p)
     y01 = _as_array(y01)
@@ -200,10 +201,13 @@ def reliability_bins(p, y01, bins: int = 10):
     idx = np.clip((p * bins).astype(int), 0, bins - 1)
     counts = np.bincount(idx, minlength=bins).astype(float)
     hits = np.bincount(idx, weights=(y01 == 0.0).astype(float), minlength=bins)
+    p_sum = np.bincount(idx, weights=p, minlength=bins)
     with np.errstate(invalid="ignore", divide="ignore"):
         freq = np.where(counts > 0, hits / counts, np.nan)
+        mean = np.where(counts > 0, p_sum / counts, np.nan)
     centers = (np.arange(bins) + 0.5) / bins
-    return [(float(c), float(f), int(n)) for c, f, n in zip(centers, freq, counts)]
+    return [(float(c), float(f), int(n), float(m))
+            for c, f, n, m in zip(centers, freq, counts, mean)]
 
 
 def pit_histogram(z, bins: int = 10) -> np.ndarray:

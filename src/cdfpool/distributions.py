@@ -19,8 +19,8 @@ and ``density`` take an (n, m) or (1, m) array of points and return (n, m),
 row i being case i's forecast at row i of the points; ``quantile`` takes
 levels in the same shapes; ``mean``, ``variance`` and ``median`` return
 (n, 1) columns.  A per-case object runs the same code as a 1-row stack.
-``_row(i)`` rebuilds case i, checked as at construction, ``_take(rows)``
-cuts the rows, and ``Gaussian._stacked(mu, sigma)`` and its siblings build
+``_take(rows)`` cuts the rows, ``_take(i)`` rebuilds case i, checked as at
+construction, and ``Gaussian._stacked(mu, sigma)`` and its siblings build
 a stacked object from checked, stacked parameters in declaration order.
 
 Kinds without closed-form moments (the beta-transformed and generalized
@@ -38,7 +38,6 @@ import dataclasses
 import numbers
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cache, cached_property, partialmethod, reduce
 from operator import attrgetter
@@ -63,46 +62,25 @@ _GRID_RTOL = 1e-8  # agreement demanded between the full and the half rule
 _MOMENT_CHUNK = 64  # stacked rows integrated at a time: keeps each (rows, nodes) temporary small
 
 
-_workers = None  # (executor, worker count) of the chunk runner, built on first use
-_workers_lock = threading.Lock()
+def _cores() -> int:
+    """The cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
-def _forget_workers():
-    """A forked child has none of its parent's threads, so it builds its own workers."""
-    global _workers, _workers_lock
-    _workers, _workers_lock = None, threading.Lock()
+def _each_chunk(fn, n_rows: int | None, size: int) -> list:
+    """``[fn(start) for start in range(0, n_rows or 1, size)]``, on every core.
 
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_workers)
-
-
-def _chunk_workers() -> tuple[ThreadPoolExecutor, int]:
-    """The executor of the chunk workers and their count, one per core beyond the caller's.
-
-    Built on first use.  With one core the count is 0, nothing is ever
-    submitted, and the executor starts no thread.
+    ``n_rows`` is ``_rows()``: None, a per-case object, is one chunk.  The
+    calling thread and one helper thread per further core take chunk starts
+    from one shared queue, in order; the helpers live for this call only.
+    A helper runs in a copy of the caller's context, so the caller's
+    ``np.errstate`` holds there too.  Once a chunk raises, no further chunk
+    starts: the runner waits for the chunks under way and raises the error
+    of the first failing chunk, as the serial loop would.
     """
-    global _workers
-    with _workers_lock:
-        if _workers is None:
-            cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                     else os.cpu_count() or 1)
-            _workers = (ThreadPoolExecutor(max(cores - 1, 1), thread_name_prefix="cdfpool-chunk"),
-                        cores - 1)
-        return _workers
-
-
-def _each_chunk(fn, n_rows: int, size: int) -> list:
-    """``[fn(start) for start in range(0, max(n_rows, 1), size)]``, on every core.
-
-    The calling thread and the chunk workers take chunk starts from one
-    shared queue, in order; a worker runs in a copy of the caller's context,
-    so the caller's ``np.errstate`` holds there too.  Once a chunk raises,
-    no further chunk starts: the runner waits for the chunks under way and
-    raises the error of the first failing chunk, as the serial loop would.
-    """
-    starts = range(0, max(n_rows, 1), size)
+    starts = range(0, n_rows or 1, size)
     out, errors = [None] * len(starts), {}
     todo, lock = list(reversed(range(len(starts)))), threading.Lock()  # popped in chunk order
 
@@ -119,17 +97,18 @@ def _each_chunk(fn, n_rows: int, size: int) -> list:
                     errors[i] = e
                     todo.clear()
 
-    executor, workers = _chunk_workers()
-    helpers = [executor.submit(contextvars.copy_context().run, drain)
-               for _ in range(min(workers, len(starts) - 1))]
+    helpers = [threading.Thread(target=contextvars.copy_context().run, args=(drain,),
+                                name="cdfpool-chunk")
+               for _ in range(min(_cores() - 1, len(starts) - 1))]
+    for helper in helpers:
+        helper.start()
     try:
         drain()
     finally:
         with lock:
             todo.clear()
-        for f in helpers:
-            if not f.cancel():  # a helper not yet started has nothing left to take
-                f.result()
+        for helper in helpers:
+            helper.join()
     if errors:
         raise errors[min(errors)]
     return out
@@ -218,7 +197,7 @@ class PredictiveDist:
         if np.any(hi - lo > 1e-3 * scale + 10.0 * _QUANTILE_ATOL):
             raise MedianUndefined("CDF is flat at probability 1/2; no unique median")
         mid = 0.5 * (lo + hi)
-        return mid[:, None] if self._rows() else float(mid[0])
+        return mid[:, None] if self._rows() is not None else float(mid[0])
 
     def mean(self):
         """The mean; a stacked object returns the (n, 1) column of its rows' means."""
@@ -243,29 +222,28 @@ class PredictiveDist:
         names = (f.name for f in dataclasses.fields(cls))
         return _build(cls, dict(zip(names, params, strict=True)))
 
-    def _row(self, i: int) -> PredictiveDist:
-        """Row i of a stacked object, as the per-case object that it stacks, checked again.
-
-        Each parameter (see ``_params``, inlined: this runs once per case) is
-        read by ``_row_param``.
-        """
-        out = object.__new__(type(self))
-        for name, v in vars(self).items():
-            if name[0] != "_":
-                object.__setattr__(out, name, _row_param(v, i))
-        out.__post_init__()
-        return out
-
     def __post_init__(self):
-        """Checks of a per-case object's parameters, which ``_row`` reruns; none by default."""
+        """Checks of a per-case object's parameters, which ``_take(i)`` reruns; none by default."""
 
-    def _rows(self) -> int:
-        """The number of stacked rows; 0 for a per-case object."""
+    def _rows(self) -> int | None:
+        """The number of stacked rows; None for a per-case object."""
         return _row_count(tuple(self._params().values()))
 
     def _take(self, rows) -> PredictiveDist:
-        """The given rows (a slice or index array): each (n, .) array and sub-forecast is cut."""
-        return _build(type(self), {name: _take_rows(v, rows) for name, v in self._params().items()})
+        """The given rows (a slice or index array): each (n, .) array and sub-forecast is cut.
+
+        An int row gives the per-case object that the row stacks, checked
+        again by ``__post_init__``.  This runs once per case, so ``_params``
+        is inlined.
+        """
+        one = isinstance(rows, int)
+        out = object.__new__(type(self))
+        for name, v in vars(self).items():
+            if name[0] != "_":
+                object.__setattr__(out, name, _take_rows(v, rows, one))
+        if one:
+            out.__post_init__()
+        return out
 
     # -- generic numerics ---------------------------------------------------
 
@@ -406,8 +384,9 @@ class PredictiveDist:
                 f"[{lo[i, 0]:g}, {hi[i, 0]:g}]"
             )
 
-        out = np.concatenate(_each_chunk(moments, self._rows(), _MOMENT_CHUNK), axis=1)
-        return (out[0], out[1]) if self._rows() else (float(out[0, 0, 0]), float(out[1, 0, 0]))
+        rows = self._rows()
+        out = np.concatenate(_each_chunk(moments, rows, _MOMENT_CHUNK), axis=1)
+        return (out[0], out[1]) if rows is not None else (float(out[0, 0, 0]), float(out[1, 0, 0]))
 
 
 @cache
@@ -496,37 +475,27 @@ def _stack_param(values):
     return first
 
 
-def _row_param(x, i: int):
-    """Row i of a stacked parameter: a float from a column, a per-case forecast
-    from a stacked one, a tuple of these; a shared value as it is."""
-    if isinstance(x, np.ndarray) and x.ndim == 2:
-        return float(x[i, 0])
-    if isinstance(x, PredictiveDist):
-        return x._row(i)
-    if isinstance(x, tuple):
-        return tuple([_row_param(v, i) for v in x])
-    return x
-
-
-def _row_count(x) -> int:
-    """Rows of the stacked parameters in x (a distribution, tuple or array); 0 if none.
+def _row_count(x) -> int | None:
+    """Rows of the stacked parameters in x (a distribution, tuple or array); None if none.
 
     Parameters are the public instance attributes; only stacked ones are 2-D arrays.
     """
     if isinstance(x, PredictiveDist):
         return x._rows()
     if isinstance(x, tuple):
-        return max(map(_row_count, x), default=0)
-    return np.shape(x)[0] if np.ndim(x) == 2 else 0
+        return max((n for n in map(_row_count, x) if n is not None), default=None)
+    return np.shape(x)[0] if np.ndim(x) == 2 else None
 
 
-def _take_rows(x, rows: slice):
-    """x with its stacked parameters cut to the given rows."""
+def _take_rows(x, rows, one: bool):
+    """x with its stacked parameters cut to the given rows, or as floats at the one int row."""
+    if isinstance(x, np.ndarray) and x.ndim == 2:
+        return x.item(rows, 0) if one else x[rows]
     if isinstance(x, PredictiveDist):
         return x._take(rows)
     if isinstance(x, tuple):
-        return tuple(_take_rows(v, rows) for v in x)
-    return x[rows] if np.ndim(x) == 2 else x
+        return tuple([_take_rows(v, rows, one) for v in x])
+    return x
 
 
 def _finite_rows(x, n: int) -> np.ndarray:
@@ -593,13 +562,12 @@ class _RowStack(PredictiveDist):
     mean = partialmethod(_each_row, "mean")
     variance = partialmethod(_each_row, "variance")
 
-    def _row(self, i):
-        return self.rows[i]
-
     def _rows(self):
         return len(self.rows)
 
     def _take(self, rows):
+        if isinstance(rows, int):
+            return self.rows[rows]
         return _RowStack(tuple(self.rows[i] for i in np.arange(len(self.rows))[rows]))
 
 
@@ -708,12 +676,12 @@ class FiniteDiscrete(PredictiveDist):
         if np.any((self._lookup(self._cum[..., 1:], i) == 0.5) & (i + 1 < len(self.atoms))):
             raise MedianUndefined("CDF equals 1/2 on a whole interval")
         m = self._lookup(self._atoms, i)
-        return m if self._rows() else float(m)
+        return m if self._rows() is not None else float(m)
 
     def _total(self, x):
         """The sum over atoms of mass times x, in atom order: an (n, 1) column when stacked."""
         s = np.cumsum(np.stack(self.masses, axis=-1) * x, axis=-1)[..., -1]
-        return s if self._rows() else float(s)
+        return s if self._rows() is not None else float(s)
 
     def mean(self):
         return self._total(self._atoms)
@@ -898,7 +866,7 @@ class BetaTransformed(PredictiveDist):
         to 1 - 2^-53 tops out there, and B would raise the shortfall to the power beta;
         where the base reaches 1, dividing by 1.0 leaves every value as it is."""
         top = np.minimum(_as_array(self.base.cdf(np.full((1, 1), np.inf))), 1.0)
-        return top if self._rows() else float(top[0, 0])
+        return top if self._rows() is not None else float(top[0, 0])
 
     def _u(self, base_cdf) -> np.ndarray:
         return _unit(_as_array(base_cdf) / self._top)

@@ -93,7 +93,7 @@ class ForecastBatch(Sequence):
             raise LengthMismatch("the outcomes must be one-dimensional")
         if y.size and not components:
             raise ValueError("a case needs at least one component forecast")
-        if any(_row_count(c) not in (0, y.size) for c in components):
+        if any(_row_count(c) not in (None, y.size) for c in components):
             raise LengthMismatch("each component column needs one row per outcome")
         finite = np.isfinite(y) & _finite_rows(components, y.size)
         if not np.all(finite):
@@ -134,7 +134,7 @@ class ForecastBatch(Sequence):
 
     def _case(self, j: int) -> ForecastCase:
         if self._cases[j] is None:
-            self._cases[j] = ForecastCase(tuple(c._row(j) for c in self._components),
+            self._cases[j] = ForecastCase(tuple([c._take(j) for c in self._components]),
                                           self._y[j])
         return self._cases[j]
 

@@ -215,9 +215,9 @@ def write_histogram_csv(path: str, counts) -> None:
 
 
 def reliability_csv_text(rows) -> str:
-    lines = ["bin_center,freq,count"]
-    for center, freq, count in rows:
-        lines.append(f"{_fmt(center)},{_fmt(freq)},{int(count)}")
+    lines = ["bin_center,freq,count,mean_forecast"]
+    for center, freq, count, mean in rows:
+        lines.append(f"{_fmt(center)},{_fmt(freq)},{int(count)},{_fmt(mean)}")
     return "\n".join(lines) + "\n"
 
 

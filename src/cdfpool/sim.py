@@ -22,6 +22,7 @@ from .calibration import (
     ks_uniformity,
     marginal_calibration_gap,
     pit_sample,
+    reliability_bins,
 )
 from .distributions import FiniteDiscrete, Gaussian, Mixture, TwoPointBernoulli
 from .errors import InvalidConfig
@@ -287,18 +288,11 @@ def check_linear_pool_overdispersion(n: int, seed: int, weights=None,
 
 def _reliability_max_sigma_dev(p, y, bins=10):
     """Largest per-bin |frequency - mean forecast| in binomial sigma units."""
-    idx = np.clip((p * bins).astype(int), 0, bins - 1)
-    counts = np.bincount(idx, minlength=bins).astype(float)
-    hits = np.bincount(idx, weights=(y == 0.0).astype(float), minlength=bins)
-    psum = np.bincount(idx, weights=p, minlength=bins)
     worst = 0.0
-    for b in range(bins):
-        if counts[b] == 0:
-            continue
-        pbar = psum[b] / counts[b]
-        sigma = np.sqrt(max(pbar * (1.0 - pbar), 1e-12) / counts[b])
-        dev = abs(hits[b] / counts[b] - pbar) / sigma
-        worst = max(worst, dev)
+    for _, freq, count, pbar in reliability_bins(p, y, bins):
+        if count:
+            sigma = np.sqrt(max(pbar * (1.0 - pbar), 1e-12) / count)
+            worst = max(worst, abs(freq - pbar) / sigma)
     return worst
 
 

@@ -412,5 +412,5 @@ def test_rows_of_every_stacked_kind_round_trip():
     ]
     for rows in kinds:
         stacked = stack(rows)
-        assert [stacked._row(i) for i in range(2)] == rows
-        assert all(type(a) is type(b) for a, b in zip(map(stacked._row, range(2)), rows))
+        assert [stacked._take(i) for i in range(2)] == rows
+        assert all(type(a) is type(b) for a, b in zip(map(stacked._take, range(2)), rows))

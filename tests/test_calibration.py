@@ -293,8 +293,8 @@ class TestReliabilityBins:
         rows = reliability_bins(p, y, bins=10)
         occupied = [r for r in rows if r[2] > 0]
         assert len(occupied) == 1
-        center, freq, count = occupied[0]
-        assert count == n
+        center, freq, count, mean = occupied[0]
+        assert (count, mean) == (n, 0.5)
         assert abs(freq - 0.5) < 3 * np.sqrt(0.25 / n)
 
     def test_squared_probability_is_miscalibrated(self):
@@ -305,10 +305,10 @@ class TestReliabilityBins:
         rows = reliability_bins(p1 * p1, y, bins=10)
         devs = []
         idx = np.clip((p1 * p1 * 10).astype(int), 0, 9)
-        for b, (center, freq, count) in enumerate(rows):
+        for b, (center, freq, count, pbar) in enumerate(rows):
             if count < 100:
                 continue
-            pbar = float(np.mean((p1 * p1)[idx == b]))
+            assert pbar == pytest.approx(np.mean((p1 * p1)[idx == b]), rel=1e-12)
             sigma = np.sqrt(pbar * (1 - pbar) / count)
             devs.append(abs(freq - pbar) / sigma)
         assert max(devs) > 3.0

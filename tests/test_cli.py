@@ -339,8 +339,10 @@ class TestDiagnosticCsv:
         path = str(tmp_path / "rel.csv")
         write_reliability_csv(path, rows)
         lines = open(path).read().strip().splitlines()
-        assert lines[0] == "bin_center,freq,count"
+        assert lines[0] == "bin_center,freq,count,mean_forecast"
         assert len(lines) == 6
+        assert lines[1].split(",")[2:] == ["2", "0.11"]
+        assert lines[2].split(",")[1:] == ["nan", "0", "nan"]
 
 
 class TestFitAtStudyScale:

@@ -309,7 +309,7 @@ class TestRuleCoverage:
         stacked = pool(spec, batch.components)
         m, v = stacked.mean()[:, 0], stacked.variance()[:, 0]
         for i in (0, 34, 99, 150, 299):
-            row = stacked._row(i)
+            row = stacked._take(i)
             m_ref, v_ref = _cdf_oracle(row, row.components)
             assert v[i] == pytest.approx(v_ref, rel=1e-8)
             assert abs(m[i] - m_ref) <= 1e-8 * np.sqrt(v_ref)

@@ -13,6 +13,7 @@ from cdfpool import (
     check_binary_calibration_equivalence,
     check_linear_pool_overdispersion,
     check_quartet_classification,
+    coherent_probit_pool,
     dispersion_report,
     ks_uniformity,
     pit_sample,
@@ -211,6 +212,30 @@ class TestBinaryEquivalenceCheck:
         rep = check_binary_calibration_equivalence(100_000, seed=4, sigma1=0.6,
                                                    sigma2=1.4)
         assert rep.passed
+
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_deviations_are_the_per_bin_sums(self, seed):
+        """The sigma deviations, bit for bit, from per-bin sums of hits and probabilities."""
+
+        def max_sigma_dev(p, y, bins=10):
+            idx = np.clip((p * bins).astype(int), 0, bins - 1)
+            counts = np.bincount(idx, minlength=bins).astype(float)
+            hits = np.bincount(idx, weights=(y == 0.0).astype(float), minlength=bins)
+            p_sum = np.bincount(idx, weights=p, minlength=bins)
+            worst = 0.0
+            for b in np.flatnonzero(counts):
+                pbar = p_sum[b] / counts[b]
+                sigma = np.sqrt(max(pbar * (1.0 - pbar), 1e-12) / counts[b])
+                worst = max(worst, abs(hits[b] / counts[b] - pbar) / sigma)
+            return worst
+
+        rep = check_binary_calibration_equivalence(20_000, seed=seed, sigma1=0.8, sigma2=1.2)
+        sim = simulate(DgpConfig(kind=BINARY_PROBIT, n=20_000, seed=seed, sigma1=0.8, sigma2=1.2))
+        y, p1, p2 = sim.cases.y, sim.latents["p1"], sim.latents["p2"]
+        p_pool = coherent_probit_pool(p1, p2, 0.8, 1.2)
+        assert (rep.reliability_dev_calibrated, rep.reliability_dev_miscalibrated,
+                rep.reliability_dev_pooled) == tuple(
+                    max_sigma_dev(p, y) for p in (p1, p1 * p1, p_pool))
 
 
 class TestQuartetCheck:

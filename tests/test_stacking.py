@@ -1,8 +1,8 @@
 """Stacked forecasts: the list-level diagnostics against their per-case definitions."""
 
+import multiprocessing
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import numpy as np
@@ -148,7 +148,7 @@ class TestStack:
         mixed = stack(forecasts)
         assert isinstance(mixed, _RowStack)
         assert mixed._rows() == len(forecasts)
-        assert all(mixed._row(i) is f for i, f in enumerate(forecasts))
+        assert all(mixed._take(i) is f for i, f in enumerate(forecasts))
 
     def test_pool_kinds_keep_their_class(self):
         g = [Gaussian(0.0, 1.0), Gaussian(1.0, 2.0)]
@@ -197,7 +197,7 @@ class TestShapeRule:
         stacked = stack(rows)
         assert isinstance(stacked, _RowStack)
         assert stacked._rows() == len(rows)
-        assert all(stacked._row(i) is row for i, row in enumerate(rows))
+        assert all(stacked._take(i) is row for i, row in enumerate(rows))
 
     def test_a_kind_without_stacked_form_in_every_row_is_a_row_by_row_column(self):
         rows = [pool(SlpSpec(_HALVES, 1.3), (Logistic(0.1 * j, 1.0), _G[j])) for j in range(3)]
@@ -205,7 +205,7 @@ class TestShapeRule:
         assert type(stacked) is Mixture
         logistic, gaussian = (c.base for c in stacked.components)
         assert isinstance(logistic, _RowStack)
-        assert all(logistic._row(j) is row.components[0].base for j, row in enumerate(rows))
+        assert all(logistic._take(j) is row.components[0].base for j, row in enumerate(rows))
         assert type(gaussian) is Gaussian
         assert gaussian.mu.shape == (3, 1)
 
@@ -266,7 +266,7 @@ class TestStackingRule:
         stacked = stack(rows)
         assert stacked._rows() == len(rows)
         for i, row in enumerate(rows):
-            back = stacked._row(i)
+            back = stacked._take(i)
             assert back == row
             assert type(back) is type(row)
 
@@ -337,12 +337,14 @@ class TestStackedEquivalence:
         assert report.mean_log_score == pytest.approx(want, abs=1e-12)
 
 
-def _counting(monkeypatch, owner, name):
+def _counting(monkeypatch, owner, name, when=lambda *args: True):
+    """Patch ``owner.name`` to count the calls whose arguments ``when`` accepts."""
     calls = []
     original = getattr(owner, name)
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        if when(*args):
+            calls.append(1)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counted)
@@ -531,6 +533,17 @@ class TestPooledColumns:
         with pytest.raises(LengthMismatch):
             pit_sample(d._take(slice(0, 10)), batch.y, 0)
 
+    def test_an_empty_stack_has_no_marginal_gap(self):
+        with pytest.raises(LengthMismatch, match="^0 forecasts paired with 2 observations$"):
+            marginal_calibration_gap(stack([]), [1.0, 2.0], np.linspace(0.0, 3.0, 7))
+
+    def test_a_zero_row_stack_has_no_pit(self):
+        empty = Gaussian._stacked(np.empty((0, 1)), np.empty((0, 1)))
+        with pytest.raises(LengthMismatch, match="^0 forecasts paired with 2 observations$"):
+            pit_sample(empty, [1.0, 2.0], 0)
+        with pytest.raises(LengthMismatch, match="one row per outcome"):
+            ForecastBatch([1.0, 2.0], (empty,))
+
 
 class TestAtomsInStackedColumns:
     """Stacked forecasts with atoms have per-row supports."""
@@ -634,7 +647,9 @@ class TestStackedGridMoments:
 
     def test_no_row_objects_and_cdf_calls_per_chunk(self, monkeypatch):
         stacked = stack(_blp_rows(1000, np.random.default_rng(32)))
-        rows = _counting(monkeypatch, PredictiveDist, "_row")
+        # an int row builds the per-case object; slices of chunks do not count
+        rows = _counting(monkeypatch, PredictiveDist, "_take",
+                         lambda self, rows: isinstance(rows, int))
         cdf_calls = _counting(monkeypatch, BetaTransformed, "cdf")
         stacked.variance()
         chunks = -(-1000 // _MOMENT_CHUNK)
@@ -719,11 +734,9 @@ class TestSharedColumn:
 
 @pytest.fixture(params=[0, 3], ids=["no-workers", "three-workers"])
 def workers(request, monkeypatch):
-    """The chunk runner with the given number of worker threads, whatever the core count."""
-    executor = ThreadPoolExecutor(max(request.param, 1))
-    monkeypatch.setattr(cdfpool.distributions, "_workers", (executor, request.param))
-    yield request.param
-    executor.shutdown()
+    """The chunk runner with the given number of helper threads, whatever the core count."""
+    monkeypatch.setattr(cdfpool.distributions, "_cores", lambda: request.param + 1)
+    return request.param
 
 
 def _serial_gap(d, obs, grid):
@@ -736,7 +749,7 @@ def _serial_gap(d, obs, grid):
 
 
 class TestChunksOnEveryCore:
-    """Row chunks run on worker threads, and every result is that of the serial loop."""
+    """Row chunks run on helper threads, and every result is that of the serial loop."""
 
     J = 5 * _GAP_CHUNK + 17
 
@@ -766,7 +779,7 @@ class TestChunksOnEveryCore:
     def test_moments_equal_their_cases(self, kind, workers):
         d, _ = self._forecasts(kind)
         d = d._take(slice(0, 4 * _MOMENT_CHUNK + 9))
-        rows = [d._row(i) for i in range(d._rows())]
+        rows = [d._take(i) for i in range(d._rows())]
         for method in ("mean", "variance"):
             np.testing.assert_array_equal(getattr(d, method)()[:, 0],
                                           [getattr(r, method)() for r in rows])
@@ -803,8 +816,7 @@ class TestChunksOnEveryCore:
         assert np.geterr() != want
 
     def test_every_chunk_runs_once_under_fast_switching(self, monkeypatch):
-        executor = ThreadPoolExecutor(3)  # with the caller, four threads take chunks
-        monkeypatch.setattr(cdfpool.distributions, "_workers", (executor, 3))
+        monkeypatch.setattr(cdfpool.distributions, "_cores", lambda: 4)  # four threads take chunks
         ran = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -812,10 +824,34 @@ class TestChunksOnEveryCore:
             out = _each_chunk(lambda start: ran.append(start) or start, 20000, 1)
         finally:
             sys.setswitchinterval(interval)
-            executor.shutdown()
         assert out == list(range(20000))
         assert sorted(ran) == out
 
+    def test_a_forked_child_runs_chunks_as_the_parent(self):
+        try:
+            context = multiprocessing.get_context("fork")
+        except ValueError:
+            pytest.skip("fork is unavailable on this platform")
+        d = stack(_blp_rows(3 * _MOMENT_CHUNK + 5, np.random.default_rng(43)))
+        want = d.variance()  # the parent runs its own chunks before the fork
+        receive, send = context.Pipe(duplex=False)
+
+        def child():
+            cdfpool.distributions._cores = lambda: 4  # three helpers, whatever the core count
+            send.send(d.variance())
+
+        process = context.Process(target=child)
+        process.start()
+        try:
+            assert receive.poll(60.0), "the child sent no variance within 60 s"
+            got = receive.recv()
+        finally:
+            process.join(60.0)
+            if process.is_alive():
+                process.kill()
+        assert process.exitcode == 0
+        np.testing.assert_array_equal(got, want)
+
     def test_results_come_in_chunk_order(self, workers):
         assert _each_chunk(lambda start: start, 1000, 64) == list(range(0, 1000, 64))
-        assert _each_chunk(lambda start: start, 0, 64) == [0]  # a per-case object is one chunk
+        assert _each_chunk(lambda start: start, None, 64) == [0]  # a per-case object is one chunk
