@@ -48,6 +48,9 @@ from scipy.special import betainc, betaincinv, betaln, ndtr, ndtri
 from .errors import CdfPoolError, DensityUnavailable, MedianUndefined, MomentUnavailable
 
 _QUANTILE_ATOL = 1e-10  # absolute tolerance in y for bisection inverses
+CDF_CLAMP = 1e-12  # CDF values fed to open-interval links are clamped to [eps, 1-eps]
+# the probit link's clamp as a clip of z = (y - mu) / sigma: ndtri at the two CDF bounds
+_Z_CLAMP = (float(ndtri(CDF_CLAMP)), float(ndtri(1.0 - CDF_CLAMP)))
 
 # Moments without a closed form integrate the CDF by Fejér's second rule on each panel.
 _TAIL_MASS = 1e-11  # probability left outside the integration bracket on each side
@@ -209,6 +212,18 @@ class PredictiveDist:
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return np.atleast_1d(_as_array(self.quantile(uniform_open(rng, n))))
+
+    def _link_cdf(self, link, y, left: bool):
+        """The generalized pool's term for this component at y, with the clamp masks.
+
+        F is the CDF at y, or its left limit if ``left``.  Returns h(F) for the
+        link h (a ``pools.LinkFunction``), with F clamped to
+        [CDF_CLAMP, 1 - CDF_CLAMP], and the masks where F <= CDF_CLAMP and
+        where F >= 1 - CDF_CLAMP.  A kind with h(F) in closed form overrides this.
+        """
+        F = _as_array(self.cdf_left(y) if left else self.cdf(y))
+        h = link.apply(np.clip(F, CDF_CLAMP, 1.0 - CDF_CLAMP))
+        return h, F <= CDF_CLAMP, F >= 1.0 - CDF_CLAMP
 
     # -- stacking (see ``stack``) -------------------------------------------
 
@@ -385,6 +400,8 @@ class PredictiveDist:
             )
 
         rows = self._rows()
+        if rows == 0:
+            return np.empty((0, 1)), np.empty((0, 1))
         out = np.concatenate(_each_chunk(moments, rows, _MOMENT_CHUNK), axis=1)
         return (out[0], out[1]) if rows is not None else (float(out[0, 0, 0]), float(out[1, 0, 0]))
 
@@ -544,6 +561,12 @@ class _RowStack(PredictiveDist):
     def cdf_left(self, y):
         return self._each("cdf_left", y)
 
+    def _link_cdf(self, link, y, left):
+        y = _as_array(y)
+        y = np.broadcast_to(y, (len(self.rows), y.shape[-1]))
+        parts = [d._link_cdf(link, yi, left) for d, yi in zip(self.rows, y)]
+        return tuple(np.array([p[i] for p in parts]).reshape(y.shape) for i in range(3))
+
     @property
     def has_density(self) -> bool:
         return all(d.has_density for d in self.rows)
@@ -593,6 +616,14 @@ class Gaussian(PredictiveDist):
     def density(self, y):
         z = (_as_array(y) - self.mu) / self.sigma
         return _match(y, np.exp(-0.5 * z * z) / (self.sigma * np.sqrt(2.0 * np.pi)))
+
+    def _link_cdf(self, link, y, left):
+        if link.value != "probit":
+            return super()._link_cdf(link, y, left)
+        # ndtri(ndtr(z)) is z, and clamping ndtr(z) clips z
+        z = (_as_array(y) - self.mu) / self.sigma
+        lo, hi = _Z_CLAMP
+        return np.clip(z, lo, hi), z <= lo, z >= hi
 
     def _quantile(self, p):
         return self.mu + self.sigma * ndtri(p)
@@ -652,8 +683,17 @@ class FiniteDiscrete(PredictiveDist):
         return np.take_along_axis(table, index[..., None], axis=-1)[..., 0]
 
     def _cum_at(self, y, below) -> np.ndarray:
-        """Mass of the atoms <= y (``below`` is np.less_equal) or < y (np.less)."""
-        return self._lookup(self._cum, below(self._atoms, _as_array(y)[..., None]).sum(axis=-1))
+        """Mass of the atoms <= y (``below`` is np.less_equal) or < y (np.less).
+
+        One pass per atom, in ascending order: where atom a is below y, the mass
+        so far becomes the cumulative mass through a, so the last atom below y
+        sets it.  The arrays stay the shape of y, with no axis over the atoms.
+        """
+        y = _as_array(y)
+        acc = 0.0
+        for a, atom in enumerate(self.atoms):
+            acc = np.where(below(atom, y), self._cum[..., a + 1], acc)
+        return acc
 
     def cdf(self, y):
         return _match(y, self._cum_at(y, np.less_equal))

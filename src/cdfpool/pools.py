@@ -15,7 +15,11 @@ links, which only need a positive finite sum; every shape parameter is
 positive and finite.  Each link's h, h^{-1}, h' and the derivatives of its
 log-density term are one row of ``_LINK_FORMS``.  Component CDF values are
 clamped to [CDF_CLAMP, 1 - CDF_CLAMP], in the pooled GLP and in the fits'
-designs alike.
+designs alike.  The pooled GLP's CDF sums each component's term h(F) from
+``PredictiveDist._link_cdf`` in component order; under the probit link a
+Gaussian's term is z = (y - mu) / sigma clipped to
+[ndtri(CDF_CLAMP), ndtri(1 - CDF_CLAMP)], the same clamp without the round
+trip ndtri(ndtr(z)).
 """
 
 from __future__ import annotations
@@ -24,13 +28,14 @@ import enum
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import reduce
+from functools import partialmethod, reduce
 from typing import ClassVar, NamedTuple
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .distributions import (
+    CDF_CLAMP,
     BetaTransformed,
     Mixture,
     PredictiveDist,
@@ -40,8 +45,6 @@ from .distributions import (
     _match,
 )
 from .errors import DensityUnavailable, DomainViolation, WeightConstraintViolation
-
-CDF_CLAMP = 1e-12  # CDF values fed to open-interval links are clamped to [eps, 1-eps]
 
 
 class LinkFunction(enum.Enum):
@@ -219,9 +222,10 @@ class GlpDistribution(PredictiveDist):
     """Link-averaged pool h^{-1}(sum w_i h(F_i(y))) for an open-interval link.
 
     Component CDF values are clamped to [CDF_CLAMP, 1 - CDF_CLAMP] before the
-    link is applied.  Wherever every component has numerically saturated at 0
-    (or 1), the pooled CDF is set to exactly 0 (or 1); the same applies
-    outside the components' common support.
+    link is applied; each component gives its term h(F_i) and clamp masks
+    through ``_link_cdf``.  Wherever every component has numerically
+    saturated at 0 (or 1), the pooled CDF is set to exactly 0 (or 1); the
+    same applies outside the components' common support.
     """
 
     _stacks = True
@@ -233,22 +237,15 @@ class GlpDistribution(PredictiveDist):
         """sum_i w_i vals_i; each w_i is a float, or a column for stacked rows."""
         return sum(w * v for w, v in zip(self.w, vals))
 
-    def _combine(self, vals: list[np.ndarray]) -> np.ndarray:
-        stacked = np.stack(np.broadcast_arrays(*vals))  # a shared component has one row
-        all_low = np.all(stacked <= CDF_CLAMP, axis=0)
-        all_high = np.all(stacked >= 1.0 - CDF_CLAMP, axis=0)
-        clamped = np.clip(stacked, CDF_CLAMP, 1.0 - CDF_CLAMP)
-        s = self._link_sum(self.link.apply(clamped))
-        out = np.clip(self.link.invert(s), 0.0, 1.0)
-        return np.where(all_low, 0.0, np.where(all_high, 1.0, out))
+    def _cdf(self, y, left: bool):
+        # each component's clamped h(F) and clamp masks, in component order
+        h, low, high = zip(*(c._link_cdf(self.link, y, left) for c in self.components))
+        out = np.clip(self.link.invert(self._link_sum(h)), 0.0, 1.0)
+        out = np.where(reduce(np.logical_and, high), 1.0, out)
+        return _match(y, np.where(reduce(np.logical_and, low), 0.0, out))
 
-    def cdf(self, y):
-        vals = [_as_array(c.cdf(y)) for c in self.components]
-        return _match(y, self._combine(vals))
-
-    def cdf_left(self, y):
-        vals = [_as_array(c.cdf_left(y)) for c in self.components]
-        return _match(y, self._combine(vals))
+    cdf = partialmethod(_cdf, left=False)
+    cdf_left = partialmethod(_cdf, left=True)
 
     @property
     def has_density(self) -> bool:

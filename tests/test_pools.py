@@ -100,6 +100,73 @@ class TestGlpArithmetic:
         assert d.cdf(1.0) == 1.0
 
 
+def _clamp_then_link(spec, comps, y, left):
+    """The GLP CDF by clamping every component CDF, then applying the link to the stack."""
+    link = spec.link
+    F = np.stack(np.broadcast_arrays(*(np.asarray(c.cdf_left(y) if left else c.cdf(y))
+                                       for c in comps)))
+    s = sum(w * v for w, v in zip(spec.w, link.apply(np.clip(F, CDF_CLAMP, 1.0 - CDF_CLAMP))))
+    out = np.clip(link.invert(s), 0.0, 1.0)
+    return np.where(np.all(F <= CDF_CLAMP, axis=0), 0.0,
+                    np.where(np.all(F >= 1.0 - CDF_CLAMP, axis=0), 1.0, out))
+
+
+_AROUND = np.concatenate([np.linspace(-12.0, 12.0, 97), [-np.inf, 0.0, 1.0, np.inf]])
+
+
+class TestGlpLinkTerms:
+    """A Gaussian's probit term is its clipped z; every other term is h of the clamped CDF."""
+
+    def test_opposed_gaussians_pool_to_ndtr_of_the_weighted_z(self):
+        d = pool(GlpSpec((0.5, 0.5), LinkFunction.PROBIT), (Gaussian(-6.5, 1.0), Gaussian(6.5, 1.0)))
+        ys = np.linspace(-0.5, 0.5, 101)
+        # both CDFs lie far in a tail, where ndtri(ndtr(z)) loses about 1e-6
+        np.testing.assert_array_equal(d.cdf(ys), ndtr(0.5 * (ys + 6.5) + 0.5 * (ys - 6.5)))
+        np.testing.assert_array_equal(d.cdf_left(ys), d.cdf(ys))
+
+    @pytest.mark.parametrize("w", [(0.3, 0.4), (1.3, 1.7)])
+    def test_saturated_points_are_exactly_zero_and_one(self, w):
+        d = pool(GlpSpec(w, LinkFunction.PROBIT), (Gaussian(0.0, 1.0), Gaussian(1.0, 2.0)))
+        for method in (d.cdf, d.cdf_left):
+            assert method(np.array([-np.inf, -100.0, 100.0, np.inf])).tolist() == [0, 0, 1, 1]
+
+    def test_rows_of_a_pool_over_gaussian_and_other_kinds_equal_their_cases(self):
+        rng = np.random.default_rng(17)
+        mu = rng.normal(size=30)
+        cases = [(Gaussian(m, 1.1) if j % 3 else Mixture((Gaussian(m, 1.0), Gaussian(m + 1.0, 0.5)),
+                                                         (0.5, 0.5)),
+                  Gaussian(-m, 0.7), TwoPointBernoulli(0.3))
+                 for j, m in enumerate(mu)]
+        ys = rng.normal(scale=4.0, size=(30, 9))
+        ys[:, :4] = [-np.inf, 0.0, 1.0, np.inf]
+        spec = GlpSpec((0.5, 0.8, 0.4), LinkFunction.PROBIT)
+        columns = pool(spec, [stack(col) for col in zip(*cases)])
+        for d in (columns, stack([pool(spec, c) for c in cases])):
+            for method in ("cdf", "cdf_left"):
+                np.testing.assert_array_equal(
+                    getattr(d, method)(ys),
+                    [getattr(pool(spec, c), method)(y) for c, y in zip(cases, ys)])
+
+    @pytest.mark.parametrize("spec, comps", [
+        (GlpSpec(W, LinkFunction.LOG), COMPS),
+        (GlpSpec((0.7, 1.6, 0.4), LinkFunction.LOG), COMPS),
+        (GlpSpec(W, LinkFunction.RECIPROCAL), COMPS),
+        (GlpSpec((0.7, 1.6, 0.4), LinkFunction.PROBIT),
+         (Mixture(COMPS[:2], (0.4, 0.6)), SpreadAdjusted(COMPS[2], 0.6, 2.0),
+          FiniteDiscrete((-1.0, 0.0, 1.0), (0.2, 0.5, 0.3)))),
+        (GlpSpec((0.5, 0.5), LinkFunction.LOG), (TwoPointBernoulli(0.2), COMPS[0])),
+    ], ids=["log", "log-unnormalized", "reciprocal", "probit-other-kinds", "log-atoms"])
+    def test_other_terms_are_the_clamped_cdf_under_the_link(self, spec, comps):
+        d = pool(spec, comps)
+        stacked = stack([d, pool(spec, comps)])
+        y2 = np.stack([_AROUND, -_AROUND])
+        for left, method in ((False, "cdf"), (True, "cdf_left")):
+            np.testing.assert_array_equal(getattr(d, method)(_AROUND),
+                                          _clamp_then_link(spec, comps, _AROUND, left))
+            np.testing.assert_array_equal(getattr(stacked, method)(y2),
+                                          [_clamp_then_link(spec, comps, y, left) for y in y2])
+
+
 SPECS = [TlpSpec(W), SlpSpec(W, c=0.7), BlpSpec(W, alpha=1.5, beta=1.4)] + [
     GlpSpec(W, link) for link in LinkFunction]
 SPEC_IDS = ["tlp", "slp", "blp"] + [f"glp-{link.value}" for link in LinkFunction]

@@ -7,7 +7,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
@@ -544,8 +544,55 @@ class TestPooledColumns:
         with pytest.raises(LengthMismatch, match="one row per outcome"):
             ForecastBatch([1.0, 2.0], (empty,))
 
+    @pytest.mark.parametrize("spec", [BlpSpec((0.5, 0.5), 1.2, 0.8),
+                                      GlpSpec((0.5, 0.5), LinkFunction.PROBIT)],
+                             ids=["blp", "glp-probit"])
+    def test_a_zero_row_pool_has_empty_moments(self, spec):
+        empty = Gaussian._stacked(np.empty((0, 1)), np.empty((0, 1)))
+        d = pool(spec, [empty, empty])
+        assert (d.mean().shape, d.variance().shape) == ((0, 1), (0, 1))
+
+
+@st.composite
+def _atom_rows(draw):
+    """One to six forecasts of one stacked shape: success probabilities, or k atoms each."""
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        return [TwoPointBernoulli(draw(st.floats(0.0, 1.0))) for _ in range(n)]
+    k = draw(st.integers(1, 4))
+    rows = []
+    for _ in range(n):
+        atoms = sorted(draw(st.lists(_quarter, min_size=k, max_size=k, unique=True)))
+        raw = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k)))
+        assume(raw.sum() > 0.0)
+        rows.append(FiniteDiscrete(tuple(atoms), tuple(raw / raw.sum())))
+    return rows
+
+
+# eighths: the atoms on the quarter grid, the points halfway between them, and both infinities
+_at_and_between_atoms = st.one_of(st.integers(-26, 26).map(lambda i: i / 8.0),
+                                  st.sampled_from([-np.inf, np.inf]))
+
+
+def _count_then_lookup(d, y, below):
+    """The cumulative mass at the count of the atoms below y."""
+    return d._lookup(d._cum, below(d._atoms, np.asarray(y)[..., None]).sum(axis=-1))
+
 
 class TestAtomsInStackedColumns:
+    @settings(max_examples=150, deadline=None)
+    @given(_atom_rows(), st.data())
+    def test_cdf_is_the_cumulative_mass_at_the_count_of_atoms_below(self, rows, data):
+        m = data.draw(st.integers(1, 8))
+        ys = np.array(data.draw(st.lists(st.lists(_at_and_between_atoms, min_size=m, max_size=m),
+                                         min_size=len(rows), max_size=len(rows))))
+        stacked = stack(rows)
+        assert type(stacked) is type(rows[0])
+        for method, below in (("cdf", np.less_equal), ("cdf_left", np.less)):
+            for d, y in [(stacked, ys), (stacked, ys[:1])] + list(zip(rows, ys)):
+                np.testing.assert_array_equal(getattr(d, method)(y), _count_then_lookup(d, y, below))
+            d, y = rows[0], ys[0, 0]
+            assert getattr(d, method)(y) == _count_then_lookup(d, y, below)
     """Stacked forecasts with atoms have per-row supports."""
 
     def _cases(self):
