@@ -72,9 +72,11 @@ class CalibrationReport:
 
 
 def randomized_pit(d: PredictiveDist, y: float, v: float) -> float:
-    """PIT value F(y-) + v (F(y) - F(y-)); equals F(y) where F is continuous."""
+    """PIT value F(y-) + v (F(y) - F(y-)); equals F(y) where F is continuous.  y must be finite."""
     if not 0.0 < v < 1.0:
         raise ValueError("auxiliary uniform v must lie strictly inside (0, 1)")
+    if not np.isfinite(y):
+        raise DomainViolation(f"observation {y} is not finite")
     left = d.cdf_left(y)
     return left + v * (d.cdf(y) - left)
 

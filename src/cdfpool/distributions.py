@@ -54,7 +54,6 @@ _Z_CLAMP = (float(ndtri(CDF_CLAMP)), float(ndtri(1.0 - CDF_CLAMP)))
 
 # Moments without a closed form integrate the CDF by Fejér's second rule on each panel.
 _TAIL_MASS = 1e-11  # probability left outside the integration bracket on each side
-_LIMIT_GAP = 1e-6  # shortfall of the CDF's far limits from 0 and 1 put down to rounding
 _BRACKET_LADDER = 2.0 ** np.arange(64)  # outward probes at -2^i and +2^i
 _NEAR_PROBES = 8  # the first call probes 2^0..2^7; rows with tails further out take the rest
 _BRACKET_POINTS = 65  # coarse grid that narrows the bracket onto the bulk
@@ -126,12 +125,6 @@ def _match(y_in, out: np.ndarray):
     if isinstance(y_in, numbers.Number) or np.ndim(y_in) == 0:
         return float(out)
     return out
-
-
-def _unit(u) -> np.ndarray:
-    """Probabilities clipped to [0, 1]: a mixture's CDF can pass 1 by rounding,
-    and betainc returns nan there."""
-    return np.clip(_as_array(u), 0.0, 1.0)
 
 
 def uniform_open(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -297,50 +290,49 @@ class PredictiveDist:
         return hi
 
     def _tail_bracket(self, first: int):
-        """The bulk [lo, hi] and the CDF's limits g0, g1 at -2^63 and +2^63, as (n, 1) columns.
+        """The bulk [lo, hi]: (n, 1) columns with cdf(lo) and 1 - cdf(hi) <= _TAIL_MASS.
 
-        Rounding can leave a CDF short of 0 or 1 in the far tails (a mixture
-        whose weights sum to 1 - 2^-53), so the tails are measured from
-        those limits: cdf(lo) <= g0 + _TAIL_MASS and
-        cdf(hi) >= g1 - _TAIL_MASS.  The bracket first doubles outward
-        from [-1, 1]: one call probes +-2^0..2^7 and the limits, and only the
-        rows whose tail points lie further out probe the whole ladder to
-        +-2^63.  It then shrinks to the coarse-grid cells that still hold the
-        two tail points, until the bulk spans at least half the bracket; a
-        settled row keeps its bracket.  Row i is row ``first + i``.
+        The kinds reach their limits exactly (``BetaTransformed._top``, the
+        generalized pool's clamp masks): a row whose CDF is not exactly 0 at
+        -2^63 and 1 at +2^63 raises MomentUnavailable.  The bracket first
+        doubles outward from [-1, 1]: one call probes +-2^0..2^7 and the
+        limits, and only the rows whose tail points lie further out probe the
+        whole ladder to +-2^63.  It then shrinks to the coarse-grid cells that
+        still hold the two tail points, until the bulk spans at least half
+        the bracket; a settled row keeps its bracket.  Row i is row ``first + i``.
         """
         n, k = _BRACKET_LADDER.size, _NEAR_PROBES
         near = np.append(_BRACKET_LADDER[:k], _BRACKET_LADDER[-1])  # 2^0..2^7, then 2^63
         c = _as_array(self.cdf(np.concatenate([-near, near])[None, :]))
-        g0, g1 = c[:, k:k + 1], c[:, -1:]
-        short = ~(g1 - g0 >= 1.0 - _LIMIT_GAP)
+        g0, g1 = c[:, k], c[:, -1]
+        short = ~((g0 == 0.0) & (g1 == 1.0))
         if short.any():
             i = int(np.argmax(short))
             raise MomentUnavailable(
-                f"{type(self).__name__} row {first + i}: CDF rises only from {g0[i, 0]:g} "
-                f"to {g1[i, 0]:g} over +-{_BRACKET_LADDER[-1]:g}"
+                f"{type(self).__name__} row {first + i}: CDF rises only from {g0[i]:g} "
+                f"to {g1[i]:g} over +-{_BRACKET_LADDER[-1]:g}"
             )
-        lo = np.argmax(c[:, :k + 1] <= g0 + _TAIL_MASS, axis=1)
-        hi = np.argmax(c[:, k + 1:] >= g1 - _TAIL_MASS, axis=1)
+        lo = np.argmax(c[:, :k + 1] <= _TAIL_MASS, axis=1)
+        hi = np.argmax(c[:, k + 1:] >= 1.0 - _TAIL_MASS, axis=1)
         far = np.flatnonzero((lo == k) | (hi == k))  # a tail point beyond 2^(k - 1)
         if far.size:
             c = _as_array(self._take(far).cdf(
                 np.concatenate([-_BRACKET_LADDER, _BRACKET_LADDER])[None, :]))
-            lo[far] = np.argmax(c[:, :n] <= g0[far] + _TAIL_MASS, axis=1)
-            hi[far] = np.argmax(c[:, n:] >= g1[far] - _TAIL_MASS, axis=1)
+            lo[far] = np.argmax(c[:, :n] <= _TAIL_MASS, axis=1)
+            hi[far] = np.argmax(c[:, n:] >= 1.0 - _TAIL_MASS, axis=1)
         lo, hi = -_BRACKET_LADDER[lo], _BRACKET_LADDER[hi]
         rows, active = np.arange(lo.size), np.ones(lo.size, dtype=bool)
         for _ in range(_BRACKET_ROUNDS):
             t = np.linspace(lo, hi, _BRACKET_POINTS, axis=1)
             c = _as_array(self.cdf(t))
-            # c[:, 0] <= g0 + _TAIL_MASS and c[:, -1] >= g1 - _TAIL_MASS, so i < j
-            i = np.argmax(c > g0 + _TAIL_MASS, axis=1) - 1
-            j = np.argmax(c >= g1 - _TAIL_MASS, axis=1)
+            # c[:, 0] <= _TAIL_MASS and c[:, -1] >= 1 - _TAIL_MASS, so i < j
+            i = np.argmax(c > _TAIL_MASS, axis=1) - 1
+            j = np.argmax(c >= 1.0 - _TAIL_MASS, axis=1)
             lo, hi = np.where(active, t[rows, i], lo), np.where(active, t[rows, j], hi)
             active &= 2 * (j - i) <= _BRACKET_POINTS - 1
             if not active.any():
                 break
-        return lo[:, None], hi[:, None], g0, g1
+        return lo[:, None], hi[:, None]
 
     def _kinks(self) -> np.ndarray:
         """Points where the CDF may lose smoothness, a row per stacked row; panels end there."""
@@ -350,8 +342,7 @@ class PredictiveDist:
         """Mean and variance from the CDF G alone, integrated by parts.
 
         On [lo, hi] from ``_tail_bracket``, E[Y] = lo + int (1 - G) and
-        E[(Y - lo)^2] = 2 int (t - lo)(1 - G), with G rescaled to run from
-        0 to 1 between the CDF's far limits, by Fejér's second rule on each
+        E[(Y - lo)^2] = 2 int (t - lo)(1 - G), by Fejér's second rule on each
         panel between ``_kinks``.  The rule's nodes lie inside the panel, so a
         jump of G at a kink is never sampled, and the rule with half the
         intervals uses every other node: the same CDF values give a second
@@ -371,7 +362,7 @@ class PredictiveDist:
 
         def moments(first):
             chunk = self._take(slice(first, first + _MOMENT_CHUNK))
-            lo, hi, g0, g1 = chunk._tail_bracket(first)
+            lo, hi = chunk._tail_bracket(first)
             edges = np.sort(np.hstack([lo, np.clip(chunk._kinks(), lo, hi), hi]), axis=1)
             spans = np.diff(edges, axis=1)
             share = np.round(_GRID_POINTS / 2 * spans / (hi - lo))
@@ -381,7 +372,7 @@ class PredictiveDist:
             todo = np.arange(lo.size)
             for _ in range(_GRID_DOUBLINGS + 1):
                 t, w = _fejer_rule(edges[todo], spans[todo], size[todo])
-                tail = (g1[todo] - _as_array(chunk._take(todo).cdf(t))) / (g1[todo] - g0[todo])
+                tail = 1.0 - _as_array(chunk._take(todo).cdf(t))
                 parts = np.stack([tail, 2.0 * (t - lo[todo]) * tail])
                 s = np.cumsum(parts * w[:, None], axis=-1)[..., -1:]  # (rule, part, row, 1)
                 m, v = lo[todo] + s[:, 0], s[:, 1] - s[:, 0] ** 2  # full rule, then half rule
@@ -909,7 +900,8 @@ class BetaTransformed(PredictiveDist):
         return top if self._rows() is not None else float(top[0, 0])
 
     def _u(self, base_cdf) -> np.ndarray:
-        return _unit(_as_array(base_cdf) / self._top)
+        # clipped to [0, 1]: a mixture's CDF can pass 1 by rounding, and betainc returns nan there
+        return np.clip(_as_array(base_cdf) / self._top, 0.0, 1.0)
 
     def cdf(self, y):
         return _match(y, betainc(self.alpha, self.beta, self._u(self.base.cdf(y))))

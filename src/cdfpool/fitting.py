@@ -19,7 +19,6 @@ errors (by the delta method for the log-space parameters) and flags.
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import partial
@@ -139,13 +138,8 @@ class ForecastBatch(Sequence):
         return self._cases[j]
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(map(self._case, range(*index.indices(len(self)))))
-        j = operator.index(index)
-        j += len(self) if j < 0 else 0
-        if not 0 <= j < len(self):
-            raise IndexError("case index out of range")
-        return self._case(j)
+        j = range(len(self))[index]
+        return tuple(map(self._case, j)) if isinstance(j, range) else self._case(j)
 
     def __iter__(self):
         if not self._all_built:
@@ -326,18 +320,16 @@ def blp_objective_and_derivatives(w, alpha: float, beta: float, data):
     ``w`` is the full simplex vector; derivatives are taken with respect to
     (w_1, ..., w_{k-1}, alpha, beta) with w_k eliminated as 1 - sum of the
     rest.  Beta log-moment terms use digamma/trigamma, making the Hessian
-    exact rather than an expectation approximation.
+    exact rather than an expectation approximation.  ``BlpSpec`` checks the
+    parameters (WeightConstraintViolation, NaN and inf included); a weight
+    count other than the design's raises LengthMismatch.
     """
-    w = np.asarray(w, dtype=float)
     design = _build_design(data)
-    if w.size != design.k:
+    spec = BlpSpec(tuple(w), alpha, beta)
+    if spec.k != design.k:
         raise LengthMismatch("one weight per component is required")
-    if np.any(w < 0.0) or abs(float(w.sum()) - 1.0) > 1e-12:
-        raise DomainViolation("weights must lie on the unit simplex")
-    if not (alpha > 0.0 and beta > 0.0):
-        raise DomainViolation("alpha and beta must be strictly positive")
     _check_clamp_fraction(design)
-    return _blp_core(design, _Weights(design.k, simplex=True), w, alpha, beta)
+    return _blp_core(design, _Weights(design.k, simplex=True), np.asarray(spec.w), alpha, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -797,11 +789,14 @@ def fit_glp(data, link: LinkFunction) -> FitResult:
 
 
 def fit_gaussian_component(x, y) -> ComponentRegression:
-    """Linear bias correction y ~ a + b x with ML (1/n) residual scale."""
+    """Linear bias correction y ~ a + b x with ML (1/n) residual scale; x and y must be finite."""
     x = _as_array(x)
     y = _as_array(y)
     if x.shape != y.shape:
         raise LengthMismatch("x and y must have equal length")
+    finite = np.isfinite(x) & np.isfinite(y)
+    if not np.all(finite):
+        raise DomainViolation(f"point {int(np.argmin(finite))} is not finite")
     n = x.size
     if n < 3:
         raise TooFewSamples("need at least three points")

@@ -146,7 +146,7 @@ def write_latents_csv(path: str, latents: dict) -> None:
 # parameter records: flat "key value" lines
 
 
-def params_text(result: FitResult) -> str:
+def write_params(path: str, result: FitResult) -> None:
     spec = result.spec
     lines = [f"method {spec.method}", f"k {spec.k}"]
     lines += [f"{name} {_fmt(value)}" for name, value in spec_params(spec).items()]
@@ -157,11 +157,7 @@ def params_text(result: FitResult) -> str:
     lines.append(f"flags {','.join(result.flags) or 'none'}")
     lines.append(f"iterations {result.iterations}")
     lines.append(f"mean_log_score {_fmt(result.mean_log_score_train)}")
-    return "\n".join(lines) + "\n"
-
-
-def write_params(path: str, result: FitResult) -> None:
-    atomic_write_text(path, params_text(result))
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def read_params(path: str) -> tuple[PoolSpec, dict]:
@@ -201,32 +197,28 @@ def read_params(path: str) -> tuple[PoolSpec, dict]:
 # diagnostic CSVs and a minimal SVG bar chart
 
 
-def histogram_csv_text(counts) -> str:
+def write_histogram_csv(path: str, counts) -> None:
     counts = np.asarray(counts, dtype=int)
     bins = counts.size
     lines = ["bin_lo,bin_hi,count"]
     for b in range(bins):
         lines.append(f"{_fmt(b / bins)},{_fmt((b + 1) / bins)},{int(counts[b])}")
-    return "\n".join(lines) + "\n"
-
-
-def write_histogram_csv(path: str, counts) -> None:
-    atomic_write_text(path, histogram_csv_text(counts))
-
-
-def reliability_csv_text(rows) -> str:
-    lines = ["bin_center,freq,count,mean_forecast"]
-    for center, freq, count, mean in rows:
-        lines.append(f"{_fmt(center)},{_fmt(freq)},{int(count)},{_fmt(mean)}")
-    return "\n".join(lines) + "\n"
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def write_reliability_csv(path: str, rows) -> None:
-    atomic_write_text(path, reliability_csv_text(rows))
+    lines = ["bin_center,freq,count,mean_forecast"]
+    for center, freq, count, mean in rows:
+        lines.append(f"{_fmt(center)},{_fmt(freq)},{int(count)},{_fmt(mean)}")
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def histogram_svg(counts, width: int = 400, height: int = 240) -> str:
+_SVG_SIZE = (400, 240)  # width, height
+
+
+def write_histogram_svg(path: str, counts) -> None:
     """Static SVG bar chart of PIT histogram counts."""
+    width, height = _SVG_SIZE
     counts = np.asarray(counts, dtype=float)
     bins = counts.size
     top = max(float(counts.max()), 1.0)
@@ -251,8 +243,4 @@ def histogram_svg(counts, width: int = 400, height: int = 240) -> str:
         f'y2="{margin + plot_h}" stroke="black"/>'
     )
     parts.append("</svg>")
-    return "\n".join(parts) + "\n"
-
-
-def write_histogram_svg(path: str, counts) -> None:
-    atomic_write_text(path, histogram_svg(counts))
+    atomic_write_text(path, "\n".join(parts) + "\n")

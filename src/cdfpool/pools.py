@@ -247,9 +247,8 @@ class GlpDistribution(PredictiveDist):
     cdf = partialmethod(_cdf, left=False)
     cdf_left = partialmethod(_cdf, left=True)
 
-    @property
-    def has_density(self) -> bool:
-        return all(c.has_density for c in self.components)
+    has_density = Mixture.has_density
+    atom_locations = Mixture.atom_locations
 
     def density(self, y):
         if not self.has_density:
@@ -267,10 +266,6 @@ class GlpDistribution(PredictiveDist):
         los, his = zip(*(c.support() for c in self.components))
         return (reduce(np.maximum, los), reduce(np.minimum, his))
 
-    def atom_locations(self):
-        locs = np.concatenate([c.atom_locations() for c in self.components])
-        return np.unique(locs)
-
     def _kinks(self):
         # the clamp switches on where a component CDF crosses either bound
         bounds = np.array([[CDF_CLAMP, 1.0 - CDF_CLAMP]])
@@ -280,7 +275,8 @@ class GlpDistribution(PredictiveDist):
 def pool(spec: PoolSpec, components) -> PredictiveDist:
     """Combine component distributions according to the pool specification.
 
-    The spec's checks stand for those of the pooled objects' constructors, which are skipped.
+    Only the mixture skips its constructor's weight check (``_build``): the
+    spec has already run it.
     """
     components = tuple(components)
     if len(components) != spec.k:
@@ -288,15 +284,14 @@ def pool(spec: PoolSpec, components) -> PredictiveDist:
             f"spec has {spec.k} weights but {len(components)} components were given"
         )
     if isinstance(spec, SlpSpec):
-        components = tuple([_build(SpreadAdjusted, {"base": c, "c": spec.c, "center": c.median()})
-                            for c in components])
+        components = tuple([SpreadAdjusted(c, spec.c, c.median()) for c in components])
     elif isinstance(spec, GlpSpec) and spec.link is not LinkFunction.IDENTITY:
-        return _build(GlpDistribution, {"components": components, "w": spec.w, "link": spec.link})
+        return GlpDistribution(components, spec.w, spec.link)
     elif not isinstance(spec, (TlpSpec, BlpSpec, GlpSpec)):
         raise TypeError(f"unknown pool spec {type(spec).__name__}")
     mixture = _build(Mixture, {"components": components, "weights": spec.w})
     if isinstance(spec, BlpSpec):
-        return _build(BetaTransformed, {"base": mixture, "alpha": spec.alpha, "beta": spec.beta})
+        return BetaTransformed(mixture, spec.alpha, spec.beta)
     return mixture
 
 
@@ -307,11 +302,12 @@ def coherent_probit_pool(p1, p2, sigma1: float, sigma2: float):
     probability is Phi(sqrt(1 + sigma2^2) invPhi(p1) + sqrt(1 + sigma1^2)
     invPhi(p2)); both effective weights exceed one.
     """
-    if not (sigma1 > 0.0 and sigma2 > 0.0):
-        raise DomainViolation("noise scales must be strictly positive")
+    # each test is written so that NaN and inf fail it
+    if not (0.0 < sigma1 < math.inf and 0.0 < sigma2 < math.inf):
+        raise DomainViolation("noise scales must be positive and finite")
     p1_arr = _as_array(p1)
     p2_arr = _as_array(p2)
-    if np.any((p1_arr <= 0.0) | (p1_arr >= 1.0) | (p2_arr <= 0.0) | (p2_arr >= 1.0)):
+    if not np.all((p1_arr > 0.0) & (p1_arr < 1.0) & (p2_arr > 0.0) & (p2_arr < 1.0)):
         raise DomainViolation("probabilities must lie strictly inside (0, 1)")
     out = ndtr(np.sqrt(1.0 + sigma2 ** 2) * ndtri(p1_arr)
                + np.sqrt(1.0 + sigma1 ** 2) * ndtri(p2_arr))

@@ -52,6 +52,11 @@ class TestRandomizedPit:
         with pytest.raises(ValueError):
             randomized_pit(Gaussian(0, 1), 0.0, 0.0)
 
+    @pytest.mark.parametrize("y", [np.nan, np.inf, -np.inf])
+    def test_non_finite_observation_is_a_domain_violation(self, y):
+        with pytest.raises(DomainViolation, match="not finite"):
+            randomized_pit(Gaussian(0, 1), y, 0.5)
+
 
 class TestPitSample:
     def test_ideal_forecast_is_neutrally_dispersed(self):

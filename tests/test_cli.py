@@ -6,13 +6,24 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cdfpool import BlpSpec, Gaussian, GlpSpec, LinkFunction, SchemaError, SlpSpec, TlpSpec
+from cdfpool import (
+    BlpSpec,
+    DgpConfig,
+    Gaussian,
+    GlpSpec,
+    LinkFunction,
+    SchemaError,
+    SlpSpec,
+    TlpSpec,
+    simulate,
+)
 from cdfpool.cli import main
 from cdfpool.fitting import FitResult
 from cdfpool.io import (
     read_dataset_csv,
     read_params,
     write_dataset_csv,
+    write_latents_csv,
     write_params,
 )
 
@@ -273,6 +284,71 @@ class TestErrorContract:
         args = ["--method", "tlp"] if command == "fit" else ["--params", params]
         assert run(command, *args, "--input", str(data), "--out", str(tmp_path / "out.txt")) == 2
         assert "no rows" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("command", ["evaluate", "diagnose"])
+    def test_zero_bins_rejected(self, tmp_path, capsys, command):
+        data, params = str(tmp_path / "test.csv"), str(tmp_path / "params.txt")
+        run("simulate", "--dgp", "regression", "--n", "10", "--seed", "1", "--out", data)
+        write_params(params, _fit_result(TlpSpec((0.5, 0.5))))
+        assert run(command, "--params", params, "--input", data, "--bins", "0",
+                   "--out", str(tmp_path / "report.txt")) == 2
+        assert "bins must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "report.txt").exists()
+
+
+class TestSchemaErrors:
+    def test_unreadable_dataset(self, tmp_path):
+        with pytest.raises(SchemaError, match="cannot read"):
+            read_dataset_csv(str(tmp_path))  # a directory
+
+    def test_empty_dataset(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("# only a comment\n\n")
+        with pytest.raises(SchemaError, match="empty dataset"):
+            read_dataset_csv(str(path))
+
+    @pytest.mark.parametrize("header", ["x,mu_1,sd_1", "y,mu_1", "y,mu_1,sd_1,mu_2"])
+    def test_bad_header(self, tmp_path, header):
+        path = tmp_path / "bad.csv"
+        path.write_text(header + "\n" + ",".join(["0.5"] * len(header.split(","))) + "\n")
+        with pytest.raises(SchemaError, match="header must be"):
+            read_dataset_csv(str(path))
+
+    def test_malformed_params_line(self, tmp_path):
+        path = tmp_path / "params.txt"
+        path.write_text("method tlp\nk\nw_1 1.0\n")
+        with pytest.raises(SchemaError, match="malformed line 'k'"):
+            read_params(str(path))
+
+    def test_params_without_method(self, tmp_path):
+        path = tmp_path / "params.txt"
+        path.write_text("k 1\nw_1 1.0\n")
+        with pytest.raises(SchemaError, match="missing key 'method'"):
+            read_params(str(path))
+
+    def test_latents_need_names_and_one_length(self, tmp_path):
+        path = str(tmp_path / "latents.csv")
+        with pytest.raises(SchemaError, match="no latent variables"):
+            write_latents_csv(path, {})
+        with pytest.raises(SchemaError, match="same length"):
+            write_latents_csv(path, {"x": [1.0, 2.0], "eps": [0.5]})
+        assert not os.path.exists(path)
+
+
+class TestLatentsOut:
+    def test_simulate_writes_every_latent_exactly(self, tmp_path):
+        data, latents = str(tmp_path / "data.csv"), str(tmp_path / "latents.csv")
+        assert run("simulate", "--dgp", "regression", "--n", "25", "--seed", "4",
+                   "--out", data, "--latents-out", latents) == 0
+        want = simulate(DgpConfig(kind="regression", n=25, seed=4)).latents
+        lines = open(latents).read().splitlines()
+        assert lines[0].split(",") == ["case"] + list(want)
+        assert len(lines) == 26
+        for j, line in enumerate(lines[1:]):
+            fields = line.split(",")
+            assert fields[0] == str(j)
+            assert [float(x) for x in fields[1:]] == [float(want[name][j]) for name in want]
 
 
 class TestOptions:

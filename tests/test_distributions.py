@@ -4,11 +4,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
-from scipy.special import betaln, log_ndtr, ndtri
+from scipy.special import betaln, log_ndtr, ndtr, ndtri
 
 from cdfpool import (
     BetaTransformed,
     BlpSpec,
+    CdfPoolError,
     DensityUnavailable,
     DgpConfig,
     FiniteDiscrete,
@@ -18,6 +19,7 @@ from cdfpool import (
     MedianUndefined,
     Mixture,
     MomentUnavailable,
+    PredictiveDist,
     SpreadAdjusted,
     TwoPointBernoulli,
     evaluate,
@@ -166,11 +168,16 @@ def _quad_moments(integrand_m, integrand_v, lo, hi, points):
 
 
 def _density_oracle(d, comps):
-    """Mean and variance by quad against the density, over 12 sd past every component."""
+    """Mean and variance by quad against the density, over 12 sd past every component.
+
+    quad is told where each component is 0, 6 and 8 sd from its mean: with the
+    bulk alone as breakpoints, some far tails leave it short of its tolerance.
+    """
     lo = min(c.mu - 12.0 * c.sigma for c in comps)
     hi = max(c.mu + 12.0 * c.sigma for c in comps)
+    points = [c.mu + s * c.sigma for c in comps for s in (-8.0, -6.0, 0.0, 6.0, 8.0)]
     return _quad_moments(lambda t: t * d.density(t), lambda t, m: (t - m) ** 2 * d.density(t),
-                         lo, hi, [c.mu for c in comps])
+                         lo, hi, points)
 
 
 def _cdf_oracle(d, comps):
@@ -216,7 +223,7 @@ class TestGridMoments:
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(_components, st.floats(0.7, 5.0), st.floats(0.7, 5.0))
-    # weights summing to 1 - 1e-16: the pooled CDF stops 1e-11 short of 1
+    # weights summing to 1 - 1e-16: the mixture tops out short of 1, and the pool still reaches 1
     @example([(0.0, 1.0, 1.0), (0.0, 1.0, 0.8), (0.0, 1.0, 0.9435691943904444)], 2.0, 0.703125)
     def test_blp_matches_quad(self, raw, alpha, beta):
         comps, w = _gaussians(raw)
@@ -284,7 +291,7 @@ class TestRuleCoverage:
     def test_wide_bracket_matches_quad(self, spec):
         comps = (Gaussian(-45.0, 1.0), Gaussian(45.0, 1.0))
         d = pool(spec, comps)
-        lo, hi, _, _ = d._tail_bracket(0)
+        lo, hi = d._tail_bracket(0)
         assert hi[0, 0] - lo[0, 0] > 100.0
         oracle = _density_oracle if isinstance(spec, BlpSpec) else _cdf_oracle
         _assert_moments_close(d, oracle(d, comps))
@@ -378,6 +385,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Gaussian(0.0, 0.0)
 
+    def test_success_probability_in_unit_interval(self):
+        with pytest.raises(ValueError, match="success probability"):
+            TwoPointBernoulli(1.5)
+
     def test_median_undefined_on_flat_cdf(self):
         with pytest.raises(MedianUndefined):
             FiniteDiscrete((0.0, 1.0), (0.5, 0.5)).median()
@@ -396,3 +407,64 @@ class TestSampling:
         grid = np.linspace(-4, 4, 9)
         emp = np.searchsorted(np.sort(xs), grid, side="right") / xs.size
         assert np.max(np.abs(emp - np.asarray(d.cdf(grid)))) < 0.02
+
+    def test_spread_adjusted_sample_matches_cdf(self):
+        rng = np.random.default_rng(98)
+        d = SpreadAdjusted(STANDARD_MIX, c=0.6, center=0.5)
+        xs = d.sample(rng, 20000)
+        grid = np.linspace(-4, 4, 9)
+        emp = np.searchsorted(np.sort(xs), grid, side="right") / xs.size
+        assert np.max(np.abs(emp - np.asarray(d.cdf(grid)))) < 0.02
+
+
+class _UserKind(PredictiveDist):
+    """A user kind given by its CDF, with an optional left limit and atoms.
+
+    Its parameters are public attributes, which ``_take`` carries over.
+    """
+
+    def __init__(self, cdf, cdf_left=None, atoms=()):
+        self.f, self.f_left, self.atoms = cdf, cdf_left or cdf, np.array(atoms, dtype=float)
+
+    def cdf(self, y):
+        return self.f(np.asarray(y, dtype=float))
+
+    def cdf_left(self, y):
+        return self.f_left(np.asarray(y, dtype=float))
+
+    @property
+    def has_density(self):
+        return not self.atoms.size
+
+    def atom_locations(self):
+        return self.atoms
+
+
+class TestValidateCdf:
+    @pytest.mark.parametrize("d, message", [
+        (_UserKind(lambda y: ndtr(y) - 0.2 * ((y > 0.0) & (y < 1.0))), "nondecreasing"),
+        (_UserKind(lambda y: 1.01 * ndtr(y)), "leaves"),
+        (_UserKind(ndtr, lambda y: np.minimum(ndtr(y) + 1e-3, 1.0)), "cdf_left exceeds"),
+        (_UserKind(lambda y: 0.5 + 0.5 * ndtr(y)), "vanish"),
+        (_UserKind(lambda y: 0.5 * ndtr(y)), "reach 1"),
+        # the jump sits just right of the atom: the CDF is left-continuous there
+        (_UserKind(lambda y: 0.5 * ndtr(y) + 0.5 * (y > 0.0), atoms=(0.0,)), "right-continuous"),
+    ], ids=["decreasing", "above-one", "left-limit-above", "no-lower-limit", "no-upper-limit",
+            "left-continuous-atom"])
+    def test_each_broken_contract_is_named(self, d, message):
+        with pytest.raises(CdfPoolError, match=message):
+            validate_cdf(d)
+
+
+class TestUserKindMoments:
+    def test_quadrature_moments_of_a_user_kind(self):
+        d = _UserKind(lambda y: ndtr((y - 1.0) / 2.0))
+        assert abs(d.mean() - 1.0) <= 1e-8
+        assert d.variance() == pytest.approx(4.0, rel=1e-8)
+
+    def test_a_cdf_short_of_its_limits_has_no_moments(self):
+        # the CDF must be exactly 0 at -2^63 and 1 at +2^63
+        with pytest.raises(MomentUnavailable, match="^_UserKind row 0: CDF rises only"):
+            _UserKind(lambda y: (1.0 - 1e-9) * ndtr(y)).variance()
+        with pytest.raises(MomentUnavailable, match="^_UserKind row 0: CDF rises only"):
+            _UserKind(lambda y: 1e-9 + (1.0 - 1e-9) * ndtr(y)).mean()

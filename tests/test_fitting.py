@@ -14,10 +14,13 @@ from cdfpool import (
     ForecastBatch,
     ForecastCase,
     Gaussian,
+    GlpSpec,
+    LengthMismatch,
     LinkFunction,
     Mixture,
     TlpSpec,
     TooFewSamples,
+    WeightConstraintViolation,
     beta_log_moments,
     blp_objective_and_derivatives,
     evaluate,
@@ -212,6 +215,20 @@ class TestFitBlp:
             res.mean_log_score_train, abs=1e-10
         )
 
+    @pytest.mark.parametrize("w, alpha, beta", [
+        ((np.nan, 0.5), 1.0, 1.0), ((0.5, 0.5), np.inf, 1.0), ((0.5, 0.5), 1.0, np.nan),
+        ((0.7, 0.7), 1.0, 1.0), ((-0.5, 1.5), 1.0, 1.0), ((0.5, 0.5), 0.0, 1.0),
+    ], ids=["nan-weight", "inf-alpha", "nan-beta", "off-simplex", "negative", "zero-alpha"])
+    def test_objective_checks_parameters_as_the_spec(self, w, alpha, beta):
+        cases = make_gaussian_cases(np.random.default_rng(3), J=20, k=2)
+        with pytest.raises(WeightConstraintViolation):
+            blp_objective_and_derivatives(w, alpha, beta, cases)
+
+    def test_objective_needs_one_weight_per_component(self):
+        cases = make_gaussian_cases(np.random.default_rng(3), J=20, k=2)
+        with pytest.raises(LengthMismatch):
+            blp_objective_and_derivatives((0.2, 0.3, 0.5), 1.0, 1.0, cases)
+
     def test_needs_enough_cases(self):
         cases = make_gaussian_cases(np.random.default_rng(1), J=4, k=3)
         with pytest.raises(TooFewSamples):
@@ -232,6 +249,13 @@ class TestFitBlp:
 
 
 class TestFitTlp:
+    def test_identity_link_glp_is_the_linear_pool(self, gaussian_cases):
+        tlp = fit_tlp(gaussian_cases)
+        res = fit_glp(gaussian_cases, LinkFunction.IDENTITY)
+        assert isinstance(res.spec, GlpSpec) and res.spec.link is LinkFunction.IDENTITY
+        assert res.spec.w == tlp.spec.w
+        assert res.mean_log_score_train == tlp.mean_log_score_train
+
     def test_identical_components_split_evenly_and_flag_flatness(self):
         rng = np.random.default_rng(60)
         g = Gaussian(0.0, 1.0)
@@ -468,6 +492,12 @@ class TestGaussianComponentRegression:
     def test_constant_covariate_rejected(self):
         with pytest.raises(DegenerateDesign):
             fit_gaussian_component([1.0, 1.0, 1.0], [0.0, 1.0, 2.0])
+
+    def test_non_finite_point_rejected_by_index(self):
+        with pytest.raises(DomainViolation, match="point 2"):
+            fit_gaussian_component([1.0, 2.0, np.nan, 4.0], [1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(DomainViolation, match="point 1"):
+            fit_gaussian_component([1.0, 2.0, 3.0, 4.0], [1.0, np.inf, 3.0, np.nan])
 
     def test_cases_builder(self):
         regs = [fit_gaussian_component([0.0, 1.0, 2.0, 3.0], [0.1, 1.2, 1.9, 3.1])]

@@ -306,6 +306,14 @@ class TestCoherentProbitPool:
         with pytest.raises(DomainViolation):
             coherent_probit_pool(0.0, 0.5, 1.0, 1.0)
 
+    @pytest.mark.parametrize("args", [
+        (np.nan, 0.5, 1.0, 1.0), (0.5, np.array([0.3, np.nan]), 1.0, 1.0),
+        (0.5, 0.5, np.inf, 1.0), (0.5, 0.5, 1.0, np.nan),
+    ], ids=["nan-p1", "nan-in-p2", "inf-sigma1", "nan-sigma2"])
+    def test_non_finite_input_is_a_domain_violation(self, args):
+        with pytest.raises(DomainViolation):
+            coherent_probit_pool(*args)
+
     def test_matches_conditional_frequency_by_monte_carlo(self):
         from cdfpool.sim import _draw_binary
 
