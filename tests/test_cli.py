@@ -285,7 +285,6 @@ class TestErrorContract:
         assert run(command, *args, "--input", str(data), "--out", str(tmp_path / "out.txt")) == 2
         assert "no rows" in capsys.readouterr().err
 
-
     @pytest.mark.parametrize("command", ["evaluate", "diagnose"])
     def test_zero_bins_rejected(self, tmp_path, capsys, command):
         data, params = str(tmp_path / "test.csv"), str(tmp_path / "params.txt")
