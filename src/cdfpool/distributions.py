@@ -40,7 +40,7 @@ import os
 import threading
 from dataclasses import dataclass
 from functools import cache, cached_property, partialmethod, reduce
-from operator import attrgetter
+from operator import attrgetter, is_
 
 import numpy as np
 from scipy.special import betainc, betaincinv, betaln, ndtr, ndtri
@@ -49,8 +49,6 @@ from .errors import CdfPoolError, DensityUnavailable, MedianUndefined, MomentUna
 
 _QUANTILE_ATOL = 1e-10  # absolute tolerance in y for bisection inverses
 CDF_CLAMP = 1e-12  # CDF values fed to open-interval links are clamped to [eps, 1-eps]
-# the probit link's clamp as a clip of z = (y - mu) / sigma: ndtri at the two CDF bounds
-_Z_CLAMP = (float(ndtri(CDF_CLAMP)), float(ndtri(1.0 - CDF_CLAMP)))
 
 # Moments without a closed form integrate the CDF by Fejér's second rule on each panel.
 _TAIL_MASS = 1e-11  # probability left outside the integration bracket on each side
@@ -206,17 +204,24 @@ class PredictiveDist:
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return np.atleast_1d(_as_array(self.quantile(uniform_open(rng, n))))
 
-    def _link_cdf(self, link, y, left: bool):
-        """The generalized pool's term for this component at y, with the clamp masks.
+    def _link_cdf(self, link, y, left: bool = False, slope: bool = False):
+        """The generalized pool's term for this component at y, its y-derivative and the
+        clamp masks.
 
-        F is the CDF at y, or its left limit if ``left``.  Returns h(F) for the
-        link h (a ``pools.LinkFunction``), with F clamped to
-        [CDF_CLAMP, 1 - CDF_CLAMP], and the masks where F <= CDF_CLAMP and
-        where F >= 1 - CDF_CLAMP.  A kind with h(F) in closed form overrides this.
+        F is the CDF at y, or its left limit if ``left``.  Returns (h, dh, low,
+        high): h(F) for the link h (a ``pools.LinkFunction``), with F clamped to
+        [CDF_CLAMP, 1 - CDF_CLAMP]; with ``slope``, dh = d h(F) / dy, which is
+        h'(F) f inside the clamp and 0 where it is active (None without
+        ``slope``); and the masks where F <= CDF_CLAMP and where
+        F >= 1 - CDF_CLAMP.  A kind with these in closed form overrides this.
         """
         F = _as_array(self.cdf_left(y) if left else self.cdf(y))
-        h = link.apply(np.clip(F, CDF_CLAMP, 1.0 - CDF_CLAMP))
-        return h, F <= CDF_CLAMP, F >= 1.0 - CDF_CLAMP
+        low, high = F <= CDF_CLAMP, F >= 1.0 - CDF_CLAMP
+        F = np.clip(F, CDF_CLAMP, 1.0 - CDF_CLAMP)
+        dh = None
+        if slope:
+            dh = np.where(low | high, 0.0, link.deriv(F) * _as_array(self.density(y)))
+        return link.apply(F), dh, low, high
 
     # -- stacking (see ``stack``) -------------------------------------------
 
@@ -241,14 +246,20 @@ class PredictiveDist:
         """The given rows (a slice or index array): each (n, .) array and sub-forecast is cut.
 
         An int row gives the per-case object that the row stacks, checked
-        again by ``__post_init__``.  This runs once per case, so ``_params``
-        is inlined.
+        again by ``__post_init__``.  A per-case object has no rows to cut, so
+        a slice or index array gives the object itself, private attributes
+        and all.  This runs once per case, so ``_params`` is inlined.
         """
         one = isinstance(rows, int)
         out = object.__new__(type(self))
+        uncut = not one
         for name, v in vars(self).items():
             if name[0] != "_":
-                object.__setattr__(out, name, _take_rows(v, rows, one))
+                part = _take_rows(v, rows, one)
+                uncut = uncut and part is v
+                object.__setattr__(out, name, part)
+        if uncut:
+            return self
         if one:
             out.__post_init__()
         return out
@@ -496,13 +507,17 @@ def _row_count(x) -> int | None:
 
 
 def _take_rows(x, rows, one: bool):
-    """x with its stacked parameters cut to the given rows, or as floats at the one int row."""
+    """x with its stacked parameters cut to the given rows, or as floats at the one int row.
+
+    x itself where it holds no stacked parameter.
+    """
     if isinstance(x, np.ndarray) and x.ndim == 2:
         return x.item(rows, 0) if one else x[rows]
     if isinstance(x, PredictiveDist):
         return x._take(rows)
     if isinstance(x, tuple):
-        return tuple([_take_rows(v, rows, one) for v in x])
+        parts = tuple([_take_rows(v, rows, one) for v in x])
+        return x if all(map(is_, parts, x)) else parts
     return x
 
 
@@ -552,11 +567,12 @@ class _RowStack(PredictiveDist):
     def cdf_left(self, y):
         return self._each("cdf_left", y)
 
-    def _link_cdf(self, link, y, left):
+    def _link_cdf(self, link, y, left=False, slope=False):
         y = _as_array(y)
         y = np.broadcast_to(y, (len(self.rows), y.shape[-1]))
-        parts = [d._link_cdf(link, yi, left) for d, yi in zip(self.rows, y)]
-        return tuple(np.array([p[i] for p in parts]).reshape(y.shape) for i in range(3))
+        parts = [d._link_cdf(link, yi, left, slope) for d, yi in zip(self.rows, y)]
+        return tuple(np.array([p[i] for p in parts]).reshape(y.shape) if slope or i != 1 else None
+                     for i in range(4))
 
     @property
     def has_density(self) -> bool:
@@ -608,13 +624,16 @@ class Gaussian(PredictiveDist):
         z = (_as_array(y) - self.mu) / self.sigma
         return _match(y, np.exp(-0.5 * z * z) / (self.sigma * np.sqrt(2.0 * np.pi)))
 
-    def _link_cdf(self, link, y, left):
+    def _link_cdf(self, link, y, left=False, slope=False):
         if link.value != "probit":
-            return super()._link_cdf(link, y, left)
-        # ndtri(ndtr(z)) is z, and clamping ndtr(z) clips z
+            return super()._link_cdf(link, y, left, slope)
+        # ndtri(ndtr(z)) is z, clamping ndtr(z) clips z to ndtri of the two CDF bounds,
+        # and dz/dy is 1/sigma inside the clip
         z = (_as_array(y) - self.mu) / self.sigma
-        lo, hi = _Z_CLAMP
-        return np.clip(z, lo, hi), z <= lo, z >= hi
+        lo, hi = link.bounds
+        low, high = z <= lo, z >= hi
+        dh = np.where(low | high, 0.0, 1.0 / self.sigma) if slope else None
+        return np.clip(z, lo, hi), dh, low, high
 
     def _quantile(self, p):
         return self.mu + self.sigma * ndtri(p)

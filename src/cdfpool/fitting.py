@@ -2,9 +2,9 @@
 
 Training and evaluation data are a ``ForecastBatch``: the J outcomes and k
 stacked component forecasts with (J, 1) parameter columns.  A fit builds
-its (J, k) arrays of component CDF values and densities at the outcomes
-with one ``cdf`` and one ``density`` call per component column; a plain
-list of ``ForecastCase`` is stacked into a batch first.
+the (J, k) arrays that its family reads at the outcomes, one call per
+component column for each (``_build_design``); a plain list of
+``ForecastCase`` is stacked into a batch first.
 
 All four pools are fitted by one Newton engine, the method of scoring with
 the exact gradient and Hessian of the log-score sum.  Weights sit at the
@@ -46,6 +46,7 @@ from .errors import (
 from .pools import CDF_CLAMP, BlpSpec, GlpSpec, LinkFunction, PoolSpec, SlpSpec, TlpSpec, pool
 
 DENSITY_FLOOR = 1e-300
+_LOG_DENSITY_FLOOR = float(np.log(DENSITY_FLOOR))
 BOUNDARY_WEIGHT = 1e-8  # a weight below this is boundary-active, and held or pinned there
 PIN_WEIGHT = 1e-4  # after a stage, pin a weight below this whose gradient points out by more
 ROUNDING_ULPS = 8  # a gain below this many ulps of the log-score sum cannot show
@@ -203,26 +204,33 @@ class EvalReport:
 
 @dataclass
 class _Design:
-    F: np.ndarray          # (J, k) clamped component CDF values at the outcome
-    f: np.ndarray          # (J, k) component densities at the outcome
-    y: np.ndarray          # (J,)
-    gaussian: tuple[np.ndarray, np.ndarray] | None  # (mu, sd) when all Gaussian
+    """A batch's component terms at its outcomes; only those its family reads are set."""
+
+    y: np.ndarray                    # (J,)
+    k: int
+    f: np.ndarray | None = None      # (J, k) component densities: TLP, BLP
+    F: np.ndarray | None = None      # (J, k) clamped component CDF values: BLP
+    gaussian: tuple[np.ndarray, np.ndarray] | None = None  # (mu, sd), all Gaussian: SLP
+    b: np.ndarray | None = None      # (J, k) link terms h(F) of the clamped CDF: GLP
+    a: np.ndarray | None = None      # (J, k) their y-derivatives: GLP
+    clamped: np.ndarray | None = None  # (J,) a component CDF at the clamp: BLP, GLP
 
     @property
     def J(self) -> int:
-        return self.F.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.F.shape[1]
+        return self.y.size
 
 
-def _build_design(data) -> _Design:
-    """The design of a batch (or a list of cases) at its outcomes.
+def _build_design(data, method: str) -> _Design:
+    """The design of a batch (or a list of cases) at its outcomes, for the family ``method``.
 
-    One ``cdf`` and one ``density`` call per component column give F and f;
-    F is clamped to [CDF_CLAMP, 1 - CDF_CLAMP].  ``gaussian`` is set when
-    every component column is Gaussian.
+    Only what the family reads is evaluated, with one call per component
+    column for each array: TLP the densities f; BLP f and the CDF values F,
+    clamped to [CDF_CLAMP, 1 - CDF_CLAMP]; SLP each column's mu and sigma
+    when every column is Gaussian, and nothing otherwise; a generalized pool
+    ``glp-<link>`` the terms h(F) and their y-derivatives from
+    ``PredictiveDist._link_cdf``, which for probit over Gaussians are z
+    clipped and 1/sigma.  BLP and GLP also mark the cases with a component
+    CDF at the clamp.
     """
     batch = ForecastBatch.from_cases(data)
     if not len(batch):
@@ -231,18 +239,28 @@ def _build_design(data) -> _Design:
     if not all(c.has_density for c in comps):
         raise DensityUnavailable("fitting requires absolutely continuous components")
     y = batch.y[:, None]
-    F = np.clip(np.hstack([c.cdf(y) for c in comps]), CDF_CLAMP, 1.0 - CDF_CLAMP)
-    f = np.hstack([c.density(y) for c in comps])
-    gaussian = None
-    if all(type(c) is Gaussian for c in comps):
-        gaussian = (np.hstack([c.mu for c in comps]), np.hstack([c.sigma for c in comps]))
-    return _Design(F=F, f=f, y=batch.y, gaussian=gaussian)
+    design = _Design(batch.y, len(comps))
+    if method.startswith("glp-"):
+        link = LinkFunction(method.removeprefix("glp-"))
+        b, a, low, high = (np.hstack(t) for t in zip(*(c._link_cdf(link, y, slope=True)
+                                                        for c in comps)))
+        design.b, design.a, design.clamped = b, a, np.any(low | high, axis=1)
+    elif method == "slp":
+        if all(type(c) is Gaussian for c in comps):
+            design.gaussian = (np.hstack([c.mu for c in comps]),
+                               np.hstack([c.sigma for c in comps]))
+    else:
+        if method == "blp":
+            F = np.hstack([c.cdf(y) for c in comps])
+            design.clamped = np.any((F <= CDF_CLAMP) | (F >= 1.0 - CDF_CLAMP), axis=1)
+            design.F = np.clip(F, CDF_CLAMP, 1.0 - CDF_CLAMP)
+        design.f = np.hstack([c.density(y) for c in comps])
+    return design
 
 
 def _check_clamp_fraction(design: _Design) -> tuple[str, ...]:
     """Flag ``clamped_cases`` if a case has a component CDF at the clamp; raise above 1%."""
-    at_edge = np.any((design.F <= CDF_CLAMP) | (design.F >= 1.0 - CDF_CLAMP), axis=1)
-    frac = float(np.mean(at_edge))
+    frac = float(np.mean(design.clamped))
     if frac > 0.01:
         raise DomainViolation(
             f"{100 * frac:.1f}% of cases have component CDF values pinned at the "
@@ -280,10 +298,17 @@ def beta_log_moments(alpha: float, beta: float):
 
 
 def _blp_core(design: _Design, weights, w: np.ndarray, alpha: float, beta: float):
-    """Objective, gradient, and Hessian at weights ``w`` in (theta's weights, alpha, beta)."""
-    J, n = design.J, weights.n
-    SF = design.F @ w
-    Sf = np.maximum(design.f @ w, DENSITY_FLOOR)
+    """Objective, gradient, and Hessian at weights ``w`` in (theta's weights, alpha, beta).
+
+    A case whose mixture density f w is at most 1e-300 scores the floor
+    log 1e-300, as ``evaluate`` scores it, and adds nothing to the derivatives.
+    """
+    F, f, Sf = design.F, design.f, design.f @ w
+    dead = Sf <= DENSITY_FLOOR
+    if dead.any():
+        F, f, Sf = F[~dead], f[~dead], Sf[~dead]
+    J, n = F.shape[0], weights.n
+    SF = F @ w
     logSF = np.log(SF)
     log1mSF = np.log1p(-SF)
     e_log, e_log1m, v_log, v_log1m, cov = beta_log_moments(alpha, beta)
@@ -293,11 +318,12 @@ def _blp_core(design: _Design, weights, w: np.ndarray, alpha: float, beta: float
         + (beta - 1.0) * log1mSF.sum()
         + np.log(Sf).sum()
         - J * (gammaln(alpha) + gammaln(beta) - gammaln(alpha + beta))
+        + (design.J - J) * _LOG_DENSITY_FLOOR
     )
 
-    A = weights.columns(design.F / SF[:, None])
-    B = weights.columns(design.F / (1.0 - SF)[:, None])
-    C = weights.columns(design.f / Sf[:, None])
+    A = weights.columns(F / SF[:, None])
+    B = weights.columns(F / (1.0 - SF)[:, None])
+    C = weights.columns(f / Sf[:, None])
 
     grad = np.empty(n + 2)
     grad[:n] = ((alpha - 1.0) * A - (beta - 1.0) * B + C).sum(axis=0)
@@ -324,7 +350,7 @@ def blp_objective_and_derivatives(w, alpha: float, beta: float, data):
     parameters (WeightConstraintViolation, NaN and inf included); a weight
     count other than the design's raises LengthMismatch.
     """
-    design = _build_design(data)
+    design = _build_design(data, "blp")
     spec = BlpSpec(tuple(w), alpha, beta)
     if spec.k != design.k:
         raise LengthMismatch("one weight per component is required")
@@ -606,7 +632,7 @@ def fit_blp(data, init: BlpSpec | None = None) -> FitResult:
     unless ``init`` says otherwise.  A weight that runs into the simplex
     boundary is pinned at zero (``_newton_result``).
     """
-    design = _build_design(data)
+    design = _build_design(data, "blp")
     k = design.k
     if design.J < k + 2:
         raise TooFewSamples(f"need at least {k + 2} cases to fit k={k} components")
@@ -637,7 +663,7 @@ def _tlp_derivs(f, weights, theta):
 
 def fit_tlp(data) -> FitResult:
     """Fit linear-pool weights by Newton's method on the log score, from equal weights."""
-    design = _build_design(data)
+    design = _build_design(data, "tlp")
     k = design.k
     if design.J < k + 1:
         raise TooFewSamples(f"need at least {k + 1} cases to fit k={k} components")
@@ -719,7 +745,7 @@ def fit_slp(data) -> FitResult:
     in (w, c).
     """
     batch = ForecastBatch.from_cases(data)
-    design = _build_design(batch)
+    design = _build_design(batch, "slp")
     k = design.k
     if design.J < k + 2:
         raise TooFewSamples(f"need at least {k + 2} cases to fit k={k} components")
@@ -739,27 +765,28 @@ def fit_slp(data) -> FitResult:
 def _glp_derivs(b, a, link, weights, theta):
     """ell, gradient, Hessian of the GLP log score in its weights.
 
-    ``b = h(F)`` and ``a = h'(F) f`` are (J, k).  With s = b w and the
-    pooled CDF g = h^{-1}(s), clamped to the open interval, the log density
-    is log(a w) + phi(s) for phi(s) = -log|h'(h^{-1}(s))|, and phi is flat
-    where the clamp is active.  |a w| is floored at 1e-300, as the density.
+    ``b`` holds the component terms h(F) and ``a`` their y-derivatives, both
+    (J, k) (``_build_design``).  With s = b w clipped to the link's image of
+    the clamp, where phi is flat, the log density is log|a w| + phi(s); it is
+    floored at log 1e-300, as the density is, and a floored case adds nothing
+    to the derivatives.
     """
     w = weights.full(theta)
     s = b @ w
-    unclamped = link.invert(s)
-    g = np.clip(unclamped, CDF_CLAMP, 1.0 - CDF_CLAMP)
+    s_c = link.clip(s)
     num = a @ w
-    num = np.copysign(np.maximum(np.abs(num), DENSITY_FLOOR), num)
-    dens = np.maximum(num / link.deriv(g), DENSITY_FLOOR)
-    phi1, phi2 = link.phi_derivs(s)
-    free = g == unclamped
+    size = np.maximum(np.abs(num), DENSITY_FLOOR)
+    log_dens = np.log(size) + link.phi(s_c)
+    live = log_dens > _LOG_DENSITY_FLOOR
+    phi1, phi2 = link.phi_derivs(s_c)
+    free = live & (s == s_c)
     phi1 = np.where(free, phi1, 0.0)
     phi2 = np.where(free, phi2, 0.0)
-    A = weights.columns(a / num[:, None])
+    A = weights.columns(a * (live / np.copysign(size, num))[:, None])
     B = weights.columns(b)
     grad = A.sum(axis=0) + B.T @ phi1
     H = -(A.T @ A) + B.T @ (phi2[:, None] * B)
-    return float(np.log(dens).sum()), grad, H
+    return float(np.maximum(log_dens, _LOG_DENSITY_FLOOR).sum()), grad, H
 
 
 def fit_glp(data, link: LinkFunction) -> FitResult:
@@ -772,16 +799,14 @@ def fit_glp(data, link: LinkFunction) -> FitResult:
     if link is LinkFunction.IDENTITY:
         res = fit_tlp(data)
         return replace(res, spec=GlpSpec(w=res.spec.w, link=link))
-    design = _build_design(data)
+    design = _build_design(data, f"glp-{link.value}")
     k = design.k
     if design.J < k + 1:
         raise TooFewSamples(f"need at least {k + 1} cases to fit k={k} components")
     clamped = _check_clamp_fraction(design)
-    b = link.apply(design.F)
-    a = link.deriv(design.F) * design.f
     weights = _Weights(k, simplex=link.requires_simplex)
-    return _newton_result(GlpSpec, partial(_glp_derivs, b, a, link), weights, design.J,
-                          weights.start(), flags=clamped, link=link)
+    return _newton_result(GlpSpec, partial(_glp_derivs, design.b, design.a, link), weights,
+                          design.J, weights.start(), flags=clamped, link=link)
 
 
 # ---------------------------------------------------------------------------

@@ -12,14 +12,17 @@ Four aggregation families are provided, all operating on the CDF scale:
 The four specs share one weight rule (``_PoolSpec``): weights are nonempty
 and nonnegative, and sum to 1 within 1e-12, except for the log and probit
 links, which only need a positive finite sum; every shape parameter is
-positive and finite.  Each link's h, h^{-1}, h' and the derivatives of its
-log-density term are one row of ``_LINK_FORMS``.  Component CDF values are
-clamped to [CDF_CLAMP, 1 - CDF_CLAMP], in the pooled GLP and in the fits'
-designs alike.  The pooled GLP's CDF sums each component's term h(F) from
-``PredictiveDist._link_cdf`` in component order; under the probit link a
-Gaussian's term is z = (y - mu) / sigma clipped to
+positive and finite.  Each link's h, h^{-1}, h', its log-density term phi
+and phi's two derivatives are one row of ``_LINK_FORMS``.  Component CDF
+values are clamped to [CDF_CLAMP, 1 - CDF_CLAMP], in the pooled GLP and in
+the fits' designs alike.  The pooled GLP sums each component's term h(F) and
+its y-derivative from ``PredictiveDist._link_cdf`` in component order: the
+CDF is h^{-1} of the first sum, the density exp(phi(s)) times the absolute
+second sum, with s the first sum clipped to the link's image of the clamp.
+A clamped component's term is flat, so it adds no density.  Under the
+probit link a Gaussian's term is z = (y - mu) / sigma clipped to
 [ndtri(CDF_CLAMP), ndtri(1 - CDF_CLAMP)], the same clamp without the round
-trip ndtri(ndtr(z)).
+trip ndtri(ndtr(z)), and its y-derivative is 1/sigma inside the clip.
 """
 
 from __future__ import annotations
@@ -74,14 +77,27 @@ class LinkFunction(enum.Enum):
     def deriv(self, u: np.ndarray) -> np.ndarray:
         return _LINK_FORMS[self].dh(u)
 
-    def phi_derivs(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """First two derivatives of phi(s) = -log|h'(h^{-1}(s))|.
+    @property
+    def bounds(self) -> tuple[float, float]:
+        """h's image of [CDF_CLAMP, 1 - CDF_CLAMP], lower end first."""
+        return _LINK_BOUNDS[self]
+
+    def clip(self, s: np.ndarray) -> np.ndarray:
+        """s clipped to ``bounds``, where the pooled CDF is not clamped."""
+        return np.clip(s, *_LINK_BOUNDS[self])
+
+    def phi(self, s: np.ndarray) -> np.ndarray:
+        """phi(s) = -log|h'(h^{-1}(s))|, the log-slope of h^{-1} at s.
 
         phi is the link's term in the generalized pool's log density,
-        log(sum_i w_i h'(F_i) f_i) + phi(sum_i w_i h(F_i)).  It is s for
-        the log link, 2 log(1/s) for the reciprocal link and -s^2/2 plus a
-        constant for the probit link.
+        log|sum_i w_i dh(F_i)/dy| + phi(sum_i w_i h(F_i)).  It is s for the
+        log link, 2 log(1/s) for the reciprocal link and -(s^2 + log 2 pi)/2
+        for the probit link.
         """
+        return _LINK_FORMS[self].phi(s)
+
+    def phi_derivs(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """First two derivatives of ``phi``."""
         return _LINK_FORMS[self].dphi(s)
 
 
@@ -89,6 +105,7 @@ class _LinkForms(NamedTuple):
     h: Callable
     h_inv: Callable
     dh: Callable  # h'(u)
+    phi: Callable  # -log|h'(h^{-1}(s))|
     dphi: Callable  # s -> (phi'(s), phi''(s))
 
 
@@ -98,16 +115,20 @@ def _probit_deriv(u):
 
 
 _LINK_FORMS = {
-    LinkFunction.IDENTITY: _LinkForms(lambda u: u, lambda s: s, np.ones_like,
+    LinkFunction.IDENTITY: _LinkForms(lambda u: u, lambda s: s, np.ones_like, np.zeros_like,
                                       lambda s: (np.zeros_like(s), np.zeros_like(s))),
     LinkFunction.RECIPROCAL: _LinkForms(lambda u: 1.0 / u, lambda s: 1.0 / s,
-                                        lambda u: -1.0 / (u * u),
+                                        lambda u: -1.0 / (u * u), lambda s: -2.0 * np.log(s),
                                         lambda s: (-2.0 / s, 2.0 / (s * s))),
-    LinkFunction.LOG: _LinkForms(np.log, np.exp, lambda u: 1.0 / u,
+    LinkFunction.LOG: _LinkForms(np.log, np.exp, lambda u: 1.0 / u, lambda s: s,
                                  lambda s: (np.ones_like(s), np.zeros_like(s))),
     LinkFunction.PROBIT: _LinkForms(ndtri, ndtr, _probit_deriv,
+                                    lambda s: -0.5 * (s * s + math.log(2.0 * math.pi)),
                                     lambda s: (-s, -np.ones_like(s))),
 }
+# each link's image of [CDF_CLAMP, 1 - CDF_CLAMP], lower bound first
+_LINK_BOUNDS = {link: tuple(np.sort(forms.h(np.array([CDF_CLAMP, 1.0 - CDF_CLAMP]))).tolist())
+                for link, forms in _LINK_FORMS.items()}
 
 
 def _check_weights(w, simplex: bool) -> tuple[float, ...]:
@@ -222,10 +243,14 @@ class GlpDistribution(PredictiveDist):
     """Link-averaged pool h^{-1}(sum w_i h(F_i(y))) for an open-interval link.
 
     Component CDF values are clamped to [CDF_CLAMP, 1 - CDF_CLAMP] before the
-    link is applied; each component gives its term h(F_i) and clamp masks
-    through ``_link_cdf``.  Wherever every component has numerically
-    saturated at 0 (or 1), the pooled CDF is set to exactly 0 (or 1); the
-    same applies outside the components' common support.
+    link is applied; each component gives its term h(F_i), the term's
+    y-derivative and clamp masks through ``_link_cdf``.  Wherever every
+    component has numerically saturated at 0 (or 1), the pooled CDF is set
+    to exactly 0 (or 1); the same applies outside the components' common
+    support.  The density is exp(phi(s)) |sum_i w_i dh(F_i)/dy|, with s the
+    CDF's link sum clipped by ``LinkFunction.clip``: between the clamp
+    crossings (``_kinks``), and wherever the clip is not active, it is the
+    derivative of the CDF.
     """
 
     _stacks = True
@@ -239,7 +264,7 @@ class GlpDistribution(PredictiveDist):
 
     def _cdf(self, y, left: bool):
         # each component's clamped h(F) and clamp masks, in component order
-        h, low, high = zip(*(c._link_cdf(self.link, y, left) for c in self.components))
+        h, _, low, high = zip(*(c._link_cdf(self.link, y, left) for c in self.components))
         out = np.clip(self.link.invert(self._link_sum(h)), 0.0, 1.0)
         out = np.where(reduce(np.logical_and, high), 1.0, out)
         return _match(y, np.where(reduce(np.logical_and, low), 0.0, out))
@@ -253,14 +278,9 @@ class GlpDistribution(PredictiveDist):
     def density(self, y):
         if not self.has_density:
             raise DensityUnavailable("a pool component carries point masses")
-        y_arr = _as_array(y)
-        F = np.clip(np.stack(np.broadcast_arrays(*(c.cdf(y_arr) for c in self.components))),
-                    CDF_CLAMP, 1.0 - CDF_CLAMP)
-        f = np.stack(np.broadcast_arrays(*(c.density(y_arr) for c in self.components)))
-        s = self._link_sum(self.link.apply(F))
-        g = np.clip(self.link.invert(s), CDF_CLAMP, 1.0 - CDF_CLAMP)
-        num = self._link_sum(self.link.deriv(F) * f)
-        return _match(y, np.maximum(num / self.link.deriv(g), 0.0))
+        h, dh, _, _ = zip(*(c._link_cdf(self.link, y, slope=True) for c in self.components))
+        s = self.link.clip(self._link_sum(h))
+        return _match(y, np.exp(self.link.phi(s)) * np.abs(self._link_sum(dh)))
 
     def support(self):
         los, his = zip(*(c.support() for c in self.components))

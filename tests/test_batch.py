@@ -268,21 +268,36 @@ def _counting(monkeypatch, owner, name):
 
 
 class TestColumnCalls:
-    """Building a design costs one ``cdf`` and one ``density`` call per component column."""
+    """A design costs one call per component column for each array that its family reads."""
 
     def test_gaussian_columns(self, monkeypatch):
         batch = simulate(DgpConfig(kind="regression", n=1000, seed=6)).cases
         cdf = _counting(monkeypatch, Gaussian, "cdf")
         density = _counting(monkeypatch, Gaussian, "density")
-        _build_design(batch)
+        _build_design(batch, "blp")
         assert (len(cdf), len(density)) == (3, 3)
 
     def test_mixture_column(self, monkeypatch):
         batch = simulate(DgpConfig(kind="forecaster_quartet", n=1000, seed=6)).cases
         cdf = _counting(monkeypatch, Mixture, "cdf")
         density = _counting(monkeypatch, Mixture, "density")
-        _build_design(batch)
+        _build_design(batch, "blp")
         assert (len(cdf), len(density)) == (1, 1)
+
+    @pytest.mark.parametrize("family, calls", [
+        ("tlp", (0, 3)), ("slp", (0, 0)), ("blp", (3, 3)),
+        ("log", (3, 3)), ("reciprocal", (3, 3)), ("probit", (0, 0)),
+    ])
+    def test_each_fit_evaluates_only_what_its_family_reads(self, monkeypatch, family, calls):
+        # TLP reads f, SLP mu and sigma, BLP F and f, the log and reciprocal links
+        # h(F) and h'(F) f, and the probit link over Gaussians z and 1/sigma
+        batch = simulate(DgpConfig(kind="regression", n=300, seed=6)).cases
+        cdf = _counting(monkeypatch, Gaussian, "cdf")
+        density = _counting(monkeypatch, Gaussian, "density")
+        fits = {"tlp": fit_tlp, "slp": fit_slp, "blp": fit_blp}
+        res = fits[family](batch) if family in fits else fit_glp(batch, LinkFunction(family))
+        assert res.converged
+        assert (len(cdf), len(density)) == calls
 
     def test_fits_leave_the_cases_unbuilt(self, monkeypatch):
         batch = simulate(DgpConfig(kind="regression", n=300, seed=7)).cases

@@ -333,6 +333,18 @@ class TestInvariants:
             total = quad(d.density, lo, hi, limit=200, epsabs=1e-10)[0]
             assert abs(total - 1.0) < 1e-6
 
+    @pytest.mark.parametrize("link", [LinkFunction.LOG, LinkFunction.RECIPROCAL,
+                                      LinkFunction.PROBIT], ids=lambda link: link.value)
+    def test_glp_densities_integrate_to_one(self, link):
+        # the density is the CDF's derivative between the clamp crossings, where
+        # the panels end; the CDF jumps by about CDF_CLAMP at the outermost two
+        d = pool(GlpSpec((1 / 3, 1 / 3, 1 / 3), link),
+                 (Gaussian(0.0, 0.3), Gaussian(1.0, 1.0), Gaussian(-1.0, 3.0)))
+        edges = np.sort(d._kinks().ravel())
+        total = sum(quad(d.density, lo, hi, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+                    for lo, hi in zip(edges[:-1], edges[1:]))
+        assert abs(total - 1.0) <= 1e-10
+
     def test_numeric_cdf_derivative_matches_density(self):
         rng = np.random.default_rng(5)
         dists = (
@@ -456,9 +468,31 @@ class TestValidateCdf:
             validate_cdf(d)
 
 
+class _PrivateKind(PredictiveDist):
+    """A user kind that keeps its CDF in a private attribute."""
+
+    def __init__(self, cdf):
+        self._cdf = cdf
+
+    def cdf(self, y):
+        return self._cdf(np.asarray(y, dtype=float))
+
+    @property
+    def has_density(self):
+        return True
+
+
 class TestUserKindMoments:
     def test_quadrature_moments_of_a_user_kind(self):
         d = _UserKind(lambda y: ndtr((y - 1.0) / 2.0))
+        assert abs(d.mean() - 1.0) <= 1e-8
+        assert d.variance() == pytest.approx(4.0, rel=1e-8)
+
+    def test_quadrature_moments_of_a_kind_with_private_state(self):
+        # a per-case object has no rows to cut: its chunks are the object itself
+        d = _PrivateKind(lambda y: ndtr((y - 1.0) / 2.0))
+        assert d._take(slice(0, 64)) is d
+        assert d._take(np.arange(1)) is d
         assert abs(d.mean() - 1.0) <= 1e-8
         assert d.variance() == pytest.approx(4.0, rel=1e-8)
 

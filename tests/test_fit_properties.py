@@ -50,7 +50,7 @@ def gaussian_designs(draw):
             if far[i] is not None:
                 mu[i], sd[i] = mu[pick] - 2.0 * far[i] + 0.5 * rng.standard_normal(), 2.0
         cases.append(ForecastCase(tuple(map(Gaussian, mu, sd)), y))
-    F = _build_design(cases).F
+    F = _build_design(cases, "blp").F
     assume(F.min() > 1e-6 and F.max() < 1.0 - CDF_CLAMP)
     return cases
 
@@ -67,7 +67,7 @@ def _fit(family, cases):
 
 def _derivs(family, cases):
     """The family's ``derivs(layout, theta)``, as its fit uses it."""
-    design = _build_design(cases)
+    design = _build_design(cases, family)
     if family == "tlp":
         return lambda layout, theta: _tlp_derivs(design.f, layout, theta)
     if family == "slp":
@@ -76,8 +76,7 @@ def _derivs(family, cases):
     if family == "blp":
         return lambda layout, theta: _blp_derivs(design, layout, theta)
     link = LinkFunction(family.removeprefix("glp-"))
-    b, a = link.apply(design.F), link.deriv(design.F) * design.f
-    return lambda layout, theta: _glp_derivs(b, a, link, layout, theta)
+    return lambda layout, theta: _glp_derivs(design.b, design.a, link, layout, theta)
 
 
 def _point_gradient(family, cases, spec):

@@ -107,7 +107,7 @@ def _family_derivs(family, cases):
             return blp_objective_and_derivatives(w, p[k - 1], p[k], cases)
 
         return derivs, lambda rng: np.concatenate([w_head(rng), rng.uniform(0.6, 2.2, 2)])
-    design = _build_design(cases)
+    design = _build_design(cases, family)
     if family == "slp":
         weights = _Weights(k, simplex=True)
         densities = _gaussian_spread_densities(*design.gaussian, design.y)
@@ -115,9 +115,8 @@ def _family_derivs(family, cases):
                 lambda rng: np.append(w_head(rng), rng.uniform(np.log(0.6), np.log(1.6))))
     link = LinkFunction(family.removeprefix("glp-"))
     weights = _Weights(k, simplex=link.requires_simplex)
-    b, a = link.apply(design.F), link.deriv(design.F) * design.f
     draw = w_head if weights.simplex else (lambda rng: rng.uniform(0.2, 0.8, k))
-    return lambda p: _glp_derivs(b, a, link, weights, p), draw
+    return lambda p: _glp_derivs(design.b, design.a, link, weights, p), draw
 
 
 def _finite_difference_check(cases, params_rng, n_points, grad_tol, hess_tol, family="blp"):
@@ -587,6 +586,30 @@ class TestClampedOutliers:
     def test_no_flag_without_clamped_cases(self, gaussian_cases):
         for res in (fit_blp(gaussian_cases), fit_glp(gaussian_cases, LinkFunction.LOG)):
             assert FLAG_CLAMPED_CASES not in res.flags
+
+    @pytest.mark.parametrize("outliers", [0, 1])
+    @pytest.mark.parametrize("fit", [fit_tlp, fit_blp, *_NEWTON_FITS],
+                             ids=["tlp", "blp", "slp", "glp-log", "glp-reciprocal",
+                                  "glp-probit"])
+    def test_evaluate_reproduces_the_train_score(self, gaussian_cases, fit, outliers):
+        # the fits score their design as evaluate scores the pooled density,
+        # floor included: the outlier's pooled density is 0, since every
+        # component is clamped there
+        cases = self._cases(1) if outliers else gaussian_cases
+        res = fit(cases)
+        want = evaluate(res.spec, cases).mean_log_score
+        assert res.mean_log_score_train == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("fit", [fit_tlp, fit_blp, *_NEWTON_FITS],
+                             ids=["tlp", "blp", "slp", "glp-log", "glp-reciprocal",
+                                  "glp-probit"])
+    def test_an_outlier_at_the_density_floor_leaves_the_fit(self, fit):
+        # it scores the floor at every parameter, so it adds nothing to the derivatives
+        cases = self._cases(1)
+        res, rest = fit(cases), fit(cases[1:])
+        assert_allclose(res.spec.w, rest.spec.w, rtol=0, atol=1e-7)
+        for name in res.spec.shape_params:
+            assert getattr(res.spec, name) == pytest.approx(getattr(rest.spec, name), rel=1e-7)
 
     @pytest.mark.parametrize("link", [None, LinkFunction.LOG, LinkFunction.RECIPROCAL,
                                       LinkFunction.PROBIT],

@@ -486,6 +486,18 @@ class TestLinkTable:
         assert abs(slope - exact) <= 1e-6 * abs(exact) + rounding
 
     @given(st.sampled_from(list(LinkFunction)), _LEVELS)
+    def test_phi_is_the_log_slope_of_the_inverse(self, link, u):
+        s = link.apply(np.array([u]))
+        assert link.phi(s)[0] == pytest.approx(_phi(link, s)[0], rel=1e-9, abs=1e-9)
+
+    @pytest.mark.parametrize("link", list(LinkFunction), ids=lambda link: link.value)
+    def test_clip_bounds_are_the_clamped_levels(self, link):
+        lo, hi = np.sort(link.apply(np.array([CDF_CLAMP, 1.0 - CDF_CLAMP])))
+        assert link.bounds == (lo, hi)
+        wide = np.array([-1e300, -1.0, 0.0, 1.0, 1e300])
+        np.testing.assert_array_equal(link.clip(wide), np.clip(wide, lo, hi))
+
+    @given(st.sampled_from(list(LinkFunction)), _LEVELS)
     def test_phi_derivs_are_the_slopes_of_phi(self, link, u):
         s = link.apply(np.array([u]))
         d = 1e-3 * (1.0 + abs(s[0]))

@@ -479,7 +479,8 @@ class TestPooledColumns:
         assert type(per_case) is type(columns)
         assert per_case._rows() == columns._rows() == len(batch)
         grid = np.linspace(-4.0, 4.0, 33)[None, :]  # holds the atoms 0, 1 and 2
-        for method in ("cdf", "cdf_left"):
+        continuous = kind in ("regression", "forecaster_quartet")
+        for method in ("cdf", "cdf_left") + (("density",) if continuous else ()):
             np.testing.assert_array_equal(getattr(per_case, method)(grid),
                                           getattr(columns, method)(grid))
 
