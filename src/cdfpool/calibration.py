@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import gammaln, kolmogorov
 
 from .distributions import PredictiveDist, _as_array, _each_chunk, stack, uniform_open
-from .errors import DomainViolation, EmptyInput, LengthMismatch, TooFewSamples
+from .errors import DomainViolation, EmptyInput, InvalidConfig, LengthMismatch, TooFewSamples
 
 NEUTRAL_PIT_VARIANCE = 1.0 / 12.0
 
@@ -189,6 +189,12 @@ def marginal_calibration_gap(forecasts, obs, grid) -> float:
     return float(np.max(np.abs(acc - ecdf)))
 
 
+def _check_bins(bins) -> None:
+    """Raise InvalidConfig unless ``bins`` is an integer of at least 1."""
+    if not (isinstance(bins, (int, np.integer)) and bins >= 1):
+        raise InvalidConfig("bins must be at least 1")
+
+
 def reliability_bins(p, y01, bins: int = 10):
     """Conditional success frequencies against binned forecast probabilities.
 
@@ -196,6 +202,7 @@ def reliability_bins(p, y01, bins: int = 10):
     mean_forecast) row per equal-width bin on [0, 1], mean_forecast being the
     bin's average probability; freq and mean_forecast are nan for empty bins.
     """
+    _check_bins(bins)
     p = _as_array(p)
     y01 = _as_array(y01)
     if p.shape != y01.shape:
@@ -214,6 +221,7 @@ def reliability_bins(p, y01, bins: int = 10):
 
 def pit_histogram(z, bins: int = 10) -> np.ndarray:
     """Counts of PIT values in equal-width bins on [0, 1]."""
+    _check_bins(bins)
     counts, _ = np.histogram(_as_array(z), bins=bins, range=(0.0, 1.0))
     return counts
 
@@ -278,6 +286,7 @@ def calibration_report(forecasts, obs, rng_seed: int, grid=None, bins: int = 10
     ``dispersion_report(report.pit)`` for the PIT variance.  A list of
     forecasts is stacked once, for both the PIT and the marginal gap.
     """
+    _check_bins(bins)
     obs = _as_array(obs)
     if grid is None:
         if obs.size == 0:

@@ -165,8 +165,6 @@ def main(argv=None) -> int:
         for path in (getattr(args, "input", None), getattr(args, "params", None)):
             if path is not None and not os.path.exists(path):
                 raise SchemaError(f"input file does not exist: {path}")
-        if getattr(args, "bins", 1) < 1:
-            raise SchemaError("bins must be at least 1")
         return args.run(args)
     except (SchemaError, InvalidConfig, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,7 +26,7 @@ from functools import partial
 import numpy as np
 from scipy.special import gammaln, polygamma, psi
 
-from .calibration import pit_histogram, pit_sample
+from .calibration import _check_bins, pit_histogram, pit_sample
 from .distributions import (
     Gaussian,
     PredictiveDist,
@@ -766,22 +766,19 @@ def _glp_derivs(b, a, link, weights, theta):
     """ell, gradient, Hessian of the GLP log score in its weights.
 
     ``b`` holds the component terms h(F) and ``a`` their y-derivatives, both
-    (J, k) (``_build_design``).  With s = b w clipped to the link's image of
-    the clamp, where phi is flat, the log density is log|a w| + phi(s); it is
-    floored at log 1e-300, as the density is, and a floored case adds nothing
-    to the derivatives.
+    (J, k) (``_build_design``).  With s = b w, the log density is
+    log|a w| + phi(s); it is floored at log 1e-300, as the density is, and a
+    floored case adds nothing to the derivatives.
     """
     w = weights.full(theta)
     s = b @ w
-    s_c = link.clip(s)
     num = a @ w
     size = np.maximum(np.abs(num), DENSITY_FLOOR)
-    log_dens = np.log(size) + link.phi(s_c)
+    log_dens = np.log(size) + link.phi(s)
     live = log_dens > _LOG_DENSITY_FLOOR
-    phi1, phi2 = link.phi_derivs(s_c)
-    free = live & (s == s_c)
-    phi1 = np.where(free, phi1, 0.0)
-    phi2 = np.where(free, phi2, 0.0)
+    phi1, phi2 = link.phi_derivs(s)
+    phi1 = np.where(live, phi1, 0.0)
+    phi2 = np.where(live, phi2, 0.0)
     A = weights.columns(a * (live / np.copysign(size, num))[:, None])
     B = weights.columns(b)
     grad = A.sum(axis=0) + B.T @ phi1
@@ -858,6 +855,7 @@ def evaluate(spec: PoolSpec, data, rng_seed: int = 0, bins: int = 10) -> EvalRep
 
     The batch's columns are pooled once, into one stacked forecast whose rows are the cases.
     """
+    _check_bins(bins)
     batch = ForecastBatch.from_cases(data)
     if not len(batch):
         raise TooFewSamples("empty evaluation set")

@@ -12,14 +12,14 @@ Four aggregation families are provided, all operating on the CDF scale:
 The four specs share one weight rule (``_PoolSpec``): weights are nonempty
 and nonnegative, and sum to 1 within 1e-12, except for the log and probit
 links, which only need a positive finite sum; every shape parameter is
-positive and finite.  Each link's h, h^{-1}, h', its log-density term phi
-and phi's two derivatives are one row of ``_LINK_FORMS``.  Component CDF
-values are clamped to [CDF_CLAMP, 1 - CDF_CLAMP], in the pooled GLP and in
-the fits' designs alike.  The pooled GLP sums each component's term h(F) and
+positive and finite.  Each link is one row of its forms: h, h^{-1}, h',
+its log-density term phi and phi's two derivatives.  Component CDF values
+are clamped to [CDF_CLAMP, 1 - CDF_CLAMP], in the pooled GLP and in the
+fits' designs alike.  The pooled GLP sums each component's term h(F) and
 its y-derivative from ``PredictiveDist._link_cdf`` in component order: the
-CDF is h^{-1} of the first sum, the density exp(phi(s)) times the absolute
-second sum, with s the first sum clipped to the link's image of the clamp.
-A clamped component's term is flat, so it adds no density.  Under the
+CDF is h^{-1} of the first sum s, the density exp(phi(s)) times the
+absolute second sum.  s itself is not clipped; a clamped component's term
+is flat, so it adds no density.  Under the
 probit link a Gaussian's term is z = (y - mu) / sigma clipped to
 [ndtri(CDF_CLAMP), ndtri(1 - CDF_CLAMP)], the same clamp without the round
 trip ndtri(ndtr(z)), and its y-derivative is 1/sigma inside the clip.
@@ -29,10 +29,9 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partialmethod, reduce
-from typing import ClassVar, NamedTuple
+from typing import ClassVar
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -50,6 +49,11 @@ from .distributions import (
 from .errors import DensityUnavailable, DomainViolation, WeightConstraintViolation
 
 
+def _probit_deriv(u):
+    z = ndtri(u)
+    return np.sqrt(2.0 * np.pi) * np.exp(0.5 * z * z)
+
+
 class LinkFunction(enum.Enum):
     """Strictly monotone links for the generalized linear pool.
 
@@ -57,78 +61,36 @@ class LinkFunction(enum.Enum):
     weights, as does RECIPROCAL; LOG and PROBIT only need a positive weight
     sum.  The three non-identity links are defined on the open interval
     only, which is where the clamp policy applies.
+
+    Each member is one row: its value, ``requires_simplex``, h (``apply``),
+    h^{-1} (``invert``), h' (``deriv``), ``phi`` and phi's first two
+    derivatives (``phi_derivs``).  phi(s) = -log|h'(h^{-1}(s))| is the
+    log-slope of h^{-1} at s, the link's term in the generalized pool's log
+    density, log|sum_i w_i dh(F_i)/dy| + phi(sum_i w_i h(F_i)).  It is s for
+    the log link, 2 log(1/s) for the reciprocal link and -(s^2 + log 2 pi)/2
+    for the probit link.  ``bounds`` is h's image of [CDF_CLAMP,
+    1 - CDF_CLAMP], lower end first.
     """
 
-    IDENTITY = "identity"
-    RECIPROCAL = "reciprocal"
-    LOG = "log"
-    PROBIT = "probit"
+    IDENTITY = ("identity", True, lambda u: u, lambda s: s, np.ones_like, np.zeros_like,
+                lambda s: (np.zeros_like(s), np.zeros_like(s)))
+    RECIPROCAL = ("reciprocal", True, lambda u: 1.0 / u, lambda s: 1.0 / s,
+                  lambda u: -1.0 / (u * u), lambda s: -2.0 * np.log(s),
+                  lambda s: (-2.0 / s, 2.0 / (s * s)))
+    LOG = ("log", False, np.log, np.exp, lambda u: 1.0 / u, lambda s: s,
+           lambda s: (np.ones_like(s), np.zeros_like(s)))
+    PROBIT = ("probit", False, ndtri, ndtr, _probit_deriv,
+              lambda s: -0.5 * (s * s + math.log(2.0 * math.pi)),
+              lambda s: (-s, -np.ones_like(s)))
 
-    @property
-    def requires_simplex(self) -> bool:
-        return self in (LinkFunction.IDENTITY, LinkFunction.RECIPROCAL)
-
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        return _LINK_FORMS[self].h(u)
-
-    def invert(self, s: np.ndarray) -> np.ndarray:
-        return _LINK_FORMS[self].h_inv(s)
-
-    def deriv(self, u: np.ndarray) -> np.ndarray:
-        return _LINK_FORMS[self].dh(u)
-
-    @property
-    def bounds(self) -> tuple[float, float]:
-        """h's image of [CDF_CLAMP, 1 - CDF_CLAMP], lower end first."""
-        return _LINK_BOUNDS[self]
-
-    def clip(self, s: np.ndarray) -> np.ndarray:
-        """s clipped to ``bounds``, where the pooled CDF is not clamped."""
-        return np.clip(s, *_LINK_BOUNDS[self])
-
-    def phi(self, s: np.ndarray) -> np.ndarray:
-        """phi(s) = -log|h'(h^{-1}(s))|, the log-slope of h^{-1} at s.
-
-        phi is the link's term in the generalized pool's log density,
-        log|sum_i w_i dh(F_i)/dy| + phi(sum_i w_i h(F_i)).  It is s for the
-        log link, 2 log(1/s) for the reciprocal link and -(s^2 + log 2 pi)/2
-        for the probit link.
-        """
-        return _LINK_FORMS[self].phi(s)
-
-    def phi_derivs(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """First two derivatives of ``phi``."""
-        return _LINK_FORMS[self].dphi(s)
-
-
-class _LinkForms(NamedTuple):
-    h: Callable
-    h_inv: Callable
-    dh: Callable  # h'(u)
-    phi: Callable  # -log|h'(h^{-1}(s))|
-    dphi: Callable  # s -> (phi'(s), phi''(s))
-
-
-def _probit_deriv(u):
-    z = ndtri(u)
-    return np.sqrt(2.0 * np.pi) * np.exp(0.5 * z * z)
-
-
-_LINK_FORMS = {
-    LinkFunction.IDENTITY: _LinkForms(lambda u: u, lambda s: s, np.ones_like, np.zeros_like,
-                                      lambda s: (np.zeros_like(s), np.zeros_like(s))),
-    LinkFunction.RECIPROCAL: _LinkForms(lambda u: 1.0 / u, lambda s: 1.0 / s,
-                                        lambda u: -1.0 / (u * u), lambda s: -2.0 * np.log(s),
-                                        lambda s: (-2.0 / s, 2.0 / (s * s))),
-    LinkFunction.LOG: _LinkForms(np.log, np.exp, lambda u: 1.0 / u, lambda s: s,
-                                 lambda s: (np.ones_like(s), np.zeros_like(s))),
-    LinkFunction.PROBIT: _LinkForms(ndtri, ndtr, _probit_deriv,
-                                    lambda s: -0.5 * (s * s + math.log(2.0 * math.pi)),
-                                    lambda s: (-s, -np.ones_like(s))),
-}
-# each link's image of [CDF_CLAMP, 1 - CDF_CLAMP], lower bound first
-_LINK_BOUNDS = {link: tuple(np.sort(forms.h(np.array([CDF_CLAMP, 1.0 - CDF_CLAMP]))).tolist())
-                for link, forms in _LINK_FORMS.items()}
+    def __new__(cls, value, requires_simplex, apply, invert, deriv, phi, phi_derivs):
+        link = object.__new__(cls)
+        link._value_ = value
+        link.requires_simplex = requires_simplex
+        link.apply, link.invert, link.deriv = apply, invert, deriv
+        link.phi, link.phi_derivs = phi, phi_derivs
+        link.bounds = tuple(np.sort(apply(np.array([CDF_CLAMP, 1.0 - CDF_CLAMP]))).tolist())
+        return link
 
 
 def _check_weights(w, simplex: bool) -> tuple[float, ...]:
@@ -247,10 +209,9 @@ class GlpDistribution(PredictiveDist):
     y-derivative and clamp masks through ``_link_cdf``.  Wherever every
     component has numerically saturated at 0 (or 1), the pooled CDF is set
     to exactly 0 (or 1); the same applies outside the components' common
-    support.  The density is exp(phi(s)) |sum_i w_i dh(F_i)/dy|, with s the
-    CDF's link sum clipped by ``LinkFunction.clip``: between the clamp
-    crossings (``_kinks``), and wherever the clip is not active, it is the
-    derivative of the CDF.
+    support.  The density is exp(phi(s)) |sum_i w_i dh(F_i)/dy| at the CDF's
+    link sum s = sum_i w_i h(F_i): between the clamp crossings (``_kinks``)
+    it is the derivative of the CDF, whatever the weights.
     """
 
     _stacks = True
@@ -279,7 +240,7 @@ class GlpDistribution(PredictiveDist):
         if not self.has_density:
             raise DensityUnavailable("a pool component carries point masses")
         h, dh, _, _ = zip(*(c._link_cdf(self.link, y, slope=True) for c in self.components))
-        s = self.link.clip(self._link_sum(h))
+        s = self._link_sum(h)
         return _match(y, np.exp(self.link.phi(s)) * np.abs(self._link_sum(dh)))
 
     def support(self):

@@ -12,6 +12,7 @@ from cdfpool import (
     FiniteDiscrete,
     Gaussian,
     GlpSpec,
+    InvalidConfig,
     LengthMismatch,
     LinkFunction,
     Mixture,
@@ -322,6 +323,11 @@ class TestReliabilityBins:
         with pytest.raises(LengthMismatch):
             reliability_bins([0.5], [0.0, 1.0], bins=5)
 
+    @pytest.mark.parametrize("bins", [0, -1, 2.5])
+    def test_bins_must_be_a_positive_integer(self, bins):
+        with pytest.raises(InvalidConfig, match="bins must be at least 1"):
+            reliability_bins([0.1, 0.7], [0.0, 1.0], bins=bins)
+
 
 class TestHistogram:
     def test_counts_sum_to_n(self):
@@ -330,6 +336,11 @@ class TestHistogram:
         counts = pit_histogram(z, bins=10)
         assert counts.sum() == 500
         assert counts.size == 10
+
+    @pytest.mark.parametrize("bins", [0, -1, 2.5])
+    def test_bins_must_be_a_positive_integer(self, bins):
+        with pytest.raises(InvalidConfig, match="bins must be at least 1"):
+            pit_histogram([0.2, 0.6], bins=bins)
 
 
 class TestCalibrationReport:
@@ -348,6 +359,13 @@ class TestCalibrationReport:
         assert rep.marginal_gap >= 0.0
         assert rep.ks_pvalue == ks_uniformity(rep.pit.z)[1]
         np.testing.assert_array_equal(rep.pit.z, pit_sample(forecasts, y, 12).z)
+
+    def test_bins_are_checked_before_any_work(self):
+        from cdfpool import calibration_report
+
+        # no observations would raise EmptyInput, once the work began
+        with pytest.raises(InvalidConfig, match="bins must be at least 1"):
+            calibration_report([], [], rng_seed=0, bins=0)
 
     def test_empty_forecast_list_is_a_length_mismatch(self):
         from cdfpool import calibration_report

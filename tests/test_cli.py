@@ -289,7 +289,8 @@ class TestErrorContract:
     def test_zero_bins_rejected(self, tmp_path, capsys, command):
         data, params = str(tmp_path / "test.csv"), str(tmp_path / "params.txt")
         run("simulate", "--dgp", "regression", "--n", "10", "--seed", "1", "--out", data)
-        write_params(params, _fit_result(TlpSpec((0.5, 0.5))))
+        # three weights for the three members, so that bins is the one bad input
+        write_params(params, _fit_result(TlpSpec((0.2, 0.3, 0.5))))
         assert run(command, "--params", params, "--input", data, "--bins", "0",
                    "--out", str(tmp_path / "report.txt")) == 2
         assert "bins must be at least 1" in capsys.readouterr().err

@@ -183,9 +183,9 @@ def _density_oracle(d, comps):
 def _cdf_oracle(d, comps):
     """Mean and variance by quad of the CDF integrated by parts.
 
-    A GLP's density ignores the clamp on component CDFs, so where the clamp
-    is active it is not the derivative of the pooled CDF; the CDF defines the
-    pool.  quad is told where each component crosses the clamp bounds.
+    A GLP's density is the CDF's derivative between the components' clamp
+    crossings, and the CDF jumps by about CDF_CLAMP at the outermost two; the
+    CDF defines the pool.  quad is told where the crossings are.
     """
     lo = min(c.mu - 12.0 * c.sigma for c in comps)
     hi = max(c.mu + 12.0 * c.sigma for c in comps)
@@ -344,6 +344,18 @@ class TestInvariants:
         total = sum(quad(d.density, lo, hi, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
                     for lo, hi in zip(edges[:-1], edges[1:]))
         assert abs(total - 1.0) <= 1e-10
+
+    @pytest.mark.parametrize("link", [LinkFunction.LOG, LinkFunction.PROBIT],
+                             ids=lambda link: link.value)
+    def test_glp_density_is_the_cdf_slope_when_weights_pass_one(self, link):
+        # with weights summing to 2 the link sum leaves the link's image of the
+        # clamp; each panel's integral is still the CDF's rise over it, up to
+        # the clamp's jump of about sum(w) * CDF_CLAMP in the outermost panels
+        d = pool(GlpSpec((1.5, 0.5), link), (Gaussian(0.0, 1.0), Gaussian(0.5, 1.5)))
+        edges = np.sort(d._kinks().ravel())
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            total = quad(d.density, lo, hi, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+            assert abs(total - (d.cdf(hi) - d.cdf(lo))) <= 3e-12
 
     def test_numeric_cdf_derivative_matches_density(self):
         rng = np.random.default_rng(5)

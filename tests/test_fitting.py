@@ -15,6 +15,7 @@ from cdfpool import (
     ForecastCase,
     Gaussian,
     GlpSpec,
+    InvalidConfig,
     LengthMismatch,
     LinkFunction,
     Mixture,
@@ -556,6 +557,11 @@ class TestEvaluate:
                        rng_seed=9, bins=10)
         assert rep.histogram.sum() == 60
 
+    def test_bins_are_checked_before_any_work(self):
+        # an empty set would raise TooFewSamples, once the work began
+        with pytest.raises(InvalidConfig, match="bins must be at least 1"):
+            evaluate(TlpSpec((1.0,)), ForecastBatch(np.empty(0), (Gaussian(0.0, 1.0),)), bins=0)
+
 
 class TestClampedOutliers:
     """An outcome at 1e3 puts every component CDF of its case at the clamp."""
@@ -597,6 +603,18 @@ class TestClampedOutliers:
         # component is clamped there
         cases = self._cases(1) if outliers else gaussian_cases
         res = fit(cases)
+        want = evaluate(res.spec, cases).mean_log_score
+        assert res.mean_log_score_train == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.xfail(strict=True, reason="the BLP design clamps each component CDF to "
+                       "[1e-12, 1 - 1e-12], while BetaTransformed.density clips the "
+                       "mixture CDF to [1e-300, 1 - 1e-16]")
+    def test_evaluate_reproduces_the_blp_train_score_at_the_upper_clamp(self):
+        # at y = 12 case 0's components sit at z = 7.9, 11.2 and 9.4: every CDF is
+        # at the upper clamp, but every density is above the floor
+        cases = self._cases(0)
+        cases[0] = ForecastCase(cases[0].components, 12.0)
+        res = fit_blp(cases)
         want = evaluate(res.spec, cases).mean_log_score
         assert res.mean_log_score_train == pytest.approx(want, rel=1e-12)
 

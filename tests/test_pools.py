@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -491,11 +493,22 @@ class TestLinkTable:
         assert link.phi(s)[0] == pytest.approx(_phi(link, s)[0], rel=1e-9, abs=1e-9)
 
     @pytest.mark.parametrize("link", list(LinkFunction), ids=lambda link: link.value)
-    def test_clip_bounds_are_the_clamped_levels(self, link):
+    def test_bounds_are_the_clamped_levels(self, link):
         lo, hi = np.sort(link.apply(np.array([CDF_CLAMP, 1.0 - CDF_CLAMP])))
         assert link.bounds == (lo, hi)
-        wide = np.array([-1e300, -1.0, 0.0, 1.0, 1e300])
-        np.testing.assert_array_equal(link.clip(wide), np.clip(wide, lo, hi))
+
+    @pytest.mark.parametrize("link", list(LinkFunction), ids=lambda link: link.value)
+    def test_a_link_is_one_object(self, link):
+        assert pickle.loads(pickle.dumps(link)) is link
+        assert copy.deepcopy(link) is link
+        assert LinkFunction(link.value) is link
+
+    @pytest.mark.parametrize("link", list(LinkFunction), ids=lambda link: link.value)
+    def test_a_glp_spec_pickles_with_its_link(self, link):
+        spec = GlpSpec((0.5, 0.5), link)
+        back = pickle.loads(pickle.dumps(spec))
+        assert back == spec
+        assert back.link is link
 
     @given(st.sampled_from(list(LinkFunction)), _LEVELS)
     def test_phi_derivs_are_the_slopes_of_phi(self, link, u):
