@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, kolmogorov
 
+from . import _special
 from .distributions import PredictiveDist, _as_array, _each_chunk, stack, uniform_open
 from .errors import DomainViolation, EmptyInput, InvalidConfig, LengthMismatch, TooFewSamples
 
@@ -258,7 +258,7 @@ def _ks_exact_cdf(n: int, d: float) -> float:
     H[-1, :] -= powers[::-1]
     if 2.0 * h > 1.0:
         H[-1, 0] += (2.0 * h - 1.0) ** m
-    H *= np.exp(-gammaln(np.maximum(lag, 0) + 1.0))
+    H *= np.exp(-_special.gammaln(np.maximum(lag, 0) + 1.0))
     entry = np.linalg.matrix_power(H, n)[k - 1, k - 1]
     return float(entry * np.prod(np.arange(1, n + 1) / n))
 
@@ -272,7 +272,7 @@ def ks_uniformity(z) -> tuple[float, float]:
     z = _as_array(z)
     stat = ks_statistic(z)
     if z.size > KS_EXACT_MAX_N:
-        return stat, float(kolmogorov(np.sqrt(z.size) * stat))
+        return stat, float(_special.kolmogorov(np.sqrt(z.size) * stat))
     if z.size * stat * stat >= 18.0:  # p <= 2 exp(-2 n d^2) < 5e-16, below rounding of 1 - P
         return stat, 0.0
     return stat, min(max(1.0 - _ks_exact_cdf(z.size, stat), 0.0), 1.0)

@@ -74,9 +74,18 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _cmd_evaluate(args) -> int:
+def _read_spec_and_batch(args):
+    """The ``--params`` spec and the ``--input`` dataset, with one weight per member."""
     spec, _ = pio.read_params(args.params)
     batch = pio.read_dataset_csv(args.input)
+    if spec.k != len(batch.components):
+        raise SchemaError(f"{args.params} has {spec.k} weights but {args.input} has "
+                          f"{len(batch.components)} members")
+    return spec, batch
+
+
+def _cmd_evaluate(args) -> int:
+    spec, batch = _read_spec_and_batch(args)
     report = evaluate(spec, batch, rng_seed=args.seed, bins=args.bins)
     lines = [
         f"mean_log_score {report.mean_log_score!r}",
@@ -89,8 +98,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    spec, _ = pio.read_params(args.params)
-    batch = pio.read_dataset_csv(args.input)
+    spec, batch = _read_spec_and_batch(args)
     rep = calibration_report(pool(spec, batch.components), batch.y, args.seed, bins=args.bins)
     disp = dispersion_report(rep.pit)
     lines = [

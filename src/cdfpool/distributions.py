@@ -43,8 +43,8 @@ from functools import cache, cached_property, partialmethod, reduce
 from operator import attrgetter, is_
 
 import numpy as np
-from scipy.special import betainc, betaincinv, betaln, ndtr, ndtri
 
+from . import _special
 from .errors import CdfPoolError, DensityUnavailable, MedianUndefined, MomentUnavailable
 
 _QUANTILE_ATOL = 1e-10  # absolute tolerance in y for bisection inverses
@@ -134,7 +134,7 @@ def _beta_pdf(u, alpha: float, beta: float) -> np.ndarray:
     u = np.clip(_as_array(u), 1e-300, 1.0 - 1e-16)
     with np.errstate(over="ignore"):
         return np.exp(
-            (alpha - 1.0) * np.log(u) + (beta - 1.0) * np.log1p(-u) - betaln(alpha, beta)
+            (alpha - 1.0) * np.log(u) + (beta - 1.0) * np.log1p(-u) - _special.betaln(alpha, beta)
         )
 
 
@@ -614,7 +614,7 @@ class Gaussian(PredictiveDist):
             raise ValueError("sigma must be strictly positive")
 
     def cdf(self, y):
-        return _match(y, ndtr((_as_array(y) - self.mu) / self.sigma))
+        return _match(y, _special.ndtr((_as_array(y) - self.mu) / self.sigma))
 
     @property
     def has_density(self) -> bool:
@@ -636,7 +636,7 @@ class Gaussian(PredictiveDist):
         return np.clip(z, lo, hi), dh, low, high
 
     def _quantile(self, p):
-        return self.mu + self.sigma * ndtri(p)
+        return self.mu + self.sigma * _special.ndtri(p)
 
     def median(self):
         return self.mu
@@ -923,10 +923,10 @@ class BetaTransformed(PredictiveDist):
         return np.clip(_as_array(base_cdf) / self._top, 0.0, 1.0)
 
     def cdf(self, y):
-        return _match(y, betainc(self.alpha, self.beta, self._u(self.base.cdf(y))))
+        return _match(y, _special.betainc(self.alpha, self.beta, self._u(self.base.cdf(y))))
 
     def cdf_left(self, y):
-        return _match(y, betainc(self.alpha, self.beta, self._u(self.base.cdf_left(y))))
+        return _match(y, _special.betainc(self.alpha, self.beta, self._u(self.base.cdf_left(y))))
 
     @property
     def has_density(self) -> bool:
@@ -946,11 +946,12 @@ class BetaTransformed(PredictiveDist):
         return self.base.atom_locations()
 
     def _quantile(self, p):
-        return _as_array(self.base.quantile(betaincinv(self.alpha, self.beta, p) * self._top))
+        u = _special.betaincinv(self.alpha, self.beta, p)
+        return _as_array(self.base.quantile(u * self._top))
 
     def median(self):
         # per row when stacked
-        return self.base.quantile(betaincinv(self.alpha, self.beta, 0.5) * self._top)
+        return self.base.quantile(_special.betaincinv(self.alpha, self.beta, 0.5) * self._top)
 
 
 def validate_cdf(d: PredictiveDist, grid=None) -> None:

@@ -24,8 +24,8 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
-from scipy.special import gammaln, polygamma, psi
 
+from . import _special
 from .calibration import _check_bins, pit_histogram, pit_sample
 from .distributions import (
     Gaussian,
@@ -289,11 +289,11 @@ def beta_log_moments(alpha: float, beta: float):
     cov(log U, log(1-U))), all via digamma/trigamma identities.
     """
     ab = alpha + beta
-    e_log = psi(alpha) - psi(ab)
-    e_log1m = psi(beta) - psi(ab)
-    v_log = polygamma(1, alpha) - polygamma(1, ab)
-    v_log1m = polygamma(1, beta) - polygamma(1, ab)
-    cov = -polygamma(1, ab)
+    e_log = _special.psi(alpha) - _special.psi(ab)
+    e_log1m = _special.psi(beta) - _special.psi(ab)
+    v_log = _special.polygamma(1, alpha) - _special.polygamma(1, ab)
+    v_log1m = _special.polygamma(1, beta) - _special.polygamma(1, ab)
+    cov = -_special.polygamma(1, ab)
     return float(e_log), float(e_log1m), float(v_log), float(v_log1m), float(cov)
 
 
@@ -317,7 +317,7 @@ def _blp_core(design: _Design, weights, w: np.ndarray, alpha: float, beta: float
         (alpha - 1.0) * logSF.sum()
         + (beta - 1.0) * log1mSF.sum()
         + np.log(Sf).sum()
-        - J * (gammaln(alpha) + gammaln(beta) - gammaln(alpha + beta))
+        - J * (_special.gammaln(alpha) + _special.gammaln(beta) - _special.gammaln(alpha + beta))
         + (design.J - J) * _LOG_DENSITY_FLOOR
     )
 

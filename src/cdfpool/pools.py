@@ -30,12 +30,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import partialmethod, reduce
+from functools import cached_property, partialmethod, reduce
 from typing import ClassVar
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
+from . import _special
 from .distributions import (
     CDF_CLAMP,
     BetaTransformed,
@@ -50,7 +50,7 @@ from .errors import DensityUnavailable, DomainViolation, WeightConstraintViolati
 
 
 def _probit_deriv(u):
-    z = ndtri(u)
+    z = _special.ndtri(u)
     return np.sqrt(2.0 * np.pi) * np.exp(0.5 * z * z)
 
 
@@ -69,7 +69,7 @@ class LinkFunction(enum.Enum):
     density, log|sum_i w_i dh(F_i)/dy| + phi(sum_i w_i h(F_i)).  It is s for
     the log link, 2 log(1/s) for the reciprocal link and -(s^2 + log 2 pi)/2
     for the probit link.  ``bounds`` is h's image of [CDF_CLAMP,
-    1 - CDF_CLAMP], lower end first.
+    1 - CDF_CLAMP], lower end first, computed on first read and then kept.
     """
 
     IDENTITY = ("identity", True, lambda u: u, lambda s: s, np.ones_like, np.zeros_like,
@@ -79,8 +79,8 @@ class LinkFunction(enum.Enum):
                   lambda s: (-2.0 / s, 2.0 / (s * s)))
     LOG = ("log", False, np.log, np.exp, lambda u: 1.0 / u, lambda s: s,
            lambda s: (np.ones_like(s), np.zeros_like(s)))
-    PROBIT = ("probit", False, ndtri, ndtr, _probit_deriv,
-              lambda s: -0.5 * (s * s + math.log(2.0 * math.pi)),
+    PROBIT = ("probit", False, lambda u: _special.ndtri(u), lambda s: _special.ndtr(s),
+              _probit_deriv, lambda s: -0.5 * (s * s + math.log(2.0 * math.pi)),
               lambda s: (-s, -np.ones_like(s)))
 
     def __new__(cls, value, requires_simplex, apply, invert, deriv, phi, phi_derivs):
@@ -89,8 +89,11 @@ class LinkFunction(enum.Enum):
         link.requires_simplex = requires_simplex
         link.apply, link.invert, link.deriv = apply, invert, deriv
         link.phi, link.phi_derivs = phi, phi_derivs
-        link.bounds = tuple(np.sort(apply(np.array([CDF_CLAMP, 1.0 - CDF_CLAMP]))).tolist())
         return link
+
+    @cached_property
+    def bounds(self) -> tuple[float, float]:
+        return tuple(np.sort(self.apply(np.array([CDF_CLAMP, 1.0 - CDF_CLAMP]))).tolist())
 
 
 def _check_weights(w, simplex: bool) -> tuple[float, ...]:
@@ -290,8 +293,8 @@ def coherent_probit_pool(p1, p2, sigma1: float, sigma2: float):
     p2_arr = _as_array(p2)
     if not np.all((p1_arr > 0.0) & (p1_arr < 1.0) & (p2_arr > 0.0) & (p2_arr < 1.0)):
         raise DomainViolation("probabilities must lie strictly inside (0, 1)")
-    out = ndtr(np.sqrt(1.0 + sigma2 ** 2) * ndtri(p1_arr)
-               + np.sqrt(1.0 + sigma1 ** 2) * ndtri(p2_arr))
+    out = _special.ndtr(np.sqrt(1.0 + sigma2 ** 2) * _special.ndtri(p1_arr)
+                        + np.sqrt(1.0 + sigma1 ** 2) * _special.ndtri(p2_arr))
     return _match(p1, out)
 
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
+from . import _special
 from .calibration import (
     NEUTRAL_PIT_VARIANCE,
     dispersion_report,
@@ -106,10 +106,10 @@ def _draw_regression(rng, n, a1, a2, a3):
 def _draw_binary(rng, n, sigma1, sigma2):
     omega1 = sigma1 * rng.standard_normal(n)
     omega2 = sigma2 * rng.standard_normal(n)
-    prob0 = ndtr(omega1 + omega2)
+    prob0 = _special.ndtr(omega1 + omega2)
     y = np.where(rng.random(n) < prob0, 0.0, 1.0)
-    p1 = ndtr(omega1 / np.sqrt(1.0 + sigma2 ** 2))
-    p2 = ndtr(omega2 / np.sqrt(1.0 + sigma1 ** 2))
+    p1 = _special.ndtr(omega1 / np.sqrt(1.0 + sigma2 ** 2))
+    p2 = _special.ndtr(omega2 / np.sqrt(1.0 + sigma1 ** 2))
     latents = {"omega1": omega1, "omega2": omega2, "p1": p1, "p2": p2,
                "prob0": prob0}
     return y, p1, p2, latents

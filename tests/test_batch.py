@@ -1,8 +1,5 @@
 """ForecastBatch: stacked columns against the per-case objects they replace."""
 
-import os
-import subprocess
-import sys
 from functools import partial
 
 import numpy as np
@@ -374,12 +371,6 @@ class TestExactKs:
         z = np.random.default_rng(3).random(141)
         stat, p = ks_uniformity(z)
         assert p == float(kolmogorov(np.sqrt(141) * stat))
-
-    def test_import_does_not_load_scipy_stats(self):
-        src = os.path.dirname(os.path.dirname(cdfpool.__file__))
-        code = "import sys, cdfpool; sys.exit('scipy.stats' in sys.modules)"
-        env = dict(os.environ, PYTHONPATH=src)
-        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_stacked_median_and_quantile_of_every_kind():

@@ -1,11 +1,13 @@
 import os
 import subprocess
 import sys
+import textwrap
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import cdfpool
 from cdfpool import (
     BlpSpec,
     DgpConfig,
@@ -201,17 +203,75 @@ class TestCliPipeline:
         assert "numerical failure" in capsys.readouterr().err
 
 
-class TestStartup:
-    def test_import_loads_neither_scipy_integrate_nor_stats(self):
-        import cdfpool
+def _fresh(code, *argv) -> str:
+    """The last line that ``code`` prints in a new interpreter importing this cdfpool."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cdfpool.__file__)))
+    out = subprocess.run([sys.executable, "-c", textwrap.dedent(code), *argv], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    return out.stdout.splitlines()[-1]
 
+
+class TestStartup:
+    """What a new process imports; scipy.special is loaded by the first call that needs it."""
+
+    def test_import_loads_neither_scipy_integrate_nor_stats(self):
         code = ("import sys, cdfpool; print(sorted(m for m in sys.modules "
                 "if m.split('.')[:2] in (['scipy', 'integrate'], ['scipy', 'stats'], "
                 "['scipy', 'optimize'])))")
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cdfpool.__file__)))
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True, timeout=120)
-        assert out.stdout.strip() == "[]"
+        assert _fresh(code) == "[]"
+
+    @pytest.mark.parametrize("argv, loaded", [
+        ((), False),
+        (("simulate", "--dgp", "regression"), False),
+        (("fit", "--method", "tlp"), False),
+        (("fit", "--method", "slp"), False),
+        (("fit", "--method", "blp"), True),
+    ], ids=["import", "simulate", "fit-tlp", "fit-slp", "fit-blp"])
+    def test_scipy_special_loads_only_for_a_special_function(self, tmp_path, argv, loaded):
+        data = str(tmp_path / "train.csv")
+        if argv[:1] == ("fit",):
+            run("simulate", "--dgp", "regression", "--n", "200", "--seed", "1", "--out", data)
+            argv += ("--input", data)
+        if argv:
+            argv += ("--out", str(tmp_path / "out.txt"))
+        code = """
+            import sys, cdfpool
+            if sys.argv[1:]:
+                from cdfpool.cli import main
+                assert main(sys.argv[1:]) == 0
+            print("scipy.special" in sys.modules)
+        """
+        assert _fresh(code, *argv) == str(loaded)
+
+    def test_first_special_call_on_helper_threads_equals_the_serial_gap(self):
+        code = """
+            import sys
+            import numpy as np
+            import cdfpool.distributions
+            from cdfpool import BlpSpec, DgpConfig, marginal_calibration_gap, pool, simulate
+            batch = simulate(DgpConfig(kind="regression", n=5 * 128 + 17, seed=41)).cases
+            d = pool(BlpSpec((0.2, 0.3, 0.5), 1.4, 0.8), batch.components)
+            grid = np.linspace(-4.0, 4.0, 201)
+            assert "scipy.special" not in sys.modules
+            cdfpool.distributions._cores = lambda: 4  # three helpers, whatever the core count
+            threaded = marginal_calibration_gap(d, batch.y, grid)
+            cdfpool.distributions._cores = lambda: 1
+            print(threaded == marginal_calibration_gap(d, batch.y, grid))
+        """
+        assert _fresh(code) == "True"
+
+    def test_probit_bounds_are_ndtri_of_the_clamp_levels(self):
+        code = """
+            import sys
+            from cdfpool import LinkFunction
+            from cdfpool.distributions import CDF_CLAMP
+            assert "scipy.special" not in sys.modules
+            bounds = LinkFunction.PROBIT.bounds  # the first read imports scipy.special
+            from scipy.special import ndtri
+            print(LinkFunction.PROBIT.bounds is bounds
+                  and bounds == (ndtri(CDF_CLAMP), ndtri(1.0 - CDF_CLAMP)))
+        """
+        assert _fresh(code) == "True"
 
 
 class TestErrorContract:
@@ -284,6 +344,17 @@ class TestErrorContract:
         args = ["--method", "tlp"] if command == "fit" else ["--params", params]
         assert run(command, *args, "--input", str(data), "--out", str(tmp_path / "out.txt")) == 2
         assert "no rows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["evaluate", "diagnose"])
+    def test_weight_count_other_than_the_members_rejected(self, tmp_path, capsys, command):
+        data, params = str(tmp_path / "test.csv"), str(tmp_path / "params.txt")
+        run("simulate", "--dgp", "regression", "--n", "10", "--seed", "1", "--out", data)
+        write_params(params, _fit_result(TlpSpec((0.4, 0.6))))
+        assert run(command, "--params", params, "--input", data,
+                   "--out", str(tmp_path / "report.txt")) == 2
+        err = capsys.readouterr().err
+        assert "has 2 weights but" in err and "has 3 members" in err
+        assert not (tmp_path / "report.txt").exists()
 
     @pytest.mark.parametrize("command", ["evaluate", "diagnose"])
     def test_zero_bins_rejected(self, tmp_path, capsys, command):
