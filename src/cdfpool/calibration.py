@@ -24,9 +24,20 @@ NEUTRAL_PIT_VARIANCE = 1.0 / 12.0
 # Simard & L'Ecuyer 2011) and the asymptotic Kolmogorov tail above it.
 KS_EXACT_MAX_N = 140
 
-# The marginal gap evaluates this many stacked rows at a time, one chunk per
-# core: 128 cases on a 201-point grid keep each CDF temporary near 0.2 MB.
+# The marginal gap sums the stacked CDF rows in blocks of this many: a block's rows
+# in order, the block sums in block order.  A level that evaluates m of the grid's
+# G points does so _GAP_CHUNK * (G // m) rows at a time, one chunk per core, so
+# each CDF temporary stays within _GAP_CHUNK * G values (near 0.2 MB at G = 201).
 _GAP_CHUNK = 128
+# The gap's levels on the sorted grid: every 12th point and the last, then every
+# 3rd and at last every point, each inside the stretches where the sup can still
+# lie, which holds only for nondecreasing forecast CDFs.  Each level is one pass
+# over the rows, so a row-by-row forecast pays one Python call per row and level.
+_GAP_STRIDES = (12, 3, 1)
+# A stretch is skipped once its bound falls below the best gap by more than this,
+# far above the ulp-level non-monotonicity of ndtr, betainc, exp and log; the
+# evaluated average CDF may fall along the sorted grid by at most this much.
+_GAP_SLACK = 1e-12
 
 UNDERDISPERSED = "underdispersed"
 NEUTRALLY_DISPERSED = "neutrally_dispersed"
@@ -160,14 +171,42 @@ def var_z_sigma(sigma: float) -> float:
     return float(np.arcsin(1.0 / (1.0 + sigma * sigma)) / (2.0 * np.pi))
 
 
+def _average_cdf(d: PredictiveDist, x: np.ndarray, grid_size: int) -> np.ndarray:
+    """The mean over the rows of ``d`` of the CDF at the points ``x``, some of a grid's.
+
+    Each _GAP_CHUNK-row block's rows are added in order and the block sums
+    in block order, so a point's sum depends neither on the chunk width nor on
+    the core count, nor, given two or more points, on the others: numpy sums
+    the blocks of a lone point pairwise.
+    """
+    rows = _GAP_CHUNK * max(grid_size // x.size, 1)
+
+    def block_sums(start):
+        F = _as_array(d._take(slice(start, start + rows)).cdf(x[None, :]))
+        return [F[i:i + _GAP_CHUNK].sum(axis=0) for i in range(0, F.shape[0], _GAP_CHUNK)]
+
+    acc = np.zeros(x.size)
+    for sums in _each_chunk(block_sums, d._rows(), rows):
+        for s in sums:
+            acc += s
+    return acc / (d._rows() or 1)
+
+
 def marginal_calibration_gap(forecasts, obs, grid) -> float:
     """Sup over the grid of |average forecast CDF - empirical CDF of obs|.
 
     ``forecasts`` is a list of per-case forecasts or one stacked forecast whose rows
-    are the cases (see ``pit_sample``), a shared forecast being one row.  Its CDF rows
-    on the grid are summed _GAP_CHUNK rows at a time, the chunks on every core, and
-    the chunk sums are added in chunk order, so the gap does not depend on the core
-    count.  Raises DomainViolation where the average CDF is not finite.
+    are the cases (see ``pit_sample``), a shared forecast being one row.  The average
+    CDF A is evaluated level by level on the sorted grid (_GAP_STRIDES), each level
+    only inside the stretches where the sup can still lie: A and the ECDF E are
+    nondecreasing, so between evaluated points a < b, |A - E| is at most
+    max(A(b) - E(a+1), E(b-1) - A(a)), and a stretch whose bound falls below the best
+    value so far by more than _GAP_SLACK is skipped.  The result is the max over every
+    grid point.  Each column is summed as ``_average_cdf`` sums it, so the gap does
+    not depend on the core count.  Raises DomainViolation where the evaluated A is
+    not finite, naming the smallest grid index among those points, or where it falls
+    along the sorted grid by more than _GAP_SLACK: the pruning needs nondecreasing
+    forecast CDFs.
     """
     obs = _as_array(obs)
     grid = _as_array(grid)
@@ -175,18 +214,41 @@ def marginal_calibration_gap(forecasts, obs, grid) -> float:
         raise EmptyInput("forecasts, observations, and grid must be nonempty")
     d = _paired(forecasts, obs)
     _check_finite(grid, "grid point")
+    order = np.argsort(grid, kind="stable")
+    x = grid[order]
+    ecdf = np.searchsorted(np.sort(obs), x, side="right") / obs.size
+    avg = np.zeros(x.size)
+    done = np.zeros(x.size, dtype=bool)
 
-    def chunk_sum(start):
-        rows = d._take(slice(start, start + _GAP_CHUNK))
-        return _as_array(rows.cdf(grid[None, :])).sum(axis=0)
+    def level(cols: np.ndarray) -> float:
+        """Evaluate A at the sorted points ``cols``; the best |A - E| so far."""
+        if cols.size == 1 < x.size:  # sum a lone point as the whole grid's points are summed
+            cols = np.array([cols[0] - 1, cols[0]])
+        avg[cols] = _average_cdf(d, x[cols], x.size)
+        bad = order[cols[~np.isfinite(avg[cols])]]
+        if bad.size:
+            raise DomainViolation(f"the average forecast CDF at grid point {bad.min()} "
+                                  "is not finite")
+        done[cols] = True
+        at = np.flatnonzero(done)
+        fall = np.flatnonzero(np.diff(avg[at]) < -_GAP_SLACK)
+        if fall.size:
+            i, j = at[fall[0]], at[fall[0] + 1]
+            raise DomainViolation(
+                f"the average forecast CDF falls by {avg[i] - avg[j]:.3g} from grid point "
+                f"{order[i]} to grid point {order[j]}: forecast CDFs must be nondecreasing")
+        return float(np.max(np.abs(avg[at] - ecdf[at])))
 
-    acc = np.zeros(grid.size)
-    for s in _each_chunk(chunk_sum, d._rows(), _GAP_CHUNK):
-        acc += s
-    acc /= d._rows() or 1
-    _check_finite(acc, "the average forecast CDF at grid point")
-    ecdf = np.searchsorted(np.sort(obs), grid, side="right") / obs.size
-    return float(np.max(np.abs(acc - ecdf)))
+    best = level(np.union1d(np.arange(0, x.size, _GAP_STRIDES[0]), x.size - 1))
+    for stride in _GAP_STRIDES[1:]:
+        at = np.flatnonzero(done)
+        a, b = at[:-1], at[1:]
+        bound = np.maximum(avg[b] - ecdf[a + 1], ecdf[b - 1] - avg[a])
+        open_ = (b - a > 1) & (bound >= best - _GAP_SLACK)
+        cols = [c for lo, hi in zip(a[open_], b[open_]) for c in range(lo + stride, hi, stride)]
+        if cols:
+            best = level(np.array(cols))
+    return best
 
 
 def _check_bins(bins) -> None:

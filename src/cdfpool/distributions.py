@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import contextvars
 import dataclasses
+import math
 import numbers
 import os
 import threading
@@ -610,8 +611,11 @@ class Gaussian(PredictiveDist):
     sigma: float
 
     def __post_init__(self):
-        if not self.sigma > 0.0:
-            raise ValueError("sigma must be strictly positive")
+        # each test is written so that NaN fails it
+        if not -math.inf < self.mu < math.inf:
+            raise ValueError("mu must be finite")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError("sigma must be strictly positive and finite")
 
     def cdf(self, y):
         return _match(y, _special.ndtr((_as_array(y) - self.mu) / self.sigma))
@@ -848,8 +852,12 @@ class SpreadAdjusted(PredictiveDist):
     center: float
 
     def __post_init__(self):
-        if not self.c > 0.0:
-            raise ValueError("spread adjustment parameter c must be strictly positive")
+        # each test is written so that NaN fails it; a stacked center, the (n, 1) column
+        # of a stacked base's medians, is checked row by row where ``_take(i)`` cuts it
+        if not 0.0 < self.c < math.inf:
+            raise ValueError("spread adjustment parameter c must be strictly positive and finite")
+        if not (isinstance(self.center, np.ndarray) or -math.inf < self.center < math.inf):
+            raise ValueError("center must be finite")
 
     def _pullback(self, y) -> np.ndarray:
         return self.center + (_as_array(y) - self.center) / self.c
@@ -907,8 +915,8 @@ class BetaTransformed(PredictiveDist):
     beta: float
 
     def __post_init__(self):
-        if not (self.alpha > 0.0 and self.beta > 0.0):
-            raise ValueError("alpha and beta must be strictly positive")
+        if not (0.0 < self.alpha < math.inf and 0.0 < self.beta < math.inf):  # NaN fails too
+            raise ValueError("alpha and beta must be strictly positive and finite")
 
     @cached_property
     def _top(self):

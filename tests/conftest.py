@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy.special import expit
 
-from cdfpool import ForecastCase, Gaussian
+from cdfpool import ForecastCase, Gaussian, PredictiveDist
 from cdfpool.study import reproduce_sim_study
 
 
@@ -9,6 +10,23 @@ from cdfpool.study import reproduce_sim_study
 def study_report():
     """One shared run of the full simulation-study pipeline (J=500, seed 0)."""
     return reproduce_sim_study(seed=0, j=500)
+
+
+class StackedLogistic(PredictiveDist):
+    """A user-defined kind with a stacked form and no parameter checks.
+
+    The built-in kinds reject non-finite parameters, so tests of the later
+    non-finite checks take their NaN from this kind.
+    """
+
+    _stacks = True
+
+    def __init__(self, loc, scale):
+        self.loc = loc
+        self.scale = scale
+
+    def cdf(self, y):
+        return expit((np.asarray(y, dtype=float) - self.loc) / self.scale)
 
 
 def make_gaussian_cases(rng, J=150, k=3):

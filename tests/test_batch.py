@@ -41,6 +41,7 @@ from cdfpool.sim import (
     _draw_ternary,
     _rng,
 )
+from conftest import StackedLogistic
 
 KINDS = ("regression", "fsigma", "binary_probit", "forecaster_quartet", "ternary")
 
@@ -177,7 +178,8 @@ class TestSequence:
 
 
 def _cases_with_a_nested_nan(mixed: bool):
-    """50 cases of a mixture and a Gaussian column; case 23's mixture holds N(nan, 1).
+    """50 cases of a mixture and a Gaussian column; case 23's mixture holds a logistic
+    forecast located at nan (``StackedLogistic``, a user kind that stacks to columns).
 
     With ``mixed`` every even case's first forecast is a plain Gaussian, so
     the first column is evaluated row by row.
@@ -185,7 +187,7 @@ def _cases_with_a_nested_nan(mixed: bool):
     rng = np.random.default_rng(5)
     cases = []
     for j in range(50):
-        inner = Gaussian(np.nan if j == 23 else rng.normal(), 1.0)
+        inner = StackedLogistic(np.nan if j == 23 else rng.normal(), 1.0)
         first = Mixture((inner, Gaussian(rng.normal(), 1.5)), (0.4, 0.6))
         if mixed and j % 2 == 0:
             first = Gaussian(rng.normal(), 1.2)

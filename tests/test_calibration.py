@@ -17,6 +17,7 @@ from cdfpool import (
     LinkFunction,
     Mixture,
     PitSample,
+    PredictiveDist,
     SlpSpec,
     SpreadAdjusted,
     TlpSpec,
@@ -100,7 +101,7 @@ class TestPitSample:
             pit_sample(forecasts, y, rng_seed=0)
 
     def test_non_finite_pit_names_the_case(self):
-        forecasts = [Gaussian(0, 1), Gaussian(1, 1), Gaussian(np.nan, 1.0)]
+        forecasts = Gaussian._stacked(np.array([[0.0], [1.0], [np.nan]]), np.ones((3, 1)))
         with pytest.raises(DomainViolation, match="PIT of case 2 is not finite"):
             pit_sample(forecasts, [0.0, 0.1, 0.2], rng_seed=0)
 
@@ -284,9 +285,34 @@ class TestMarginalGap:
             marginal_calibration_gap([Gaussian(0, 1)] * 3, [0.0, 1.0, 2.0], grid)
 
     def test_non_finite_average_cdf_rejected(self):
-        forecasts = [Gaussian(0, 1), Gaussian(np.nan, 1.0), Gaussian(1, 1)]
+        forecasts = Gaussian._stacked(np.array([[0.0], [np.nan], [1.0]]), np.ones((3, 1)))
         with pytest.raises(DomainViolation, match="average forecast CDF at grid point 0"):
             marginal_calibration_gap(forecasts, [0.0, 1.0, 2.0], [-1.0, 0.0, 1.0])
+
+    def test_non_finite_average_cdf_names_the_least_evaluated_grid_index(self):
+        forecasts = Gaussian._stacked(np.array([[0.0], [np.nan]]), np.ones((2, 1)))
+        # sorted, the grid is -1, 0, 0.5, 2; the first level evaluates its two ends,
+        # grid points 1 and 2
+        with pytest.raises(DomainViolation, match="average forecast CDF at grid point 1 "):
+            marginal_calibration_gap(forecasts, [0.0, 1.0], [0.5, -1.0, 2.0, 0.0])
+
+    def test_a_falling_average_cdf_is_rejected(self):
+        class Falling(PredictiveDist):
+            def cdf(self, y):
+                return Gaussian(0.0, 1.0).cdf(-np.asarray(y, dtype=float))
+
+        # the skipped stretches hold the sup only if every forecast CDF is nondecreasing
+        with pytest.raises(DomainViolation, match="falls by .* from grid point 0 to grid "
+                                                  "point 12: forecast CDFs must be nondecreasing"):
+            marginal_calibration_gap([Falling()] * 5, np.zeros(5), np.linspace(-2.0, 2.0, 30))
+
+    def test_a_rounding_dip_is_not_a_fall(self):
+        class Dipping(PredictiveDist):
+            def cdf(self, y):  # flat at 1/2, and 1e-14 lower from 0.5 on
+                return np.where(np.asarray(y, dtype=float) < 0.5, 0.5, 0.5 - 1e-14)
+
+        gap = marginal_calibration_gap([Dipping()] * 2, [0.0, 1.0], [0.4, 0.5])
+        assert gap == abs((0.5 - 1e-14) - 0.5)  # within the slack: the gap at 0.5
 
 
 class TestReliabilityBins:

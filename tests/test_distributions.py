@@ -409,6 +409,28 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Gaussian(0.0, 0.0)
 
+    @pytest.mark.parametrize("build", [
+        lambda bad: Gaussian(bad, 1.0),
+        lambda bad: Gaussian(0.0, bad),
+        lambda bad: SpreadAdjusted(Gaussian(0.0, 1.0), bad, 0.0),
+        lambda bad: SpreadAdjusted(Gaussian(0.0, 1.0), 1.2, bad),
+        lambda bad: BetaTransformed(Gaussian(0.0, 1.0), bad, 0.8),
+        lambda bad: BetaTransformed(Gaussian(0.0, 1.0), 1.2, bad),
+    ], ids=["gaussian-mu", "gaussian-sigma", "spread-c", "spread-center", "beta-alpha",
+            "beta-beta"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_parameters_rejected(self, build, bad):
+        # each used to build a forecast whose CDF is nan, 0, 0.5 or 0 everywhere
+        with pytest.raises(ValueError, match="finite"):
+            build(bad)
+
+    def test_a_stacked_spread_center_is_checked_where_its_rows_are_cut(self):
+        base = Gaussian._stacked(np.array([[0.0], [1.0]]), np.ones((2, 1)))
+        d = SpreadAdjusted(base, 1.2, np.array([[0.0], [np.nan]]))
+        assert d._take(0).center == 0.0
+        with pytest.raises(ValueError, match="center must be finite"):
+            d._take(1)
+
     def test_success_probability_in_unit_interval(self):
         with pytest.raises(ValueError, match="success probability"):
             TwoPointBernoulli(1.5)

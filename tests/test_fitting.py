@@ -46,7 +46,7 @@ from cdfpool.fitting import (
     _Weights,
 )
 
-from conftest import make_gaussian_cases
+from conftest import StackedLogistic, make_gaussian_cases
 
 _NEWTON_FITS = [fit_slp] + [
     lambda data, link=link: fit_glp(data, link)
@@ -422,7 +422,7 @@ class TestNonFiniteInput:
         with pytest.raises(DomainViolation, match="case 7"):
             fit(bad_y)
         bad_mu = list(gaussian_cases)
-        bad_mu[3] = ForecastCase((Gaussian(np.nan, 1.0),) + bad_mu[3].components[1:],
+        bad_mu[3] = ForecastCase((StackedLogistic(np.nan, 1.0),) + bad_mu[3].components[1:],
                                  bad_mu[3].y)
         with pytest.raises(DomainViolation, match="case 3"):
             fit(bad_mu)

@@ -7,7 +7,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, reject, settings
+from hypothesis import HealthCheck, assume, given, reject, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
@@ -45,7 +45,7 @@ from cdfpool import (
     randomized_pit,
     simulate,
 )
-from cdfpool.calibration import _GAP_CHUNK
+from cdfpool.calibration import _GAP_CHUNK, _GAP_STRIDES
 from cdfpool.distributions import _MOMENT_CHUNK, _each_chunk, _RowStack, stack
 from cdfpool.io import write_dataset_csv
 
@@ -374,9 +374,13 @@ class TestNoPerCaseLoops:
 
     def test_marginal_gap(self, monkeypatch):
         forecasts, obs = self._tlp_forecasts()
-        cdf_calls = _counting(monkeypatch, Gaussian, "cdf")
+        cells = []
+        cdf_calls = _counting(monkeypatch, Gaussian, "cdf",
+                              lambda d, y: cells.append(d._rows() * np.shape(y)[-1]) or True)
         marginal_calibration_gap(forecasts, obs, np.linspace(-3.0, 3.0, 201))
-        assert len(cdf_calls) <= self.K * -(-self.J // _GAP_CHUNK)
+        # one call per component and chunk of each level, every chunk at least _GAP_CHUNK rows
+        assert len(cdf_calls) <= self.K * len(_GAP_STRIDES) * -(-self.J // _GAP_CHUNK)
+        assert sum(cells) < self.K * self.J * 201  # the levels skip grid points
 
 
 class TestEvaluateStacksOnce:
@@ -788,7 +792,7 @@ def workers(request, monkeypatch):
 
 
 def _serial_gap(d, obs, grid):
-    """The marginal gap as one loop that adds the chunk sums in chunk order."""
+    """The marginal gap at every grid point, as one loop that adds the block sums in order."""
     acc = np.zeros(grid.size)
     for start in range(0, d._rows(), _GAP_CHUNK):
         acc += d._take(slice(start, start + _GAP_CHUNK)).cdf(grid[None, :]).sum(axis=0)
@@ -813,7 +817,9 @@ class TestChunksOnEveryCore:
                     for j, m in enumerate(rng.normal(size=self.J))]
             return stack(rows), batch.y
         spec = {"tlp": TlpSpec(w), "blp": BlpSpec(w, 1.4, 0.8),
-                "glp-probit": GlpSpec(w, LinkFunction.PROBIT)}[kind]
+                "glp-log": GlpSpec(w, LinkFunction.LOG),
+                "glp-probit": GlpSpec(w, LinkFunction.PROBIT),
+                "glp-reciprocal": GlpSpec(w, LinkFunction.RECIPROCAL)}[kind]
         return pool(spec, batch.components), batch.y
 
     @pytest.mark.parametrize("kind", ["tlp", "blp", "glp-probit", "atoms", "row-by-row"])
@@ -822,6 +828,32 @@ class TestChunksOnEveryCore:
         assert d._rows() == self.J
         grid = np.linspace(-4.0, 4.0, 201)
         assert marginal_calibration_gap(d, obs, grid) == _serial_gap(d, obs, grid)
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_gap_is_the_max_over_every_grid_point(self, workers, data):
+        """The levels skip only grid points where the sup cannot lie, and every point they
+        evaluate is summed as in the serial loop, so the gap is its max, bit for bit."""
+        kind = data.draw(st.sampled_from(["tlp", "blp", "glp-log", "glp-probit",
+                                          "glp-reciprocal", "atoms", "row-by-row"]))
+        n = data.draw(st.sampled_from([1, 2, _GAP_CHUNK + 1, self.J]))
+        d, obs = self._forecasts(kind)
+        d, obs = d._take(slice(0, n)), obs[:n]
+        size = data.draw(st.sampled_from([1, 2, 12, 13, 201]))
+        # unsorted, and with ties: points on a coarse grid repeat, outcomes among them
+        point = st.one_of(st.integers(-16, 16).map(lambda i: i / 4.0), st.sampled_from(obs),
+                          st.floats(-4.0, 4.0))
+        grid = np.array(data.draw(st.lists(point, min_size=size, max_size=size)))
+        assert marginal_calibration_gap(d, obs, grid) == _serial_gap(d, obs, grid)
+
+    @pytest.mark.parametrize("kind", ["tlp", "blp", "atoms", "row-by-row"])
+    def test_a_level_of_one_column_sums_as_the_full_grid(self, kind, workers):
+        d, obs = self._forecasts(kind)
+        for mid in np.linspace(-1.0, 1.0, 9):
+            # the ends hold no sup, so the last level is the middle point alone
+            grid = np.array([-4.0, mid, 4.0])
+            assert marginal_calibration_gap(d, obs, grid) == _serial_gap(d, obs, grid)
 
     @pytest.mark.parametrize("kind", ["blp", "glp-probit"])
     def test_moments_equal_their_cases(self, kind, workers):
