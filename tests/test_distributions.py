@@ -420,7 +420,7 @@ class TestConstruction:
             "beta-beta"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_parameters_rejected(self, build, bad):
-        # each used to build a forecast whose CDF is nan, 0, 0.5 or 0 everywhere
+        # each would give a forecast whose CDF is NaN or constant
         with pytest.raises(ValueError, match="finite"):
             build(bad)
 
