@@ -98,6 +98,12 @@ def _check_finite(x: np.ndarray, what: str) -> None:
         raise DomainViolation(f"{what} {int(np.argmin(finite))} is not finite")
 
 
+def _check_unit(x: np.ndarray, what: str) -> None:
+    inside = (x >= 0.0) & (x <= 1.0)  # written so that NaN fails too
+    if not np.all(inside):
+        raise DomainViolation(f"{what} {int(np.argmin(inside))} lies outside [0, 1]")
+
+
 def _paired(forecasts, obs: np.ndarray) -> PredictiveDist:
     """The forecasts as one stacked forecast, one row per observation, every observation finite.
 
@@ -263,12 +269,18 @@ def reliability_bins(p, y01, bins: int = 10):
     Success is coded as outcome 0.  Returns one (bin_center, freq, count,
     mean_forecast) row per equal-width bin on [0, 1], mean_forecast being the
     bin's average probability; freq and mean_forecast are nan for empty bins.
+    Raises DomainViolation naming the first probability outside [0, 1] or
+    outcome other than 0 and 1.
     """
     _check_bins(bins)
     p = _as_array(p)
     y01 = _as_array(y01)
     if p.shape != y01.shape:
         raise LengthMismatch("probabilities and outcomes must have equal length")
+    _check_unit(p, "probability")
+    binary = (y01 == 0.0) | (y01 == 1.0)
+    if not np.all(binary):
+        raise DomainViolation(f"outcome {int(np.argmin(binary))} is neither 0 nor 1")
     idx = np.clip((p * bins).astype(int), 0, bins - 1)
     counts = np.bincount(idx, minlength=bins).astype(float)
     hits = np.bincount(idx, weights=(y01 == 0.0).astype(float), minlength=bins)
@@ -282,18 +294,25 @@ def reliability_bins(p, y01, bins: int = 10):
 
 
 def pit_histogram(z, bins: int = 10) -> np.ndarray:
-    """Counts of PIT values in equal-width bins on [0, 1]."""
+    """Counts of PIT values in equal-width bins on [0, 1]; one outside raises DomainViolation."""
     _check_bins(bins)
-    counts, _ = np.histogram(_as_array(z), bins=bins, range=(0.0, 1.0))
+    z = _as_array(z)
+    _check_unit(z, "PIT value")
+    counts, _ = np.histogram(z, bins=bins, range=(0.0, 1.0))
     return counts
 
 
 def ks_statistic(z) -> float:
-    """Exact Kolmogorov-Smirnov distance of a sample to the uniform law."""
-    z = np.sort(_as_array(z))
-    n = z.size
-    if n == 0:
+    """Exact Kolmogorov-Smirnov distance of a sample to the uniform law.
+
+    Raises DomainViolation naming the first value outside [0, 1], NaN included.
+    """
+    z = _as_array(z)
+    if z.size == 0:
         raise EmptyInput("empty sample")
+    _check_unit(z, "PIT value")
+    z = np.sort(z)
+    n = z.size
     i = np.arange(1, n + 1)
     d_plus = np.max(i / n - z)
     d_minus = np.max(z - (i - 1) / n)
@@ -330,6 +349,7 @@ def ks_uniformity(z) -> tuple[float, float]:
 
     The p-value is exact (``_ks_exact_cdf``) for samples of up to
     KS_EXACT_MAX_N values and the asymptotic Kolmogorov tail for larger ones.
+    A value outside [0, 1] raises DomainViolation (``ks_statistic``).
     """
     z = _as_array(z)
     stat = ks_statistic(z)

@@ -46,7 +46,13 @@ from operator import attrgetter, is_
 import numpy as np
 
 from . import _special
-from .errors import CdfPoolError, DensityUnavailable, MedianUndefined, MomentUnavailable
+from .errors import (
+    CdfPoolError,
+    DensityUnavailable,
+    DomainViolation,
+    MedianUndefined,
+    MomentUnavailable,
+)
 
 _QUANTILE_ATOL = 1e-10  # absolute tolerance in y for bisection inverses
 CDF_CLAMP = 1e-12  # CDF values fed to open-interval links are clamped to [eps, 1-eps]
@@ -269,7 +275,9 @@ class PredictiveDist:
 
     def _quantile(self, p: np.ndarray) -> np.ndarray:
         """Quantiles at checked levels by bisection; a stacked object spreads (1, m) levels
-        over its rows.  A kind with an inverse in closed form overrides this."""
+        over its rows.  A kind with an inverse in closed form overrides this.  A level
+        that the CDF does not cross within 200 doublings of the bracket raises
+        DomainViolation: a mixture whose weights sum to 1 - 5e-13 never reaches 1 - 1e-13."""
         lo_s, hi_s = self.support()  # floats, or (n, 1) columns of the rows' bounds
         lo = np.where(np.isfinite(lo_s), lo_s - 1.0, -1.0)
         lo = np.broadcast_to(lo, np.broadcast_shapes(lo.shape, p.shape))
@@ -279,16 +287,22 @@ class PredictiveDist:
         lo = np.broadcast_to(lo, shape).copy()
         hi = np.broadcast_to(np.where(np.isfinite(hi_s), hi_s, 1.0), shape).copy()
         # expand until cdf(lo) < p <= cdf(hi)
-        for _ in range(200):
+        for tries in range(201):
             bad = cdf_lo >= p
             if not bad.any():
                 break
+            if tries == 200:
+                raise DomainViolation(f"{type(self).__name__} CDF does not fall below "
+                                      f"quantile level {float(p[bad][0])!r}")
             lo[bad] = 2.0 * lo[bad] - 1.0
             cdf_lo = _as_array(self.cdf(lo))
-        for _ in range(200):
+        for tries in range(201):
             bad = _as_array(self.cdf(hi)) < p
             if not bad.any():
                 break
+            if tries == 200:
+                raise DomainViolation(f"{type(self).__name__} CDF does not reach "
+                                      f"quantile level {float(p[bad][0])!r}")
             hi[bad] = 2.0 * hi[bad] + 1.0
         # each level stops on its own, so it gets the value it gets alone
         while True:

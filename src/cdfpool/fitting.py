@@ -14,12 +14,15 @@ orthant; the spread and beta parameters are optimized in log space.
 Weights that run into the boundary are pinned at zero (an active set), and
 a Newton stage ends when its next step's predicted gain is below the
 rounding of the objective.  One result step gives every fit its standard
-errors (by the delta method for the log-space parameters) and flags.
+errors (by the delta method for the log-space parameters) and flags.  Each
+fit only builds its design and hands its family's derivatives to the engine
+(``_newton_result``), which checks the case count and the clamp marks and
+starts from equal weights with every shape parameter 1.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -210,7 +213,7 @@ class _Design:
     k: int
     f: np.ndarray | None = None      # (J, k) component densities: TLP, BLP
     F: np.ndarray | None = None      # (J, k) clamped component CDF values: BLP
-    gaussian: tuple[np.ndarray, np.ndarray] | None = None  # (mu, sd), all Gaussian: SLP
+    spread: Callable | None = None   # c -> (J, k) adjusted densities, log-c derivatives: SLP
     b: np.ndarray | None = None      # (J, k) link terms h(F) of the clamped CDF: GLP
     a: np.ndarray | None = None      # (J, k) their y-derivatives: GLP
     clamped: np.ndarray | None = None  # (J,) a component CDF at the clamp: BLP, GLP
@@ -225,8 +228,9 @@ def _build_design(data, method: str) -> _Design:
 
     Only what the family reads is evaluated, with one call per component
     column for each array: TLP the densities f; BLP f and the CDF values F,
-    clamped to [CDF_CLAMP, 1 - CDF_CLAMP]; SLP each column's mu and sigma
-    when every column is Gaussian, and nothing otherwise; a generalized pool
+    clamped to [CDF_CLAMP, 1 - CDF_CLAMP]; SLP the spread-adjusted densities
+    as a function of c, in closed form when every column is Gaussian and by
+    central differences about each row's median otherwise; a generalized pool
     ``glp-<link>`` the terms h(F) and their y-derivatives from
     ``PredictiveDist._link_cdf``, which for probit over Gaussians are z
     clipped and 1/sigma.  BLP and GLP also mark the cases with a component
@@ -247,8 +251,11 @@ def _build_design(data, method: str) -> _Design:
         design.b, design.a, design.clamped = b, a, np.any(low | high, axis=1)
     elif method == "slp":
         if all(type(c) is Gaussian for c in comps):
-            design.gaussian = (np.hstack([c.mu for c in comps]),
-                               np.hstack([c.sigma for c in comps]))
+            design.spread = _gaussian_spread_densities(np.hstack([c.mu for c in comps]),
+                                                       np.hstack([c.sigma for c in comps]),
+                                                       batch.y)
+        else:
+            design.spread = _spread_densities(comps, batch.y)
     else:
         if method == "blp":
             F = np.hstack([c.cdf(y) for c in comps])
@@ -387,9 +394,6 @@ class _Weights:
     @property
     def n(self) -> int:
         return len(self.head)
-
-    def start(self) -> np.ndarray:
-        return np.full(self.n, 1.0 / self.k)
 
     def full(self, theta) -> np.ndarray:
         w = np.zeros(self.k)
@@ -532,21 +536,30 @@ def _simplex_se_from_hessian(neg_hess, weights, other_names):
     return se
 
 
-def _newton_result(family, derivs, weights, J, theta0, flags=(), **fixed) -> FitResult:
-    """Fit ``family`` by Newton stages over an active set of weights pinned at 0.
+def _newton_result(family, derivs, design, simplex=True, **fixed) -> FitResult:
+    """Fit ``family`` to ``design`` by Newton stages over an active set of weights pinned at 0.
 
     ``derivs(layout, theta)`` gives the log-score sum with its gradient and
-    Hessian in the theta of a ``_Weights`` layout: the weights, then the log
-    of each shape parameter.  After a stage, a weight below PIN_WEIGHT whose
+    Hessian in the theta of a ``_Weights`` layout: the weights (on the
+    simplex if ``simplex``), then the log of each shape parameter.  The fit
+    needs k + 1 cases, k + 2 with shape parameters (else TooFewSamples), and
+    starts from equal weights with every shape parameter 1.  A design with
+    clamp marks is checked by ``_check_clamp_fraction``, which may raise or
+    flag it.  After a stage, a weight below PIN_WEIGHT whose
     gradient (relative to the largest weight's on the simplex) is below
     -PIN_WEIGHT, or below BOUNDARY_WEIGHT and not above 0, is pinned, its
     mass going to the largest weight; a pinned weight whose gradient turns
     inward is released.  No pin may lower the objective by more than noise;
     a stage that stopped short is retried with the largest weight eliminated.
-    ``flags`` join the engine's; ``fixed`` holds unfitted spec fields.
+    ``fixed`` holds unfitted spec fields.
     """
-    flags, trace = set(flags), []
-    layout, theta = weights, theta0
+    J, k = design.J, design.k
+    need = k + 1 + bool(family.shape_params)
+    if J < need:
+        raise TooFewSamples(f"need at least {need} cases to fit k={k} components")
+    flags, trace = set(() if design.clamped is None else _check_clamp_fraction(design)), []
+    layout = weights = _Weights(k, simplex)
+    theta = np.append(np.full(weights.n, 1.0 / k), np.zeros(len(family.shape_params)))
     current = derivs(layout, theta)
     steps, evals = 0, 1
     for rounds_left in reversed(range(2 * weights.k)):
@@ -625,29 +638,15 @@ def _blp_derivs(design, weights, theta):
     return ell, g, H
 
 
-def fit_blp(data, init: BlpSpec | None = None) -> FitResult:
+def fit_blp(data) -> FitResult:
     """Fit the beta-transformed pool by Newton's method on the log score.
 
-    Starts from the nested linear pool (equal weights, alpha = beta = 1)
-    unless ``init`` says otherwise.  A weight that runs into the simplex
-    boundary is pinned at zero (``_newton_result``).
+    Starts from the nested linear pool (equal weights, alpha = beta = 1).  A
+    weight that runs into the simplex boundary is pinned at zero
+    (``_newton_result``).
     """
     design = _build_design(data, "blp")
-    k = design.k
-    if design.J < k + 2:
-        raise TooFewSamples(f"need at least {k + 2} cases to fit k={k} components")
-    clamped = _check_clamp_fraction(design)
-    weights = _Weights(k, simplex=True)
-    if init is not None:
-        theta0 = np.concatenate([
-            np.asarray(init.w[:-1], dtype=float),
-            [np.log(init.alpha), np.log(init.beta)],
-        ])
-    else:
-        theta0 = np.concatenate([weights.start(), [0.0, 0.0]])
-
-    return _newton_result(BlpSpec, partial(_blp_derivs, design), weights, design.J, theta0,
-                          flags=clamped)
+    return _newton_result(BlpSpec, partial(_blp_derivs, design), design)
 
 
 # ---------------------------------------------------------------------------
@@ -664,12 +663,7 @@ def _tlp_derivs(f, weights, theta):
 def fit_tlp(data) -> FitResult:
     """Fit linear-pool weights by Newton's method on the log score, from equal weights."""
     design = _build_design(data, "tlp")
-    k = design.k
-    if design.J < k + 1:
-        raise TooFewSamples(f"need at least {k + 1} cases to fit k={k} components")
-    weights = _Weights(k, simplex=True)
-    return _newton_result(TlpSpec, partial(_tlp_derivs, design.f), weights, design.J,
-                          weights.start())
+    return _newton_result(TlpSpec, partial(_tlp_derivs, design.f), design)
 
 
 # ---------------------------------------------------------------------------
@@ -744,18 +738,8 @@ def fit_slp(data) -> FitResult:
     in log c for other continuous components.  Standard errors are reported
     in (w, c).
     """
-    batch = ForecastBatch.from_cases(data)
-    design = _build_design(batch, "slp")
-    k = design.k
-    if design.J < k + 2:
-        raise TooFewSamples(f"need at least {k + 2} cases to fit k={k} components")
-    if design.gaussian is not None:
-        densities = _gaussian_spread_densities(*design.gaussian, design.y)
-    else:
-        densities = _spread_densities(batch.components, design.y)
-    weights = _Weights(k, simplex=True)
-    return _newton_result(SlpSpec, partial(_slp_derivs, densities), weights, design.J,
-                          np.append(weights.start(), 0.0))
+    design = _build_design(data, "slp")
+    return _newton_result(SlpSpec, partial(_slp_derivs, design.spread), design)
 
 
 # ---------------------------------------------------------------------------
@@ -797,13 +781,8 @@ def fit_glp(data, link: LinkFunction) -> FitResult:
         res = fit_tlp(data)
         return replace(res, spec=GlpSpec(w=res.spec.w, link=link))
     design = _build_design(data, f"glp-{link.value}")
-    k = design.k
-    if design.J < k + 1:
-        raise TooFewSamples(f"need at least {k + 1} cases to fit k={k} components")
-    clamped = _check_clamp_fraction(design)
-    weights = _Weights(k, simplex=link.requires_simplex)
-    return _newton_result(GlpSpec, partial(_glp_derivs, design.b, design.a, link), weights,
-                          design.J, weights.start(), flags=clamped, link=link)
+    return _newton_result(GlpSpec, partial(_glp_derivs, design.b, design.a, link), design,
+                          link.requires_simplex, link=link)
 
 
 # ---------------------------------------------------------------------------

@@ -214,13 +214,23 @@ class GlpDistribution(PredictiveDist):
     to exactly 0 (or 1); the same applies outside the components' common
     support.  The density is exp(phi(s)) |sum_i w_i dh(F_i)/dy| at the CDF's
     link sum s = sum_i w_i h(F_i): between the clamp crossings (``_kinks``)
-    it is the derivative of the CDF, whatever the weights.
+    it is the derivative of the CDF, whatever the weights.  Weights that the
+    link's ``GlpSpec`` would reject, or a weight count other than the
+    component count, raise WeightConstraintViolation.
     """
 
     _stacks = True
     components: tuple[PredictiveDist, ...]
     w: tuple[float, ...]
     link: LinkFunction
+
+    def __post_init__(self):
+        w = _check_weights(self.w, self.link.requires_simplex)
+        if len(w) != len(self.components):
+            raise WeightConstraintViolation(
+                f"{len(w)} weights were given for {len(self.components)} components"
+            )
+        object.__setattr__(self, "w", w)
 
     def _link_sum(self, vals) -> np.ndarray:
         """sum_i w_i vals_i; each w_i is a float, or a column for stacked rows."""
@@ -259,8 +269,8 @@ class GlpDistribution(PredictiveDist):
 def pool(spec: PoolSpec, components) -> PredictiveDist:
     """Combine component distributions according to the pool specification.
 
-    Only the mixture skips its constructor's weight check (``_build``): the
-    spec has already run it.
+    The mixture and the generalized pool skip their constructors' weight
+    checks (``_build``): the spec has already run them.
     """
     components = tuple(components)
     if len(components) != spec.k:
@@ -270,7 +280,8 @@ def pool(spec: PoolSpec, components) -> PredictiveDist:
     if isinstance(spec, SlpSpec):
         components = tuple([SpreadAdjusted(c, spec.c, c.median()) for c in components])
     elif isinstance(spec, GlpSpec) and spec.link is not LinkFunction.IDENTITY:
-        return GlpDistribution(components, spec.w, spec.link)
+        return _build(GlpDistribution, {"components": components, "w": spec.w,
+                                         "link": spec.link})
     elif not isinstance(spec, (TlpSpec, BlpSpec, GlpSpec)):
         raise TypeError(f"unknown pool spec {type(spec).__name__}")
     mixture = _build(Mixture, {"components": components, "weights": spec.w})

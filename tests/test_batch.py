@@ -29,7 +29,7 @@ from cdfpool import (
     simulate,
 )
 from cdfpool.distributions import _RowStack, stack
-from cdfpool.fitting import _build_design, _newton_result, _slp_derivs, _Weights
+from cdfpool.fitting import _build_design, _Design, _newton_result, _slp_derivs
 from cdfpool.io import read_dataset_csv, write_dataset_csv
 from cdfpool.pools import BlpSpec, GlpSpec, SlpSpec, TlpSpec, pool
 from cdfpool.sim import (
@@ -91,9 +91,8 @@ def per_case_slp(cases):
         lo, d, hi = vals
         return d, (hi - lo) / 2e-4, (hi - 2.0 * d + lo) / 1e-8
 
-    weights = _Weights(medians.shape[1], simplex=True)
-    return _newton_result(SlpSpec, partial(_slp_derivs, densities), weights, len(cases),
-                          np.append(weights.start(), 0.0))
+    design = _Design(np.array([case.y for case in cases]), medians.shape[1])
+    return _newton_result(SlpSpec, partial(_slp_derivs, densities), design)
 
 
 def assert_same_slp_fit(got, want):

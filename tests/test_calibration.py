@@ -186,6 +186,16 @@ class TestKsUniformity:
         _, pval = ks_uniformity(s.z)
         assert pval > 0.01
 
+    @pytest.mark.parametrize("z, bad", [
+        (np.r_[np.linspace(0.1, 0.9, 199), np.nan], 199),
+        (np.r_[0.5, np.nan, np.linspace(0.1, 0.9, 138)], 1),
+        ([0.2, 1.7, 0.5], 1),
+        ([-0.1, 0.5], 0),
+    ], ids=["nan-asymptotic", "nan-exact", "above-one", "below-zero"])
+    def test_values_outside_the_unit_interval_are_rejected(self, z, bad):
+        with pytest.raises(DomainViolation, match=f"^PIT value {bad} lies outside"):
+            ks_uniformity(z)
+
     def test_exact_statistic_small_sample(self):
         z = np.array([0.1, 0.2, 0.7])
         # order statistics: D+ = max(i/n - z_i), D- = max(z_i - (i-1)/n)
@@ -349,6 +359,16 @@ class TestReliabilityBins:
         with pytest.raises(LengthMismatch):
             reliability_bins([0.5], [0.0, 1.0], bins=5)
 
+    def test_probabilities_outside_the_unit_interval_are_rejected(self):
+        with pytest.raises(DomainViolation, match="^probability 1 lies outside"):
+            reliability_bins([0.2, np.nan, 1.5, -0.3], [0, 1, 0, 1], bins=2)
+        with pytest.raises(DomainViolation, match="^probability 2 lies outside"):
+            reliability_bins([0.2, 0.4, 1.5, -0.3], [0, 1, 0, 1], bins=2)
+
+    def test_outcomes_other_than_zero_and_one_are_rejected(self):
+        with pytest.raises(DomainViolation, match="^outcome 1 is neither 0 nor 1"):
+            reliability_bins([0.2, 0.4], [0.0, 0.5], bins=2)
+
     @pytest.mark.parametrize("bins", [0, -1, 2.5])
     def test_bins_must_be_a_positive_integer(self, bins):
         with pytest.raises(InvalidConfig, match="bins must be at least 1"):
@@ -367,6 +387,12 @@ class TestHistogram:
     def test_bins_must_be_a_positive_integer(self, bins):
         with pytest.raises(InvalidConfig, match="bins must be at least 1"):
             pit_histogram([0.2, 0.6], bins=bins)
+
+    def test_values_outside_the_unit_interval_are_rejected(self):
+        # these were once dropped from the counts without a word
+        with pytest.raises(DomainViolation, match="^PIT value 1 lies outside"):
+            pit_histogram([0.2, np.nan, 1.5, -1.0], bins=2)
+        assert pit_histogram([0.0, 0.5, 1.0], bins=2).tolist() == [1, 2]
 
 
 class TestCalibrationReport:

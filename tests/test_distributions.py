@@ -12,6 +12,7 @@ from cdfpool import (
     CdfPoolError,
     DensityUnavailable,
     DgpConfig,
+    DomainViolation,
     FiniteDiscrete,
     Gaussian,
     GlpSpec,
@@ -131,6 +132,18 @@ class TestQuantile:
             ps = np.linspace(0.001, 0.999, 41)
             qs = np.asarray(d.quantile(ps))
             assert np.max(np.abs(np.asarray(d.cdf(qs)) - ps)) < 1e-9
+
+    def test_a_level_out_of_reach_fails_loudly(self):
+        # the CDF tops out at 1 - 5e-13; bisection once returned 3.2e60 here
+        short = Mixture((Gaussian(0, 1), Gaussian(1, 1)), (0.5, 0.5 - 5e-13))
+        with pytest.raises(DomainViolation, match="^Mixture CDF does not reach quantile level "
+                                                  "0.9999999999999$"):
+            short.quantile(1 - 1e-13)
+        assert np.isfinite(short.quantile(1 - 1e-12))
+        floored = _UserKind(lambda y: 1e-9 + (1.0 - 1e-9) * ndtr(y))
+        with pytest.raises(DomainViolation, match="^_UserKind CDF does not fall below "
+                                                  "quantile level 1e-10$"):
+            floored.quantile(1e-10)
 
 
 class TestMoments:

@@ -12,7 +12,6 @@ from cdfpool.fitting import (
     GAIN_TOL,
     _blp_derivs,
     _build_design,
-    _gaussian_spread_densities,
     _glp_derivs,
     _slp_derivs,
     _tlp_derivs,
@@ -71,8 +70,7 @@ def _derivs(family, cases):
     if family == "tlp":
         return lambda layout, theta: _tlp_derivs(design.f, layout, theta)
     if family == "slp":
-        densities = _gaussian_spread_densities(*design.gaussian, design.y)
-        return lambda layout, theta: _slp_derivs(densities, layout, theta)
+        return lambda layout, theta: _slp_derivs(design.spread, layout, theta)
     if family == "blp":
         return lambda layout, theta: _blp_derivs(design, layout, theta)
     link = LinkFunction(family.removeprefix("glp-"))

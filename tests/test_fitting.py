@@ -1,4 +1,5 @@
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from cdfpool import (
     InvalidConfig,
     LengthMismatch,
     LinkFunction,
+    MedianUndefined,
     Mixture,
     TlpSpec,
     TooFewSamples,
@@ -40,7 +42,6 @@ from cdfpool.fitting import (
     FLAG_FLAT_DIRECTION,
     FLAG_NO_CONVERGENCE,
     _build_design,
-    _gaussian_spread_densities,
     _glp_derivs,
     _slp_derivs,
     _Weights,
@@ -52,6 +53,11 @@ _NEWTON_FITS = [fit_slp] + [
     lambda data, link=link: fit_glp(data, link)
     for link in (LinkFunction.LOG, LinkFunction.RECIPROCAL, LinkFunction.PROBIT)
 ]
+# each method's fit and the cases it needs beyond k: one more with shape parameters
+_CASES_BEYOND_K = {"tlp": (fit_tlp, 1), "slp": (fit_slp, 2), "blp": (fit_blp, 2)} | {
+    f"glp-{link.value}": (partial(fit_glp, link=link), 1)
+    for link in (LinkFunction.LOG, LinkFunction.RECIPROCAL, LinkFunction.PROBIT)
+}
 
 
 class TestLogScore:
@@ -111,8 +117,7 @@ def _family_derivs(family, cases):
     design = _build_design(cases, family)
     if family == "slp":
         weights = _Weights(k, simplex=True)
-        densities = _gaussian_spread_densities(*design.gaussian, design.y)
-        return (lambda p: _slp_derivs(densities, weights, p),
+        return (lambda p: _slp_derivs(design.spread, weights, p),
                 lambda rng: np.append(w_head(rng), rng.uniform(np.log(0.6), np.log(1.6))))
     link = LinkFunction(family.removeprefix("glp-"))
     weights = _Weights(k, simplex=link.requires_simplex)
@@ -205,15 +210,11 @@ class TestFitBlp:
             ell = blp_objective_and_derivatives((w1, 1.0 - w1), a_hat, b_hat, cases)[0]
             assert ell <= ell_hat + 1e-6
 
-    def test_monotone_trace_and_warm_start(self, gaussian_cases):
+    def test_monotone_trace(self, gaussian_cases):
         res = fit_blp(gaussian_cases)
         assert res.converged
         trace = np.asarray(res.trace)
         assert np.all(np.diff(trace) >= -1e-12)
-        warm = fit_blp(gaussian_cases, init=res.spec)
-        assert warm.mean_log_score_train == pytest.approx(
-            res.mean_log_score_train, abs=1e-10
-        )
 
     @pytest.mark.parametrize("w, alpha, beta", [
         ((np.nan, 0.5), 1.0, 1.0), ((0.5, 0.5), np.inf, 1.0), ((0.5, 0.5), 1.0, np.nan),
@@ -303,6 +304,16 @@ class TestFitSlp:
         res = fit_slp(cases)
         assert abs(res.spec.c - c_true) < 0.05
         assert abs(res.spec.w[0] - w_true[0]) < 0.05
+
+    def test_medians_come_before_the_case_count(self):
+        # a non-Gaussian design takes each row's median when it is built
+        flat = Mixture((Gaussian(-50.0, 1.0), Gaussian(50.0, 1.0)), (0.5, 0.5))
+        cases = [ForecastCase((flat, Gaussian(0.0, 1.0)), 0.3)] * 2
+        with pytest.raises(MedianUndefined):
+            fit_slp(cases)
+        with pytest.raises(TooFewSamples):
+            fit_slp([ForecastCase((Mixture((Gaussian(0.0, 1.0),) * 2, (0.5, 0.5)),
+                                   Gaussian(0.0, 1.0)), 0.3)] * 2)
 
     def test_neutrally_dispersed_components_shrink_spread(self, study_report):
         assert study_report.fits["slp"].spec.c < 1.0
@@ -656,6 +667,16 @@ class TestObservability:
         assert res.converged
         assert res.evaluations >= res.iterations + 1
         assert 0.0 <= res.grad_norm < 1e-6 * len(gaussian_cases)
+
+    @pytest.mark.parametrize("method", list(_CASES_BEYOND_K))
+    def test_every_fit_needs_its_case_count(self, method):
+        fit, beyond = _CASES_BEYOND_K[method]
+        need = 3 + beyond
+        cases = make_gaussian_cases(np.random.default_rng(2), J=need, k=3)
+        with pytest.raises(TooFewSamples,
+                           match=f"^need at least {need} cases to fit k=3 components$"):
+            fit(cases[:-1])
+        assert fit(cases).spec.k == 3
 
     def test_tlp_takes_newton_steps(self, study_report):
         res = study_report.fits["tlp"]

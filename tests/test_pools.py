@@ -246,6 +246,13 @@ class TestPoolValidity:
         with pytest.raises(WeightConstraintViolation):
             build(bad)
 
+    @pytest.mark.parametrize("comps, w", [
+        (COMPS[:2], (np.nan, 0.5)), (COMPS[:2], (-3.0, 0.5)), (COMPS, (0.5, 0.5)),
+    ], ids=["nan", "negative", "one-weight-short"])
+    def test_glp_distribution_checks_its_weights(self, comps, w):
+        with pytest.raises(WeightConstraintViolation):
+            GlpDistribution(comps, w, LinkFunction.LOG)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_mixture_rejects_non_finite_weights(self, bad):
         with pytest.raises(ValueError):
