@@ -83,13 +83,17 @@ class CalibrationReport:
 
 
 def randomized_pit(d: PredictiveDist, y: float, v: float) -> float:
-    """PIT value F(y-) + v (F(y) - F(y-)); equals F(y) where F is continuous.  y must be finite."""
+    """PIT value F(y-) + v (F(y) - F(y-)) clipped to [0, 1]; equals F(y) where F is continuous.
+
+    y must be finite.
+    """
     if not 0.0 < v < 1.0:
         raise ValueError("auxiliary uniform v must lie strictly inside (0, 1)")
     if not np.isfinite(y):
         raise DomainViolation(f"observation {y} is not finite")
     left = d.cdf_left(y)
-    return left + v * (d.cdf(y) - left)
+    # a pool whose weights sum past 1 within the spec's tolerance can top 1 by rounding
+    return np.clip(left + v * (d.cdf(y) - left), 0.0, 1.0)
 
 
 def _check_finite(x: np.ndarray, what: str) -> None:
@@ -125,8 +129,8 @@ def pit_sample(forecasts, obs, rng_seed: int) -> PitSample:
     whose rows are the cases, such as ``pool(spec, batch.components)``.
     Case j gets the j-th auxiliary uniform.  The stacked forecast costs one
     ``cdf_left`` and one ``cdf`` call; the values equal ``randomized_pit``
-    case by case.  Raises DomainViolation naming the first case whose PIT is
-    not finite.
+    case by case, clipped to [0, 1] as there.  Raises DomainViolation naming the
+    first case whose PIT is not finite.
     """
     obs = _as_array(obs)
     d = _paired(forecasts, obs)
@@ -134,7 +138,7 @@ def pit_sample(forecasts, obs, rng_seed: int) -> PitSample:
     v = uniform_open(rng, obs.size)
     y = obs[:, None]
     left = _as_array(d.cdf_left(y))[:, 0]
-    z = left + v * (_as_array(d.cdf(y))[:, 0] - left)
+    z = np.clip(left + v * (_as_array(d.cdf(y))[:, 0] - left), 0.0, 1.0)  # NaN stays NaN
     _check_finite(z, "the PIT of case")
     return PitSample(z=z, v=v)
 
@@ -208,11 +212,14 @@ def marginal_calibration_gap(forecasts, obs, grid) -> float:
     nondecreasing, so between evaluated points a < b, |A - E| is at most
     max(A(b) - E(a+1), E(b-1) - A(a)), and a stretch whose bound falls below the best
     value so far by more than _GAP_SLACK is skipped.  The result is the max over every
-    grid point.  Each column is summed as ``_average_cdf`` sums it, so the gap does
-    not depend on the core count.  Raises DomainViolation where the evaluated A is
-    not finite, naming the smallest grid index among those points, or where it falls
-    along the sorted grid by more than _GAP_SLACK: the pruning needs nondecreasing
-    forecast CDFs.
+    grid point.  Where the forecast's CDF is a step function (``_step_cdf``), A is
+    constant from each atom up to the next, so it is evaluated once, at the first
+    sorted grid point, in each stretch between atoms that holds grid points, and
+    copied to the others.  Each column is summed as ``_average_cdf`` sums it, so the
+    gap does not depend on the core count.  Raises DomainViolation where the
+    evaluated A is not finite, naming the smallest grid index among those points, or
+    where it falls along the sorted grid by more than _GAP_SLACK: the pruning needs
+    nondecreasing forecast CDFs.
     """
     obs = _as_array(obs)
     grid = _as_array(grid)
@@ -226,11 +233,16 @@ def marginal_calibration_gap(forecasts, obs, grid) -> float:
     avg = np.zeros(x.size)
     done = np.zeros(x.size, dtype=bool)
 
-    def level(cols: np.ndarray) -> float:
-        """Evaluate A at the sorted points ``cols``; the best |A - E| so far."""
+    def level(cols: np.ndarray, first=None) -> float:
+        """Evaluate A at the sorted points ``cols``; the best |A - E| so far.
+
+        Given ``first``, each sorted point then takes A from the point ``first`` names.
+        """
         if cols.size == 1 < x.size:  # sum a lone point as the whole grid's points are summed
             cols = np.array([cols[0] - 1, cols[0]])
         avg[cols] = _average_cdf(d, x[cols], x.size)
+        if first is not None:
+            avg[:], cols = avg[first], np.arange(x.size)
         bad = order[cols[~np.isfinite(avg[cols])]]
         if bad.size:
             raise DomainViolation(f"the average forecast CDF at grid point {bad.min()} "
@@ -245,6 +257,11 @@ def marginal_calibration_gap(forecasts, obs, grid) -> float:
                 f"{order[i]} to grid point {order[j]}: forecast CDFs must be nondecreasing")
         return float(np.max(np.abs(avg[at] - ecdf[at])))
 
+    if d._step_cdf:
+        # each sorted point's stretch between atoms, and that stretch's first point
+        stretch = np.searchsorted(np.unique(np.ravel(d.atom_locations())), x, side="right")
+        first = np.searchsorted(stretch, stretch)
+        return level(np.unique(first), first)
     best = level(np.union1d(np.arange(0, x.size, _GAP_STRIDES[0]), x.size - 1))
     for stride in _GAP_STRIDES[1:]:
         at = np.flatnonzero(done)

@@ -180,6 +180,10 @@ class PredictiveDist:
         """Locations of jump discontinuities (empty for continuous kinds)."""
         return np.empty(0)
 
+    # a step-function CDF is constant from each of atom_locations() up to the next,
+    # so its value at y depends only on which atoms lie at or below y
+    _step_cdf = False
+
     def quantile(self, p):
         """Generalized inverse inf{y : cdf(y) >= p} for p in (0, 1); a NaN level is rejected."""
         p_arr = _as_array(p)
@@ -735,6 +739,8 @@ class FiniteDiscrete(PredictiveDist):
     def atom_locations(self):
         return np.hstack(self.atoms)
 
+    _step_cdf = True
+
     def _quantile(self, p):
         # the first atom whose cumulative mass reaches p
         return self._lookup(self._atoms, (self._cum[..., 1:] < p[..., None]).sum(axis=-1))
@@ -830,8 +836,13 @@ class Mixture(PredictiveDist):
         return (reduce(np.minimum, los), reduce(np.maximum, his))
 
     def atom_locations(self):
-        locs = np.concatenate([c.atom_locations() for c in self.components])
+        # stacked components may hold different numbers of atoms per row
+        locs = np.concatenate([np.ravel(c.atom_locations()) for c in self.components])
         return np.unique(locs)
+
+    @property
+    def _step_cdf(self) -> bool:
+        return all(c._step_cdf for c in self.components)
 
     def mean(self):
         return sum(w * c.mean() for w, c in zip(self.weights, self.components))
@@ -897,6 +908,10 @@ class SpreadAdjusted(PredictiveDist):
 
     def atom_locations(self):
         return self._pushforward(self.base.atom_locations())
+
+    # not a step function between its atoms: the pullback of a point near a pushed-forward
+    # atom can land on the other side of the base's atom by rounding
+    _step_cdf = False
 
     def _quantile(self, p):
         return self._pushforward(_as_array(self.base.quantile(p)))
@@ -966,6 +981,10 @@ class BetaTransformed(PredictiveDist):
 
     def atom_locations(self):
         return self.base.atom_locations()
+
+    @property
+    def _step_cdf(self) -> bool:
+        return self.base._step_cdf
 
     def _quantile(self, p):
         u = _special.betaincinv(self.alpha, self.beta, p)

@@ -46,12 +46,43 @@ def dataset_header(k: int) -> list[str]:
     return cols
 
 
+# one parser decides what counts as a number: the whole block's, and a bad row's
+_PARSE = {"delimiter": ",", "comments": None, "quotechar": '"'}
+
+
+def _bad_row(path: str, header: list[str], lines: list[str]) -> SchemaError | None:
+    """The SchemaError naming the first of ``lines`` (file row 2 on) that the parser rejects.
+
+    A row is judged whole first; only a rejected row is split into its fields, and
+    each field is judged alone, by the same parser.  None if every row parses.
+    """
+    for r, line in enumerate(lines, start=2):
+        try:
+            if np.loadtxt([line], **_PARSE, ndmin=2, dtype=float).shape[1] == len(header):
+                continue
+        except ValueError:
+            pass
+        row = np.loadtxt([line], **_PARSE, ndmin=1, dtype=str)
+        if row.size != len(header):
+            return SchemaError(f"{path}: row {r} has {row.size} fields, expected {len(header)}")
+        for i, (name, text) in enumerate(zip(header, row.tolist())):
+            try:
+                np.loadtxt([line], **_PARSE, usecols=i, dtype=float)
+            except ValueError:
+                return SchemaError(f"{path}: row {r}: {name}: non-numeric value "
+                                   f"(could not convert string to float: {text!r})")
+    return None
+
+
 def read_dataset_csv(path: str) -> ForecastBatch:
     """The cases of a dataset file; every component column is a view of one parsed array.
 
-    Raises SchemaError for a file without data rows, and naming the row (and
-    column) of a short or long row, a non-numeric or non-finite value, or an
-    ``sd`` that is not positive.
+    The rows after the header are parsed in one ``np.loadtxt`` call: a field is a
+    decimal or exponent number, ``inf`` or ``nan`` (case ignored), optionally quoted
+    and padded with spaces or tabs; ``float`` syntax beyond that, such as
+    underscore digit groups (``1_000``), is rejected.  Raises SchemaError for a file
+    without data rows, and naming the row (and column) of a short or long row, a
+    non-numeric or non-finite value, or an ``sd`` that is not positive.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -60,8 +91,7 @@ def read_dataset_csv(path: str) -> ForecastBatch:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     if not lines:
         raise SchemaError(f"{path}: empty dataset file")
-    rows = list(csv.reader(lines))
-    header = [h.strip() for h in rows[0]]
+    header = [h.strip() for h in next(csv.reader(lines[:1]))]
     if not header or header[0] != "y" or len(header) < 3 or len(header) % 2 == 0:
         raise SchemaError(
             f"{path}: header must be y,mu_1,sd_1,...,mu_k,sd_k; got {','.join(header)}"
@@ -71,22 +101,14 @@ def read_dataset_csv(path: str) -> ForecastBatch:
     for want, got in zip(expected, header):
         if want != got:
             raise SchemaError(f"{path}: missing or misplaced column {want!r} (found {got!r})")
-    if len(rows) == 1:
+    if len(lines) == 1:
         raise SchemaError(f"{path}: dataset file has a header but no rows")
-    values = []
-    for r, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise SchemaError(f"{path}: row {r} has {len(row)} fields, expected {len(header)}")
-        try:
-            values.append([float(x) for x in row])
-        except ValueError:
-            for name, text in zip(header, row):  # find the field that failed
-                try:
-                    float(text)
-                except ValueError as exc:
-                    raise SchemaError(
-                        f"{path}: row {r}: {name}: non-numeric value ({exc})") from exc
-    data = np.array(values, dtype=float).reshape(len(values), len(header))
+    try:
+        data = np.loadtxt(lines[1:], **_PARSE, ndmin=2, dtype=float)
+    except ValueError as exc:  # the scan names the row; the parser's own message is the fallback
+        raise _bad_row(path, header, lines[1:]) or SchemaError(f"{path}: {exc}") from exc
+    if data.shape[1] != len(header):  # every row has the same wrong width
+        raise _bad_row(path, header, lines[1:2])
     finite = np.isfinite(data)
     if not np.all(finite):
         j, i = divmod(int(np.argmin(finite)), len(header))

@@ -30,7 +30,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import cached_property, partialmethod, reduce
+from functools import partialmethod, reduce
 from typing import ClassVar
 
 import numpy as np
@@ -64,36 +64,36 @@ class LinkFunction(enum.Enum):
 
     Each member is one row: its value, ``requires_simplex``, h (``apply``),
     h^{-1} (``invert``), h' (``deriv``), ``phi`` and phi's first two
-    derivatives (``phi_derivs``).  phi(s) = -log|h'(h^{-1}(s))| is the
-    log-slope of h^{-1} at s, the link's term in the generalized pool's log
-    density, log|sum_i w_i dh(F_i)/dy| + phi(sum_i w_i h(F_i)).  It is s for
+    derivatives (``phi_derivs``), then ``bounds``.  phi(s) = -log|h'(h^{-1}(s))|
+    is the log-slope of h^{-1} at s, the link's term in the generalized pool's
+    log density, log|sum_i w_i dh(F_i)/dy| + phi(sum_i w_i h(F_i)).  It is s for
     the log link, 2 log(1/s) for the reciprocal link and -(s^2 + log 2 pi)/2
     for the probit link.  ``bounds`` is h's image of [CDF_CLAMP,
-    1 - CDF_CLAMP], lower end first, computed on first read and then kept.
+    1 - CDF_CLAMP] as two floats, lower end first; the probit row writes
+    them out, so reading them imports no scipy.special.
     """
 
     IDENTITY = ("identity", True, lambda u: u, lambda s: s, np.ones_like, np.zeros_like,
-                lambda s: (np.zeros_like(s), np.zeros_like(s)))
+                lambda s: (np.zeros_like(s), np.zeros_like(s)), (CDF_CLAMP, 1.0 - CDF_CLAMP))
     RECIPROCAL = ("reciprocal", True, lambda u: 1.0 / u, lambda s: 1.0 / s,
                   lambda u: -1.0 / (u * u), lambda s: -2.0 * np.log(s),
-                  lambda s: (-2.0 / s, 2.0 / (s * s)))
+                  lambda s: (-2.0 / s, 2.0 / (s * s)), (1.0 / (1.0 - CDF_CLAMP), 1.0 / CDF_CLAMP))
     LOG = ("log", False, np.log, np.exp, lambda u: 1.0 / u, lambda s: s,
-           lambda s: (np.ones_like(s), np.zeros_like(s)))
+           lambda s: (np.ones_like(s), np.zeros_like(s)),
+           (float(np.log(CDF_CLAMP)), float(np.log(1.0 - CDF_CLAMP))))
     PROBIT = ("probit", False, lambda u: _special.ndtri(u), lambda s: _special.ndtr(s),
               _probit_deriv, lambda s: -0.5 * (s * s + math.log(2.0 * math.pi)),
-              lambda s: (-s, -np.ones_like(s)))
+              lambda s: (-s, -np.ones_like(s)),
+              (-7.034483825301131, 7.0344869100478356))  # ndtri of the two clamp levels
 
-    def __new__(cls, value, requires_simplex, apply, invert, deriv, phi, phi_derivs):
+    def __new__(cls, value, requires_simplex, apply, invert, deriv, phi, phi_derivs, bounds):
         link = object.__new__(cls)
         link._value_ = value
         link.requires_simplex = requires_simplex
         link.apply, link.invert, link.deriv = apply, invert, deriv
         link.phi, link.phi_derivs = phi, phi_derivs
+        link.bounds = bounds
         return link
-
-    @cached_property
-    def bounds(self) -> tuple[float, float]:
-        return tuple(np.sort(self.apply(np.array([CDF_CLAMP, 1.0 - CDF_CLAMP]))).tolist())
 
 
 def _check_weights(w, simplex: bool) -> tuple[float, ...]:
@@ -248,6 +248,7 @@ class GlpDistribution(PredictiveDist):
 
     has_density = Mixture.has_density
     atom_locations = Mixture.atom_locations
+    _step_cdf = Mixture._step_cdf
 
     def density(self, y):
         if not self.has_density:

@@ -33,7 +33,7 @@ from cdfpool import (
     reliability_bins,
     var_z_sigma,
 )
-from cdfpool.distributions import stack
+from cdfpool.distributions import _build, stack
 from cdfpool.calibration import (
     NEUTRAL_PIT_VARIANCE,
     NEUTRALLY_DISPERSED,
@@ -58,6 +58,12 @@ class TestRandomizedPit:
     def test_non_finite_observation_is_a_domain_violation(self, y):
         with pytest.raises(DomainViolation, match="not finite"):
             randomized_pit(Gaussian(0, 1), y, 0.5)
+
+    def test_a_cdf_rounding_past_one_is_clipped(self):
+        # the spec accepts weights summing to 1 within 1e-12, so the CDF tops out at 1 + 1e-13
+        d = pool(TlpSpec((0.5, 0.5 + 1e-13)), (Gaussian(0, 1), Gaussian(1, 1)))
+        assert d.cdf(100.0) > 1.0
+        assert randomized_pit(d, 100.0, 0.5) == 1.0
 
 
 class TestPitSample:
@@ -99,6 +105,12 @@ class TestPitSample:
         forecasts = [pool(TlpSpec((0.5, 0.5)), (Gaussian(0, 1), Gaussian(1, 2)))] * 50
         with pytest.raises(DomainViolation, match="observation 17"):
             pit_sample(forecasts, y, rng_seed=0)
+
+    def test_a_cdf_rounding_past_one_is_clipped(self):
+        d = pool(TlpSpec((0.5, 0.5 + 1e-13)), (Gaussian(0, 1), Gaussian(1, 1)))
+        s = pit_sample([d] * 2, [100.0, 3.0], 0)
+        assert s.z[0] == 1.0
+        assert s.z[1] == randomized_pit(d, 3.0, s.v[1]) < 1.0
 
     def test_non_finite_pit_names_the_case(self):
         forecasts = Gaussian._stacked(np.array([[0.0], [1.0], [np.nan]]), np.ones((3, 1)))
@@ -315,6 +327,37 @@ class TestMarginalGap:
         with pytest.raises(DomainViolation, match="falls by .* from grid point 0 to grid "
                                                   "point 12: forecast CDFs must be nondecreasing"):
             marginal_calibration_gap([Falling()] * 5, np.zeros(5), np.linspace(-2.0, 2.0, 30))
+
+    _FD = FiniteDiscrete((0.0, 1.0), (0.3, 0.7))
+    _G = Gaussian(0.0, 1.0)
+
+    @pytest.mark.parametrize("d, steps", [
+        (_FD, True),
+        (TwoPointBernoulli(0.4), True),
+        (_G, False),
+        (Mixture((_FD, TwoPointBernoulli(0.4)), (0.5, 0.5)), True),
+        (Mixture((_FD, _G), (0.5, 0.5)), False),
+        (BetaTransformed(_FD, 1.2, 0.8), True),
+        (BetaTransformed(_G, 1.2, 0.8), False),
+        (pool(GlpSpec((0.5, 0.5), LinkFunction.LOG), (_FD, TwoPointBernoulli(0.2))), True),
+        (pool(GlpSpec((0.5, 0.5), LinkFunction.LOG), (_FD, _G)), False),
+        (SpreadAdjusted(_FD, 2.0, 0.5), False),
+        (stack([_FD, FiniteDiscrete((0.0, 1.0, 2.0), (0.2, 0.3, 0.5))]), False),
+    ], ids=["discrete", "bernoulli", "gaussian", "atomic-mixture", "mixed-mixture",
+            "atomic-blp", "gaussian-blp", "atomic-glp", "mixed-glp", "spread", "row-stack"])
+    def test_step_function_kinds(self, d, steps):
+        # the gap evaluates a step-function forecast once per stretch between atoms
+        assert d._step_cdf is steps
+
+    def test_a_step_forecast_keeps_both_checks(self):
+        nan_mass = _build(FiniteDiscrete, {"atoms": (0.0, 1.0), "masses": (np.nan, 0.5)})
+        with pytest.raises(DomainViolation, match="CDF at grid point 2 is not finite"):
+            marginal_calibration_gap(nan_mass, [0.0, 1.0], [-1.0, 2.0, 0.5, 0.7])
+        falling = _build(FiniteDiscrete, {"atoms": (0.0, 1.0, 2.0), "masses": (0.7, -0.4, 0.7)})
+        # sorted, the grid is -1, 0.5, 0.7, 1.2, 1.5, 2.5, with average CDF 0, .7, .7, .3, .3, 1
+        with pytest.raises(DomainViolation, match="falls by 0.4 from grid point 5 to grid "
+                                                  "point 2: forecast CDFs must be nondecreasing"):
+            marginal_calibration_gap(falling, [0.0, 1.0], [2.5, 1.5, 1.2, 0.5, -1.0, 0.7])
 
     def test_a_rounding_dip_is_not_a_fall(self):
         class Dipping(PredictiveDist):

@@ -193,6 +193,14 @@ class TestCliPipeline:
                 float(value)
         assert open(svg).read().startswith("<svg")
 
+    def test_evaluate_a_cdf_rounding_past_one(self, tmp_path):
+        # weights summing to 1 + 1e-13 pass the spec, and the CDF at 100 is 1 + 1e-13
+        data, params = tmp_path / "edge.csv", str(tmp_path / "params.txt")
+        data.write_text("y,mu_1,sd_1,mu_2,sd_2\n100.0,0.0,1.0,1.0,1.0\n3.0,0.0,1.0,1.0,1.0\n")
+        write_params(params, _fit_result(TlpSpec((0.5, 0.5 + 1e-13))))
+        assert run("evaluate", "--params", params, "--input", str(data),
+                   "--out", str(tmp_path / "report.txt")) == 0
+
     def test_evaluate_heavy_tailed_blp_is_a_numerical_failure(self, tmp_path, capsys):
         data = str(tmp_path / "test.csv")
         params = str(tmp_path / "blp.txt")
@@ -226,7 +234,8 @@ class TestStartup:
         (("fit", "--method", "tlp"), False),
         (("fit", "--method", "slp"), False),
         (("fit", "--method", "blp"), True),
-    ], ids=["import", "simulate", "fit-tlp", "fit-slp", "fit-blp"])
+        (("fit", "--method", "glp-probit"), False),
+    ], ids=["import", "simulate", "fit-tlp", "fit-slp", "fit-blp", "fit-glp-probit"])
     def test_scipy_special_loads_only_for_a_special_function(self, tmp_path, argv, loaded):
         data = str(tmp_path / "train.csv")
         if argv[:1] == ("fit",):
@@ -263,13 +272,17 @@ class TestStartup:
     def test_probit_bounds_are_ndtri_of_the_clamp_levels(self):
         code = """
             import sys
+            import numpy as np
             from cdfpool import LinkFunction
             from cdfpool.distributions import CDF_CLAMP
+            bounds = {link: link.bounds for link in LinkFunction}
             assert "scipy.special" not in sys.modules
-            bounds = LinkFunction.PROBIT.bounds  # the first read imports scipy.special
             from scipy.special import ndtri
-            print(LinkFunction.PROBIT.bounds is bounds
-                  and bounds == (ndtri(CDF_CLAMP), ndtri(1.0 - CDF_CLAMP)))
+            levels = np.array([CDF_CLAMP, 1.0 - CDF_CLAMP])
+            hexes = lambda xs: [float(x).hex() for x in xs]
+            print(all(hexes(bounds[link]) == hexes(np.sort(link.apply(levels)))
+                      for link in LinkFunction)
+                  and hexes(bounds[LinkFunction.PROBIT]) == hexes(ndtri(levels)))
         """
         assert _fresh(code) == "True"
 

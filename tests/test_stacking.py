@@ -804,6 +804,8 @@ class TestChunksOnEveryCore:
     """Row chunks run on helper threads, and every result is that of the serial loop."""
 
     J = 5 * _GAP_CHUNK + 17
+    # step-function forecasts: the gap evaluates the average CDF once per stretch between atoms
+    STEP_KINDS = ("row-atoms", "atom-tlp", "atom-blp", "atom-glp-log")
 
     def _forecasts(self, kind):
         batch = simulate(DgpConfig(kind="regression", n=self.J, seed=41)).cases
@@ -816,6 +818,20 @@ class TestChunksOnEveryCore:
             rows = [Logistic(m, 0.8) if j % 3 else Gaussian(m, 1.1)
                     for j, m in enumerate(rng.normal(size=self.J))]
             return stack(rows), batch.y
+        if kind in self.STEP_KINDS:
+            # three atoms per row on a quarter grid in [-2.75, 3], outcomes among them
+            atoms = (rng.integers(-12, 4, (self.J, 1))
+                     + np.cumsum(rng.integers(1, 4, (self.J, 3)), axis=1)) / 4.0
+            masses = rng.dirichlet(np.ones(3), self.J)
+            row_atoms = stack([FiniteDiscrete(tuple(a), tuple(m)) for a, m in zip(atoms, masses)])
+            obs = atoms[np.arange(self.J), rng.integers(0, 3, self.J)]
+            if kind == "row-atoms":
+                return row_atoms, obs
+            # members with different atom counts: three per row and the two at 0 and 1
+            members = (row_atoms, stack([TwoPointBernoulli(x) for x in rng.uniform(0.1, 0.9, self.J)]))
+            spec = {"atom-tlp": TlpSpec((0.4, 0.6)), "atom-blp": BlpSpec((0.4, 0.6), 1.4, 0.8),
+                    "atom-glp-log": GlpSpec((0.4, 0.6), LinkFunction.LOG)}[kind]
+            return pool(spec, members), obs
         spec = {"tlp": TlpSpec(w), "blp": BlpSpec(w, 1.4, 0.8),
                 "glp-log": GlpSpec(w, LinkFunction.LOG),
                 "glp-probit": GlpSpec(w, LinkFunction.PROBIT),
@@ -829,23 +845,43 @@ class TestChunksOnEveryCore:
         grid = np.linspace(-4.0, 4.0, 201)
         assert marginal_calibration_gap(d, obs, grid) == _serial_gap(d, obs, grid)
 
-    @settings(max_examples=60, deadline=None, derandomize=True,
+    @settings(max_examples=120, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.data())
     def test_gap_is_the_max_over_every_grid_point(self, workers, data):
-        """The levels skip only grid points where the sup cannot lie, and every point they
-        evaluate is summed as in the serial loop, so the gap is its max, bit for bit."""
+        """The levels skip only grid points where the sup cannot lie, a step-function
+        forecast's stretches between atoms share one value, and every point evaluated is
+        summed as in the serial loop, so the gap is the loop's max, bit for bit."""
         kind = data.draw(st.sampled_from(["tlp", "blp", "glp-log", "glp-probit",
-                                          "glp-reciprocal", "atoms", "row-by-row"]))
+                                          "glp-reciprocal", "atoms", "row-by-row",
+                                          *self.STEP_KINDS]))
         n = data.draw(st.sampled_from([1, 2, _GAP_CHUNK + 1, self.J]))
         d, obs = self._forecasts(kind)
         d, obs = d._take(slice(0, n)), obs[:n]
         size = data.draw(st.sampled_from([1, 2, 12, 13, 201]))
-        # unsorted, and with ties: points on a coarse grid repeat, outcomes among them
+        # unsorted, and with ties: points on a coarse grid repeat, outcomes among them; the
+        # quarter grid holds every atom and points below the first one
         point = st.one_of(st.integers(-16, 16).map(lambda i: i / 4.0), st.sampled_from(obs),
                           st.floats(-4.0, 4.0))
         grid = np.array(data.draw(st.lists(point, min_size=size, max_size=size)))
         assert marginal_calibration_gap(d, obs, grid) == _serial_gap(d, obs, grid)
+
+    @pytest.mark.parametrize("kind", ["atoms", *STEP_KINDS])
+    def test_a_step_forecast_is_evaluated_once_per_stretch(self, kind, monkeypatch):
+        d, obs = self._forecasts(kind)
+        assert d._step_cdf
+        columns = []
+        average_cdf = cdfpool.calibration._average_cdf
+        monkeypatch.setattr(cdfpool.calibration, "_average_cdf",
+                            lambda d, x, size: columns.append(x) or average_cdf(d, x, size))
+        # three points from each quarter on [-4, 4], shuffled; every atom is on a quarter
+        grid = (np.arange(-16, 17) / 4.0 + np.array([[0.0], [0.1], [0.2]])).ravel()
+        grid = np.random.default_rng(5).permutation(grid)
+        assert marginal_calibration_gap(d, obs, grid) == _serial_gap(d, obs, grid)
+        # one pass, at the lowest point and at each atom, where the stretches start
+        assert len(columns) == 1
+        atoms = np.unique(np.ravel(d.atom_locations()))
+        assert columns[0].tolist() == [-4.0, *atoms.tolist()]
 
     @pytest.mark.parametrize("kind", ["tlp", "blp", "atoms", "row-by-row"])
     def test_a_level_of_one_column_sums_as_the_full_grid(self, kind, workers):
