@@ -40,7 +40,7 @@ import numbers
 import os
 import threading
 from dataclasses import dataclass
-from functools import cache, cached_property, partialmethod, reduce
+from functools import cache, cached_property, lru_cache, partialmethod, reduce
 from operator import attrgetter, is_
 
 import numpy as np
@@ -67,6 +67,7 @@ _GRID_POINTS = 128  # a row's starting intervals, shared by its panels in propor
 _GRID_DOUBLINGS = 3  # doublings of every panel's intervals before the moments are unavailable
 _GRID_RTOL = 1e-8  # agreement demanded between the full and the half rule
 _MOMENT_CHUNK = 64  # stacked rows integrated at a time: keeps each (rows, nodes) temporary small
+_ONE_BITS = int(np.float64(1.0).view(np.int64))  # the floats in [0, 1] are the bit patterns 0..this
 
 
 def _cores() -> int:
@@ -319,10 +320,26 @@ class PredictiveDist:
             lo = np.where(~ge & ~done, mid, lo)
         return hi
 
+    def _bracket_scale(self):
+        """What ``_tail_bracket`` probes: (s, (zero, low, high, one)).
+
+        s(y) is a nondecreasing function of the CDF at y, and the levels are
+        where the CDF crosses 0, _TAIL_MASS, 1 - _TAIL_MASS and 1 on s's
+        scale: cdf(y) <= 0 exactly where s(y) <= zero, cdf(y) <= _TAIL_MASS
+        exactly where s(y) <= low, cdf(y) >= 1 - _TAIL_MASS exactly where
+        s(y) >= high, and cdf(y) >= 1 exactly where s(y) >= one.  The levels
+        are floats or (n, 1) columns.  By default s is the CDF itself; a kind
+        whose CDF is an increasing function of a cheaper one overrides this.
+        """
+        return self.cdf, (0.0, _TAIL_MASS, 1.0 - _TAIL_MASS, 1.0)
+
     def _tail_bracket(self, first: int):
         """The bulk [lo, hi]: (n, 1) columns with cdf(lo) and 1 - cdf(hi) <= _TAIL_MASS.
 
-        The kinds reach their limits exactly (``BetaTransformed._top``, the
+        Every probe reads the scale of ``_bracket_scale``, which is the CDF
+        unless a kind supplies a cheaper one, and compares it with that
+        scale's levels, so the bracket is the one the CDF itself gives.  The
+        kinds reach their limits exactly (``BetaTransformed._top``, the
         generalized pool's clamp masks): a row whose CDF is not exactly 0 at
         -2^63 and 1 at +2^63 raises MomentUnavailable.  The bracket first
         doubles outward from [-1, 1]: one call probes +-2^0..2^7 and the
@@ -332,32 +349,33 @@ class PredictiveDist:
         the bracket; a settled row keeps its bracket.  Row i is row ``first + i``.
         """
         n, k = _BRACKET_LADDER.size, _NEAR_PROBES
+        s, (zero, low, high, one) = self._bracket_scale()
         near = np.append(_BRACKET_LADDER[:k], _BRACKET_LADDER[-1])  # 2^0..2^7, then 2^63
-        c = _as_array(self.cdf(np.concatenate([-near, near])[None, :]))
-        g0, g1 = c[:, k], c[:, -1]
-        short = ~((g0 == 0.0) & (g1 == 1.0))
+        c = _as_array(s(np.concatenate([-near, near])[None, :]))
+        short = ~((c[:, k:k + 1] <= zero) & (c[:, -1:] >= one))[:, 0]
         if short.any():
             i = int(np.argmax(short))
+            g0, g1 = _as_array(self.cdf(np.array([[-near[-1], near[-1]]])))[i]
             raise MomentUnavailable(
-                f"{type(self).__name__} row {first + i}: CDF rises only from {g0[i]:g} "
-                f"to {g1[i]:g} over +-{_BRACKET_LADDER[-1]:g}"
+                f"{type(self).__name__} row {first + i}: CDF rises only from {g0:g} "
+                f"to {g1:g} over +-{_BRACKET_LADDER[-1]:g}"
             )
-        lo = np.argmax(c[:, :k + 1] <= _TAIL_MASS, axis=1)
-        hi = np.argmax(c[:, k + 1:] >= 1.0 - _TAIL_MASS, axis=1)
+        lo = np.argmax(c[:, :k + 1] <= low, axis=1)
+        hi = np.argmax(c[:, k + 1:] >= high, axis=1)
         far = np.flatnonzero((lo == k) | (hi == k))  # a tail point beyond 2^(k - 1)
         if far.size:
-            c = _as_array(self._take(far).cdf(
-                np.concatenate([-_BRACKET_LADDER, _BRACKET_LADDER])[None, :]))
-            lo[far] = np.argmax(c[:, :n] <= _TAIL_MASS, axis=1)
-            hi[far] = np.argmax(c[:, n:] >= 1.0 - _TAIL_MASS, axis=1)
+            s_far, (_, far_low, far_high, _) = self._take(far)._bracket_scale()
+            c = _as_array(s_far(np.concatenate([-_BRACKET_LADDER, _BRACKET_LADDER])[None, :]))
+            lo[far] = np.argmax(c[:, :n] <= far_low, axis=1)
+            hi[far] = np.argmax(c[:, n:] >= far_high, axis=1)
         lo, hi = -_BRACKET_LADDER[lo], _BRACKET_LADDER[hi]
         rows, active = np.arange(lo.size), np.ones(lo.size, dtype=bool)
         for _ in range(_BRACKET_ROUNDS):
             t = np.linspace(lo, hi, _BRACKET_POINTS, axis=1)
-            c = _as_array(self.cdf(t))
-            # c[:, 0] <= _TAIL_MASS and c[:, -1] >= 1 - _TAIL_MASS, so i < j
-            i = np.argmax(c > _TAIL_MASS, axis=1) - 1
-            j = np.argmax(c >= 1.0 - _TAIL_MASS, axis=1)
+            c = _as_array(s(t))
+            # c[:, 0] <= low and c[:, -1] >= high, so i < j
+            i = np.argmax(c > low, axis=1) - 1
+            j = np.argmax(c >= high, axis=1)
             lo, hi = np.where(active, t[rows, i], lo), np.where(active, t[rows, j], hi)
             active &= 2 * (j - i) <= _BRACKET_POINTS - 1
             if not active.any():
@@ -402,7 +420,8 @@ class PredictiveDist:
             todo = np.arange(lo.size)
             for _ in range(_GRID_DOUBLINGS + 1):
                 t, w = _fejer_rule(edges[todo], spans[todo], size[todo])
-                tail = 1.0 - _as_array(chunk._take(todo).cdf(t))
+                rest = chunk if todo.size == lo.size else chunk._take(todo)
+                tail = 1.0 - _as_array(rest.cdf(t))
                 parts = np.stack([tail, 2.0 * (t - lo[todo]) * tail])
                 s = np.cumsum(parts * w[:, None], axis=-1)[..., -1:]  # (rule, part, row, 1)
                 m, v = lo[todo] + s[:, 0], s[:, 1] - s[:, 0] ** 2  # full rule, then half rule
@@ -427,6 +446,36 @@ class PredictiveDist:
         return (out[0], out[1]) if rows is not None else (float(out[0, 0, 0]), float(out[1, 0, 0]))
 
 
+def _beta_levels(alpha, beta):
+    """``_beta_levels_at`` of every row: floats, or (n, 1) columns for column parameters."""
+    if np.ndim(alpha) == np.ndim(beta) == 0:
+        return _beta_levels_at(float(alpha), float(beta))
+    a, b = np.broadcast_arrays(alpha, beta)
+    levels = np.array([_beta_levels_at(float(x), float(y)) for x, y in zip(a.ravel(), b.ravel())])
+    return tuple(levels.T.reshape((4,) + a.shape))
+
+
+@lru_cache(maxsize=256)
+def _beta_levels_at(alpha: float, beta: float) -> tuple[float, float, float, float]:
+    """Where B = betainc(alpha, beta, .) crosses 0, _TAIL_MASS, 1 - _TAIL_MASS and 1.
+
+    The largest u in [0, 1] with B(u) <= 0 and with B(u) <= _TAIL_MASS, then
+    the smallest with B(u) >= 1 - _TAIL_MASS and with B(u) >= 1: the
+    ``_bracket_scale`` levels of a beta transform.  Bisection over the bit
+    patterns of the floats in [0, 1], which are in the floats' order, so
+    each level is exact wherever B is nondecreasing in floating point
+    (``betaincinv`` misses the tail levels by up to 1e8 floats).
+    """
+    # B(u) < x exactly where B(u) <= the float below x
+    top = np.array([0.0, _TAIL_MASS, np.nextafter(1.0 - _TAIL_MASS, 0.0), np.nextafter(1.0, 0.0)])
+    lo, hi = np.zeros(4, dtype=np.int64), np.full(4, _ONE_BITS)  # B(lo) <= top < B(hi)
+    while np.any(hi - lo > 1):
+        mid = (lo + hi) // 2
+        below = _special.betainc(alpha, beta, mid.view(np.float64)) <= top
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return tuple(float(u) for u in np.concatenate([lo[:2], hi[2:]]).view(np.float64))
+
+
 @cache
 def _fejer(n: int) -> np.ndarray:
     """Fejér's second rule with n intervals on [0, 1] (n even), as rows: its n - 1 nodes
@@ -445,9 +494,16 @@ def _fejer_rule(edges: np.ndarray, spans: np.ndarray, size: np.ndarray):
     """Nodes t and their full- and half-rule weights w[0], w[1], a row per row of edges.
 
     Panel p of row r, from edges[r, p] over spans[r, p], gets Fejér's second rule
-    with size[r, p] intervals (even; 0 for no nodes).  Rows are padded to the
+    with size[r, p] intervals (even; 0 for no nodes).  Rows that all have one
+    layout of sizes (a beta transform's single panel) take its panels' rules
+    as they are; other rows are laid out node by node and padded to the
     longest by nodes at their last edge with zero weights.
     """
+    if (size == size[:1]).all():
+        panel = np.repeat(np.arange(size.shape[1]), np.maximum(size[0] - 1, 0))
+        x, w0, w1 = np.hstack([_fejer(int(n)) for n in size[0] if n])
+        h = spans[:, panel]
+        return edges[:, panel] + h * x, np.stack([h * w0, h * w1])
     count = np.maximum(size - 1, 0).ravel()
     # every node, row by row and panel by panel: its panel and its index j in that panel
     panel = np.repeat(np.arange(count.size), count)
@@ -961,6 +1017,10 @@ class BetaTransformed(PredictiveDist):
 
     def cdf(self, y):
         return _match(y, _special.betainc(self.alpha, self.beta, self._u(self.base.cdf(y))))
+
+    def _bracket_scale(self):
+        # B is nondecreasing, so the base ratio u crosses each level where B(u) does
+        return (lambda y: self._u(self.base.cdf(y))), _beta_levels(self.alpha, self.beta)
 
     def cdf_left(self, y):
         return _match(y, _special.betainc(self.alpha, self.beta, self._u(self.base.cdf_left(y))))

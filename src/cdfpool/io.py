@@ -35,6 +35,36 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _read_lines(path: str, **open_args) -> list[str]:
+    """The lines of a UTF-8 text file, without a leading byte-order mark.
+
+    Raises SchemaError if the file cannot be read, and naming the first line
+    that is not valid UTF-8.
+    """
+    try:
+        with open(path, "r", encoding="utf-8-sig", **open_args) as fh:
+            return fh.readlines()
+    except OSError as exc:
+        raise SchemaError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from exc
+
+
+def _not_utf8(path: str, exc: UnicodeDecodeError) -> SchemaError:
+    # a newline byte is never part of a multi-byte character, so each line decodes alone
+    try:
+        with open(path, "rb") as fh:
+            for r, line in enumerate(fh, start=1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as bad:
+                    return SchemaError(f"{path}: line {r} is not valid UTF-8 "
+                                       f"(byte {bad.start + 1}: {bad.reason})")
+    except OSError:
+        pass
+    return SchemaError(f"{path}: not valid UTF-8 ({exc.reason})")
+
+
 # ---------------------------------------------------------------------------
 # dataset CSV: header y,mu_1,sd_1,...,mu_k,sd_k; '#' lines are comments
 
@@ -80,15 +110,13 @@ def read_dataset_csv(path: str) -> ForecastBatch:
     The rows after the header are parsed in one ``np.loadtxt`` call: a field is a
     decimal or exponent number, ``inf`` or ``nan`` (case ignored), optionally quoted
     and padded with spaces or tabs; ``float`` syntax beyond that, such as
-    underscore digit groups (``1_000``), is rejected.  Raises SchemaError for a file
+    underscore digit groups (``1_000``), is rejected.  The file is UTF-8, with or
+    without a byte-order mark.  Raises SchemaError for a file
     without data rows, and naming the row (and column) of a short or long row, a
     non-numeric or non-finite value, or an ``sd`` that is not positive.
     """
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            lines = [ln for ln in fh if ln.strip() and not ln.lstrip().startswith("#")]
-    except OSError as exc:
-        raise SchemaError(f"cannot read {path}: {exc}") from exc
+    lines = [ln for ln in _read_lines(path, newline="")
+             if ln.strip() and not ln.lstrip().startswith("#")]
     if not lines:
         raise SchemaError(f"{path}: empty dataset file")
     header = [h.strip() for h in next(csv.reader(lines[:1]))]
@@ -183,11 +211,8 @@ def write_params(path: str, result: FitResult) -> None:
 
 
 def read_params(path: str) -> tuple[PoolSpec, dict]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    except OSError as exc:
-        raise SchemaError(f"cannot read {path}: {exc}") from exc
+    """The spec and every entry of a parameter file (UTF-8, with or without a byte-order mark)."""
+    lines = [ln.strip() for ln in _read_lines(path) if ln.strip() and not ln.startswith("#")]
     kv: dict[str, str] = {}
     for ln in lines:
         parts = ln.split(None, 1)

@@ -411,6 +411,36 @@ class TestSchemaErrors:
         with pytest.raises(SchemaError, match="missing key 'method'"):
             read_params(str(path))
 
+    def test_dataset_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"y,mu_1,sd_1\n# a comment\n0.5,0.0,\xff1.0\n")
+        with pytest.raises(SchemaError, match=r"bad\.csv: line 3 is not valid UTF-8 \(byte 9: "):
+            read_dataset_csv(str(path))
+        assert run("fit", "--method", "tlp", "--input", str(path),
+                   "--out", str(tmp_path / "params.txt")) == 2
+        assert "line 3 is not valid UTF-8" in capsys.readouterr().err
+
+    def test_params_not_utf8(self, tmp_path):
+        path = tmp_path / "params.txt"
+        path.write_bytes(b"method tlp\nk 1\nw_1 \xff1.0\n")
+        with pytest.raises(SchemaError, match=r"params\.txt: line 3 is not valid UTF-8 \(byte 5: "):
+            read_params(str(path))
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        bom = b"\xef\xbb\xbf"
+        data, params = tmp_path / "data.csv", tmp_path / "params.txt"
+        write_dataset_csv(str(data), simulate(DgpConfig(kind="regression", n=20, seed=2)).cases)
+        write_params(str(params), _fit_result(BlpSpec((0.4, 0.6), alpha=1.4, beta=0.9)))
+        plain_batch, plain_params = read_dataset_csv(str(data)), read_params(str(params))
+        for path in (data, params):
+            path.write_bytes(bom + path.read_bytes())
+        batch = read_dataset_csv(str(data))
+        np.testing.assert_array_equal(batch.y, plain_batch.y)
+        for got, want in zip(batch.components, plain_batch.components, strict=True):
+            np.testing.assert_array_equal(np.hstack([got.mu, got.sigma]),
+                                          np.hstack([want.mu, want.sigma]))
+        assert read_params(str(params)) == plain_params
+
     def test_latents_need_names_and_one_length(self, tmp_path):
         path = str(tmp_path / "latents.csv")
         with pytest.raises(SchemaError, match="no latent variables"):

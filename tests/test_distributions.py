@@ -22,12 +22,14 @@ from cdfpool import (
     MomentUnavailable,
     PredictiveDist,
     SpreadAdjusted,
+    TlpSpec,
     TwoPointBernoulli,
     evaluate,
     pool,
     simulate,
     validate_cdf,
 )
+from cdfpool.distributions import _fejer_rule, stack
 from cdfpool.pools import CDF_CLAMP
 
 STANDARD_MIX = Mixture((Gaussian(-1.0, 1.0), Gaussian(1.0, 1.0)), (0.5, 0.5))
@@ -279,6 +281,14 @@ class TestGridMoments:
         with pytest.raises(MomentUnavailable):
             d.variance()
 
+    @pytest.mark.xfail(strict=True, raises=MomentUnavailable,
+                       reason="a wide and a narrow component: the grid never settles")
+    def test_blp_of_a_wide_and_a_narrow_component(self):
+        # alpha = beta = 1 is the linear pool, whose variance is 0.5 * 3^2 + 0.5 * 0.125^2
+        d = pool(BlpSpec((0.5, 0.5), 1.0, 1.0), (Gaussian(0.0, 3.0), Gaussian(0.0, 0.125)))
+        assert pool(TlpSpec((0.5, 0.5)), d.base.components).variance() == 4.5078125
+        assert d.variance() == pytest.approx(4.5078125, rel=1e-8)
+
 
 def _spec(family, w):
     return BlpSpec(w, 1.7, 0.8) if family == "blp" else GlpSpec(w, family)
@@ -331,6 +341,77 @@ class TestRuleCoverage:
             m_ref, v_ref = _cdf_oracle(row, row.components)
             assert v[i] == pytest.approx(v_ref, rel=1e-8)
             assert abs(m[i] - m_ref) <= 1e-8 * np.sqrt(v_ref)
+
+
+class _CdfBracket(BetaTransformed):
+    """A beta transform whose bracket probes its CDF, as a kind without a cheaper scale does."""
+
+    _bracket_scale = PredictiveDist._bracket_scale
+
+
+def _bracket_or_error(d):
+    try:
+        return d._tail_bracket(0)
+    except MomentUnavailable as e:
+        return str(e).split(" ", 1)[1]  # after the kind's name
+
+
+# mu out to +-300 puts some tail points past the first probes' 2^7
+_wide_component = st.tuples(st.floats(-300.0, 300.0), st.floats(0.01, 10.0), st.floats(0.05, 1.0))
+_shapes = st.floats(0.05, 5.0)
+# rows of one component count k, each with its own alpha and beta
+_blp_rows = st.integers(2, 4).flatmap(lambda k: st.lists(
+    st.tuples(st.lists(_wide_component, min_size=k, max_size=k), _shapes, _shapes),
+    min_size=1, max_size=6))
+
+
+class TestBracketScale:
+    """A beta transform brackets its base CDF; the bracket is the one its CDF gives."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.lists(_wide_component, min_size=2, max_size=4), _shapes, _shapes)
+    @example([(3.0, 0.01, 1.0), (3.0, 0.01, 1.0)], 0.3, 0.3)
+    @example([(3.0, 0.01, 1.0), (3.0, 0.01, 1.0)], 5.0, 0.2)
+    @example([(3.0, 0.01, 1.0), (3.0, 0.01, 1.0)], 0.05, 0.05)
+    # the mixture tops out short of 1
+    @example([(0.0, 1.0, 1.0), (0.0, 1.0, 0.8), (0.0, 1.0, 0.9435691943904444)], 2.0, 0.703125)
+    # the CDF rises only from about 1/2 to 1/2 over +-2^63
+    @example([(0.0, 1e30, 1.0), (0.0, 1e30, 1.0)], 1.2, 0.9)
+    def test_per_case(self, raw, alpha, beta):
+        comps, w = _gaussians(raw)
+        d = pool(BlpSpec(w, alpha, beta), comps)
+        want = _bracket_or_error(_CdfBracket(d.base, alpha, beta))
+        np.testing.assert_array_equal(_bracket_or_error(d), want)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(_blp_rows)
+    def test_stacked(self, drawn):
+        rows = []
+        for raw, alpha, beta in drawn:
+            comps, w = _gaussians(raw)
+            rows.append(pool(BlpSpec(w, alpha, beta), comps))
+        # the first row's shapes for every row (floats), then each row's own ((n, 1) columns)
+        for d in (BetaTransformed(stack([r.base for r in rows]), rows[0].alpha, rows[0].beta),
+                  stack(rows)):
+            want = _bracket_or_error(_CdfBracket._stacked(d.base, d.alpha, d.beta))
+            np.testing.assert_array_equal(_bracket_or_error(d), want)
+
+
+class TestFejerRule:
+    @pytest.mark.parametrize("layout", [[128], [4, 120, 8], [0, 128, 4]])
+    def test_shared_layout_equals_the_padded_one(self, layout):
+        rng = np.random.default_rng(7)
+        spans = rng.uniform(0.1, 5.0, size=(5, len(layout))) * (np.array(layout) > 0)
+        edges = np.hstack([rng.normal(size=(5, 1)), spans]).cumsum(axis=1)
+        size = np.repeat([layout], 5, axis=0)
+        t, w = _fejer_rule(edges, spans, size)
+        # one more row of another size lays the rows out node by node
+        extra = np.vstack([size, [2 * n for n in layout]])
+        t2, w2 = _fejer_rule(np.vstack([edges, edges[:1]]), np.vstack([spans, spans[:1]]), extra)
+        nodes = t.shape[1]
+        np.testing.assert_array_equal(t2[:5, :nodes], t)
+        np.testing.assert_array_equal(w2[:, :5, :nodes], w)
+        assert (t2[:5, nodes:] == edges[:, -1:]).all() and not w2[:, :5, nodes:].any()
 
 
 class TestInvariants:
