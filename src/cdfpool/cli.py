@@ -154,9 +154,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--bins", type=int, default=10)
         p.add_argument("--svg")
 
-    # added last so that argparse's missing-option errors name each command's own options first
+    # added last so that argparse's missing-option errors name each command's own options
+    # first; a fit draws no random numbers, so it takes no --seed
     for p in sub.choices.values():
-        p.add_argument("--seed", type=int, default=0)
+        if p is not p_fit:
+            p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", required=True)
 
     p_rep = command("reproduce-sim-study", _cmd_reproduce,

@@ -6,6 +6,11 @@ evaluation surface (``cdf``, ``cdf_left``, ``density``, ``quantile``,
 agnostic of the concrete kind.  All evaluators accept scalars or numpy
 arrays and return a matching shape.
 
+A combined forecast names the forecasts it is built from (``_parts``), and
+they alone decide its kind of law: it has a density if every part has one,
+its atoms are the sorted union of its parts' atoms, and its CDF is a step
+function if every part's is.  A leaf has no parts and states its own.
+
 ``stack`` turns a list of per-case forecasts into one object whose row i is
 forecast i.  A kind's parameters are its public instance attributes, stacked
 by one rule that checks the rows' shapes in the same pass: forecasts stack
@@ -167,9 +172,15 @@ class PredictiveDist:
     def point_mass(self, y):
         return _match(y, _as_array(self.cdf(y)) - _as_array(self.cdf_left(y)))
 
+    def _parts(self) -> tuple[PredictiveDist, ...]:
+        """The forecasts this kind is built from, () for a leaf: a combined forecast has a
+        density, or a step-function CDF, if every part does, and its parts' atoms."""
+        return ()
+
     @property
     def has_density(self) -> bool:
-        return False
+        parts = self._parts()
+        return bool(parts) and all(p.has_density for p in parts)
 
     def density(self, y):
         raise DensityUnavailable(f"{type(self).__name__} has no Lebesgue density")
@@ -179,11 +190,16 @@ class PredictiveDist:
 
     def atom_locations(self) -> np.ndarray:
         """Locations of jump discontinuities (empty for continuous kinds)."""
-        return np.empty(0)
+        # stacked parts may hold different numbers of atoms per row
+        locs = [np.ravel(p.atom_locations()) for p in self._parts()]
+        return np.unique(np.concatenate([np.empty(0), *locs]))
 
-    # a step-function CDF is constant from each of atom_locations() up to the next,
-    # so its value at y depends only on which atoms lie at or below y
-    _step_cdf = False
+    @property
+    def _step_cdf(self) -> bool:
+        """Whether the CDF is constant from each of atom_locations() up to the next, so
+        its value at y depends only on which atoms lie at or below y."""
+        parts = self._parts()
+        return bool(parts) and all(p._step_cdf for p in parts)
 
     def quantile(self, p):
         """Generalized inverse inf{y : cdf(y) >= p} for p in (0, 1); a NaN level is rejected."""
@@ -649,9 +665,8 @@ class _RowStack(PredictiveDist):
         return tuple(np.array([p[i] for p in parts]).reshape(y.shape) if slope or i != 1 else None
                      for i in range(4))
 
-    @property
-    def has_density(self) -> bool:
-        return all(d.has_density for d in self.rows)
+    def _parts(self):
+        return self.rows
 
     def density(self, y):
         return self._each("density", y)
@@ -694,9 +709,7 @@ class Gaussian(PredictiveDist):
     def cdf(self, y):
         return _match(y, _special.ndtr((_as_array(y) - self.mu) / self.sigma))
 
-    @property
-    def has_density(self) -> bool:
-        return True
+    has_density = True
 
     def density(self, y):
         z = (_as_array(y) - self.mu) / self.sigma
@@ -877,9 +890,8 @@ class Mixture(PredictiveDist):
         acc = sum(w * _as_array(c.cdf_left(y)) for w, c in zip(self.weights, self.components))
         return _match(y, acc)
 
-    @property
-    def has_density(self) -> bool:
-        return all(c.has_density for c in self.components)
+    def _parts(self):
+        return self.components
 
     def density(self, y):
         if not self.has_density:
@@ -890,15 +902,6 @@ class Mixture(PredictiveDist):
     def support(self):
         los, his = zip(*(c.support() for c in self.components))
         return (reduce(np.minimum, los), reduce(np.maximum, his))
-
-    def atom_locations(self):
-        # stacked components may hold different numbers of atoms per row
-        locs = np.concatenate([np.ravel(c.atom_locations()) for c in self.components])
-        return np.unique(locs)
-
-    @property
-    def _step_cdf(self) -> bool:
-        return all(c._step_cdf for c in self.components)
 
     def mean(self):
         return sum(w * c.mean() for w, c in zip(self.weights, self.components))
@@ -952,9 +955,8 @@ class SpreadAdjusted(PredictiveDist):
     def cdf_left(self, y):
         return _match(y, _as_array(self.base.cdf_left(self._pullback(y))))
 
-    @property
-    def has_density(self) -> bool:
-        return self.base.has_density
+    def _parts(self):
+        return (self.base,)
 
     def density(self, y):
         return _match(y, _as_array(self.base.density(self._pullback(y))) / self.c)
@@ -1025,9 +1027,8 @@ class BetaTransformed(PredictiveDist):
     def cdf_left(self, y):
         return _match(y, _special.betainc(self.alpha, self.beta, self._u(self.base.cdf_left(y))))
 
-    @property
-    def has_density(self) -> bool:
-        return self.base.has_density
+    def _parts(self):
+        return (self.base,)
 
     def density(self, y):
         g = _as_array(self.base.density(y)) / self._top
@@ -1038,13 +1039,6 @@ class BetaTransformed(PredictiveDist):
 
     def support(self):
         return self.base.support()
-
-    def atom_locations(self):
-        return self.base.atom_locations()
-
-    @property
-    def _step_cdf(self) -> bool:
-        return self.base._step_cdf
 
     def _quantile(self, p):
         u = _special.betaincinv(self.alpha, self.beta, p)

@@ -78,6 +78,8 @@ def dataset_header(k: int) -> list[str]:
 
 # one parser decides what counts as a number: the whole block's, and a bad row's
 _PARSE = {"delimiter": ",", "comments": None, "quotechar": '"'}
+# a bad row alone: a text parse without max_rows makes room for 50000 rows of its width
+_ONE_ROW = _PARSE | {"max_rows": 1}
 
 
 def _bad_row(path: str, header: list[str], lines: list[str]) -> SchemaError | None:
@@ -88,16 +90,16 @@ def _bad_row(path: str, header: list[str], lines: list[str]) -> SchemaError | No
     """
     for r, line in enumerate(lines, start=2):
         try:
-            if np.loadtxt([line], **_PARSE, ndmin=2, dtype=float).shape[1] == len(header):
+            if np.loadtxt([line], **_ONE_ROW, ndmin=2, dtype=float).shape[1] == len(header):
                 continue
         except ValueError:
             pass
-        row = np.loadtxt([line], **_PARSE, ndmin=1, dtype=str)
+        row = np.loadtxt([line], **_ONE_ROW, ndmin=1, dtype=str)
         if row.size != len(header):
             return SchemaError(f"{path}: row {r} has {row.size} fields, expected {len(header)}")
         for i, (name, text) in enumerate(zip(header, row.tolist())):
             try:
-                np.loadtxt([line], **_PARSE, usecols=i, dtype=float)
+                np.loadtxt([line], **_ONE_ROW, usecols=i, dtype=float)
             except ValueError:
                 return SchemaError(f"{path}: row {r}: {name}: non-numeric value "
                                    f"(could not convert string to float: {text!r})")

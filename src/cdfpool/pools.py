@@ -246,9 +246,8 @@ class GlpDistribution(PredictiveDist):
     cdf = partialmethod(_cdf, left=False)
     cdf_left = partialmethod(_cdf, left=True)
 
-    has_density = Mixture.has_density
-    atom_locations = Mixture.atom_locations
-    _step_cdf = Mixture._step_cdf
+    def _parts(self):
+        return self.components
 
     def density(self, y):
         if not self.has_density:
@@ -273,6 +272,8 @@ def pool(spec: PoolSpec, components) -> PredictiveDist:
     The mixture and the generalized pool skip their constructors' weight
     checks (``_build``): the spec has already run them.
     """
+    if not isinstance(spec, PoolSpec):
+        raise TypeError(f"unknown pool spec {type(spec).__name__}")
     components = tuple(components)
     if len(components) != spec.k:
         raise WeightConstraintViolation(
@@ -283,8 +284,6 @@ def pool(spec: PoolSpec, components) -> PredictiveDist:
     elif isinstance(spec, GlpSpec) and spec.link is not LinkFunction.IDENTITY:
         return _build(GlpDistribution, {"components": components, "w": spec.w,
                                          "link": spec.link})
-    elif not isinstance(spec, (TlpSpec, BlpSpec, GlpSpec)):
-        raise TypeError(f"unknown pool spec {type(spec).__name__}")
     mixture = _build(Mixture, {"components": components, "weights": spec.w})
     if isinstance(spec, BlpSpec):
         return BetaTransformed(mixture, spec.alpha, spec.beta)

@@ -342,7 +342,8 @@ class TestMarginalGap:
         (pool(GlpSpec((0.5, 0.5), LinkFunction.LOG), (_FD, TwoPointBernoulli(0.2))), True),
         (pool(GlpSpec((0.5, 0.5), LinkFunction.LOG), (_FD, _G)), False),
         (SpreadAdjusted(_FD, 2.0, 0.5), False),
-        (stack([_FD, FiniteDiscrete((0.0, 1.0, 2.0), (0.2, 0.3, 0.5))]), False),
+        # rows of different atom counts: a row-by-row column of step functions is one
+        (stack([_FD, FiniteDiscrete((0.0, 1.0, 2.0), (0.2, 0.3, 0.5))]), True),
     ], ids=["discrete", "bernoulli", "gaussian", "atomic-mixture", "mixed-mixture",
             "atomic-blp", "gaussian-blp", "atomic-glp", "mixed-glp", "spread", "row-stack"])
     def test_step_function_kinds(self, d, steps):

@@ -1,11 +1,20 @@
+import io
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import textwrap
+import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
+from functools import cache
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import cdfpool
 from cdfpool import (
@@ -420,6 +429,19 @@ class TestSchemaErrors:
                    "--out", str(tmp_path / "params.txt")) == 2
         assert "line 3 is not valid UTF-8" in capsys.readouterr().err
 
+    def test_a_long_row_is_named_without_a_large_allocation(self, tmp_path):
+        # a text parse of the bad row alone must not make room for 50000 rows of its width
+        path = tmp_path / "long.csv"
+        path.write_text("y,mu_1,sd_1\n0.5,0.0,1.0\n" + "0.5," * 2000 + "0.5\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(SchemaError, match="row 3 has 2001 fields, expected 3"):
+                read_dataset_csv(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
+
     def test_params_not_utf8(self, tmp_path):
         path = tmp_path / "params.txt"
         path.write_bytes(b"method tlp\nk 1\nw_1 \xff1.0\n")
@@ -484,7 +506,6 @@ class TestOptions:
             ("--method", "method", None, None, True,
              ("tlp", "slp", "blp", "glp-log", "glp-reciprocal", "glp-probit")),
             ("--out", "out", None, None, True, None),
-            ("--seed", "seed", 0, int, False, None),
         ],
         "evaluate": [
             ("--bins", "bins", 10, int, False, None),
@@ -518,6 +539,83 @@ class TestOptions:
             )
             assert got == self.OPTIONS[name], name
             assert all(len(a.option_strings) == 1 for a in subparser._actions[1:]), name
+
+    def test_fit_takes_no_seed(self, tmp_path, capsys):
+        # a fit draws no random numbers
+        data = str(tmp_path / "train.csv")
+        run("simulate", "--dgp", "regression", "--n", "10", "--seed", "1", "--out", data)
+        with pytest.raises(SystemExit) as info:
+            run("fit", "--method", "tlp", "--input", data, "--seed", "1",
+                "--out", str(tmp_path / "params.txt"))
+        assert info.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        assert not (tmp_path / "params.txt").exists()
+
+
+@cache
+def _valid_inputs() -> tuple[bytes, dict]:
+    """A 30-case dataset file's bytes, and the params file of each family fitted on it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        data, params = Path(tmp, "data.csv"), Path(tmp, "params.txt")
+        write_dataset_csv(str(data), simulate(DgpConfig(kind="regression", n=30, seed=11)).cases)
+        fitted = {}
+        for method in ("tlp", "slp", "blp", "glp-log", "glp-probit"):
+            with redirect_stdout(io.StringIO()):
+                assert run("fit", "--method", method, "--input", str(data),
+                           "--out", str(params)) == 0
+            fitted[method] = params.read_bytes()
+        return data.read_bytes(), fitted
+
+
+_NUMBER = re.compile(rb"[-+.0-9eE]+")
+_INSERTS = {"invalid-utf8": (b"\xff", b"\xc3(", b"\xed\xa0\x80", b"\xe2\x82"), "nul": (b"\0",),
+            "cr": (b"\r", b"\r\n"), "quote": (b'"', b'""'),
+            "long-line": (b"9" * 100_000, b"0.5," * 20_000 + b"\n")}
+
+
+@st.composite
+def _mutated(draw, text: bytes) -> bytes:
+    """``text`` with one mutation: a bit flip, a cut, a byte-order mark, a non-finite
+    number, or bytes inserted (invalid UTF-8, NUL, CR, quotes, a long line)."""
+    kind = draw(st.sampled_from(["flip", "cut", "bom", "1e400", "nan", *_INSERTS]))
+    at = draw(st.integers(0, len(text) - 1))
+    if kind == "flip":
+        return text[:at] + bytes([text[at] ^ 1 << draw(st.integers(0, 7))]) + text[at + 1:]
+    if kind == "cut":
+        return text[:at] + text[draw(st.integers(at + 1, len(text))):]
+    if kind == "bom":
+        return b"\xef\xbb\xbf" + text
+    if kind in ("1e400", "nan"):
+        number = draw(st.sampled_from(list(_NUMBER.finditer(text))))
+        return text[:number.start()] + kind.encode() + text[number.end():]
+    return text[:at] + draw(st.sampled_from(_INSERTS[kind])) + text[at:]
+
+
+class TestArbitraryBytes:
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+    @given(st.data())
+    def test_the_exit_code_contract_holds(self, tmp_path, data):
+        """One mutation of a valid dataset (under ``fit``) or params file (under
+        ``evaluate``): the exit code is 0, 1 or 2, no exception escapes, and stderr is
+        empty or one line that starts with ``error:`` or ``numerical failure:``."""
+        dataset, fitted = _valid_inputs()
+        method = data.draw(st.sampled_from(sorted(fitted)))
+        csv, params = tmp_path / "data.csv", tmp_path / "params.txt"
+        if data.draw(st.booleans()):
+            csv.write_bytes(data.draw(_mutated(dataset)))
+            argv = ["fit", "--method", method, "--input", str(csv)]
+        else:
+            csv.write_bytes(dataset)
+            params.write_bytes(data.draw(_mutated(fitted[method])))
+            argv = ["evaluate", "--params", str(params), "--input", str(csv)]
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = run(*argv, "--out", str(tmp_path / "out.txt"))
+        assert code in (0, 1, 2)
+        lines = err.getvalue().splitlines()
+        assert not lines or (len(lines) == 1
+                             and lines[0].startswith(("error: ", "numerical failure: ")))
 
 
 class TestDiagnosticCsv:

@@ -214,6 +214,47 @@ class TestShapeRule:
         assert stack(rows).link is LinkFunction.RECIPROCAL
 
 
+# pools of continuous, atomic and mixed members, per case and as three stacked rows
+_MEMBERS = {
+    "gaussians": lambda j: _G[:2],
+    "atoms": lambda j: (FiniteDiscrete((j, j + 1.0, j + 2.0), (0.2, 0.4, 0.4)),
+                        TwoPointBernoulli(0.3)),
+    "mixed": lambda j: (Gaussian(j, 1.0), TwoPointBernoulli(0.3)),
+}
+_POOL_SPECS = {"tlp": TlpSpec(_HALVES), "slp": SlpSpec(_HALVES, 1.3),
+               "blp": BlpSpec(_HALVES, 1.2, 0.8), "glp-log": GlpSpec(_HALVES, LinkFunction.LOG)}
+
+
+def _combined() -> dict:
+    """Every ragged row stack, and each family's pool of each member set."""
+    out = {f"row-stack-{name}": stack(rows) for name, rows in _RAGGED.items()}
+    for family, spec in _POOL_SPECS.items():
+        for members, make in _MEMBERS.items():
+            out[f"{family}-{members}-per-case"] = pool(spec, make(0.5))
+            columns = zip(*(make(j) for j in range(3)))  # each member's three rows
+            out[f"{family}-{members}-stacked"] = pool(spec, tuple(map(stack, columns)))
+    return out
+
+
+_COMBINED = _combined()
+
+
+class TestPartsRule:
+    @pytest.mark.parametrize("d", _COMBINED.values(), ids=_COMBINED.keys())
+    def test_density_atoms_and_steps_follow_from_the_parts(self, d):
+        parts = d._parts()
+        assert parts
+        assert d.has_density == all(p.has_density for p in parts)
+        assert d._step_cdf == all(p._step_cdf for p in parts)
+        want = np.unique(np.concatenate([np.ravel(p.atom_locations()) for p in parts]))
+        np.testing.assert_array_equal(np.unique(np.ravel(d.atom_locations())), want)
+
+    def test_a_row_stack_reports_its_rows_atoms(self):
+        d = stack(_RAGGED["atom-count"])
+        np.testing.assert_array_equal(d.atom_locations(), [0.0, 1.0, 2.0])
+        assert d._step_cdf and not d.has_density
+
+
 # ---------------------------------------------------------------------------
 # the stacking rule: lists of one shape, each row with its own parameters
 
@@ -805,7 +846,7 @@ class TestChunksOnEveryCore:
 
     J = 5 * _GAP_CHUNK + 17
     # step-function forecasts: the gap evaluates the average CDF once per stretch between atoms
-    STEP_KINDS = ("row-atoms", "atom-tlp", "atom-blp", "atom-glp-log")
+    STEP_KINDS = ("row-atoms", "row-ragged", "atom-tlp", "atom-blp", "atom-glp-log")
 
     def _forecasts(self, kind):
         batch = simulate(DgpConfig(kind="regression", n=self.J, seed=41)).cases
@@ -823,10 +864,16 @@ class TestChunksOnEveryCore:
             atoms = (rng.integers(-12, 4, (self.J, 1))
                      + np.cumsum(rng.integers(1, 4, (self.J, 3)), axis=1)) / 4.0
             masses = rng.dirichlet(np.ones(3), self.J)
-            row_atoms = stack([FiniteDiscrete(tuple(a), tuple(m)) for a, m in zip(atoms, masses)])
+            rows = [FiniteDiscrete(tuple(a), tuple(m)) for a, m in zip(atoms, masses)]
+            row_atoms = stack(rows)
             obs = atoms[np.arange(self.J), rng.integers(0, 3, self.J)]
             if kind == "row-atoms":
                 return row_atoms, obs
+            if kind == "row-ragged":
+                # every third row keeps its first two atoms: a row-by-row column
+                rows[::3] = [FiniteDiscrete(r.atoms[:2], (r.masses[0], 1.0 - r.masses[0]))
+                             for r in rows[::3]]
+                return stack(rows), obs
             # members with different atom counts: three per row and the two at 0 and 1
             members = (row_atoms, stack([TwoPointBernoulli(x) for x in rng.uniform(0.1, 0.9, self.J)]))
             spec = {"atom-tlp": TlpSpec((0.4, 0.6)), "atom-blp": BlpSpec((0.4, 0.6), 1.4, 0.8),
