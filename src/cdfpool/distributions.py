@@ -8,8 +8,13 @@ arrays and return a matching shape.
 
 A combined forecast names the forecasts it is built from (``_parts``), and
 they alone decide its kind of law: it has a density if every part has one,
-its atoms are the sorted union of its parts' atoms, and its CDF is a step
-function if every part's is.  A leaf has no parts and states its own.
+its atoms are the sorted union of its parts' atoms, its CDF is a step
+function if every part's is, and its support is the union of its parts'
+supports, from the lowest lower bound to the highest upper bound.  A leaf
+has no parts and states its own; its support is the real line unless it
+says otherwise.  Every kind without a closed-form median takes the one
+generic ``median``: the midpoint of the quantiles at 1/2 -+ 1e-9, or
+MedianUndefined where the CDF is flat at 1/2 between them.
 
 ``stack`` turns a list of per-case forecasts into one object whose row i is
 forecast i.  A kind's parameters are its public instance attributes, stacked
@@ -174,7 +179,8 @@ class PredictiveDist:
 
     def _parts(self) -> tuple[PredictiveDist, ...]:
         """The forecasts this kind is built from, () for a leaf: a combined forecast has a
-        density, or a step-function CDF, if every part does, and its parts' atoms."""
+        density, or a step-function CDF, if every part does, and its parts' atoms and the
+        union of their supports."""
         return ()
 
     @property
@@ -186,7 +192,12 @@ class PredictiveDist:
         raise DensityUnavailable(f"{type(self).__name__} has no Lebesgue density")
 
     def support(self) -> tuple[float, float]:
-        return (-np.inf, np.inf)
+        """(lowest, highest) bound of the parts' supports; the real line for a leaf."""
+        parts = self._parts()
+        if not parts:
+            return (-np.inf, np.inf)
+        los, his = zip(*(p.support() for p in parts))
+        return (reduce(np.minimum, los), reduce(np.maximum, his))
 
     def atom_locations(self) -> np.ndarray:
         """Locations of jump discontinuities (empty for continuous kinds)."""
@@ -814,13 +825,6 @@ class FiniteDiscrete(PredictiveDist):
         # the first atom whose cumulative mass reaches p
         return self._lookup(self._atoms, (self._cum[..., 1:] < p[..., None]).sum(axis=-1))
 
-    def median(self):
-        i = (self._cum[..., 1:] < 0.5).sum(axis=-1)  # 0-d, or an (n, 1) column when stacked
-        if np.any((self._lookup(self._cum[..., 1:], i) == 0.5) & (i + 1 < len(self.atoms))):
-            raise MedianUndefined("CDF equals 1/2 on a whole interval")
-        m = self._lookup(self._atoms, i)
-        return m if self._rows() is not None else float(m)
-
     def _total(self, x):
         """The sum over atoms of mass times x, in atom order: an (n, 1) column when stacked."""
         s = np.cumsum(np.stack(self.masses, axis=-1) * x, axis=-1)[..., -1]
@@ -898,10 +902,6 @@ class Mixture(PredictiveDist):
             raise DensityUnavailable("a mixture component carries point masses")
         acc = sum(w * _as_array(c.density(y)) for w, c in zip(self.weights, self.components))
         return _match(y, acc)
-
-    def support(self):
-        los, his = zip(*(c.support() for c in self.components))
-        return (reduce(np.minimum, los), reduce(np.maximum, his))
 
     def mean(self):
         return sum(w * c.mean() for w, c in zip(self.weights, self.components))
@@ -1037,16 +1037,9 @@ class BetaTransformed(PredictiveDist):
             out = np.where(g > 0.0, _beta_pdf(u, self.alpha, self.beta) * g, 0.0)
         return _match(y, out)
 
-    def support(self):
-        return self.base.support()
-
     def _quantile(self, p):
         u = _special.betaincinv(self.alpha, self.beta, p)
         return _as_array(self.base.quantile(u * self._top))
-
-    def median(self):
-        # per row when stacked
-        return self.base.quantile(_special.betaincinv(self.alpha, self.beta, 0.5) * self._top)
 
 
 def validate_cdf(d: PredictiveDist, grid=None) -> None:

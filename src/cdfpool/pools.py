@@ -211,9 +211,10 @@ class GlpDistribution(PredictiveDist):
     link is applied; each component gives its term h(F_i), the term's
     y-derivative and clamp masks through ``_link_cdf``.  Wherever every
     component has numerically saturated at 0 (or 1), the pooled CDF is set
-    to exactly 0 (or 1); the same applies outside the components' common
-    support.  The density is exp(phi(s)) |sum_i w_i dh(F_i)/dy| at the CDF's
-    link sum s = sum_i w_i h(F_i): between the clamp crossings (``_kinks``)
+    to exactly 0 (or 1): below every component's support and above it, so
+    the pool's support is the union of theirs.  The density is
+    exp(phi(s)) |sum_i w_i dh(F_i)/dy| at the CDF's link sum
+    s = sum_i w_i h(F_i): between the clamp crossings (``_kinks``)
     it is the derivative of the CDF, whatever the weights.  Weights that the
     link's ``GlpSpec`` would reject, or a weight count other than the
     component count, raise WeightConstraintViolation.
@@ -256,14 +257,13 @@ class GlpDistribution(PredictiveDist):
         s = self._link_sum(h)
         return _match(y, np.exp(self.link.phi(s)) * np.abs(self._link_sum(dh)))
 
-    def support(self):
-        los, his = zip(*(c.support() for c in self.components))
-        return (reduce(np.maximum, los), reduce(np.minimum, his))
-
     def _kinks(self):
-        # the clamp switches on where a component CDF crosses either bound
+        # the clamp switches on where a component CDF crosses either bound, and a component
+        # that is itself a pool has kinks of its own; (1, m) or (n, m) arrays, m may be 0
         bounds = np.array([[CDF_CLAMP, 1.0 - CDF_CLAMP]])
-        return np.hstack(np.broadcast_arrays(*(c.quantile(bounds) for c in self.components)))
+        kinks = [k for c in self.components for k in (c.quantile(bounds), c._kinks())]
+        rows = max(len(k) for k in kinks)
+        return np.hstack([np.broadcast_to(k, (rows, k.shape[1])) for k in kinks])
 
 
 def pool(spec: PoolSpec, components) -> PredictiveDist:

@@ -245,9 +245,9 @@ def simulate(config: DgpConfig) -> SimResult:
 # statistical checkers
 
 
-def marginal_gap_threshold(n: int, level: float = 0.01) -> float:
-    """Conservative distribution-free band for the marginal calibration gap."""
-    return 3.0 * np.sqrt(np.log(2.0 / level) / (2.0 * n))
+def marginal_gap_threshold(n: int) -> float:
+    """Conservative distribution-free band for the marginal calibration gap, at level 0.01."""
+    return 3.0 * np.sqrt(np.log(2.0 / 0.01) / (2.0 * n))
 
 
 @dataclass(frozen=True)
@@ -260,8 +260,7 @@ class OverdispersionReport:
     component_pit_variances: tuple[float, ...]
 
 
-def check_linear_pool_overdispersion(n: int, seed: int, weights=None,
-                                     a=(1.0, 1.0, 1.1)) -> OverdispersionReport:
+def check_linear_pool_overdispersion(n: int, seed: int, weights=None) -> OverdispersionReport:
     """PIT variance of an equal-weight linear pool of ideal regression forecasts.
 
     Passes when the 95% interval for the pooled PIT variance lies entirely
@@ -269,7 +268,7 @@ def check_linear_pool_overdispersion(n: int, seed: int, weights=None,
     """
     if n < 10_000:
         raise InvalidConfig("need n >= 10^4 for a reliable interval")
-    batch = simulate(DgpConfig(REGRESSION, n, seed, *a)).cases
+    batch = simulate(DgpConfig(REGRESSION, n, seed)).cases
     k = len(batch.components)
     w = (1.0 / k,) * k if weights is None else weights
     rep = dispersion_report(pit_sample(pool(TlpSpec(w), batch.components), batch.y,

@@ -329,6 +329,18 @@ class TestRuleCoverage:
         assert d.cdf(edge) - d.cdf(edge - 1e-9) > 1e-6
         _assert_moments_close(d, _cdf_oracle(d, self._CASE))
 
+    def test_pool_nested_in_a_pool_matches_quad(self):
+        # the outer CDF has kinks where the inner pool's own components cross the clamp
+        inner_comps = (Gaussian(0.0, 0.5), Gaussian(1.0, 3.0))
+        inner = pool(GlpSpec((0.5, 0.5), LinkFunction.LOG), inner_comps)
+        comps = (inner, Gaussian(0.5, 2.0))
+        d = pool(GlpSpec((0.5, 0.5), LinkFunction.PROBIT), comps)
+        kinks = [c.quantile(p) for c in inner_comps + comps for p in (CDF_CLAMP, 1.0 - CDF_CLAMP)]
+        lo, hi = -40.0, 40.0
+        i1, i2 = _quad_moments(lambda t: 1.0 - d.cdf(t),
+                               lambda t, _: 2.0 * (t - lo) * (1.0 - d.cdf(t)), lo, hi, kinks)
+        _assert_moments_close(d, (lo + i1, i2 - i1 * i1))
+
     @pytest.mark.parametrize("w", [(0.111, 0.220, 0.113), (0.2, 0.1, 0.15)])
     def test_evaluate_log_pool_with_weights_below_one(self, w):
         batch = simulate(DgpConfig(kind="regression", n=300, seed=31)).cases
@@ -532,6 +544,16 @@ class TestConstruction:
     def test_median_undefined_on_flat_cdf(self):
         with pytest.raises(MedianUndefined):
             FiniteDiscrete((0.0, 1.0), (0.5, 0.5)).median()
+
+    def test_median_undefined_on_flat_beta_transform(self):
+        # B(F) is exactly 1/2 on [0, 1), as F is
+        with pytest.raises(MedianUndefined):
+            BetaTransformed(FiniteDiscrete((0.0, 1.0), (0.5, 0.5)), 2.0, 2.0).median()
+
+    def test_unique_discrete_median_is_the_atom(self):
+        assert FiniteDiscrete((0.0, 1.0, 2.5), (0.3, 0.4, 0.3)).median() == 1.0
+        rows = [FiniteDiscrete((j, j + 0.1, j + 7.0), (0.2, 0.6, 0.2)) for j in (-3.0, 0.3, 9.0)]
+        np.testing.assert_array_equal(stack(rows).median(), [[-2.9], [0.4], [9.1]])
 
     def test_median_of_shifted_mixture(self):
         d = Mixture((Gaussian(1.0, 1.0), Gaussian(3.0, 2.0)), (0.5, 0.5))

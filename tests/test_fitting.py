@@ -46,6 +46,7 @@ from cdfpool.fitting import (
     _slp_derivs,
     _Weights,
 )
+from cdfpool.io import write_params
 
 from conftest import StackedLogistic, make_gaussian_cases
 
@@ -242,6 +243,22 @@ class TestFitBlp:
         res = fit_blp(cases)
         assert res.converged
         assert FLAG_NO_CONVERGENCE not in res.flags
+
+    def test_constant_pit_design_stops_and_says_not_converged(self, tmp_path):
+        # the first component's PIT is Phi(-0.2) in every case, so the log score
+        # grows without bound as alpha and beta do: the engine must stop, flag
+        # it, and raise no floating-point warning on the way
+        y0 = np.random.default_rng(4).normal(size=30)
+        cases = [ForecastCase((Gaussian(m + 0.3, 1.0),
+                               Mixture((Gaussian(0.0, 1.0), Gaussian(m, 2.0)), (0.4, 0.6))),
+                              m + 0.1) for m in y0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = fit_blp(cases)
+        assert not res.converged
+        assert FLAG_NO_CONVERGENCE in res.flags
+        write_params(str(tmp_path / "params.txt"), res)
+        assert "converged false\n" in (tmp_path / "params.txt").read_text()
 
     def test_study_scale_weights_match_reference(self, study_report):
         w = study_report.fits["blp"].spec.w

@@ -101,6 +101,21 @@ class TestGlpArithmetic:
         assert d.cdf(-0.5) == 0.0
         assert d.cdf(1.0) == 1.0
 
+    @pytest.mark.parametrize("link", [LinkFunction.LOG, LinkFunction.RECIPROCAL,
+                                      LinkFunction.PROBIT], ids=lambda link: link.value)
+    def test_disjoint_discrete_components_span_the_union_of_supports(self, link):
+        # the pool's CDF is strictly inside (0, 1) between the two atom sets, so its
+        # quantiles lie anywhere from the lowest atom to the highest
+        comps = (FiniteDiscrete((0.0, 1.0), (0.5, 0.5)), FiniteDiscrete((5.0, 6.0), (0.5, 0.5)))
+        d = pool(GlpSpec((0.5, 0.5), link), comps)
+        assert d.support() == (0.0, 6.0)
+        assert 0.0 < d.cdf(4.0) < 1.0
+        for p in (1e-7, 0.5, 0.999):
+            q = d.quantile(p)
+            assert 0.0 <= q <= 6.0
+            assert d.cdf(q) >= p
+        validate_cdf(d)
+
 
 def _clamp_then_link(spec, comps, y, left):
     """The GLP CDF by clamping every component CDF, then applying the link to the stack."""

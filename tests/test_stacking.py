@@ -255,6 +255,39 @@ class TestPartsRule:
         assert d._step_cdf and not d.has_density
 
 
+# the ragged lists' rows one by one, and their row stacks grouped by row count
+_RAGGED_ROWS = [row for rows in _RAGGED.values() for row in rows]
+_RAGGED_STACKS = {n: [stack(rows) for rows in _RAGGED.values() if len(rows) == n] for n in (2, 3)}
+
+
+@st.composite
+def _pool_of_ragged(draw):
+    """A pool of any family over one to three ragged rows, or over row stacks of one length."""
+    k = draw(st.integers(1, 3))
+    members = _RAGGED_ROWS if draw(st.booleans()) else _RAGGED_STACKS[draw(st.sampled_from([2, 3]))]
+    try:
+        return pool(draw(_spec(k)), [draw(st.sampled_from(members)) for _ in range(k)])
+    except MedianUndefined:  # a spread-adjusted pool needs component medians
+        reject()
+
+
+class TestSupportRule:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.one_of(st.sampled_from(list(_RAGGED_STACKS[2] + _RAGGED_STACKS[3])),
+                     _pool_of_ragged()))
+    def test_support_is_the_union_of_the_parts_and_bounds_the_cdf(self, d):
+        los, his = zip(*(p.support() for p in d._parts()))
+        lo, hi = d.support()
+        np.testing.assert_array_equal(lo, np.min(np.broadcast_arrays(*los), axis=0))
+        np.testing.assert_array_equal(hi, np.max(np.broadcast_arrays(*his), axis=0))
+        # a bound is a float, or an (n, 1) column of the rows' bounds
+        lo, hi = np.atleast_2d(lo), np.atleast_2d(hi)
+        below, top = np.asarray(d.cdf(lo - 1.0)), np.asarray(d.cdf(hi))
+        assert np.all(below[np.broadcast_to(np.isfinite(lo), below.shape)] == 0.0)
+        # a mixture tops out at its weights' sum, which the spec holds to 1 within 1e-12
+        assert np.all(np.abs(top[np.broadcast_to(np.isfinite(hi), top.shape)] - 1.0) <= 1e-12)
+
+
 # ---------------------------------------------------------------------------
 # the stacking rule: lists of one shape, each row with its own parameters
 
