@@ -4,7 +4,9 @@ Every distribution is immutable after construction and exposes the same
 evaluation surface (``cdf``, ``cdf_left``, ``density``, ``quantile``,
 ``mean``, ``variance``, ``sample``), so pooling and diagnostic code can stay
 agnostic of the concrete kind.  All evaluators accept scalars or numpy
-arrays and return a matching shape.
+arrays and return a matching shape.  ``quantile`` is the generalized inverse,
+so a level inside an atom's jump gives the atom itself, and every kind's
+``sample`` is the ``quantile`` of open uniforms, exact at atoms too.
 
 A combined forecast names the forecasts it is built from (``_parts``), and
 they alone decide its kind of law: it has a density if every part has one,
@@ -26,9 +28,11 @@ in to columns with the class marker ``_stacks = True``; forecasts of another
 kind are a ``_RowStack`` column, evaluated row by row, and so is the whole
 list at the first mismatch at any depth.  The stacked ``cdf``, ``cdf_left``
 and ``density`` take an (n, m) or (1, m) array of points and return (n, m),
-row i being case i's forecast at row i of the points; ``quantile`` takes
-levels in the same shapes; ``mean``, ``variance`` and ``median`` return
-(n, 1) columns.  A per-case object runs the same code as a 1-row stack.
+row i being case i's forecast at row i of the points, or the (n, 1) column
+at a scalar point; ``quantile`` takes levels in the same shapes; ``mean``,
+``variance`` and ``median`` return (n, 1) columns; ``sample(rng, m)`` gives
+(n, m), row i as case i draws from the same generator.  A per-case object
+runs the same code as a 1-row stack.
 ``_take(rows)`` cuts the rows, ``_take(i)`` rebuilds case i, checked as at
 construction, and ``Gaussian._stacked(mu, sigma)`` and its siblings build
 a stacked object from checked, stacked parameters in declaration order.
@@ -136,11 +140,9 @@ def _as_array(y) -> np.ndarray:
     return np.asarray(y, dtype=float)
 
 
-def _match(y_in, out: np.ndarray):
-    """Return a float for scalar input, an ndarray otherwise."""
-    if isinstance(y_in, numbers.Number) or np.ndim(y_in) == 0:
-        return float(out)
-    return out
+def _match(out: np.ndarray):
+    """A float for a 0-d result (a per-case object at a scalar point), the array otherwise."""
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def uniform_open(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -175,7 +177,7 @@ class PredictiveDist:
         return self.cdf(y)
 
     def point_mass(self, y):
-        return _match(y, _as_array(self.cdf(y)) - _as_array(self.cdf_left(y)))
+        return _match(_as_array(self.cdf(y)) - _as_array(self.cdf_left(y)))
 
     def _parts(self) -> tuple[PredictiveDist, ...]:
         """The forecasts this kind is built from, () for a leaf: a combined forecast has a
@@ -217,7 +219,7 @@ class PredictiveDist:
         p_arr = _as_array(p)
         if not np.all((p_arr > 0.0) & (p_arr < 1.0)):
             raise ValueError("quantile level must lie strictly inside (0, 1)")
-        return _match(p, self._quantile(p_arr))
+        return _match(self._quantile(p_arr))
 
     def median(self):
         """The unique median, or MedianUndefined if the CDF is flat at 1/2.
@@ -241,7 +243,8 @@ class PredictiveDist:
         return self._quadrature_moments()[1]
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return np.atleast_1d(_as_array(self.quantile(uniform_open(rng, n))))
+        """``quantile`` of n open uniforms: n draws, or (rows, n) when stacked."""
+        return self.quantile(uniform_open(rng, n))
 
     def _link_cdf(self, link, y, left: bool = False, slope: bool = False):
         """The generalized pool's term for this component at y, its y-derivative and the
@@ -345,6 +348,15 @@ class PredictiveDist:
             ge = _as_array(self.cdf(mid)) >= p
             hi = np.where(ge & ~done, mid, hi)
             lo = np.where(~ge & ~done, mid, lo)
+        # an atom a in the last bracket (lo, hi] with cdf_left(a) < p <= cdf(a) is the quantile
+        # exactly: the atoms above lo are tried in turn up to the first whose CDF reaches p
+        atoms = np.append(np.unique(self.atom_locations()), np.inf)  # sorted and flat, then a stop
+        i = np.searchsorted(atoms, lo, side="right")
+        while (tried := atoms[i] <= hi).any():
+            a = np.where(tried, atoms[i], hi)
+            reached = tried & (_as_array(self.cdf(a)) >= p)
+            hi = np.where(reached & (_as_array(self.cdf_left(a)) < p), a, hi)
+            i = np.where(tried & ~reached, i + 1, -1)
         return hi
 
     def _bracket_scale(self):
@@ -658,7 +670,7 @@ class _RowStack(PredictiveDist):
     rows: tuple[PredictiveDist, ...]
 
     def _each(self, method: str, y) -> np.ndarray:
-        y = _as_array(y)
+        y = np.atleast_2d(_as_array(y))  # a scalar point is one column
         y = np.broadcast_to(y, (len(self.rows), y.shape[-1]))
         return np.array([_as_array(getattr(d, method)(yi)) for d, yi in zip(self.rows, y)]
                         ).reshape(y.shape)
@@ -670,7 +682,7 @@ class _RowStack(PredictiveDist):
         return self._each("cdf_left", y)
 
     def _link_cdf(self, link, y, left=False, slope=False):
-        y = _as_array(y)
+        y = np.atleast_2d(_as_array(y))
         y = np.broadcast_to(y, (len(self.rows), y.shape[-1]))
         parts = [d._link_cdf(link, yi, left, slope) for d, yi in zip(self.rows, y)]
         return tuple(np.array([p[i] for p in parts]).reshape(y.shape) if slope or i != 1 else None
@@ -718,13 +730,13 @@ class Gaussian(PredictiveDist):
             raise ValueError("sigma must be strictly positive and finite")
 
     def cdf(self, y):
-        return _match(y, _special.ndtr((_as_array(y) - self.mu) / self.sigma))
+        return _match(_special.ndtr((_as_array(y) - self.mu) / self.sigma))
 
     has_density = True
 
     def density(self, y):
         z = (_as_array(y) - self.mu) / self.sigma
-        return _match(y, np.exp(-0.5 * z * z) / (self.sigma * np.sqrt(2.0 * np.pi)))
+        return _match(np.exp(-0.5 * z * z) / (self.sigma * np.sqrt(2.0 * np.pi)))
 
     def _link_cdf(self, link, y, left=False, slope=False):
         if link.value != "probit":
@@ -748,9 +760,6 @@ class Gaussian(PredictiveDist):
 
     def variance(self):
         return self.sigma * self.sigma
-
-    def sample(self, rng, n):
-        return rng.normal(self.mu, self.sigma, size=n)
 
 
 @dataclass(frozen=True)
@@ -808,10 +817,10 @@ class FiniteDiscrete(PredictiveDist):
         return acc
 
     def cdf(self, y):
-        return _match(y, self._cum_at(y, np.less_equal))
+        return _match(self._cum_at(y, np.less_equal))
 
     def cdf_left(self, y):
-        return _match(y, self._cum_at(y, np.less))
+        return _match(self._cum_at(y, np.less))
 
     def support(self):
         return (self.atoms[0], self.atoms[-1])
@@ -835,9 +844,6 @@ class FiniteDiscrete(PredictiveDist):
 
     def variance(self):
         return self._total((self._atoms - np.expand_dims(self.mean(), -1)) ** 2)
-
-    def sample(self, rng, n):
-        return rng.choice(self._atoms, size=n, p=self.masses)
 
 
 class TwoPointBernoulli(FiniteDiscrete):
@@ -888,11 +894,11 @@ class Mixture(PredictiveDist):
 
     def cdf(self, y):
         acc = sum(w * _as_array(c.cdf(y)) for w, c in zip(self.weights, self.components))
-        return _match(y, acc)
+        return _match(acc)
 
     def cdf_left(self, y):
         acc = sum(w * _as_array(c.cdf_left(y)) for w, c in zip(self.weights, self.components))
-        return _match(y, acc)
+        return _match(acc)
 
     def _parts(self):
         return self.components
@@ -901,7 +907,7 @@ class Mixture(PredictiveDist):
         if not self.has_density:
             raise DensityUnavailable("a mixture component carries point masses")
         acc = sum(w * _as_array(c.density(y)) for w, c in zip(self.weights, self.components))
-        return _match(y, acc)
+        return _match(acc)
 
     def mean(self):
         return sum(w * c.mean() for w, c in zip(self.weights, self.components))
@@ -910,16 +916,6 @@ class Mixture(PredictiveDist):
         m = self.mean()
         return sum(w * (c.variance() + (c.mean() - m) ** 2)
                    for w, c in zip(self.weights, self.components))
-
-    def sample(self, rng, n):
-        idx = rng.choice(len(self.components), size=n, p=self.weights)
-        out = np.empty(n)
-        for i, c in enumerate(self.components):
-            mask = idx == i
-            cnt = int(mask.sum())
-            if cnt:
-                out[mask] = c.sample(rng, cnt)
-        return out
 
 
 @dataclass(frozen=True)
@@ -950,16 +946,16 @@ class SpreadAdjusted(PredictiveDist):
         return self.center + self.c * (x - self.center)
 
     def cdf(self, y):
-        return _match(y, _as_array(self.base.cdf(self._pullback(y))))
+        return _match(_as_array(self.base.cdf(self._pullback(y))))
 
     def cdf_left(self, y):
-        return _match(y, _as_array(self.base.cdf_left(self._pullback(y))))
+        return _match(_as_array(self.base.cdf_left(self._pullback(y))))
 
     def _parts(self):
         return (self.base,)
 
     def density(self, y):
-        return _match(y, _as_array(self.base.density(self._pullback(y))) / self.c)
+        return _match(_as_array(self.base.density(self._pullback(y))) / self.c)
 
     def support(self):
         return tuple(self._pushforward(x) for x in self.base.support())  # keeps +-inf
@@ -982,9 +978,6 @@ class SpreadAdjusted(PredictiveDist):
 
     def variance(self):
         return self.c * self.c * self.base.variance()
-
-    def sample(self, rng, n):
-        return self._pushforward(self.base.sample(rng, n))
 
 
 @dataclass(frozen=True)
@@ -1018,14 +1011,14 @@ class BetaTransformed(PredictiveDist):
         return np.clip(_as_array(base_cdf) / self._top, 0.0, 1.0)
 
     def cdf(self, y):
-        return _match(y, _special.betainc(self.alpha, self.beta, self._u(self.base.cdf(y))))
+        return _match(_special.betainc(self.alpha, self.beta, self._u(self.base.cdf(y))))
 
     def _bracket_scale(self):
         # B is nondecreasing, so the base ratio u crosses each level where B(u) does
         return (lambda y: self._u(self.base.cdf(y))), _beta_levels(self.alpha, self.beta)
 
     def cdf_left(self, y):
-        return _match(y, _special.betainc(self.alpha, self.beta, self._u(self.base.cdf_left(y))))
+        return _match(_special.betainc(self.alpha, self.beta, self._u(self.base.cdf_left(y))))
 
     def _parts(self):
         return (self.base,)
@@ -1035,7 +1028,7 @@ class BetaTransformed(PredictiveDist):
         u = _as_array(self.base.cdf(y)) / self._top
         with np.errstate(invalid="ignore", over="ignore"):
             out = np.where(g > 0.0, _beta_pdf(u, self.alpha, self.beta) * g, 0.0)
-        return _match(y, out)
+        return _match(out)
 
     def _quantile(self, p):
         u = _special.betaincinv(self.alpha, self.beta, p)

@@ -286,7 +286,7 @@ def log_score(d: PredictiveDist, y):
     A float for a scalar outcome; for a stacked ``d`` and an (n, 1) column of
     outcomes, the (n, 1) scores of its rows.
     """
-    return _match(y, np.log(np.maximum(_as_array(d.density(y)), DENSITY_FLOOR)))
+    return _match(np.log(np.maximum(_as_array(d.density(y)), DENSITY_FLOOR)))
 
 
 def beta_log_moments(alpha: float, beta: float):

@@ -242,7 +242,7 @@ class GlpDistribution(PredictiveDist):
         h, _, low, high = zip(*(c._link_cdf(self.link, y, left) for c in self.components))
         out = np.clip(self.link.invert(self._link_sum(h)), 0.0, 1.0)
         out = np.where(reduce(np.logical_and, high), 1.0, out)
-        return _match(y, np.where(reduce(np.logical_and, low), 0.0, out))
+        return _match(np.where(reduce(np.logical_and, low), 0.0, out))
 
     cdf = partialmethod(_cdf, left=False)
     cdf_left = partialmethod(_cdf, left=True)
@@ -255,7 +255,7 @@ class GlpDistribution(PredictiveDist):
             raise DensityUnavailable("a pool component carries point masses")
         h, dh, _, _ = zip(*(c._link_cdf(self.link, y, slope=True) for c in self.components))
         s = self._link_sum(h)
-        return _match(y, np.exp(self.link.phi(s)) * np.abs(self._link_sum(dh)))
+        return _match(np.exp(self.link.phi(s)) * np.abs(self._link_sum(dh)))
 
     def _kinks(self):
         # the clamp switches on where a component CDF crosses either bound, and a component
@@ -306,7 +306,7 @@ def coherent_probit_pool(p1, p2, sigma1: float, sigma2: float):
         raise DomainViolation("probabilities must lie strictly inside (0, 1)")
     out = _special.ndtr(np.sqrt(1.0 + sigma2 ** 2) * _special.ndtri(p1_arr)
                         + np.sqrt(1.0 + sigma1 ** 2) * _special.ndtri(p2_arr))
-    return _match(p1, out)
+    return _match(out)
 
 
 def slp_limit_variance(f0: PredictiveDist, components, w) -> float:

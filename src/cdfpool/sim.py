@@ -39,6 +39,7 @@ _KINDS = (REGRESSION, FSIGMA, BINARY_PROBIT, FORECASTER_QUARTET, TERNARY)
 
 # The checkers draw their PIT uniforms from Philox(seed + 2**32): no 32-bit data seed uses it.
 _PIT_KEY_OFFSET = 2**32
+_RELIABILITY_BINS = 10  # equal-width probability bins of the binary reliability check
 
 
 @dataclass(frozen=True)
@@ -285,10 +286,10 @@ def check_linear_pool_overdispersion(n: int, seed: int, weights=None) -> Overdis
     )
 
 
-def _reliability_max_sigma_dev(p, y, bins=10):
-    """Largest per-bin |frequency - mean forecast| in binomial sigma units."""
+def _reliability_max_sigma_dev(p, y):
+    """Largest |frequency - mean forecast| over the reliability bins, in binomial sigma units."""
     worst = 0.0
-    for _, freq, count, pbar in reliability_bins(p, y, bins):
+    for _, freq, count, pbar in reliability_bins(p, y, _RELIABILITY_BINS):
         if count:
             sigma = np.sqrt(max(pbar * (1.0 - pbar), 1e-12) / count)
             worst = max(worst, abs(freq - pbar) / sigma)
@@ -309,8 +310,7 @@ class BinaryEquivalenceReport:
 
 
 def check_binary_calibration_equivalence(n: int, seed: int, sigma1: float = 1.0,
-                                         sigma2: float = 1.0, bins: int = 10
-                                         ) -> BinaryEquivalenceReport:
+                                         sigma2: float = 1.0) -> BinaryEquivalenceReport:
     """Probabilistic and conditional calibration agree for binary outcomes.
 
     The calibrated forecast must pass both the randomized-PIT uniformity
@@ -334,7 +334,7 @@ def check_binary_calibration_equivalence(n: int, seed: int, sigma1: float = 1.0,
 
     p_pool = coherent_probit_pool(p1, p2, sigma1, sigma2)
     (ks_cal, rel_cal), (ks_mis, rel_mis), (ks_pool, rel_pool) = (
-        (ks_p(p), _reliability_max_sigma_dev(p, y, bins)) for p in (p1, p1 * p1, p_pool))
+        (ks_p(p), _reliability_max_sigma_dev(p, y)) for p in (p1, p1 * p1, p_pool))
     score_pool = bern_score(p_pool)
     score_lin = bern_score(0.5 * (p1 + p2))
     passed = (

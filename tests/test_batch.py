@@ -1,5 +1,6 @@
 """ForecastBatch: stacked columns against the per-case objects they replace."""
 
+import dataclasses
 from functools import partial
 
 import numpy as np
@@ -216,6 +217,36 @@ class TestNestedNonFiniteParameters:
         batch = ForecastBatch.from_cases(cases)
         assert len(batch) == 49
         assert isinstance(batch.components[0], _RowStack) == mixed
+
+
+class TestGeneralizedPoolColumn:
+    """A batch whose one column is a generalized pool, whose link is a parameter shared by
+    every row rather than a number."""
+
+    W = (0.2, 0.3, 0.5)
+
+    def column(self, components):
+        return pool(GlpSpec(self.W, LinkFunction.LOG), components)
+
+    def test_the_batch_builds(self):
+        b = simulate(DgpConfig(kind="regression", n=6, seed=2)).cases
+        assert len(ForecastBatch(b.y, (self.column(b.components),))) == 6
+
+    def test_a_nan_in_a_nested_gaussian_names_the_case(self):
+        b = simulate(DgpConfig(kind="regression", n=6, seed=2)).cases
+        first, second, third = b.components
+        mu = second.mu.copy()
+        mu[3, 0] = np.nan
+        column = self.column((first, Gaussian._stacked(mu, second.sigma), third))
+        with pytest.raises(DomainViolation, match="case 3 has a non-finite"):
+            ForecastBatch(b.y, (column,))
+
+    def test_evaluate_equals_the_pool_of_the_components(self):
+        b = simulate(DgpConfig(kind="regression", n=200, seed=2)).cases
+        got = cdfpool.evaluate(TlpSpec((1.0,)), ForecastBatch(b.y, (self.column(b.components),)))
+        want = cdfpool.evaluate(GlpSpec(self.W, LinkFunction.LOG), b)
+        for field in dataclasses.fields(want):
+            np.testing.assert_array_equal(getattr(got, field.name), getattr(want, field.name))
 
 
 class TestFitsOnBatches:

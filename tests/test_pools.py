@@ -330,6 +330,12 @@ class TestCoherentProbitPool:
         with pytest.raises(DomainViolation):
             coherent_probit_pool(0.0, 0.5, 1.0, 1.0)
 
+    def test_a_scalar_and_an_array_broadcast(self):
+        p2 = np.array([0.2, 0.5, 0.9])
+        got = coherent_probit_pool(0.3, p2, 1.0, 1.0)
+        assert got.shape == (3,)
+        np.testing.assert_array_equal(got, [coherent_probit_pool(0.3, p, 1.0, 1.0) for p in p2])
+
     @pytest.mark.parametrize("args", [
         (np.nan, 0.5, 1.0, 1.0), (0.5, np.array([0.3, np.nan]), 1.0, 1.0),
         (0.5, 0.5, np.inf, 1.0), (0.5, 0.5, 1.0, np.nan),

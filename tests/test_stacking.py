@@ -368,6 +368,32 @@ class TestStackingRule:
                                           getattr(direct, method)(grid))
 
 
+_ANY_ROWS = st.one_of(st.sampled_from(list(_RAGGED.values())), _one_shape())
+
+
+class TestOneSamplingRule:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(_ANY_ROWS, st.integers(0, 2**32 - 1), st.integers(0, 6))
+    def test_each_row_draws_bit_for_bit_as_its_case(self, rows, seed, n):
+        draws = stack(rows).sample(np.random.Generator(np.random.Philox(seed)), n)
+        assert draws.shape == (len(rows), n)
+        for i, row in enumerate(rows):
+            np.testing.assert_array_equal(
+                draws[i], row.sample(np.random.Generator(np.random.Philox(seed)), n), strict=True)
+
+
+class TestScalarPoint:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_ANY_ROWS, _quarter, st.floats(0.01, 0.99))
+    def test_a_stack_gives_the_column_of_its_rows_values(self, rows, y, p):
+        stacked = stack(rows)
+        methods = ("cdf", "cdf_left", "point_mass") + (("density",) if stacked.has_density else ())
+        for method, at in [(m, y) for m in methods] + [("quantile", p)]:
+            got = getattr(stacked, method)(at)
+            assert got.shape == (len(rows), 1)
+            np.testing.assert_array_equal(got[:, 0], [getattr(row, method)(at) for row in rows])
+
+
 class TestStackedEquivalence:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.data(), _mixed_list(_any_leaf), st.integers(0, 2**32 - 1))
