@@ -37,12 +37,14 @@ runs the same code as a 1-row stack.
 construction, and ``Gaussian._stacked(mu, sigma)`` and its siblings build
 a stacked object from checked, stacked parameters in declaration order.
 
-Kinds without closed-form moments (the beta-transformed and generalized
-pools) integrate their CDF by parts with Fejér's second rule on panels
-between the CDF's kinks, _MOMENT_CHUNK rows at a time
-(``_quadrature_moments``).  Such row chunks run on one thread per core
-(``_each_chunk``); each chunk's result depends on its rows alone, so the
-results do not depend on the core count.
+``mean`` and ``variance`` read one hook, ``_moments()``, which returns the
+pair.  A kind with closed forms (and a user kind that knows its moments)
+overrides it; a mixture, a spread adjustment and a row-by-row stack read
+each part's pair once.  By default, as for the beta-transformed and
+generalized pools, it integrates the CDF by parts with Fejér's second rule
+on panels between the CDF's kinks, _MOMENT_CHUNK rows at a time.  Such row
+chunks run on one thread per core (``_each_chunk``); each chunk's result
+depends on its rows alone, so the results do not depend on the core count.
 """
 
 from __future__ import annotations
@@ -236,11 +238,11 @@ class PredictiveDist:
 
     def mean(self):
         """The mean; a stacked object returns the (n, 1) column of its rows' means."""
-        return self._quadrature_moments()[0]
+        return self._moments()[0]
 
     def variance(self):
         """The variance; a stacked object returns the (n, 1) column of its rows' variances."""
-        return self._quadrature_moments()[1]
+        return self._moments()[1]
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """``quantile`` of n open uniforms: n draws, or (rows, n) when stacked."""
@@ -425,10 +427,12 @@ class PredictiveDist:
         """Points where the CDF may lose smoothness, a row per stacked row; panels end there."""
         return np.empty((1, 0))
 
-    def _quadrature_moments(self):
-        """Mean and variance from the CDF G alone, integrated by parts.
+    def _moments(self):
+        """(mean, variance), the one hook of ``mean`` and ``variance``; a kind with closed
+        forms overrides it, and one whose moments follow from its parts' reads each once.
 
-        On [lo, hi] from ``_tail_bracket``, E[Y] = lo + int (1 - G) and
+        By default both come from the CDF G alone, integrated by parts.  On
+        [lo, hi] from ``_tail_bracket``, E[Y] = lo + int (1 - G) and
         E[(Y - lo)^2] = 2 int (t - lo)(1 - G), by Fejér's second rule on each
         panel between ``_kinks``.  The rule's nodes lie inside the panel, so a
         jump of G at a kink is never sampled, and the rule with half the
@@ -670,16 +674,16 @@ class _RowStack(PredictiveDist):
     rows: tuple[PredictiveDist, ...]
 
     def _each(self, method: str, y) -> np.ndarray:
+        """Row i's ``method`` at row i of y, an (n, m) or (1, m) array or a scalar."""
         y = np.atleast_2d(_as_array(y))  # a scalar point is one column
         y = np.broadcast_to(y, (len(self.rows), y.shape[-1]))
         return np.array([_as_array(getattr(d, method)(yi)) for d, yi in zip(self.rows, y)]
                         ).reshape(y.shape)
 
-    def cdf(self, y):
-        return self._each("cdf", y)
-
-    def cdf_left(self, y):
-        return self._each("cdf_left", y)
+    cdf = partialmethod(_each, "cdf")
+    cdf_left = partialmethod(_each, "cdf_left")
+    density = partialmethod(_each, "density")
+    _quantile = partialmethod(_each, "quantile")
 
     def _link_cdf(self, link, y, left=False, slope=False):
         y = np.atleast_2d(_as_array(y))
@@ -691,19 +695,12 @@ class _RowStack(PredictiveDist):
     def _parts(self):
         return self.rows
 
-    def density(self, y):
-        return self._each("density", y)
+    def median(self):
+        return np.array([d.median() for d in self.rows]).reshape(-1, 1)
 
-    def _quantile(self, p):
-        return self._each("quantile", p)
-
-    def _each_row(self, method: str) -> np.ndarray:
-        """The (n, 1) column of ``method()`` on each row."""
-        return np.array([[getattr(d, method)()] for d in self.rows])
-
-    median = partialmethod(_each_row, "median")
-    mean = partialmethod(_each_row, "mean")
-    variance = partialmethod(_each_row, "variance")
+    def _moments(self):
+        mv = np.array([d._moments() for d in self.rows]).reshape(-1, 2)  # (0, 2) for no rows
+        return mv[:, :1], mv[:, 1:]
 
     def _rows(self):
         return len(self.rows)
@@ -755,11 +752,8 @@ class Gaussian(PredictiveDist):
     def median(self):
         return self.mu
 
-    def mean(self):
-        return self.mu
-
-    def variance(self):
-        return self.sigma * self.sigma
+    def _moments(self):
+        return self.mu, self.sigma * self.sigma
 
 
 @dataclass(frozen=True)
@@ -803,7 +797,7 @@ class FiniteDiscrete(PredictiveDist):
         table = np.broadcast_to(table, index.shape + table.shape[-1:])
         return np.take_along_axis(table, index[..., None], axis=-1)[..., 0]
 
-    def _cum_at(self, y, below) -> np.ndarray:
+    def _cdf(self, y, below):
         """Mass of the atoms <= y (``below`` is np.less_equal) or < y (np.less).
 
         One pass per atom, in ascending order: where atom a is below y, the mass
@@ -814,13 +808,10 @@ class FiniteDiscrete(PredictiveDist):
         acc = 0.0
         for a, atom in enumerate(self.atoms):
             acc = np.where(below(atom, y), self._cum[..., a + 1], acc)
-        return acc
+        return _match(acc)
 
-    def cdf(self, y):
-        return _match(self._cum_at(y, np.less_equal))
-
-    def cdf_left(self, y):
-        return _match(self._cum_at(y, np.less))
+    cdf = partialmethod(_cdf, below=np.less_equal)
+    cdf_left = partialmethod(_cdf, below=np.less)
 
     def support(self):
         return (self.atoms[0], self.atoms[-1])
@@ -839,11 +830,9 @@ class FiniteDiscrete(PredictiveDist):
         s = np.cumsum(np.stack(self.masses, axis=-1) * x, axis=-1)[..., -1]
         return s if self._rows() is not None else float(s)
 
-    def mean(self):
-        return self._total(self._atoms)
-
-    def variance(self):
-        return self._total((self._atoms - np.expand_dims(self.mean(), -1)) ** 2)
+    def _moments(self):
+        m = self._total(self._atoms)
+        return m, self._total((self._atoms - np.expand_dims(m, -1)) ** 2)
 
 
 class TwoPointBernoulli(FiniteDiscrete):
@@ -892,13 +881,13 @@ class Mixture(PredictiveDist):
         if not abs(sum(w) - 1.0) <= 1e-12:  # written so that NaN and inf fail too
             raise ValueError("weights must sum to 1 within 1e-12")
 
-    def cdf(self, y):
-        acc = sum(w * _as_array(c.cdf(y)) for w, c in zip(self.weights, self.components))
-        return _match(acc)
+    def _sum(self, method: str, y):
+        """sum_i w_i times component i's ``method`` at y."""
+        return _match(sum(w * _as_array(getattr(c, method)(y))
+                          for w, c in zip(self.weights, self.components)))
 
-    def cdf_left(self, y):
-        acc = sum(w * _as_array(c.cdf_left(y)) for w, c in zip(self.weights, self.components))
-        return _match(acc)
+    cdf = partialmethod(_sum, "cdf")
+    cdf_left = partialmethod(_sum, "cdf_left")
 
     def _parts(self):
         return self.components
@@ -906,16 +895,13 @@ class Mixture(PredictiveDist):
     def density(self, y):
         if not self.has_density:
             raise DensityUnavailable("a mixture component carries point masses")
-        acc = sum(w * _as_array(c.density(y)) for w, c in zip(self.weights, self.components))
-        return _match(acc)
+        return self._sum("density", y)
 
-    def mean(self):
-        return sum(w * c.mean() for w, c in zip(self.weights, self.components))
-
-    def variance(self):
-        m = self.mean()
-        return sum(w * (c.variance() + (c.mean() - m) ** 2)
-                   for w, c in zip(self.weights, self.components))
+    def _moments(self):
+        # the law of total variance, from one (mean, variance) pair per component
+        mv = [c._moments() for c in self.components]
+        m = sum(w * mi for w, (mi, _) in zip(self.weights, mv))
+        return m, sum(w * (vi + (mi - m) ** 2) for w, (mi, vi) in zip(self.weights, mv))
 
 
 @dataclass(frozen=True)
@@ -945,17 +931,18 @@ class SpreadAdjusted(PredictiveDist):
     def _pushforward(self, x):
         return self.center + self.c * (x - self.center)
 
-    def cdf(self, y):
-        return _match(_as_array(self.base.cdf(self._pullback(y))))
+    def _pulled(self, method: str, y):
+        """The base's ``method`` at the pullback of y."""
+        return _match(_as_array(getattr(self.base, method)(self._pullback(y))))
 
-    def cdf_left(self, y):
-        return _match(_as_array(self.base.cdf_left(self._pullback(y))))
+    cdf = partialmethod(_pulled, "cdf")
+    cdf_left = partialmethod(_pulled, "cdf_left")
 
     def _parts(self):
         return (self.base,)
 
     def density(self, y):
-        return _match(_as_array(self.base.density(self._pullback(y))) / self.c)
+        return _match(self._pulled("density", y) / self.c)
 
     def support(self):
         return tuple(self._pushforward(x) for x in self.base.support())  # keeps +-inf
@@ -973,11 +960,9 @@ class SpreadAdjusted(PredictiveDist):
     def median(self):
         return self._pushforward(self.base.median())
 
-    def mean(self):
-        return self._pushforward(self.base.mean())
-
-    def variance(self):
-        return self.c * self.c * self.base.variance()
+    def _moments(self):
+        m, v = self.base._moments()
+        return self._pushforward(m), self.c * self.c * v
 
 
 @dataclass(frozen=True)
@@ -1010,15 +995,17 @@ class BetaTransformed(PredictiveDist):
         # clipped to [0, 1]: a mixture's CDF can pass 1 by rounding, and betainc returns nan there
         return np.clip(_as_array(base_cdf) / self._top, 0.0, 1.0)
 
-    def cdf(self, y):
-        return _match(_special.betainc(self.alpha, self.beta, self._u(self.base.cdf(y))))
+    def _cdf(self, method: str, y):
+        """B applied to the base's ``method`` at y: the CDF or its left limit."""
+        u = self._u(getattr(self.base, method)(y))
+        return _match(_special.betainc(self.alpha, self.beta, u))
+
+    cdf = partialmethod(_cdf, "cdf")
+    cdf_left = partialmethod(_cdf, "cdf_left")
 
     def _bracket_scale(self):
         # B is nondecreasing, so the base ratio u crosses each level where B(u) does
         return (lambda y: self._u(self.base.cdf(y))), _beta_levels(self.alpha, self.beta)
-
-    def cdf_left(self, y):
-        return _match(_special.betainc(self.alpha, self.beta, self._u(self.base.cdf_left(y))))
 
     def _parts(self):
         return (self.base,)
@@ -1039,8 +1026,16 @@ def validate_cdf(d: PredictiveDist, grid=None) -> None:
     """Check the CDF contract on a grid plus atom locations.
 
     Verifies monotonicity, range [0, 1], tail limits, right continuity at
-    atoms, and ``cdf_left <= cdf``.  Raises CdfPoolError on violation.
+    atoms, and ``cdf_left <= cdf``.  Raises CdfPoolError on violation.  A
+    stacked object is checked case by case, and an error names its row.
     """
+    if d._rows() is not None:
+        for i in range(d._rows()):
+            try:
+                validate_cdf(d._take(i), grid)
+            except CdfPoolError as e:
+                raise type(e)(f"row {i}: {e}") from e
+        return
     if grid is None:
         grid = np.linspace(-20.0, 20.0, 401)
     pts = np.sort(np.unique(np.concatenate([_as_array(grid), d.atom_locations()])))

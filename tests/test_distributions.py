@@ -692,6 +692,13 @@ class TestValidateCdf:
     def test_a_spread_adjustment_of_atoms_keeps_the_cdf_contract(self):
         validate_cdf(SpreadAdjusted(FiniteDiscrete((0, 1, 3), (0.3, 0.4, 0.3)), 0.65, 1.0))
 
+    def test_a_stack_is_checked_row_by_row(self):
+        validate_cdf(stack([Gaussian(0.0, 1.0), Gaussian(1.0, 2.0)]))
+        fd = FiniteDiscrete((0, 1, 3), (0.3, 0.4, 0.3))
+        validate_cdf(SpreadAdjusted(fd, 1.0, 1.0))
+        with pytest.raises(CdfPoolError, match="^row 1: cdf does not reach 1 above the support$"):
+            validate_cdf(stack([SpreadAdjusted(fd, 1.0, 1.0), SpreadAdjusted(fd, 0.65, 1.0)]))
+
 
 class _PrivateKind(PredictiveDist):
     """A user kind that keeps its CDF in a private attribute."""

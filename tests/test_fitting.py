@@ -41,6 +41,8 @@ from cdfpool.fitting import (
     FLAG_CLAMPED_CASES,
     FLAG_FLAT_DIRECTION,
     FLAG_NO_CONVERGENCE,
+    FLAG_SINGULAR_HESSIAN,
+    _ascent_direction,
     _build_design,
     _glp_derivs,
     _slp_derivs,
@@ -737,3 +739,13 @@ class TestActiveSet:
         res = fit_blp(cases)
         assert res.converged
         assert res.spec.w[2] > 1e-4
+
+
+class TestAscentDirection:
+    def test_a_hessian_past_the_ridge_ladder_falls_back_to_the_scaled_gradient(self):
+        # eigenvalues -1 -+ 1e25: the ridge stops at 1e17, short of making -H positive definite
+        flags = set()
+        g = np.array([1.0, 1.0])
+        d = _ascent_direction(g, np.array([[-1.0, 1e25], [1e25, -1.0]]), flags)
+        np.testing.assert_array_equal(d, g / 1.0)  # the scale is max(|diag H|, 1)
+        assert flags == {FLAG_SINGULAR_HESSIAN}

@@ -292,11 +292,14 @@ class TestSupportRule:
 # the stacking rule: lists of one shape, each row with its own parameters
 
 
-def _leaf_recipe(draw):
+def _leaf_recipe(draw, kinds=("gaussian", "logistic", "bernoulli", "discrete")):
     """A leaf kind, fixed for the list; each call of the recipe draws its parameters."""
-    kind = draw(st.sampled_from(["gaussian", "logistic", "bernoulli", "discrete"]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "gaussian":
         return lambda d: Gaussian(d(_loc), d(_scale))
+    if kind == "mixture":
+        return lambda d: Mixture((Gaussian(d(_loc), d(_scale)), Gaussian(d(_loc), 1.0)),
+                                 d(_weights(2)))
     if kind == "logistic":
         return lambda d: Logistic(d(_loc), d(_scale))
     if kind == "bernoulli":
@@ -848,6 +851,59 @@ class TestStackedGridMoments:
             stack(rows).variance()
         with pytest.raises(MomentUnavailable, match="^BetaTransformed row 0: "):
             rows[150].variance()
+
+
+@st.composite
+def _linear_pool_rows(draw):
+    """One to six TLP or SLP pools of one shape over Gaussian, discrete or mixture members."""
+    k = draw(st.integers(2, 3))
+    members = [_leaf_recipe(draw, ("gaussian", "discrete", "mixture")) for _ in range(k)]
+    spec = draw(st.sampled_from([_weights(k).map(TlpSpec),
+                                 st.builds(SlpSpec, _weights(k), st.floats(0.5, 2.0))]))
+    n = draw(st.integers(1, 6))
+    try:
+        return [pool(draw(spec), [m(draw) for m in members]) for _ in range(n)]
+    except MedianUndefined:  # a spread-adjusted pool needs component medians
+        reject()
+
+
+class TestOneMomentsHook:
+    """``mean`` and ``variance`` read one ``_moments`` pair, and a mixture each part's once."""
+
+    def test_a_mixture_of_pools_integrates_each_pool_once(self, monkeypatch):
+        batch = ForecastBatch.from_cases(
+            simulate(DgpConfig(kind="regression", n=40, seed=3)).cases)
+        parts = (pool(BlpSpec((0.2, 0.3, 0.5), 1.3, 0.8), batch.components),
+                 pool(GlpSpec((0.2, 0.3, 0.5), LinkFunction.LOG), batch.components))
+        (m1, m2), (v1, v2) = ([getattr(p, method)() for p in parts]
+                              for method in ("mean", "variance"))
+        d = Mixture(parts, (0.5, 0.5))
+        quadratures = _counting(monkeypatch, PredictiveDist, "_moments")
+        v = d.variance()
+        assert len(quadratures) == 2
+        m = 0.5 * m1 + 0.5 * m2
+        np.testing.assert_array_equal(d.mean(), m, strict=True)
+        np.testing.assert_array_equal(v, 0.5 * (v1 + (m1 - m) ** 2) + 0.5 * (v2 + (m2 - m) ** 2),
+                                      strict=True)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.one_of(st.sampled_from(list(_RAGGED.values())), _linear_pool_rows()))
+    def test_a_stacks_moments_are_its_rows_moments(self, rows):
+        try:
+            want = [[getattr(r, method)() for r in rows] for method in ("mean", "variance")]
+        except MomentUnavailable:  # a beta transform of atoms: the stack has none either
+            with pytest.raises(MomentUnavailable):
+                stack(rows).variance()
+            return
+        stacked = stack(rows)
+        for method, values in zip(("mean", "variance"), want):
+            got = getattr(stacked, method)()
+            assert got.shape == (len(rows), 1)
+            np.testing.assert_array_equal(got[:, 0], values)
+
+    def test_an_empty_stack_gives_empty_columns(self):
+        d = stack([])
+        assert (d.mean().shape, d.variance().shape, d.median().shape) == ((0, 1),) * 3
 
 
 class TestSharedColumn:
