@@ -17,7 +17,10 @@ rounding of the objective.  One result step gives every fit its standard
 errors (by the delta method for the log-space parameters) and flags.  Each
 fit only builds its design and hands its family's derivatives to the engine
 (``_newton_result``), which checks the case count and the clamp marks and
-starts from equal weights with every shape parameter 1.
+starts from equal weights with every shape parameter 1.  The TLP, BLP and
+GLP share one log density, log|a w| + phi(b w), so one objective
+(``_pool_derivs``) and one floor: a case whose log density is at most
+log 1e-300 scores that floor and adds nothing to the derivatives.
 """
 
 from __future__ import annotations
@@ -207,15 +210,14 @@ class EvalReport:
 
 @dataclass
 class _Design:
-    """A batch's component terms at its outcomes; only those its family reads are set."""
+    """A batch's component terms at its outcomes, only those its family reads: a and b of
+    the TLP, BLP and GLP log density log|a w| + phi(b w), or the SLP's spread."""
 
     y: np.ndarray                    # (J,)
     k: int
-    f: np.ndarray | None = None      # (J, k) component densities: TLP, BLP
-    F: np.ndarray | None = None      # (J, k) clamped component CDF values: BLP
+    a: np.ndarray | None = None      # (J, k) densities f (TLP, BLP) or h'(F) f (GLP)
+    b: np.ndarray | None = None      # (J, k) clamped CDF values F (BLP) or h(F) (GLP)
     spread: Callable | None = None   # c -> (J, k) adjusted densities, log-c derivatives: SLP
-    b: np.ndarray | None = None      # (J, k) link terms h(F) of the clamped CDF: GLP
-    a: np.ndarray | None = None      # (J, k) their y-derivatives: GLP
     clamped: np.ndarray | None = None  # (J,) a component CDF at the clamp: BLP, GLP
 
     @property
@@ -227,14 +229,14 @@ def _build_design(data, method: str) -> _Design:
     """The design of a batch (or a list of cases) at its outcomes, for the family ``method``.
 
     Only what the family reads is evaluated, with one call per component
-    column for each array: TLP the densities f; BLP f and the CDF values F,
-    clamped to [CDF_CLAMP, 1 - CDF_CLAMP]; SLP the spread-adjusted densities
-    as a function of c, in closed form when every column is Gaussian and by
-    central differences about each row's median otherwise; a generalized pool
-    ``glp-<link>`` the terms h(F) and their y-derivatives from
-    ``PredictiveDist._link_cdf``, which for probit over Gaussians are z
-    clipped and 1/sigma.  BLP and GLP also mark the cases with a component
-    CDF at the clamp.
+    column for each array: TLP a = the densities f; BLP a = f and b = the
+    CDF values F, clamped to [CDF_CLAMP, 1 - CDF_CLAMP]; SLP the
+    spread-adjusted densities as a function of c, in closed form when every
+    column is Gaussian and by central differences about each row's median
+    otherwise; a generalized pool ``glp-<link>`` b = the terms h(F) and a =
+    their y-derivatives from ``PredictiveDist._link_cdf``, which for probit
+    over Gaussians are z clipped and 1/sigma.  BLP and GLP also mark the
+    cases with a component CDF at the clamp.
     """
     batch = ForecastBatch.from_cases(data)
     if not len(batch):
@@ -260,8 +262,8 @@ def _build_design(data, method: str) -> _Design:
         if method == "blp":
             F = np.hstack([c.cdf(y) for c in comps])
             design.clamped = np.any((F <= CDF_CLAMP) | (F >= 1.0 - CDF_CLAMP), axis=1)
-            design.F = np.clip(F, CDF_CLAMP, 1.0 - CDF_CLAMP)
-        design.f = np.hstack([c.density(y) for c in comps])
+            design.b = np.clip(F, CDF_CLAMP, 1.0 - CDF_CLAMP)
+        design.a = np.hstack([c.density(y) for c in comps])
     return design
 
 
@@ -302,67 +304,6 @@ def beta_log_moments(alpha: float, beta: float):
     v_log1m = _special.polygamma(1, beta) - _special.polygamma(1, ab)
     cov = -_special.polygamma(1, ab)
     return float(e_log), float(e_log1m), float(v_log), float(v_log1m), float(cov)
-
-
-def _blp_core(design: _Design, weights, w: np.ndarray, alpha: float, beta: float):
-    """Objective, gradient, and Hessian at weights ``w`` in (theta's weights, alpha, beta).
-
-    A case whose mixture density f w is at most 1e-300 scores the floor
-    log 1e-300, as ``evaluate`` scores it, and adds nothing to the derivatives.
-    """
-    F, f, Sf = design.F, design.f, design.f @ w
-    dead = Sf <= DENSITY_FLOOR
-    if dead.any():
-        F, f, Sf = F[~dead], f[~dead], Sf[~dead]
-    J, n = F.shape[0], weights.n
-    SF = F @ w
-    logSF = np.log(SF)
-    log1mSF = np.log1p(-SF)
-    e_log, e_log1m, v_log, v_log1m, cov = beta_log_moments(alpha, beta)
-
-    ell = (
-        (alpha - 1.0) * logSF.sum()
-        + (beta - 1.0) * log1mSF.sum()
-        + np.log(Sf).sum()
-        - J * (_special.gammaln(alpha) + _special.gammaln(beta) - _special.gammaln(alpha + beta))
-        + (design.J - J) * _LOG_DENSITY_FLOOR
-    )
-
-    A = weights.columns(F / SF[:, None])
-    B = weights.columns(F / (1.0 - SF)[:, None])
-    C = weights.columns(f / Sf[:, None])
-
-    grad = np.empty(n + 2)
-    grad[:n] = ((alpha - 1.0) * A - (beta - 1.0) * B + C).sum(axis=0)
-    grad[n] = logSF.sum() - J * e_log
-    grad[n + 1] = log1mSF.sum() - J * e_log1m
-
-    hess = np.empty((n + 2, n + 2))
-    hess[:n, :n] = -(C.T @ C) - (alpha - 1.0) * (A.T @ A) - (beta - 1.0) * (B.T @ B)
-    hess[:n, n] = hess[n, :n] = A.sum(axis=0)
-    hess[:n, n + 1] = hess[n + 1, :n] = -B.sum(axis=0)
-    hess[n, n] = -J * v_log
-    hess[n + 1, n + 1] = -J * v_log1m
-    hess[n, n + 1] = hess[n + 1, n] = -J * cov
-    return float(ell), grad, hess
-
-
-def blp_objective_and_derivatives(w, alpha: float, beta: float, data):
-    """Sum of beta-pool log scores with its exact gradient and Hessian.
-
-    ``w`` is the full simplex vector; derivatives are taken with respect to
-    (w_1, ..., w_{k-1}, alpha, beta) with w_k eliminated as 1 - sum of the
-    rest.  Beta log-moment terms use digamma/trigamma, making the Hessian
-    exact rather than an expectation approximation.  ``BlpSpec`` checks the
-    parameters (WeightConstraintViolation, NaN and inf included); a weight
-    count other than the design's raises LengthMismatch.
-    """
-    design = _build_design(data, "blp")
-    spec = BlpSpec(tuple(w), alpha, beta)
-    if spec.k != design.k:
-        raise LengthMismatch("one weight per component is required")
-    _check_clamp_fraction(design)
-    return _blp_core(design, _Weights(design.k, simplex=True), np.asarray(spec.w), alpha, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -619,23 +560,107 @@ def _newton_result(family, derivs, design, simplex=True, **fixed) -> FitResult:
 
 
 # ---------------------------------------------------------------------------
-# beta-transformed pool
+# TLP, BLP and GLP: the log density log|a w| + phi(b w)
 
 
-def _blp_derivs(design, weights, theta):
-    """ell, gradient, Hessian in theta = (weights, log alpha, log beta)."""
+def _pool_derivs(design, phi, weights, theta):
+    """ell, gradient, Hessian of sum_j log|a_j w| + phi(b_j w) in theta = (w_head, log p).
+
+    ``phi`` is None for the TLP, else ``phi(s, p)`` at the (J,) sums s = b w
+    and the shape parameters p returns (v, c, v1, v2, shape): phi = v + c
+    with c the same in every case, v1 and v2 its s-derivatives, and
+    ``shape`` None or (T, dT, c_p, c_pp): phi's p-gradient is T + c_p with T
+    (m, J), dT is T's s-derivative and c_pp is phi's p-Hessian.  A case whose
+    log density is at most log 1e-300 scores that floor, as ``evaluate``
+    scores it, and adds nothing to the derivatives.
+    """
+    n, J = weights.n, design.J
+    w = weights.full(theta)
+    num = design.a @ w
+    size = np.maximum(np.abs(num), DENSITY_FLOOR)
+    log_dens = np.log(size)
+    c = 0.0
+    if phi is not None:
+        p = np.exp(theta[n:])
+        v, c, v1, v2, shape = phi(design.b @ w, p)
+        log_dens += v
+    floor = _LOG_DENSITY_FLOOR - c
+    live, n_live = slice(None), J
+    if log_dens.min() <= floor:  # False with a NaN, which stays for the line search to reject
+        live = log_dens > floor
+        n_live = int(np.count_nonzero(live))
+    ell = float(log_dens[live].sum() + n_live * c + (J - n_live) * _LOG_DENSITY_FLOOR)
+    inv = 1.0 / np.copysign(size[live], num[live])  # 1 / (a w), finite at a floored a w
+    A = weights.columns(design.a[live] * inv[:, None])
+    grad = A.sum(axis=0)
+    H = -(A.T @ A)
+    if phi is None:
+        return ell, grad, H
+    B = weights.columns(design.b[live])
+    grad = grad + B.T @ v1[live]
+    H = H + B.T @ (v2[live][:, None] * B)
+    if shape is None:
+        return ell, grad, H
+    T, dT, c_p, c_pp = shape
+    g_p = T[:, live].sum(axis=1) + n_live * c_p
+    # chain rule for x = log p, each factor of p applied after its term
+    H_wx = (B.T @ dT[:, live].T) * p
+    H_xx = n_live * c_pp * p * p[:, None] + np.diag(p * g_p)
+    return ell, np.append(grad, p * g_p), np.block([[H, H_wx], [H_wx.T, H_xx]])
+
+
+def _beta_phi(s, p):
+    """The BLP's phi(s) = (alpha - 1) log s + (beta - 1) log(1 - s) - log B(alpha, beta).
+
+    With p = (alpha, beta) and T = (log s, log(1 - s)), phi = (p - 1) T - log B,
+    so its p-gradient is T less the beta log-means and its p-Hessian minus
+    their covariance (``beta_log_moments``).
+    """
+    eta = p - 1.0
+    T = np.stack((np.log(s), np.log1p(-s)))
+    dT = 1.0 / np.stack((s, s - 1.0))
+    e_log, e_log1m, v_log, v_log1m, cov = beta_log_moments(*p)
+    log_b = _special.gammaln(p).sum() - _special.gammaln(p.sum())
+    shape = (T, dT, -np.array([e_log, e_log1m]), -np.array([[v_log, cov], [cov, v_log1m]]))
+    return eta @ T, -log_b, eta @ dT, -eta @ (dT * dT), shape
+
+
+def _link_phi(link, s, p):
+    """A generalized pool's phi(s) from its link's row; it has no shape parameters."""
+    return (link.phi(s), 0.0, *link.phi_derivs(s), None)
+
+
+def blp_objective_and_derivatives(w, alpha: float, beta: float, data):
+    """Sum of beta-pool log scores with its exact gradient and Hessian.
+
+    ``w`` is the full simplex vector; derivatives are taken with respect to
+    (w_1, ..., w_{k-1}, alpha, beta) with w_k eliminated as 1 - sum of the
+    rest.  Beta log-moment terms use digamma/trigamma, making the Hessian
+    exact rather than an expectation approximation.  ``BlpSpec`` checks the
+    parameters (WeightConstraintViolation, NaN and inf included); a weight
+    count other than the design's raises LengthMismatch.
+    """
+    design = _build_design(data, "blp")
+    spec = BlpSpec(tuple(w), alpha, beta)
+    if spec.k != design.k:
+        raise LengthMismatch("one weight per component is required")
+    _check_clamp_fraction(design)
+    weights = _Weights(design.k, simplex=True)
+    p = np.array([spec.alpha, spec.beta])
     n = weights.n
-    alpha, beta = np.exp(theta[n]), np.exp(theta[n + 1])
-    ell, g, H = _blp_core(design, weights, weights.full(theta), alpha, beta)
-
-    # chain rule for the log-parameterization of (alpha, beta)
-    scale = np.array([alpha, beta])
-    g_ab = g[n:].copy()
-    g[n:] *= scale
-    H[:, n:] *= scale
-    H[n:, :] *= scale[:, None]
-    H[n:, n:] += np.diag(scale * g_ab)
+    ell, g, H = _pool_derivs(design, _beta_phi, weights, np.append(spec.w[:n], np.log(p)))
+    # undo the chain rule for (log alpha, log beta)
+    H[n:, n:] -= np.diag(g[n:])
+    g[n:] /= p
+    H[:, n:] /= p
+    H[n:, :] /= p[:, None]
     return ell, g, H
+
+
+def fit_tlp(data) -> FitResult:
+    """Fit linear-pool weights by Newton's method on the log score, from equal weights."""
+    design = _build_design(data, "tlp")
+    return _newton_result(TlpSpec, partial(_pool_derivs, design, None), design)
 
 
 def fit_blp(data) -> FitResult:
@@ -646,24 +671,22 @@ def fit_blp(data) -> FitResult:
     (``_newton_result``).
     """
     design = _build_design(data, "blp")
-    return _newton_result(BlpSpec, partial(_blp_derivs, design), design)
+    return _newton_result(BlpSpec, partial(_pool_derivs, design, _beta_phi), design)
 
 
-# ---------------------------------------------------------------------------
-# traditional linear pool
+def fit_glp(data, link: LinkFunction) -> FitResult:
+    """Fit generalized-pool weights by maximizing the mean log score.
 
-
-def _tlp_derivs(f, weights, theta):
-    """ell, gradient (column sums of P = f / (f w)) and Hessian -P'P of the TLP log score."""
-    D = np.maximum(f @ weights.full(theta), DENSITY_FLOOR)
-    P = weights.columns(f / D[:, None])
-    return float(np.log(D).sum()), P.sum(axis=0), -(P.T @ P)
-
-
-def fit_tlp(data) -> FitResult:
-    """Fit linear-pool weights by Newton's method on the log score, from equal weights."""
-    design = _build_design(data, "tlp")
-    return _newton_result(TlpSpec, partial(_tlp_derivs, design.f), design)
+    Newton's method with exact derivatives from equal weights 1/k.
+    Simplex-constrained links eliminate the last weight; links that only
+    need a positive weight sum fit all k weights on the positive orthant.
+    """
+    if link is LinkFunction.IDENTITY:
+        res = fit_tlp(data)
+        return replace(res, spec=GlpSpec(w=res.spec.w, link=link))
+    design = _build_design(data, f"glp-{link.value}")
+    derivs = partial(_pool_derivs, design, partial(_link_phi, link))
+    return _newton_result(GlpSpec, derivs, design, link.requires_simplex, link=link)
 
 
 # ---------------------------------------------------------------------------
@@ -740,49 +763,6 @@ def fit_slp(data) -> FitResult:
     """
     design = _build_design(data, "slp")
     return _newton_result(SlpSpec, partial(_slp_derivs, design.spread), design)
-
-
-# ---------------------------------------------------------------------------
-# generalized linear pool (open-interval links)
-
-
-def _glp_derivs(b, a, link, weights, theta):
-    """ell, gradient, Hessian of the GLP log score in its weights.
-
-    ``b`` holds the component terms h(F) and ``a`` their y-derivatives, both
-    (J, k) (``_build_design``).  With s = b w, the log density is
-    log|a w| + phi(s); it is floored at log 1e-300, as the density is, and a
-    floored case adds nothing to the derivatives.
-    """
-    w = weights.full(theta)
-    s = b @ w
-    num = a @ w
-    size = np.maximum(np.abs(num), DENSITY_FLOOR)
-    log_dens = np.log(size) + link.phi(s)
-    live = log_dens > _LOG_DENSITY_FLOOR
-    phi1, phi2 = link.phi_derivs(s)
-    phi1 = np.where(live, phi1, 0.0)
-    phi2 = np.where(live, phi2, 0.0)
-    A = weights.columns(a * (live / np.copysign(size, num))[:, None])
-    B = weights.columns(b)
-    grad = A.sum(axis=0) + B.T @ phi1
-    H = -(A.T @ A) + B.T @ (phi2[:, None] * B)
-    return float(np.maximum(log_dens, _LOG_DENSITY_FLOOR).sum()), grad, H
-
-
-def fit_glp(data, link: LinkFunction) -> FitResult:
-    """Fit generalized-pool weights by maximizing the mean log score.
-
-    Newton's method with exact derivatives from equal weights 1/k.
-    Simplex-constrained links eliminate the last weight; links that only
-    need a positive weight sum fit all k weights on the positive orthant.
-    """
-    if link is LinkFunction.IDENTITY:
-        res = fit_tlp(data)
-        return replace(res, spec=GlpSpec(w=res.spec.w, link=link))
-    design = _build_design(data, f"glp-{link.value}")
-    return _newton_result(GlpSpec, partial(_glp_derivs, design.b, design.a, link), design,
-                          link.requires_simplex, link=link)
 
 
 # ---------------------------------------------------------------------------

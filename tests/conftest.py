@@ -1,8 +1,11 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from scipy.special import expit
 
-from cdfpool import ForecastCase, Gaussian, PredictiveDist
+from cdfpool import ForecastCase, Gaussian, LinkFunction, PredictiveDist
+from cdfpool.fitting import _beta_phi, _build_design, _link_phi, _pool_derivs, _slp_derivs
 from cdfpool.study import reproduce_sim_study
 
 
@@ -27,6 +30,22 @@ class StackedLogistic(PredictiveDist):
 
     def cdf(self, y):
         return expit((np.asarray(y, dtype=float) - self.loc) / self.scale)
+
+
+def family_derivs(family, cases):
+    """The ``derivs(layout, theta)`` that the fit of ``family`` hands to its Newton engine.
+
+    theta is a ``_Weights`` layout's weights, then the log of each shape parameter.
+    """
+    design = _build_design(cases, family)
+    if family == "slp":
+        return partial(_slp_derivs, design.spread)
+    if family == "tlp":
+        return partial(_pool_derivs, design, None)
+    if family == "blp":
+        return partial(_pool_derivs, design, _beta_phi)
+    link = LinkFunction(family.removeprefix("glp-"))
+    return partial(_pool_derivs, design, partial(_link_phi, link))
 
 
 def make_gaussian_cases(rng, J=150, k=3):

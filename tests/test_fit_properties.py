@@ -7,18 +7,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cdfpool import ForecastCase, Gaussian, LinkFunction, fit_blp, fit_glp, fit_slp, fit_tlp
-from cdfpool.fitting import (
-    CDF_CLAMP,
-    GAIN_TOL,
-    _blp_derivs,
-    _build_design,
-    _glp_derivs,
-    _slp_derivs,
-    _tlp_derivs,
-    _Weights,
-)
+from cdfpool.fitting import CDF_CLAMP, GAIN_TOL, _build_design, _Weights
 
-from conftest import make_gaussian_cases
+from conftest import family_derivs, make_gaussian_cases
 
 FAMILIES = ("tlp", "slp", "blp", "glp-log", "glp-reciprocal", "glp-probit")
 
@@ -49,7 +40,7 @@ def gaussian_designs(draw):
             if far[i] is not None:
                 mu[i], sd[i] = mu[pick] - 2.0 * far[i] + 0.5 * rng.standard_normal(), 2.0
         cases.append(ForecastCase(tuple(map(Gaussian, mu, sd)), y))
-    F = _build_design(cases, "blp").F
+    F = _build_design(cases, "blp").b
     assume(F.min() > 1e-6 and F.max() < 1.0 - CDF_CLAMP)
     return cases
 
@@ -64,24 +55,11 @@ def _fit(family, cases):
     return fit_glp(cases, LinkFunction(family.removeprefix("glp-")))
 
 
-def _derivs(family, cases):
-    """The family's ``derivs(layout, theta)``, as its fit uses it."""
-    design = _build_design(cases, family)
-    if family == "tlp":
-        return lambda layout, theta: _tlp_derivs(design.f, layout, theta)
-    if family == "slp":
-        return lambda layout, theta: _slp_derivs(design.spread, layout, theta)
-    if family == "blp":
-        return lambda layout, theta: _blp_derivs(design, layout, theta)
-    link = LinkFunction(family.removeprefix("glp-"))
-    return lambda layout, theta: _glp_derivs(design.b, design.a, link, layout, theta)
-
-
 def _point_gradient(family, cases, spec):
     """Gradient of the log-score sum in (all k weights, log shape parameters)."""
     every = _Weights(len(spec.w), simplex=False)  # theta is every weight
     shape = [getattr(spec, name) for name in spec.shape_params]
-    return _derivs(family, cases)(every, np.append(spec.w, np.log(shape)))[1]
+    return family_derivs(family, cases)(every, np.append(spec.w, np.log(shape)))[1]
 
 
 @settings(max_examples=40, deadline=None)
@@ -155,7 +133,7 @@ def test_derivatives_with_a_pinned_weight_match_finite_differences(family):
     cases = make_gaussian_cases(np.random.default_rng(17), J=60)
     simplex = family not in ("glp-log", "glp-probit")
     layout = _Weights(3, simplex, free=(2, 0))
-    derivs = _derivs(family, cases)
+    derivs = family_derivs(family, cases)
     weights_theta = [0.3] if simplex else [0.3, 0.5]  # w_3, then w_1 on the orthant
     theta = np.array(weights_theta + {"slp": [-0.2], "blp": [0.1, 0.3]}.get(family, []))
     _, g, H = derivs(layout, theta)

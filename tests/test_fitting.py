@@ -43,14 +43,11 @@ from cdfpool.fitting import (
     FLAG_NO_CONVERGENCE,
     FLAG_SINGULAR_HESSIAN,
     _ascent_direction,
-    _build_design,
-    _glp_derivs,
-    _slp_derivs,
     _Weights,
 )
 from cdfpool.io import write_params
 
-from conftest import StackedLogistic, make_gaussian_cases
+from conftest import StackedLogistic, family_derivs, make_gaussian_cases
 
 _NEWTON_FITS = [fit_slp] + [
     lambda data, link=link: fit_glp(data, link)
@@ -103,8 +100,9 @@ def _family_derivs(family, cases):
     """(derivs, draw): one family's log-score sum with its analytic gradient
     and Hessian at a parameter point, and a sampler of interior points.
 
-    BLP points are (w_head, alpha, beta), SLP points (w_head, log c), and
-    GLP points the link's free weights.
+    BLP points are (w_head, alpha, beta), through the public objective; the
+    other families' points are the theta of their fits (``family_derivs``):
+    the free weights, then log c for the SLP.
     """
     k = len(cases[0].components)
 
@@ -117,15 +115,11 @@ def _family_derivs(family, cases):
             return blp_objective_and_derivatives(w, p[k - 1], p[k], cases)
 
         return derivs, lambda rng: np.concatenate([w_head(rng), rng.uniform(0.6, 2.2, 2)])
-    design = _build_design(cases, family)
+    weights = _Weights(k, simplex=family not in ("glp-log", "glp-probit"))
+    derivs = partial(family_derivs(family, cases), weights)
     if family == "slp":
-        weights = _Weights(k, simplex=True)
-        return (lambda p: _slp_derivs(design.spread, weights, p),
-                lambda rng: np.append(w_head(rng), rng.uniform(np.log(0.6), np.log(1.6))))
-    link = LinkFunction(family.removeprefix("glp-"))
-    weights = _Weights(k, simplex=link.requires_simplex)
-    draw = w_head if weights.simplex else (lambda rng: rng.uniform(0.2, 0.8, k))
-    return lambda p: _glp_derivs(design.b, design.a, link, weights, p), draw
+        return derivs, lambda rng: np.append(w_head(rng), rng.uniform(np.log(0.6), np.log(1.6)))
+    return derivs, w_head if weights.simplex else (lambda rng: rng.uniform(0.2, 0.8, k))
 
 
 def _finite_difference_check(cases, params_rng, n_points, grad_tol, hess_tol, family="blp"):
@@ -161,8 +155,8 @@ class TestScoringDerivatives:
             grad_tol=1e-6, hess_tol=1e-4,
         )
 
-    @pytest.mark.parametrize("family", ["slp", "glp-log", "glp-reciprocal", "glp-probit"])
-    def test_slp_and_glp_derivatives_match_finite_differences(self, gaussian_cases, family):
+    @pytest.mark.parametrize("family", ["tlp", "slp", "glp-log", "glp-reciprocal", "glp-probit"])
+    def test_tlp_slp_and_glp_derivatives_match_finite_differences(self, gaussian_cases, family):
         _finite_difference_check(
             gaussian_cases, np.random.default_rng(124), n_points=10,
             grad_tol=1e-6, hess_tol=1e-4, family=family,
@@ -658,6 +652,17 @@ class TestClampedOutliers:
         assert_allclose(res.spec.w, rest.spec.w, rtol=0, atol=1e-7)
         for name in res.spec.shape_params:
             assert getattr(res.spec, name) == pytest.approx(getattr(rest.spec, name), rel=1e-7)
+
+    def test_blp_objective_floors_the_whole_log_density(self):
+        # at y = -6.4 both CDFs lie above the clamp and the mixture density is
+        # about 3e-10, but (alpha - 1) log F puts the case's log density near -950
+        cases = [ForecastCase((Gaussian(m, 1.0), Gaussian(m + 0.5, 1.0)), m + 0.2)
+                 for m in np.linspace(-1.0, 1.0, 9)]
+        cases.append(ForecastCase((Gaussian(0.0, 1.0), Gaussian(0.5, 1.0)), -6.4))
+        spec = BlpSpec((0.5, 0.5), 40.0, 1.0)
+        ell = blp_objective_and_derivatives(spec.w, spec.alpha, spec.beta, cases)[0]
+        want = evaluate(spec, cases).mean_log_score
+        assert ell / len(cases) == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("link", [None, LinkFunction.LOG, LinkFunction.RECIPROCAL,
                                       LinkFunction.PROBIT],
