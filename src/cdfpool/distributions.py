@@ -41,10 +41,10 @@ a stacked object from checked, stacked parameters in declaration order.
 pair.  A kind with closed forms (and a user kind that knows its moments)
 overrides it; a mixture, a spread adjustment and a row-by-row stack read
 each part's pair once.  By default, as for the beta-transformed and
-generalized pools, it integrates the CDF by parts with Fejér's second rule
-on panels between the CDF's kinks, _MOMENT_CHUNK rows at a time.  Such row
-chunks run on one thread per core (``_each_chunk``); each chunk's result
-depends on its rows alone, so the results do not depend on the core count.
+generalized pools, it integrates the CDF by parts with a Gauss–Kronrod pair
+on panels between the CDF's kinks, _MOMENT_CHUNK rows at a time in turn.  The
+marginal gap's row chunks run on one thread per core (``_each_chunk``); each
+chunk's result depends on its rows alone, so no result depends on the core count.
 """
 
 from __future__ import annotations
@@ -73,15 +73,15 @@ from .errors import (
 _QUANTILE_ATOL = 1e-10  # absolute tolerance in y for bisection inverses
 CDF_CLAMP = 1e-12  # CDF values fed to open-interval links are clamped to [eps, 1-eps]
 
-# Moments without a closed form integrate the CDF by Fejér's second rule on each panel.
+# Moments without a closed form integrate the CDF by a Gauss–Kronrod pair on each panel.
 _TAIL_MASS = 1e-11  # probability left outside the integration bracket on each side
 _BRACKET_LADDER = 2.0 ** np.arange(64)  # outward probes at -2^i and +2^i
 _NEAR_PROBES = 8  # the first call probes 2^0..2^7; rows with tails further out take the rest
 _BRACKET_POINTS = 65  # coarse grid that narrows the bracket onto the bulk
 _BRACKET_ROUNDS = 80  # each round at least halves the bracket
-_GRID_POINTS = 128  # a row's starting intervals, shared by its panels in proportion to length
-_GRID_DOUBLINGS = 3  # doublings of every panel's intervals before the moments are unavailable
-_GRID_RTOL = 1e-8  # agreement demanded between the full and the half rule
+_PAIR = 32  # Gauss nodes on a whole bracket; a shorter panel gets a power of 2 in proportion, >= 4
+_BISECTIONS = 8  # halvings per row before its moments are unavailable; one panel: <= 1105 nodes
+_GRID_RTOL = 1e-8  # agreement demanded between the Kronrod and the Gauss rule
 _MOMENT_CHUNK = 64  # stacked rows integrated at a time: keeps each (rows, nodes) temporary small
 _ONE_BITS = int(np.float64(1.0).view(np.int64))  # the floats in [0, 1] are the bit patterns 0..this
 
@@ -374,7 +374,23 @@ class PredictiveDist:
         """
         return self.cdf, (0.0, _TAIL_MASS, 1.0 - _TAIL_MASS, 1.0)
 
-    def _tail_bracket(self, first: int):
+    def _tail_points(self, low, high):
+        """(n, 1) columns lo, hi where the ``_bracket_scale`` is at most low and at least high:
+        ``_closed_points``, stepped out as far as rounding needs (from the spacing there,
+        doubling).  NaN where a row has none, which ``_moments`` brackets by probing."""
+        levels = np.hstack(np.atleast_2d(low, high))
+        y = np.atleast_2d(self._closed_points(levels))
+        step, s = np.spacing(np.abs(y)) * [-1.0, 1.0], self._bracket_scale()[0]
+        while (not np.isnan(y).all()
+               and (short := (_as_array(s(y)) - levels) * [1.0, -1.0] > 0.0).any()):
+            y, step = np.where(short, y + step, y), 2.0 * step
+        return y[:, :1], y[:, 1:]
+
+    def _closed_points(self, levels):
+        """Unchecked ``_tail_points`` at levels [low, high] as [lo, hi]; NaN for none."""
+        return np.full(np.shape(levels), np.nan)
+
+    def _tail_bracket(self, first):
         """The bulk [lo, hi]: (n, 1) columns with cdf(lo) and 1 - cdf(hi) <= _TAIL_MASS.
 
         Every probe reads the scale of ``_bracket_scale``, which is the CDF
@@ -387,7 +403,8 @@ class PredictiveDist:
         limits, and only the rows whose tail points lie further out probe the
         whole ladder to +-2^63.  It then shrinks to the coarse-grid cells that
         still hold the two tail points, until the bulk spans at least half
-        the bracket; a settled row keeps its bracket.  Row i is row ``first + i``.
+        the bracket; a settled row keeps its bracket.  Row i is row ``first + i``, or
+        ``first[i]`` for an array of row numbers.
         """
         n, k = _BRACKET_LADDER.size, _NEAR_PROBES
         s, (zero, low, high, one) = self._bracket_scale()
@@ -398,8 +415,8 @@ class PredictiveDist:
             i = int(np.argmax(short))
             g0, g1 = _as_array(self.cdf(np.array([[-near[-1], near[-1]]])))[i]
             raise MomentUnavailable(
-                f"{type(self).__name__} row {first + i}: CDF rises only from {g0:g} "
-                f"to {g1:g} over +-{_BRACKET_LADDER[-1]:g}"
+                f"{type(self).__name__} row {first[i] if np.ndim(first) else first + i}: CDF "
+                f"rises only from {g0:g} to {g1:g} over +-{_BRACKET_LADDER[-1]:g}"
             )
         lo = np.argmax(c[:, :k + 1] <= low, axis=1)
         hi = np.argmax(c[:, k + 1:] >= high, axis=1)
@@ -432,18 +449,18 @@ class PredictiveDist:
         forms overrides it, and one whose moments follow from its parts' reads each once.
 
         By default both come from the CDF G alone, integrated by parts.  On
-        [lo, hi] from ``_tail_bracket``, E[Y] = lo + int (1 - G) and
-        E[(Y - lo)^2] = 2 int (t - lo)(1 - G), by Fejér's second rule on each
-        panel between ``_kinks``.  The rule's nodes lie inside the panel, so a
-        jump of G at a kink is never sampled, and the rule with half the
-        intervals uses every other node: the same CDF values give a second
-        estimate.  A row's panels share _GRID_POINTS intervals by length;
-        while its two estimates disagree by more than _GRID_RTOL, every panel
-        of the row doubles its intervals, and MomentUnavailable naming the row
-        is raised if they never agree.  Rows are integrated _MOMENT_CHUNK at
-        a time, each on its own nodes and summed in node order, so a row's
-        moments do not depend on the rows beside it; the chunks run on every
-        core (``_each_chunk``).  Returns (n, 1) columns;
+        [lo, hi], closed ``_tail_points`` inside +-2^63 or ``_tail_bracket``'s,
+        E[Y] = lo + int (1 - G) and E[(Y - lo)^2] = 2 int (t - lo)(1 - G), by a
+        Gauss-Kronrod pair on each panel between ``_kinks`` (_PAIR Gauss nodes
+        on a whole bracket, fewer on a part).  Its nodes lie inside the panel,
+        so a jump of G at a kink is never sampled, and the Gauss nodes are
+        Kronrod nodes: one set of CDF values gives two estimates.  While they
+        differ by more than _GRID_RTOL, a row halves the panel where they differ
+        most and evaluates the halves alone; after _BISECTIONS halvings it
+        raises MomentUnavailable naming the row.  Rows go _MOMENT_CHUNK at a
+        time, on their own panels, summed panel by panel and node by node, so a
+        row's moments do not depend on its neighbours.  The chunks run in turn:
+        under half of their time releases the GIL.  Returns (n, 1) columns;
         a per-case object is the 1-row case (row 0 in errors) and gets floats.
         """
         if not self.has_density:
@@ -453,39 +470,48 @@ class PredictiveDist:
 
         def moments(first):
             chunk = self._take(slice(first, first + _MOMENT_CHUNK))
-            lo, hi = chunk._tail_bracket(first)
+            size = min((rows or 1) - first, _MOMENT_CHUNK)
+            _, (_, low, high, _) = chunk._bracket_scale()
+            lo, hi = (np.zeros((size, 1)) + p for p in chunk._tail_points(low, high))
+            far = np.flatnonzero(~(np.maximum(np.abs(lo), np.abs(hi)) <= _BRACKET_LADDER[-1]))
+            if far.size:
+                lo[far], hi[far] = chunk._take(far)._tail_bracket(first + far)
             edges = np.sort(np.hstack([lo, np.clip(chunk._kinks(), lo, hi), hi]), axis=1)
-            spans = np.diff(edges, axis=1)
-            share = np.round(_GRID_POINTS / 2 * spans / (hi - lo))
-            # an even count of at least 4 intervals, so the half rule has a node; none if empty
-            size = np.where(spans > 0.0, 2 * np.maximum(share, 2), 0).astype(int)
-            out = np.empty((2, lo.size, 1))
-            todo = np.arange(lo.size)
-            for _ in range(_GRID_DOUBLINGS + 1):
-                t, w = _fejer_rule(edges[todo], spans[todo], size[todo])
-                rest = chunk if todo.size == lo.size else chunk._take(todo)
-                tail = 1.0 - _as_array(rest.cdf(t))
-                parts = np.stack([tail, 2.0 * (t - lo[todo]) * tail])
-                s = np.cumsum(parts * w[:, None], axis=-1)[..., -1:]  # (rule, part, row, 1)
-                m, v = lo[todo] + s[:, 0], s[:, 1] - s[:, 0] ** 2  # full rule, then half rule
+            # a row's panels, empty ones too, then a place for each halving's second half
+            a, b = (np.hstack([e, np.zeros((size, _BISECTIONS))])
+                    for e in (edges[:, :-1], edges[:, 1:]))
+            n = (2 ** np.ceil(np.log2(np.clip(_PAIR * (b - a) / (hi - lo), 4, _PAIR)))).astype(int)
+            r, c = np.nonzero(b > a)  # row r's panel c: to evaluate
+            sums, out, todo = np.zeros((2, 2) + a.shape), np.empty((2, size, 1)), np.arange(size)
+            for halvings in range(_BISECTIONS + 1):
+                sums[:, :, r, c] = _kronrod_sums(chunk, lo, r, a[r, c], b[r, c], n[r, c])
+                s = np.cumsum(sums, axis=-1)[..., -1:]  # (rule, part, row, 1), panel by panel
+                m, v = lo + s[:, 0], s[:, 1] - s[:, 0] ** 2  # Kronrod, then Gauss
                 ok = ((v[0] > 0.0) & (np.abs(m[0] - m[1]) <= _GRID_RTOL * np.sqrt(np.abs(v[0])))
-                      & (np.abs(v[0] - v[1]) <= _GRID_RTOL * v[0]))[:, 0]
-                out[:, todo[ok]] = m[0, ok], v[0, ok]
+                      & (np.abs(v[0] - v[1]) <= _GRID_RTOL * v[0]))[todo, 0]
+                out[:, todo[ok]] = m[0, todo[ok]], v[0, todo[ok]]
                 todo = todo[~ok]
                 if not todo.size:
                     return out
-                size[todo] *= 2
-            i = todo[0]
-            raise MomentUnavailable(
-                f"{type(self).__name__} row {first + i}: moments did not settle on "
-                f"{np.maximum(size[i] - 1, 0).sum()} Fejér nodes over "
-                f"[{lo[i, 0]:g}, {hi[i, 0]:g}]"
-            )
+                if halvings == _BISECTIONS:  # more would only isolate a jump of G
+                    i = todo[0]
+                    raise MomentUnavailable(
+                        f"{type(self).__name__} row {first + i}: moments did not settle on "
+                        f"{np.sum(b[i] > a[i])} panels over [{lo[i, 0]:g}, {hi[i, 0]:g}]"
+                    )
+                # halve each row's panel whose rules differ most, as ``ok`` weighs them
+                d = sums[0] - sums[1]
+                j = np.argmax((np.abs(d[0]) * np.sqrt(np.abs(v[0]))
+                               + np.abs(d[1] - 2.0 * s[0, 0] * d[0]))[todo], axis=1)
+                k = np.full(j.size, edges.shape[1] - 1 + halvings)  # the second halves' place
+                b[todo, k], n[todo, k] = b[todo, j], n[todo, j]
+                a[todo, k] = b[todo, j] = 0.5 * (a[todo, j] + b[todo, j])
+                r, c = np.repeat(todo, 2), np.column_stack([j, k]).ravel()
 
         rows = self._rows()
         if rows == 0:
             return np.empty((0, 1)), np.empty((0, 1))
-        out = np.concatenate(_each_chunk(moments, rows, _MOMENT_CHUNK), axis=1)
+        out = np.concatenate(list(map(moments, range(0, rows or 1, _MOMENT_CHUNK))), axis=1)
         return (out[0], out[1]) if rows is not None else (float(out[0, 0, 0]), float(out[1, 0, 0]))
 
 
@@ -520,49 +546,46 @@ def _beta_levels_at(alpha: float, beta: float) -> tuple[float, float, float, flo
 
 
 @cache
-def _fejer(n: int) -> np.ndarray:
-    """Fejér's second rule with n intervals on [0, 1] (n even), as rows: its n - 1 nodes
-    (1 - cos(pi j / n)) / 2, j = 1..n-1, their weights, and the weights of the rule
-    with n / 2 intervals, whose nodes are those of even j (0 at odd j)."""
-    theta = np.pi * np.arange(1, n) / n
-    k = np.arange(1, n, 2)
-    terms = np.sin(np.outer(theta, k)) / k
-    full = np.sin(theta) * terms.sum(axis=1) * 2.0 / n
-    half = np.sin(theta) * terms[:, :n // 4].sum(axis=1) * 4.0 / n
-    half[::2] = 0.0  # odd j
-    return np.stack([np.sin(theta / 2.0) ** 2, full, half])
+def _gauss_kronrod(n: int) -> np.ndarray:
+    """Rows x, wk, wg: the 2n + 1 Kronrod nodes on [0, 1], their weights, and the n-point
+    Gauss weights (0 off the Gauss nodes, the odd places), by Laurie's Jacobi matrix (Math.
+    Comp. 66, 1997) for the Legendre weight, whose symmetry puts 1/2 on every diagonal."""
+    b, k = np.zeros(2 * n + 2), np.arange(1, (3 * n + 3) // 2)
+    b[1], b[k + 1] = 1.0, k * k / (16.0 * k * k - 4.0)
+    s, t = np.zeros((2, n // 2 + 3))
+    t[2] = b[n + 2]
+    for m in range(n - 1):
+        k = np.arange((m + 1) // 2, -1, -1)
+        s[k + 2] = np.cumsum(b[k + n + 2] * s[k + 1] - b[m - k + 1] * s[k + 2])
+        s, t = t, s
+    s[2:n // 2 + 3] = s[1:n // 2 + 2]
+    for m in range(n - 1, 2 * n - 2):
+        k = np.arange(m + 1 - n, (m - 1) // 2 + 1)
+        j = n + 1 - m + k
+        s[j] = np.cumsum(b[m - k + 1] * s[j + 1] - b[k + n + 2] * s[j])
+        if m % 2:
+            b[(m + 1) // 2 + n + 2] = s[j[-1]] / s[j[-1] + 1]
+        s, t = t, s
+    x, v = np.linalg.eigh(np.diag(np.sqrt(b[2:]), -1))
+    g = np.linalg.eigh(np.diag(np.sqrt(b[2:n + 1]), -1))[1][0] ** 2
+    return np.stack([0.5 + x, v[0] ** 2, np.insert(g, np.arange(n + 1), 0.0)])
 
 
-def _fejer_rule(edges: np.ndarray, spans: np.ndarray, size: np.ndarray):
-    """Nodes t and their full- and half-rule weights w[0], w[1], a row per row of edges.
-
-    Panel p of row r, from edges[r, p] over spans[r, p], gets Fejér's second rule
-    with size[r, p] intervals (even; 0 for no nodes).  Rows that all have one
-    layout of sizes (a beta transform's single panel) take its panels' rules
-    as they are; other rows are laid out node by node and padded to the
-    longest by nodes at their last edge with zero weights.
-    """
-    if (size == size[:1]).all():
-        panel = np.repeat(np.arange(size.shape[1]), np.maximum(size[0] - 1, 0))
-        x, w0, w1 = np.hstack([_fejer(int(n)) for n in size[0] if n])
-        h = spans[:, panel]
-        return edges[:, panel] + h * x, np.stack([h * w0, h * w1])
-    count = np.maximum(size - 1, 0).ravel()
-    # every node, row by row and panel by panel: its panel and its index j in that panel
-    panel = np.repeat(np.arange(count.size), count)
-    j = np.arange(panel.size) - (np.cumsum(count) - count)[panel]
-    sizes, which = np.unique(size, return_inverse=True)
-    tables = [_fejer(int(n)) for n in sizes]
-    start = np.cumsum([0] + [table.shape[1] for table in tables])[:-1]
-    x, w0, w1 = np.hstack(tables)[:, start[which.ravel()][panel] + j]
-    length = count.reshape(size.shape).sum(axis=1)
+def _kronrod_sums(d, lo, row, a, b, n) -> np.ndarray:
+    """(rule, part, panel) sums of 1 - G and 2 (t - lo)(1 - G), Kronrod's and Gauss's, by
+    ``_gauss_kronrod(n[p])`` on panel p, [a[p], b[p]] of d's row row[p] (ascending); one cdf
+    call takes each row's panels' nodes, padded by lo, and each panel adds its own."""
+    rule = np.hstack([_gauss_kronrod(k) for k in n.tolist()])  # every panel's in turn
+    p = np.repeat(np.arange(n.size), 2 * n + 1)  # each node's panel
+    h, rows = (b - a)[p], np.unique(row)
+    t = a[p] + h * rule[0]
+    length = np.bincount(row, 2 * n + 1)[rows].astype(int)
     nodes = np.arange(length.max()) < length[:, None]  # a row's nodes, then its padding
-    t = np.repeat(edges[:, -1:], length.max(), axis=1)
-    w = np.zeros((2,) + t.shape)
-    h = spans.ravel()[panel]
-    t[nodes] = edges[:, :-1].ravel()[panel] + h * x
-    w[0][nodes], w[1][nodes] = h * w0, h * w1
-    return t, w
+    grid = np.repeat(lo[rows], length.max(), axis=1)
+    grid[nodes] = t
+    tail = 1.0 - _as_array((d if rows.size == lo.shape[0] else d._take(rows)).cdf(grid))[nodes]
+    f = np.stack([tail, 2.0 * (t - lo[row[p], 0]) * tail]) * h * rule[1:, None]
+    return np.add.reduceat(f, np.cumsum(2 * n + 1) - 2 * n - 1, axis=-1)
 
 
 def stack(dists) -> PredictiveDist:
@@ -695,6 +718,8 @@ class _RowStack(PredictiveDist):
     def _parts(self):
         return self.rows
 
+    _closed_points = partialmethod(_each, "_closed_points")
+
     def median(self):
         return np.array([d.median() for d in self.rows]).reshape(-1, 1)
 
@@ -748,6 +773,8 @@ class Gaussian(PredictiveDist):
 
     def _quantile(self, p):
         return self.mu + self.sigma * _special.ndtri(p)
+
+    _closed_points = _quantile
 
     def median(self):
         return self.mu
@@ -897,6 +924,13 @@ class Mixture(PredictiveDist):
             raise DensityUnavailable("a mixture component carries point masses")
         return self._sum("density", y)
 
+    def _closed_points(self, levels):
+        # F = sum w_i F_i is at most p where every weighted part is at most p / sum w_i
+        part = levels / sum(self.weights)
+        ends = np.broadcast_arrays(*[np.where(w > 0.0, c._closed_points(part), [np.inf, -np.inf])
+                                     for w, c in zip(self.weights, self.components)])
+        return np.stack([np.min(ends, axis=0)[..., 0], np.max(ends, axis=0)[..., 1]], axis=-1)
+
     def _moments(self):
         # the law of total variance, from one (mean, variance) pair per component
         mv = [c._moments() for c in self.components]
@@ -960,6 +994,9 @@ class SpreadAdjusted(PredictiveDist):
     def median(self):
         return self._pushforward(self.base.median())
 
+    def _closed_points(self, levels):
+        return self._pushforward(self.base._closed_points(levels))
+
     def _moments(self):
         m, v = self.base._moments()
         return self._pushforward(m), self.c * self.c * v
@@ -988,8 +1025,8 @@ class BetaTransformed(PredictiveDist):
         """min(1, base CDF at +inf), per row when stacked.  A mixture whose weights sum
         to 1 - 2^-53 tops out there, and B would raise the shortfall to the power beta;
         where the base reaches 1, dividing by 1.0 leaves every value as it is."""
-        top = np.minimum(_as_array(self.base.cdf(np.full((1, 1), np.inf))), 1.0)
-        return top if self._rows() is not None else float(top[0, 0])
+        top = np.minimum(_as_array(self.base.cdf(np.inf)), 1.0)  # a stacked base's is a column
+        return top if top.ndim else float(top)
 
     def _u(self, base_cdf) -> np.ndarray:
         # clipped to [0, 1]: a mixture's CDF can pass 1 by rounding, and betainc returns nan there
@@ -1006,6 +1043,9 @@ class BetaTransformed(PredictiveDist):
     def _bracket_scale(self):
         # B is nondecreasing, so the base ratio u crosses each level where B(u) does
         return (lambda y: self._u(self.base.cdf(y))), _beta_levels(self.alpha, self.beta)
+
+    def _closed_points(self, levels):
+        return self.base._closed_points(levels * self._top)
 
     def _parts(self):
         return (self.base,)

@@ -29,7 +29,7 @@ from cdfpool import (
     simulate,
     validate_cdf,
 )
-from cdfpool.distributions import _fejer_rule, stack
+from cdfpool.distributions import _gauss_kronrod, _kronrod_sums, stack
 from cdfpool.pools import CDF_CLAMP
 
 STANDARD_MIX = Mixture((Gaussian(-1.0, 1.0), Gaussian(1.0, 1.0)), (0.5, 0.5))
@@ -219,6 +219,11 @@ _components = st.lists(
     st.tuples(st.floats(-3.0, 3.0), st.floats(0.8, 2.0), st.floats(0.05, 1.0)),
     min_size=2, max_size=4,
 )
+# the BLP's components may be a hundred times wider than each other
+_blp_components = st.lists(
+    st.tuples(st.floats(-3.0, 3.0), st.floats(0.1, 10.0), st.floats(0.05, 1.0)),
+    min_size=2, max_size=4,
+)
 
 
 def _gaussians(raw):
@@ -234,10 +239,10 @@ def _assert_moments_close(d, oracle):
 
 
 class TestGridMoments:
-    """BLP and GLP moments come from Fejér's second rule on the CDF; quad is the oracle."""
+    """BLP and GLP moments come from a Gauss–Kronrod pair on the CDF; quad is the oracle."""
 
     @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(_components, st.floats(0.7, 5.0), st.floats(0.7, 5.0))
+    @given(_blp_components, st.floats(0.7, 5.0), st.floats(0.7, 5.0))
     # weights summing to 1 - 1e-16: the mixture tops out short of 1, and the pool still reaches 1
     @example([(0.0, 1.0, 1.0), (0.0, 1.0, 0.8), (0.0, 1.0, 0.9435691943904444)], 2.0, 0.703125)
     def test_blp_matches_quad(self, raw, alpha, beta):
@@ -281,8 +286,6 @@ class TestGridMoments:
         with pytest.raises(MomentUnavailable):
             d.variance()
 
-    @pytest.mark.xfail(strict=True, raises=MomentUnavailable,
-                       reason="a wide and a narrow component: the grid never settles")
     def test_blp_of_a_wide_and_a_narrow_component(self):
         # alpha = beta = 1 is the linear pool, whose variance is 0.5 * 3^2 + 0.5 * 0.125^2
         d = pool(BlpSpec((0.5, 0.5), 1.0, 1.0), (Gaussian(0.0, 3.0), Gaussian(0.0, 0.125)))
@@ -409,21 +412,78 @@ class TestBracketScale:
             np.testing.assert_array_equal(_bracket_or_error(d), want)
 
 
-class TestFejerRule:
-    @pytest.mark.parametrize("layout", [[128], [4, 120, 8], [0, 128, 4]])
-    def test_shared_layout_equals_the_padded_one(self, layout):
+class TestTailPoints:
+    """Closed tail points are past the tail levels on the kind's bracket scale."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.lists(_wide_component, min_size=2, max_size=4), _shapes, _shapes,
+           st.floats(0.2, 5.0), st.sampled_from(["gaussian", "mixture", "spread", "beta"]))
+    # the CDF rises only from about 1/2 to 1/2 over +-2^63
+    @example([(0.0, 1e30, 1.0), (0.0, 1e30, 1.0)], 1.2, 0.9, 1.0, "beta")
+    def test_the_scale_is_past_the_levels(self, raw, alpha, beta, c, kind):
+        comps, w = _gaussians(raw)
+        mixture = Mixture(comps, w)
+        d = {"gaussian": comps[0], "mixture": mixture,
+             "spread": SpreadAdjusted(mixture, c, comps[0].mu),
+             "beta": BetaTransformed(mixture, alpha, beta)}[kind]
+        # a row on its own, and stacked above its mirror image
+        mirror = _mirror(d)
+        for e in (d, stack([d, mirror])):
+            s, (_, low, high, _) = e._bracket_scale()
+            lo, hi = e._tail_points(low, high)
+            assert (np.asarray(s(lo)) <= low).all() and (np.asarray(s(hi)) >= high).all()
+        # closed points past +-2^63 leave the row to the probes, which find no bracket
+        ends = np.abs(np.hstack([lo, hi]))
+        if np.isfinite(ends).all() and not (ends <= 2.0 ** 63).all():
+            with pytest.raises(MomentUnavailable, match=r"^BetaTransformed row 0: CDF rises only"):
+                d.variance()
+
+
+def _mirror(d):
+    """d reflected about 0, of the same kind and shape."""
+    if isinstance(d, Gaussian):
+        return Gaussian(-d.mu, d.sigma)
+    if isinstance(d, Mixture):
+        return Mixture(tuple(map(_mirror, d.components)), d.weights)
+    if isinstance(d, SpreadAdjusted):
+        return SpreadAdjusted(_mirror(d.base), d.c, -d.center)
+    return BetaTransformed(_mirror(d.base), d.beta, d.alpha)
+
+
+class TestGaussKronrodPair:
+    @pytest.mark.parametrize("n", [4, 8, 16, 32])
+    def test_the_pair_on_the_unit_interval(self, n):
+        x, wk, wg = _gauss_kronrod(n)
+        d = np.arange(3 * n + 2)
+        moments = 1.0 / (d + 1.0)  # of x^d on [0, 1]
+        assert_allclose([np.sum(wk * x ** k) for k in d], moments, rtol=1e-13)
+        assert_allclose([np.sum(wg * x ** k) for k in d[:2 * n]], moments[:2 * n], rtol=1e-13)
+        # the Gauss nodes are the Kronrod nodes at odd places, so they are the same floats,
+        # and they are Legendre's
+        gauss = np.flatnonzero(wg)
+        assert gauss.tolist() == list(range(1, 2 * n, 2))
+        assert_allclose(x[gauss], (1.0 + np.polynomial.legendre.leggauss(n)[0]) / 2.0,
+                        rtol=0, atol=1e-15)
+        assert (wk > 0.0).all() and (wg[gauss] > 0.0).all()
+        assert _gauss_kronrod(n) is _gauss_kronrod(n)
+
+    def test_padded_rows_equal_unpadded_ones(self):
         rng = np.random.default_rng(7)
-        spans = rng.uniform(0.1, 5.0, size=(5, len(layout))) * (np.array(layout) > 0)
-        edges = np.hstack([rng.normal(size=(5, 1)), spans]).cumsum(axis=1)
-        size = np.repeat([layout], 5, axis=0)
-        t, w = _fejer_rule(edges, spans, size)
-        # one more row of another size lays the rows out node by node
-        extra = np.vstack([size, [2 * n for n in layout]])
-        t2, w2 = _fejer_rule(np.vstack([edges, edges[:1]]), np.vstack([spans, spans[:1]]), extra)
-        nodes = t.shape[1]
-        np.testing.assert_array_equal(t2[:5, :nodes], t)
-        np.testing.assert_array_equal(w2[:, :5, :nodes], w)
-        assert (t2[:5, nodes:] == edges[:, -1:]).all() and not w2[:, :5, nodes:].any()
+        rows = [pool(BlpSpec((0.4, 0.6), 1.3, 0.8), (Gaussian(m, 1.0), Gaussian(-m, 2.0)))
+                for m in rng.normal(size=4)]
+        d = stack(rows)
+        lo = rng.normal(size=(4, 1)) - 8.0
+        # rows of 3, 1, 2 and 1 panels with pairs of several sizes
+        row = np.array([0, 0, 0, 1, 2, 2, 3])
+        n = np.array([4, 32, 8, 16, 32, 4, 8])
+        a = lo[row, 0] + np.array([0.0, 1.0, 9.0, 0.0, 0.0, 10.0, 2.0])
+        b = a + rng.uniform(0.5, 8.0, size=row.size)
+        sums = _kronrod_sums(d, lo, row, a, b, n)
+        for i, case in enumerate(rows):
+            own = row == i
+            np.testing.assert_array_equal(
+                _kronrod_sums(case, lo[i:i + 1], np.zeros(own.sum(), dtype=int), a[own], b[own],
+                              n[own]), sums[..., own])
 
 
 class TestInvariants:

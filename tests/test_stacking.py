@@ -808,7 +808,7 @@ class TestStackedGridMoments:
         cdf_calls = _counting(monkeypatch, BetaTransformed, "cdf")
         stacked.variance()
         chunks = -(-1000 // _MOMENT_CHUNK)
-        # per chunk: the bracket's ladder and narrowing rounds, then one grid
+        # per chunk: the rule's nodes on closed brackets, and probes for any row without them
         assert (len(rows), len(cdf_calls) <= 4 * chunks) == (0, True)
 
     def test_cdf_points_per_row(self, monkeypatch):
@@ -822,7 +822,7 @@ class TestStackedGridMoments:
 
         monkeypatch.setattr(BetaTransformed, "cdf", counted)
         stacked.variance()
-        # the bracket's near probes and narrowing grids, then a 127-node rule
+        # a 65-node rule on closed brackets, whose check reads the base CDF alone
         assert sum(points) <= 300 * 1000
 
     @pytest.mark.parametrize("spec", [BlpSpec((0.3, 0.7), 1.4, 0.8),
