@@ -102,6 +102,11 @@ def _check_finite(x: np.ndarray, what: str) -> None:
         raise DomainViolation(f"{what} {int(np.argmin(finite))} is not finite")
 
 
+def _check_seed(seed) -> None:
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise InvalidConfig(f"seed must be a nonnegative integer, not {seed!r}")
+
+
 def _check_unit(x: np.ndarray, what: str) -> None:
     inside = (x >= 0.0) & (x <= 1.0)  # written so that NaN fails too
     if not np.all(inside):
@@ -129,9 +134,10 @@ def pit_sample(forecasts, obs, rng_seed: int) -> PitSample:
     whose rows are the cases, such as ``pool(spec, batch.components)``.
     Case j gets the j-th auxiliary uniform.  The stacked forecast costs one
     ``cdf_left`` and one ``cdf`` call; the values equal ``randomized_pit``
-    case by case, clipped to [0, 1] as there.  Raises DomainViolation naming the
-    first case whose PIT is not finite.
+    case by case, clipped to [0, 1] as there.  Raises InvalidConfig for a negative or
+    non-integer seed, DomainViolation naming the first case whose PIT is not finite.
     """
+    _check_seed(rng_seed)
     obs = _as_array(obs)
     d = _paired(forecasts, obs)
     rng = np.random.Generator(np.random.Philox(rng_seed))

@@ -254,10 +254,10 @@ class PredictiveDist:
 
         F is the CDF at y, or its left limit if ``left``.  Returns (h, dh, low,
         high): h(F) for the link h (a ``pools.LinkFunction``), with F clamped to
-        [CDF_CLAMP, 1 - CDF_CLAMP]; with ``slope``, dh = d h(F) / dy, which is
-        h'(F) f inside the clamp and 0 where it is active (None without
-        ``slope``); and the masks where F <= CDF_CLAMP and where
-        F >= 1 - CDF_CLAMP.  A kind with these in closed form overrides this.
+        [CDF_CLAMP, 1 - CDF_CLAMP]; with ``slope``, dh = d h(F) / dy, which is h'(F) f
+        inside the clamp and 0 where it is active (None without ``slope``); and the
+        masks where F <= CDF_CLAMP and where F >= 1 - CDF_CLAMP.  A kind with a finite
+        closed-form term (a Gaussian's probit z) overrides this and marks nothing.
         """
         F = _as_array(self.cdf_left(y) if left else self.cdf(y))
         low, high = F <= CDF_CLAMP, F >= 1.0 - CDF_CLAMP
@@ -763,13 +763,11 @@ class Gaussian(PredictiveDist):
     def _link_cdf(self, link, y, left=False, slope=False):
         if link.value != "probit":
             return super()._link_cdf(link, y, left, slope)
-        # ndtri(ndtr(z)) is z, clamping ndtr(z) clips z to ndtri of the two CDF bounds,
-        # and dz/dy is 1/sigma inside the clip
-        z = (_as_array(y) - self.mu) / self.sigma
-        lo, hi = link.bounds
-        low, high = z <= lo, z >= hi
-        dh = np.where(low | high, 0.0, 1.0 / self.sigma) if slope else None
-        return np.clip(z, lo, hi), dh, low, high
+        # ndtri(ndtr(z)) is z, finite at every finite y, so nothing clamps and dz/dy is
+        # 1/sigma; z is held at +-1e100 at y = +-inf, where a zero weight must add 0
+        z = np.clip((_as_array(y) - self.mu) / self.sigma, -1e100, 1e100)
+        never = np.zeros(z.shape, dtype=bool)
+        return z, np.broadcast_to(1.0 / self.sigma, z.shape) if slope else None, never, never
 
     def _quantile(self, p):
         return self.mu + self.sigma * _special.ndtri(p)

@@ -32,7 +32,7 @@ from functools import partial
 import numpy as np
 
 from . import _special
-from .calibration import _check_bins, pit_histogram, pit_sample
+from .calibration import _check_bins, _check_finite, pit_histogram, pit_sample
 from .distributions import (
     Gaussian,
     PredictiveDist,
@@ -49,7 +49,7 @@ from .errors import (
     LengthMismatch,
     TooFewSamples,
 )
-from .pools import CDF_CLAMP, BlpSpec, GlpSpec, LinkFunction, PoolSpec, SlpSpec, TlpSpec, pool
+from .pools import BlpSpec, GlpSpec, LinkFunction, PoolSpec, SlpSpec, TlpSpec, _check_link, pool
 
 DENSITY_FLOOR = 1e-300
 _LOG_DENSITY_FLOOR = float(np.log(DENSITY_FLOOR))
@@ -235,8 +235,8 @@ def _build_design(data, method: str) -> _Design:
     column is Gaussian and by central differences about each row's median
     otherwise; a generalized pool ``glp-<link>`` b = the terms h(F) and a =
     their y-derivatives from ``PredictiveDist._link_cdf``, which for probit
-    over Gaussians are z clipped and 1/sigma.  BLP and GLP also mark the
-    cases with a component CDF at the clamp.
+    over Gaussians are z and 1/sigma.  The BLP's clamped F comes from the same hook
+    under the identity link, and both mark the cases where it clamped a component CDF.
     """
     batch = ForecastBatch.from_cases(data)
     if not len(batch):
@@ -248,9 +248,9 @@ def _build_design(data, method: str) -> _Design:
     design = _Design(batch.y, len(comps))
     if method.startswith("glp-"):
         link = LinkFunction(method.removeprefix("glp-"))
-        b, a, low, high = (np.hstack(t) for t in zip(*(c._link_cdf(link, y, slope=True)
-                                                        for c in comps)))
-        design.b, design.a, design.clamped = b, a, np.any(low | high, axis=1)
+        b, a, low, high = zip(*(c._link_cdf(link, y, slope=True) for c in comps))
+        design.b, design.a = np.hstack(b), np.hstack(a)
+        design.clamped = np.any(np.hstack(low + high), axis=1)
     elif method == "slp":
         if all(type(c) is Gaussian for c in comps):
             design.spread = _gaussian_spread_densities(np.hstack([c.mu for c in comps]),
@@ -260,9 +260,8 @@ def _build_design(data, method: str) -> _Design:
             design.spread = _spread_densities(comps, batch.y)
     else:
         if method == "blp":
-            F = np.hstack([c.cdf(y) for c in comps])
-            design.clamped = np.any((F <= CDF_CLAMP) | (F >= 1.0 - CDF_CLAMP), axis=1)
-            design.b = np.clip(F, CDF_CLAMP, 1.0 - CDF_CLAMP)
+            F, _, low, high = zip(*(c._link_cdf(LinkFunction.IDENTITY, y) for c in comps))
+            design.b, design.clamped = np.hstack(F), np.any(np.hstack(low + high), axis=1)
         design.a = np.hstack([c.density(y) for c in comps])
     return design
 
@@ -286,8 +285,9 @@ def log_score(d: PredictiveDist, y):
     """Log predictive density at the outcome, floored at 1e-300.
 
     A float for a scalar outcome; for a stacked ``d`` and an (n, 1) column of
-    outcomes, the (n, 1) scores of its rows.
+    outcomes, the (n, 1) scores of its rows.  A non-finite outcome raises DomainViolation.
     """
+    _check_finite(_as_array(y), "outcome")
     return _match(np.log(np.maximum(_as_array(d.density(y)), DENSITY_FLOOR)))
 
 
@@ -677,14 +677,14 @@ def fit_blp(data) -> FitResult:
 def fit_glp(data, link: LinkFunction) -> FitResult:
     """Fit generalized-pool weights by maximizing the mean log score.
 
-    Newton's method with exact derivatives from equal weights 1/k.
-    Simplex-constrained links eliminate the last weight; links that only
-    need a positive weight sum fit all k weights on the positive orthant.
+    Newton's method with exact derivatives from equal weights 1/k.  Simplex-constrained
+    links eliminate the last weight; links that only need a positive weight sum fit all
+    k weights on the positive orthant.  A link that is not a ``LinkFunction`` raises TypeError.
     """
     if link is LinkFunction.IDENTITY:
         res = fit_tlp(data)
         return replace(res, spec=GlpSpec(w=res.spec.w, link=link))
-    design = _build_design(data, f"glp-{link.value}")
+    design = _build_design(data, f"glp-{_check_link(link).value}")
     derivs = partial(_pool_derivs, design, partial(_link_phi, link))
     return _newton_result(GlpSpec, derivs, design, link.requires_simplex, link=link)
 

@@ -12,17 +12,14 @@ Four aggregation families are provided, all operating on the CDF scale:
 The four specs share one weight rule (``_PoolSpec``): weights are nonempty
 and nonnegative, and sum to 1 within 1e-12, except for the log and probit
 links, which only need a positive finite sum; every shape parameter is
-positive and finite.  Each link is one row of its forms: h, h^{-1}, h',
-its log-density term phi and phi's two derivatives.  Component CDF values
-are clamped to [CDF_CLAMP, 1 - CDF_CLAMP], in the pooled GLP and in the
-fits' designs alike.  The pooled GLP sums each component's term h(F) and
-its y-derivative from ``PredictiveDist._link_cdf`` in component order: the
-CDF is h^{-1} of the first sum s, the density exp(phi(s)) times the
-absolute second sum.  s itself is not clipped; a clamped component's term
-is flat, so it adds no density.  Under the
-probit link a Gaussian's term is z = (y - mu) / sigma clipped to
-[ndtri(CDF_CLAMP), ndtri(1 - CDF_CLAMP)], the same clamp without the round
-trip ndtri(ndtr(z)), and its y-derivative is 1/sigma inside the clip.
+positive and finite.  Each link is one row of its forms: h, h^{-1}, h', its
+log-density term phi and phi's two derivatives.  The pooled GLP sums each
+component's term h(F) and its y-derivative from ``PredictiveDist._link_cdf``
+in component order: the CDF is h^{-1} of the first sum s, the density
+exp(phi(s)) times the absolute second sum.  That hook is the one place that
+clamps, F to [CDF_CLAMP, 1 - CDF_CLAMP], and only where a link diverges, in
+the pooled GLP and the fits' designs alike; a clamped term is flat, so it adds
+no density.  A Gaussian's probit term is z = (y - mu) / sigma itself.
 """
 
 from __future__ import annotations
@@ -49,51 +46,47 @@ from .distributions import (
 from .errors import DensityUnavailable, DomainViolation, WeightConstraintViolation
 
 
-def _probit_deriv(u):
-    z = _special.ndtri(u)
-    return np.sqrt(2.0 * np.pi) * np.exp(0.5 * z * z)
-
-
 class LinkFunction(enum.Enum):
     """Strictly monotone links for the generalized linear pool.
 
     IDENTITY is defined on the closed unit interval and needs simplex
     weights, as does RECIPROCAL; LOG and PROBIT only need a positive weight
-    sum.  The three non-identity links are defined on the open interval
-    only, which is where the clamp policy applies.
+    sum.  The three non-identity links diverge at 0 or 1, where
+    ``PredictiveDist._link_cdf`` clamps unless a term is finite in closed form.
 
-    Each member is one row: its value, ``requires_simplex``, h (``apply``),
-    h^{-1} (``invert``), h' (``deriv``), ``phi`` and phi's first two
-    derivatives (``phi_derivs``), then ``bounds``.  phi(s) = -log|h'(h^{-1}(s))|
-    is the log-slope of h^{-1} at s, the link's term in the generalized pool's
-    log density, log|sum_i w_i dh(F_i)/dy| + phi(sum_i w_i h(F_i)).  It is s for
-    the log link, 2 log(1/s) for the reciprocal link and -(s^2 + log 2 pi)/2
-    for the probit link.  ``bounds`` is h's image of [CDF_CLAMP,
-    1 - CDF_CLAMP] as two floats, lower end first; the probit row writes
-    them out, so reading them imports no scipy.special.
+    Each member is one row: its value, ``requires_simplex``, h (``apply``), h^{-1}
+    (``invert``), h' (``deriv``), ``phi`` and phi's first two derivatives
+    (``phi_derivs``).  phi(s) = -log|h'(h^{-1}(s))| is the log-slope of h^{-1} at s,
+    the link's term in the generalized pool's log density, log|sum_i w_i dh(F_i)/dy|
+    + phi(sum_i w_i h(F_i)).  It is s for the log link, 2 log(1/s) for the
+    reciprocal link and -(s^2 + log 2 pi)/2 for the probit link.
     """
 
     IDENTITY = ("identity", True, lambda u: u, lambda s: s, np.ones_like, np.zeros_like,
-                lambda s: (np.zeros_like(s), np.zeros_like(s)), (CDF_CLAMP, 1.0 - CDF_CLAMP))
+                lambda s: (np.zeros_like(s), np.zeros_like(s)))
     RECIPROCAL = ("reciprocal", True, lambda u: 1.0 / u, lambda s: 1.0 / s,
                   lambda u: -1.0 / (u * u), lambda s: -2.0 * np.log(s),
-                  lambda s: (-2.0 / s, 2.0 / (s * s)), (1.0 / (1.0 - CDF_CLAMP), 1.0 / CDF_CLAMP))
+                  lambda s: (-2.0 / s, 2.0 / (s * s)))
     LOG = ("log", False, np.log, np.exp, lambda u: 1.0 / u, lambda s: s,
-           lambda s: (np.ones_like(s), np.zeros_like(s)),
-           (float(np.log(CDF_CLAMP)), float(np.log(1.0 - CDF_CLAMP))))
+           lambda s: (np.ones_like(s), np.zeros_like(s)))
     PROBIT = ("probit", False, lambda u: _special.ndtri(u), lambda s: _special.ndtr(s),
-              _probit_deriv, lambda s: -0.5 * (s * s + math.log(2.0 * math.pi)),
-              lambda s: (-s, -np.ones_like(s)),
-              (-7.034483825301131, 7.0344869100478356))  # ndtri of the two clamp levels
+              lambda u: math.sqrt(2.0 * math.pi) * np.exp(0.5 * np.square(_special.ndtri(u))),
+              lambda s: -0.5 * (s * s + math.log(2.0 * math.pi)), lambda s: (-s, -np.ones_like(s)))
 
-    def __new__(cls, value, requires_simplex, apply, invert, deriv, phi, phi_derivs, bounds):
+    def __new__(cls, value, requires_simplex, apply, invert, deriv, phi, phi_derivs):
         link = object.__new__(cls)
         link._value_ = value
         link.requires_simplex = requires_simplex
         link.apply, link.invert, link.deriv = apply, invert, deriv
         link.phi, link.phi_derivs = phi, phi_derivs
-        link.bounds = bounds
         return link
+
+
+def _check_link(link) -> LinkFunction:
+    """``link`` itself; TypeError unless it is a ``LinkFunction`` (a name is not looked up)."""
+    if not isinstance(link, LinkFunction):
+        raise TypeError(f"a link must be a LinkFunction, not {type(link).__name__}")
+    return link
 
 
 def _check_weights(w, simplex: bool) -> tuple[float, ...]:
@@ -167,7 +160,7 @@ class GlpSpec(_PoolSpec):
 
     @property
     def _simplex(self) -> bool:
-        return self.link.requires_simplex
+        return _check_link(self.link).requires_simplex
 
     @property
     def method(self) -> str:
@@ -207,17 +200,15 @@ def spec_from_params(method: str, params) -> PoolSpec:
 class GlpDistribution(PredictiveDist):
     """Link-averaged pool h^{-1}(sum w_i h(F_i(y))) for an open-interval link.
 
-    Component CDF values are clamped to [CDF_CLAMP, 1 - CDF_CLAMP] before the
-    link is applied; each component gives its term h(F_i), the term's
-    y-derivative and clamp masks through ``_link_cdf``.  Wherever every
-    component has numerically saturated at 0 (or 1), the pooled CDF is set
-    to exactly 0 (or 1): below every component's support and above it, so
-    the pool's support is the union of theirs.  The density is
-    exp(phi(s)) |sum_i w_i dh(F_i)/dy| at the CDF's link sum
-    s = sum_i w_i h(F_i): between the clamp crossings (``_kinks``)
+    Each component gives its term h(F_i), the term's y-derivative and clamp
+    masks through ``_link_cdf``.  Wherever every component is at the lower
+    (or upper) clamp, the pooled CDF is set to exactly 0 (or 1): below every
+    component's support and above it, so the pool's support is the union of
+    theirs.  The density is exp(phi(s)) |sum_i w_i dh(F_i)/dy| at the CDF's
+    link sum s = sum_i w_i h(F_i): between the clamp crossings (``_kinks``)
     it is the derivative of the CDF, whatever the weights.  Weights that the
-    link's ``GlpSpec`` would reject, or a weight count other than the
-    component count, raise WeightConstraintViolation.
+    link's ``GlpSpec`` would reject, or a weight count other than the component
+    count, raise WeightConstraintViolation, and a non-link TypeError, as there.
     """
 
     _stacks = True
@@ -226,7 +217,7 @@ class GlpDistribution(PredictiveDist):
     link: LinkFunction
 
     def __post_init__(self):
-        w = _check_weights(self.w, self.link.requires_simplex)
+        w = _check_weights(self.w, _check_link(self.link).requires_simplex)
         if len(w) != len(self.components):
             raise WeightConstraintViolation(
                 f"{len(w)} weights were given for {len(self.components)} components"
@@ -238,7 +229,7 @@ class GlpDistribution(PredictiveDist):
         return sum(w * v for w, v in zip(self.w, vals))
 
     def _cdf(self, y, left: bool):
-        # each component's clamped h(F) and clamp masks, in component order
+        # each component's h(F) and clamp masks, in component order
         h, _, low, high = zip(*(c._link_cdf(self.link, y, left) for c in self.components))
         out = np.clip(self.link.invert(self._link_sum(h)), 0.0, 1.0)
         out = np.where(reduce(np.logical_and, high), 1.0, out)
@@ -258,8 +249,9 @@ class GlpDistribution(PredictiveDist):
         return _match(np.exp(self.link.phi(s)) * np.abs(self._link_sum(dh)))
 
     def _kinks(self):
-        # the clamp switches on where a component CDF crosses either bound, and a component
-        # that is itself a pool has kinks of its own; (1, m) or (n, m) arrays, m may be 0
+        # a clamp may switch on where a component CDF crosses either bound (a Gaussian's
+        # probit term never clamps), and a component that is itself a pool has kinks of
+        # its own; (1, m) or (n, m) arrays, m may be 0
         bounds = np.array([[CDF_CLAMP, 1.0 - CDF_CLAMP]])
         kinks = [k for c in self.components for k in (c.quantile(bounds), c._kinks())]
         rows = max(len(k) for k in kinks)

@@ -18,6 +18,7 @@ import numpy as np
 from . import _special
 from .calibration import (
     NEUTRAL_PIT_VARIANCE,
+    _check_seed,
     dispersion_report,
     ks_uniformity,
     marginal_calibration_gap,
@@ -66,6 +67,7 @@ class DgpConfig:
             raise InvalidConfig(f"unknown dgp kind {self.kind!r}; choose from {_KINDS}")
         if self.n < 1:
             raise InvalidConfig("n must be at least 1")
+        _check_seed(self.seed)
         if self.kind == FSIGMA and not self.sigma > 0.0:
             raise InvalidConfig("sigma must be positive")
         if self.kind == BINARY_PROBIT and not (self.sigma1 > 0.0 and self.sigma2 > 0.0):

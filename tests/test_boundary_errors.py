@@ -8,6 +8,7 @@ import pytest
 from cdfpool import (
     DensityUnavailable,
     DgpConfig,
+    DomainViolation,
     EmptyInput,
     FiniteDiscrete,
     ForecastBatch,
@@ -28,8 +29,11 @@ from cdfpool import (
     check_binary_calibration_equivalence,
     evaluate,
     fit_gaussian_component,
+    fit_glp,
     fit_tlp,
     gaussian_cases_from_regressions,
+    log_score,
+    pit_sample,
     pool,
     slp_limit_variance,
     var_z_sigma,
@@ -93,6 +97,18 @@ _REJECTED = {
                                WeightConstraintViolation, "one weight per component is required"),
     "probit-dgp-sigma": (lambda: DgpConfig(BINARY_PROBIT, 10, 0, sigma1=0.0), InvalidConfig,
                          "sigma1 and sigma2 must be positive"),
+    "dgp-negative-seed": (lambda: DgpConfig("regression", 5, -1), InvalidConfig,
+                          "^seed must be a nonnegative integer, not -1$"),
+    "dgp-float-seed": (lambda: DgpConfig("regression", 5, 1.5), InvalidConfig,
+                       "^seed must be a nonnegative integer, not 1.5$"),
+    "pit-sample-negative-seed": (lambda: pit_sample(_G, [0.0], -1), InvalidConfig,
+                                 "^seed must be a nonnegative integer, not -1$"),
+    "log-score-nan": (lambda: log_score(_G, np.array([0.0, np.nan, np.inf])), DomainViolation,
+                      "^outcome 1 is not finite$"),
+    "glp-spec-string-link": (lambda: GlpSpec((0.5, 0.5), "probit"), TypeError,
+                             "^a link must be a LinkFunction, not str$"),
+    "fit-glp-string-link": (lambda: fit_glp([_CASE, _CASE], "probit"), TypeError,
+                            "^a link must be a LinkFunction, not str$"),
     "binary-equivalence-small-n": (lambda: check_binary_calibration_equivalence(9_999, 0),
                                    InvalidConfig, r"need n >= 10\^4"),
 }

@@ -278,23 +278,6 @@ class TestStartup:
         """
         assert _fresh(code) == "True"
 
-    def test_probit_bounds_are_ndtri_of_the_clamp_levels(self):
-        code = """
-            import sys
-            import numpy as np
-            from cdfpool import LinkFunction
-            from cdfpool.distributions import CDF_CLAMP
-            bounds = {link: link.bounds for link in LinkFunction}
-            assert "scipy.special" not in sys.modules
-            from scipy.special import ndtri
-            levels = np.array([CDF_CLAMP, 1.0 - CDF_CLAMP])
-            hexes = lambda xs: [float(x).hex() for x in xs]
-            print(all(hexes(bounds[link]) == hexes(np.sort(link.apply(levels)))
-                      for link in LinkFunction)
-                  and hexes(bounds[LinkFunction.PROBIT]) == hexes(ndtri(levels)))
-        """
-        assert _fresh(code) == "True"
-
 
 class TestErrorContract:
     def test_malformed_header_names_column(self, tmp_path, capsys):
@@ -377,6 +360,22 @@ class TestErrorContract:
         err = capsys.readouterr().err
         assert "has 2 weights but" in err and "has 3 members" in err
         assert not (tmp_path / "report.txt").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "evaluate", "diagnose",
+                                         "reproduce-sim-study"])
+    def test_a_negative_seed_rejected(self, tmp_path, capsys, command):
+        data, params = str(tmp_path / "test.csv"), str(tmp_path / "params.txt")
+        run("simulate", "--dgp", "regression", "--n", "10", "--seed", "1", "--out", data)
+        write_params(params, _fit_result(TlpSpec((0.2, 0.3, 0.5))))
+        capsys.readouterr()
+        argv = {"simulate": ("--dgp", "regression", "--n", "5"),
+                "reproduce-sim-study": ("--j", "50")}.get(command, ("--params", params,
+                                                                   "--input", data))
+        out = tmp_path / "out.txt"
+        assert run(command, *argv, "--seed", "-1", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err == "error: seed must be a nonnegative integer, not -1\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["evaluate", "diagnose"])
     def test_zero_bins_rejected(self, tmp_path, capsys, command):

@@ -219,7 +219,7 @@ _components = st.lists(
     st.tuples(st.floats(-3.0, 3.0), st.floats(0.8, 2.0), st.floats(0.05, 1.0)),
     min_size=2, max_size=4,
 )
-# the BLP's components may be a hundred times wider than each other
+# the BLP's and the probit pool's components may be a hundred times wider than each other
 _blp_components = st.lists(
     st.tuples(st.floats(-3.0, 3.0), st.floats(0.1, 10.0), st.floats(0.05, 1.0)),
     min_size=2, max_size=4,
@@ -260,6 +260,21 @@ class TestGridMoments:
         comps, w = _gaussians(raw)
         d = pool(GlpSpec(w, link), comps)
         _assert_moments_close(d, _cdf_oracle(d, comps))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_blp_components, st.booleans())
+    def test_probit_pool_of_gaussians_is_the_papers_gaussian(self, raw, simplex):
+        """G = Phi(sum_i w_i z_i) is N(m, s^2), with 1/s = sum_i w_i / sigma_i and
+        m = s sum_i w_i mu_i / sigma_i, on the simplex and on the positive orthant."""
+        comps, w = _gaussians(raw)
+        w = w if simplex else tuple(x for _, _, x in raw)
+        d = pool(GlpSpec(w, LinkFunction.PROBIT), comps)
+        s = 1.0 / sum(wi / c.sigma for wi, c in zip(w, comps))
+        m = s * sum(wi * c.mu / c.sigma for wi, c in zip(w, comps))
+        x = m + s * np.linspace(-8.0, 8.0, 161)
+        assert np.max(np.abs(np.log(d.cdf(x)) - log_ndtr((x - m) / s))) <= 1e-12
+        assert abs(d.mean() - m) <= 1e-8 * s
+        assert d.variance() == pytest.approx(s * s, rel=1e-8)
 
     @pytest.mark.parametrize("alpha, beta", [(0.3, 0.3), (5.0, 0.2), (0.05, 0.05)])
     def test_heavy_tailed_beta_transform(self, alpha, beta):
@@ -316,7 +331,9 @@ class TestRuleCoverage:
     ], ids=["blp", "blp-skewed", "glp-log", "glp-probit"])
     def test_wide_bracket_matches_quad(self, spec):
         comps = (Gaussian(-45.0, 1.0), Gaussian(45.0, 1.0))
-        d = pool(spec, comps)
+        # Gaussians would pool to Phi(y - 9) under probit; one-part mixtures still clamp
+        d = pool(spec, tuple(Mixture((c,), (1.0,)) for c in comps)
+                 if spec == GlpSpec((0.4, 0.6), LinkFunction.PROBIT) else comps)
         lo, hi = d._tail_bracket(0)
         assert hi[0, 0] - lo[0, 0] > 100.0
         oracle = _density_oracle if isinstance(spec, BlpSpec) else _cdf_oracle

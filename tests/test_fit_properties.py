@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cdfpool import ForecastCase, Gaussian, LinkFunction, fit_blp, fit_glp, fit_slp, fit_tlp
-from cdfpool.fitting import CDF_CLAMP, GAIN_TOL, _build_design, _Weights
+from cdfpool.distributions import CDF_CLAMP
+from cdfpool.fitting import GAIN_TOL, _build_design, _Weights
 
 from conftest import family_derivs, make_gaussian_cases
 

@@ -132,7 +132,7 @@ _AROUND = np.concatenate([np.linspace(-12.0, 12.0, 97), [-np.inf, 0.0, 1.0, np.i
 
 
 class TestGlpLinkTerms:
-    """A Gaussian's probit term is its clipped z; every other term is h of the clamped CDF."""
+    """A Gaussian's probit term is its z; every other term is h of the clamped CDF."""
 
     def test_opposed_gaussians_pool_to_ndtr_of_the_weighted_z(self):
         d = pool(GlpSpec((0.5, 0.5), LinkFunction.PROBIT), (Gaussian(-6.5, 1.0), Gaussian(6.5, 1.0)))
@@ -146,6 +146,25 @@ class TestGlpLinkTerms:
         d = pool(GlpSpec(w, LinkFunction.PROBIT), (Gaussian(0.0, 1.0), Gaussian(1.0, 2.0)))
         for method in (d.cdf, d.cdf_left):
             assert method(np.array([-np.inf, -100.0, 100.0, np.inf])).tolist() == [0, 0, 1, 1]
+
+    def test_a_narrow_and_a_wide_gaussian_pool_to_the_papers_gaussian(self):
+        # 1/s = 0.5 / 0.1 + 0.5 / 10: the pool is N(0, 1 / 5.05^2), with no clamp in its tails
+        comps = (Gaussian(0.0, 0.1), Gaussian(0.0, 10.0))
+        d = pool(GlpSpec((0.5, 0.5), LinkFunction.PROBIT), comps)
+        assert d.cdf(-1.0) == pytest.approx(ndtr(-5.05), rel=1e-12)
+        assert d.variance() == pytest.approx(1.0 / 5.05 ** 2, rel=1e-10)
+
+    @pytest.mark.parametrize("link", list(LinkFunction), ids=lambda link: link.value)
+    def test_a_zero_weight_adds_nothing_at_infinity(self, link):
+        # 0 times an infinite term would be NaN
+        spec, comps = GlpSpec((1.0, 0.0), link), (Gaussian(0.0, 1.0), Gaussian(1.0, 2.0))
+        ends = np.array([-np.inf, np.inf])
+        stacked = pool(spec, [stack([c, c]) for c in comps])
+        for d, y, want in ((pool(spec, comps), ends, [0.0, 1.0]),
+                           (stacked, ends[None, :], [[0.0, 1.0]] * 2)):
+            for method in (d.cdf, d.cdf_left):
+                assert np.asarray(method(y)).tolist() == want
+            assert not np.any(d.density(y))
 
     def test_rows_of_a_pool_over_gaussian_and_other_kinds_equal_their_cases(self):
         rng = np.random.default_rng(17)
@@ -519,11 +538,6 @@ class TestLinkTable:
     def test_phi_is_the_log_slope_of_the_inverse(self, link, u):
         s = link.apply(np.array([u]))
         assert link.phi(s)[0] == pytest.approx(_phi(link, s)[0], rel=1e-9, abs=1e-9)
-
-    @pytest.mark.parametrize("link", list(LinkFunction), ids=lambda link: link.value)
-    def test_bounds_are_the_clamped_levels(self, link):
-        lo, hi = np.sort(link.apply(np.array([CDF_CLAMP, 1.0 - CDF_CLAMP])))
-        assert link.bounds == (lo, hi)
 
     @pytest.mark.parametrize("link", list(LinkFunction), ids=lambda link: link.value)
     def test_a_link_is_one_object(self, link):

@@ -1054,7 +1054,7 @@ class TestChunksOnEveryCore:
             assert marginal_calibration_gap(d, obs, grid) == _serial_gap(d, obs, grid)
 
     @pytest.mark.parametrize("kind", ["blp", "glp-probit"])
-    def test_moments_equal_their_cases(self, kind, workers):
+    def test_moments_equal_their_cases(self, kind):
         d, _ = self._forecasts(kind)
         d = d._take(slice(0, 4 * _MOMENT_CHUNK + 9))
         rows = [d._take(i) for i in range(d._rows())]
@@ -1062,7 +1062,7 @@ class TestChunksOnEveryCore:
             np.testing.assert_array_equal(getattr(d, method)()[:, 0],
                                           [getattr(r, method)() for r in rows])
 
-    def test_first_failing_chunk_is_named(self, workers):
+    def test_first_failing_chunk_is_named(self):
         rng = np.random.default_rng(42)
         rows = _blp_rows(6 * _MOMENT_CHUNK, rng)
         # the third chunk's bad row fails slowly (its grid never settles), the fifth
@@ -1105,23 +1105,54 @@ class TestChunksOnEveryCore:
         assert out == list(range(20000))
         assert sorted(ran) == out
 
+    def test_the_gap_raises_the_first_failing_chunks_error(self, monkeypatch):
+        monkeypatch.setattr(cdfpool.distributions, "_cores", lambda: 4)  # three helpers
+        later_raised, raised = threading.Event(), []
+
+        class FailingRows(PredictiveDist):
+            """A stacked kind whose CDF raises in a chunk that holds row 130 or row 400."""
+
+            _stacks = True
+
+            def __init__(self, row):
+                self.row = row
+
+            def cdf(self, y):
+                rows = np.ravel(self.row)
+                if 400 in rows:  # chunk 3 raises first
+                    raised.append(400)
+                    later_raised.set()
+                    raise ValueError("row 400")
+                if 130 in rows:  # chunk 1 raises once chunk 3 has
+                    assert later_raised.wait(timeout=30.0)
+                    raised.append(130)
+                    raise ValueError("row 130")
+                return np.full((rows.size, np.shape(y)[-1]), 0.5)
+
+        # a one-point grid reads _GAP_CHUNK rows at a time: six chunks
+        d = stack([FailingRows(float(j)) for j in range(6 * _GAP_CHUNK)])
+        with pytest.raises(ValueError, match="^row 130$"):
+            marginal_calibration_gap(d, np.zeros(6 * _GAP_CHUNK), np.array([0.0]))
+        assert sorted(raised) == [130, 400]
+
     def test_a_forked_child_runs_chunks_as_the_parent(self):
         try:
             context = multiprocessing.get_context("fork")
         except ValueError:
             pytest.skip("fork is unavailable on this platform")
-        d = stack(_blp_rows(3 * _MOMENT_CHUNK + 5, np.random.default_rng(43)))
-        want = d.variance()  # the parent runs its own chunks before the fork
+        d, obs = self._forecasts("blp")
+        grid = np.array([-0.5, 0.0, 0.5])  # _GAP_CHUNK rows at a time: six chunks
+        want = marginal_calibration_gap(d, obs, grid)  # the parent runs chunks before the fork
         receive, send = context.Pipe(duplex=False)
 
         def child():
             cdfpool.distributions._cores = lambda: 4  # three helpers, whatever the core count
-            send.send(d.variance())
+            send.send(marginal_calibration_gap(d, obs, grid))
 
         process = context.Process(target=child)
         process.start()
         try:
-            assert receive.poll(60.0), "the child sent no variance within 60 s"
+            assert receive.poll(60.0), "the child sent no gap within 60 s"
             got = receive.recv()
         finally:
             process.join(60.0)
