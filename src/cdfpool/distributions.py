@@ -42,9 +42,12 @@ pair.  A kind with closed forms (and a user kind that knows its moments)
 overrides it; a mixture, a spread adjustment and a row-by-row stack read
 each part's pair once.  By default, as for the beta-transformed and
 generalized pools, it integrates the CDF by parts with a Gauss–Kronrod pair
-on panels between the CDF's kinks, _MOMENT_CHUNK rows at a time in turn.  The
-marginal gap's row chunks run on one thread per core (``_each_chunk``); each
-chunk's result depends on its rows alone, so no result depends on the core count.
+on panels between the CDF's kinks, _MOMENT_CHUNK rows at a time in turn,
+over a bracket that one rule reads on the CDF for the whole column
+(``_tail_points``): a kind's closed tail points where it has them, else the
+generic bisection quantile, stopped early.  The marginal gap's row chunks
+run on one thread per core (``_each_chunk``); each chunk's result depends on
+its rows alone, so no result depends on the core count.
 """
 
 from __future__ import annotations
@@ -75,13 +78,12 @@ CDF_CLAMP = 1e-12  # CDF values fed to open-interval links are clamped to [eps, 
 
 # Moments without a closed form integrate the CDF by a Gauss–Kronrod pair on each panel.
 _TAIL_MASS = 1e-11  # probability left outside the integration bracket on each side
-_BRACKET_LADDER = 2.0 ** np.arange(64)  # outward probes at -2^i and +2^i
-_NEAR_PROBES = 8  # the first call probes 2^0..2^7; rows with tails further out take the rest
-_BRACKET_POINTS = 65  # coarse grid that narrows the bracket onto the bulk
-_BRACKET_ROUNDS = 80  # each round at least halves the bracket
+_TAIL_SHARE = 0.125  # a bisected tail point is within this share of its bracket's width
+_REACH = 2.0 ** 63  # a CDF integrated by parts is exactly 0 at -_REACH and 1 at +_REACH
 _PAIR = 32  # Gauss nodes on a whole bracket; a shorter panel gets a power of 2 in proportion, >= 4
 _BISECTIONS = 8  # halvings per row before its moments are unavailable; one panel: <= 1105 nodes
 _GRID_RTOL = 1e-8  # agreement demanded between the Kronrod and the Gauss rule
+_LOST_RTOL = 1e-4  # most that mass lost to rounding, moved a bracket width, may move a variance
 _MOMENT_CHUNK = 64  # stacked rows integrated at a time: keeps each (rows, nodes) temporary small
 _ONE_BITS = int(np.float64(1.0).view(np.int64))  # the floats in [0, 1] are the bit patterns 0..this
 
@@ -311,45 +313,9 @@ class PredictiveDist:
     # -- generic numerics ---------------------------------------------------
 
     def _quantile(self, p: np.ndarray) -> np.ndarray:
-        """Quantiles at checked levels by bisection; a stacked object spreads (1, m) levels
-        over its rows.  A kind with an inverse in closed form overrides this.  A level
-        that the CDF does not cross within 200 doublings of the bracket raises
-        DomainViolation: a mixture whose weights sum to 1 - 5e-13 never reaches 1 - 1e-13."""
-        lo_s, hi_s = self.support()  # floats, or (n, 1) columns of the rows' bounds
-        lo = np.where(np.isfinite(lo_s), lo_s - 1.0, -1.0)
-        lo = np.broadcast_to(lo, np.broadcast_shapes(lo.shape, p.shape))
-        cdf_lo = _as_array(self.cdf(lo))
-        shape = np.broadcast_shapes(cdf_lo.shape, p.shape)
-        p = np.broadcast_to(p, shape)
-        lo = np.broadcast_to(lo, shape).copy()
-        hi = np.broadcast_to(np.where(np.isfinite(hi_s), hi_s, 1.0), shape).copy()
-        # expand until cdf(lo) < p <= cdf(hi)
-        for tries in range(201):
-            bad = cdf_lo >= p
-            if not bad.any():
-                break
-            if tries == 200:
-                raise DomainViolation(f"{type(self).__name__} CDF does not fall below "
-                                      f"quantile level {float(p[bad][0])!r}")
-            lo[bad] = 2.0 * lo[bad] - 1.0
-            cdf_lo = _as_array(self.cdf(lo))
-        for tries in range(201):
-            bad = _as_array(self.cdf(hi)) < p
-            if not bad.any():
-                break
-            if tries == 200:
-                raise DomainViolation(f"{type(self).__name__} CDF does not reach "
-                                      f"quantile level {float(p[bad][0])!r}")
-            hi[bad] = 2.0 * hi[bad] + 1.0
-        # each level stops on its own, so it gets the value it gets alone
-        while True:
-            mid = 0.5 * (lo + hi)
-            done = (hi - lo <= _QUANTILE_ATOL) | (mid <= lo) | (mid >= hi)
-            if np.all(done):
-                break
-            ge = _as_array(self.cdf(mid)) >= p
-            hi = np.where(ge & ~done, mid, hi)
-            lo = np.where(~ge & ~done, mid, lo)
+        """Quantiles at checked levels by ``_bisect``; a stacked object spreads (1, m) levels
+        over its rows.  A kind with an inverse in closed form overrides this."""
+        lo, hi = self._bisect(p)
         # an atom a in the last bracket (lo, hi] with cdf_left(a) < p <= cdf(a) is the quantile
         # exactly: the atoms above lo are tried in turn up to the first whose CDF reaches p
         atoms = np.append(np.unique(self.atom_locations()), np.inf)  # sorted and flat, then a stop
@@ -361,84 +327,79 @@ class PredictiveDist:
             i = np.where(tried & ~reached, i + 1, -1)
         return hi
 
-    def _bracket_scale(self):
-        """What ``_tail_bracket`` probes: (s, (zero, low, high, one)).
+    def _bisect(self, p: np.ndarray, tol=lambda lo, hi: _QUANTILE_ATOL):
+        """(lo, hi) with cdf(lo) < p <= cdf(hi): from the support, doubled outward, then
+        each level halved on its own until hi - lo <= tol(lo, hi) or rounding stops it, so
+        it gets the value it gets alone.  A level that the CDF does not cross within 200
+        doublings raises DomainViolation: a mixture whose weights sum to 1 - 5e-13 never
+        reaches 1 - 1e-13."""
+        lo_s, hi_s = self.support()  # floats, or (n, 1) columns of the rows' bounds
+        rows, shape = self._rows(), p.shape
+        p = np.broadcast_to(p, np.broadcast_shapes(shape, (1,) if rows is None else (rows, 1)))
+        lo = np.broadcast_to(np.where(np.isfinite(lo_s), lo_s - 1.0, -1.0), p.shape).copy()
+        hi = np.broadcast_to(np.where(np.isfinite(hi_s), hi_s, 1.0), p.shape).copy()
+        # expand until cdf(lo) < p <= cdf(hi), both ends in one call
+        for tries in range(201):
+            c = _as_array(self.cdf(np.concatenate([lo, hi], axis=-1)))
+            low, high = c[..., :p.shape[-1]] >= p, c[..., p.shape[-1]:] < p
+            if not (low.any() or high.any()):
+                break
+            if tries == 200:
+                bad, verb = (low, "fall below") if low.any() else (high, "reach")
+                raise DomainViolation(f"{type(self).__name__} CDF does not {verb} "
+                                      f"quantile level {float(p[bad][0])!r}")
+            lo[low], hi[high] = 2.0 * lo[low] - 1.0, 2.0 * hi[high] + 1.0
+        while True:
+            mid = 0.5 * (lo + hi)
+            done = (hi - lo <= tol(lo, hi)) | (mid <= lo) | (mid >= hi)
+            if np.all(done):
+                return (lo, hi) if rows is not None else (lo.reshape(shape), hi.reshape(shape))
+            ge = _as_array(self.cdf(mid)) >= p
+            hi = np.where(ge & ~done, mid, hi)
+            lo = np.where(~ge & ~done, mid, lo)
 
-        s(y) is a nondecreasing function of the CDF at y, and the levels are
-        where the CDF crosses 0, _TAIL_MASS, 1 - _TAIL_MASS and 1 on s's
-        scale: cdf(y) <= 0 exactly where s(y) <= zero, cdf(y) <= _TAIL_MASS
-        exactly where s(y) <= low, cdf(y) >= 1 - _TAIL_MASS exactly where
-        s(y) >= high, and cdf(y) >= 1 exactly where s(y) >= one.  The levels
-        are floats or (n, 1) columns.  By default s is the CDF itself; a kind
-        whose CDF is an increasing function of a cheaper one overrides this.
+    def _tail_points(self):
+        """(n, 1) columns lo, hi and lost: cdf(lo) <= _TAIL_MASS, cdf(hi) >= 1 - _TAIL_MASS.
+
+        Read on the CDF itself.  A row's finite ``_closed_points`` are stepped
+        out as far as rounding needs (from the spacing there, doubling), and
+        lost, the mass its CDF gains or sheds over the last steps, is what
+        it jumps by where a part rounds to its limit.  Any other row takes
+        the outer bounds of ``_bisect`` at the two levels, each stopped
+        within _TAIL_SHARE of the row's bracket, and lost 0.  A row whose CDF
+        is not exactly 0 at -_REACH and 1 at +_REACH gets NaN points.
         """
-        return self.cdf, (0.0, _TAIL_MASS, 1.0 - _TAIL_MASS, 1.0)
-
-    def _tail_points(self, low, high):
-        """(n, 1) columns lo, hi where the ``_bracket_scale`` is at most low and at least high:
-        ``_closed_points``, stepped out as far as rounding needs (from the spacing there,
-        doubling).  NaN where a row has none, which ``_moments`` brackets by probing."""
-        levels = np.hstack(np.atleast_2d(low, high))
-        y = np.atleast_2d(self._closed_points(levels))
-        step, s = np.spacing(np.abs(y)) * [-1.0, 1.0], self._bracket_scale()[0]
-        while (not np.isnan(y).all()
-               and (short := (_as_array(s(y)) - levels) * [1.0, -1.0] > 0.0).any()):
-            y, step = np.where(short, y + step, y), 2.0 * step
-        return y[:, :1], y[:, 1:]
+        levels = np.array([[_TAIL_MASS, 1.0 - _TAIL_MASS]])
+        ends = np.atleast_2d(self.cdf(np.array([[-_REACH, _REACH]])))
+        reached = (ends == [0.0, 1.0]).all(axis=1)
+        y = np.zeros(ends.shape) + self._closed_points(levels)
+        closed = np.isfinite(y).all(axis=1)
+        y[~reached], rows = np.nan, np.flatnonzero(reached & closed)
+        if (open_rows := np.flatnonzero(reached & ~closed)).size:
+            lo, hi = self._take(open_rows)._bisect(
+                levels, lambda lo, hi: _TAIL_SHARE * (hi[:, 1:] - lo[:, :1]))
+            y[open_rows] = np.column_stack([lo[:, 0], hi[:, 1]])
+        step, g = np.spacing(np.abs(y)) * [-1.0, 1.0], np.zeros_like(y) + levels
+        before = g.copy()
+        while rows.size:
+            g[rows] = np.atleast_2d(self._take(rows).cdf(y[rows]))
+            short = (g[rows] - levels) * [1.0, -1.0] > 0.0
+            rows, short = rows[short.any(axis=1)], short[short.any(axis=1)]
+            before[rows] = np.where(short, g[rows], before[rows])
+            y[rows] += np.where(short, step[rows], 0.0)
+            step[rows] *= 2.0
+        return y[:, :1], y[:, 1:], np.sum(np.abs(g - before), axis=1, keepdims=True)
 
     def _closed_points(self, levels):
-        """Unchecked ``_tail_points`` at levels [low, high] as [lo, hi]; NaN for none."""
+        """Points at which the CDF is at most levels[..., 0] and at least levels[..., 1], or
+        within rounding of that (``_tail_points`` steps them out on the CDF); NaN for none."""
         return np.full(np.shape(levels), np.nan)
 
-    def _tail_bracket(self, first):
-        """The bulk [lo, hi]: (n, 1) columns with cdf(lo) and 1 - cdf(hi) <= _TAIL_MASS.
-
-        Every probe reads the scale of ``_bracket_scale``, which is the CDF
-        unless a kind supplies a cheaper one, and compares it with that
-        scale's levels, so the bracket is the one the CDF itself gives.  The
-        kinds reach their limits exactly (``BetaTransformed._top``, the
-        generalized pool's clamp masks): a row whose CDF is not exactly 0 at
-        -2^63 and 1 at +2^63 raises MomentUnavailable.  The bracket first
-        doubles outward from [-1, 1]: one call probes +-2^0..2^7 and the
-        limits, and only the rows whose tail points lie further out probe the
-        whole ladder to +-2^63.  It then shrinks to the coarse-grid cells that
-        still hold the two tail points, until the bulk spans at least half
-        the bracket; a settled row keeps its bracket.  Row i is row ``first + i``, or
-        ``first[i]`` for an array of row numbers.
-        """
-        n, k = _BRACKET_LADDER.size, _NEAR_PROBES
-        s, (zero, low, high, one) = self._bracket_scale()
-        near = np.append(_BRACKET_LADDER[:k], _BRACKET_LADDER[-1])  # 2^0..2^7, then 2^63
-        c = _as_array(s(np.concatenate([-near, near])[None, :]))
-        short = ~((c[:, k:k + 1] <= zero) & (c[:, -1:] >= one))[:, 0]
-        if short.any():
-            i = int(np.argmax(short))
-            g0, g1 = _as_array(self.cdf(np.array([[-near[-1], near[-1]]])))[i]
-            raise MomentUnavailable(
-                f"{type(self).__name__} row {first[i] if np.ndim(first) else first + i}: CDF "
-                f"rises only from {g0:g} to {g1:g} over +-{_BRACKET_LADDER[-1]:g}"
-            )
-        lo = np.argmax(c[:, :k + 1] <= low, axis=1)
-        hi = np.argmax(c[:, k + 1:] >= high, axis=1)
-        far = np.flatnonzero((lo == k) | (hi == k))  # a tail point beyond 2^(k - 1)
-        if far.size:
-            s_far, (_, far_low, far_high, _) = self._take(far)._bracket_scale()
-            c = _as_array(s_far(np.concatenate([-_BRACKET_LADDER, _BRACKET_LADDER])[None, :]))
-            lo[far] = np.argmax(c[:, :n] <= far_low, axis=1)
-            hi[far] = np.argmax(c[:, n:] >= far_high, axis=1)
-        lo, hi = -_BRACKET_LADDER[lo], _BRACKET_LADDER[hi]
-        rows, active = np.arange(lo.size), np.ones(lo.size, dtype=bool)
-        for _ in range(_BRACKET_ROUNDS):
-            t = np.linspace(lo, hi, _BRACKET_POINTS, axis=1)
-            c = _as_array(s(t))
-            # c[:, 0] <= low and c[:, -1] >= high, so i < j
-            i = np.argmax(c > low, axis=1) - 1
-            j = np.argmax(c >= high, axis=1)
-            lo, hi = np.where(active, t[rows, i], lo), np.where(active, t[rows, j], hi)
-            active &= 2 * (j - i) <= _BRACKET_POINTS - 1
-            if not active.any():
-                break
-        return lo[:, None], hi[:, None]
+    def _clamps(self, link):
+        """Whether ``_link_cdf`` clamps F under the link, so a generalized pool's CDF may
+        kink where F crosses CDF_CLAMP or 1 - CDF_CLAMP: a bool, or an (n, 1) column of
+        the rows'.  A kind whose term is finite in closed form says no where it is."""
+        return True
 
     def _kinks(self) -> np.ndarray:
         """Points where the CDF may lose smoothness, a row per stacked row; panels end there."""
@@ -448,20 +409,22 @@ class PredictiveDist:
         """(mean, variance), the one hook of ``mean`` and ``variance``; a kind with closed
         forms overrides it, and one whose moments follow from its parts' reads each once.
 
-        By default both come from the CDF G alone, integrated by parts.  On
-        [lo, hi], closed ``_tail_points`` inside +-2^63 or ``_tail_bracket``'s,
-        E[Y] = lo + int (1 - G) and E[(Y - lo)^2] = 2 int (t - lo)(1 - G), by a
+        By default both come from the CDF G alone, integrated by parts on
+        [lo, hi] from ``_tail_points``, found once for all rows: E[Y] = lo +
+        int (1 - G) and E[(Y - lo)^2] = 2 int (t - lo)(1 - G), by a
         Gauss-Kronrod pair on each panel between ``_kinks`` (_PAIR Gauss nodes
         on a whole bracket, fewer on a part).  Its nodes lie inside the panel,
         so a jump of G at a kink is never sampled, and the Gauss nodes are
         Kronrod nodes: one set of CDF values gives two estimates.  While they
         differ by more than _GRID_RTOL, a row halves the panel where they differ
-        most and evaluates the halves alone; after _BISECTIONS halvings it
-        raises MomentUnavailable naming the row.  Rows go _MOMENT_CHUNK at a
-        time, on their own panels, summed panel by panel and node by node, so a
-        row's moments do not depend on its neighbours.  The chunks run in turn:
-        under half of their time releases the GIL.  Returns (n, 1) columns;
-        a per-case object is the 1-row case (row 0 in errors) and gets floats.
+        most and evaluates the halves alone.  Rows go _MOMENT_CHUNK at a time,
+        in turn, on their own panels, summed panel by panel and node by node,
+        so a row's moments do not depend on its neighbours.  The lowest failing
+        row of the first failing chunk raises MomentUnavailable: its CDF is not
+        0 and 1 at -+_REACH, it has not settled after _BISECTIONS halvings, or
+        the mass its CDF loses to rounding at the ends, times (hi - lo)^2,
+        exceeds _LOST_RTOL times its variance.  Returns (n, 1) columns; a
+        per-case object is the 1-row case (row 0 in errors) and gets floats.
         """
         if not self.has_density:
             raise MomentUnavailable(
@@ -471,18 +434,20 @@ class PredictiveDist:
         def moments(first):
             chunk = self._take(slice(first, first + _MOMENT_CHUNK))
             size = min((rows or 1) - first, _MOMENT_CHUNK)
-            _, (_, low, high, _) = chunk._bracket_scale()
-            lo, hi = (np.zeros((size, 1)) + p for p in chunk._tail_points(low, high))
-            far = np.flatnonzero(~(np.maximum(np.abs(lo), np.abs(hi)) <= _BRACKET_LADDER[-1]))
-            if far.size:
-                lo[far], hi[far] = chunk._take(far)._tail_bracket(first + far)
+            lo, hi, lost = (t[first:first + size] for t in tails)
+            if np.isnan(lo).any():
+                i = int(np.argmax(np.isnan(lo[:, 0])))
+                g0, g1 = np.atleast_2d(chunk.cdf(np.array([[-_REACH, _REACH]])))[i]
+                raise MomentUnavailable(f"{type(self).__name__} row {first + i}: CDF rises only "
+                                        f"from {g0:g} to {g1:g} over +-{_REACH:g}")
             edges = np.sort(np.hstack([lo, np.clip(chunk._kinks(), lo, hi), hi]), axis=1)
             # a row's panels, empty ones too, then a place for each halving's second half
             a, b = (np.hstack([e, np.zeros((size, _BISECTIONS))])
                     for e in (edges[:, :-1], edges[:, 1:]))
             n = (2 ** np.ceil(np.log2(np.clip(_PAIR * (b - a) / (hi - lo), 4, _PAIR)))).astype(int)
             r, c = np.nonzero(b > a)  # row r's panel c: to evaluate
-            sums, out, todo = np.zeros((2, 2) + a.shape), np.empty((2, size, 1)), np.arange(size)
+            sums, out = np.zeros((2, 2) + a.shape), np.full((2, size, 1), np.nan)
+            todo = np.arange(size)
             for halvings in range(_BISECTIONS + 1):
                 sums[:, :, r, c] = _kronrod_sums(chunk, lo, r, a[r, c], b[r, c], n[r, c])
                 s = np.cumsum(sums, axis=-1)[..., -1:]  # (rule, part, row, 1), panel by panel
@@ -491,14 +456,8 @@ class PredictiveDist:
                       & (np.abs(v[0] - v[1]) <= _GRID_RTOL * v[0]))[todo, 0]
                 out[:, todo[ok]] = m[0, todo[ok]], v[0, todo[ok]]
                 todo = todo[~ok]
-                if not todo.size:
-                    return out
-                if halvings == _BISECTIONS:  # more would only isolate a jump of G
-                    i = todo[0]
-                    raise MomentUnavailable(
-                        f"{type(self).__name__} row {first + i}: moments did not settle on "
-                        f"{np.sum(b[i] > a[i])} panels over [{lo[i, 0]:g}, {hi[i, 0]:g}]"
-                    )
+                if not todo.size or halvings == _BISECTIONS:  # more would only isolate a jump of G
+                    break
                 # halve each row's panel whose rules differ most, as ``ok`` weighs them
                 d = sums[0] - sums[1]
                 j = np.argmax((np.abs(d[0]) * np.sqrt(np.abs(v[0]))
@@ -507,42 +466,41 @@ class PredictiveDist:
                 b[todo, k], n[todo, k] = b[todo, j], n[todo, j]
                 a[todo, k] = b[todo, j] = 0.5 * (a[todo, j] + b[todo, j])
                 r, c = np.repeat(todo, 2), np.column_stack([j, k]).ravel()
+            if (off := np.isnan(out[1]) | (lost * (hi - lo) ** 2 > _LOST_RTOL * out[1])).any():
+                i = int(np.argmax(off[:, 0]))
+                raise MomentUnavailable(f"{type(self).__name__} row {first + i}: " + (
+                    f"moments did not settle on {np.sum(b[i] > a[i])} panels"
+                    if np.isnan(out[1, i, 0]) else f"the CDF loses mass {lost[i, 0]:g} to "
+                    f"rounding at the ends, too much for variance {out[1, i, 0]:g}")
+                    + f" over [{lo[i, 0]:g}, {hi[i, 0]:g}]")
+            return out
 
         rows = self._rows()
         if rows == 0:
             return np.empty((0, 1)), np.empty((0, 1))
+        tails = self._tail_points()
         out = np.concatenate(list(map(moments, range(0, rows or 1, _MOMENT_CHUNK))), axis=1)
         return (out[0], out[1]) if rows is not None else (float(out[0, 0, 0]), float(out[1, 0, 0]))
 
 
-def _beta_levels(alpha, beta):
-    """``_beta_levels_at`` of every row: floats, or (n, 1) columns for column parameters."""
-    if np.ndim(alpha) == np.ndim(beta) == 0:
-        return _beta_levels_at(float(alpha), float(beta))
-    a, b = np.broadcast_arrays(alpha, beta)
-    levels = np.array([_beta_levels_at(float(x), float(y)) for x, y in zip(a.ravel(), b.ravel())])
-    return tuple(levels.T.reshape((4,) + a.shape))
-
-
 @lru_cache(maxsize=256)
-def _beta_levels_at(alpha: float, beta: float) -> tuple[float, float, float, float]:
-    """Where B = betainc(alpha, beta, .) crosses 0, _TAIL_MASS, 1 - _TAIL_MASS and 1.
-
-    The largest u in [0, 1] with B(u) <= 0 and with B(u) <= _TAIL_MASS, then
-    the smallest with B(u) >= 1 - _TAIL_MASS and with B(u) >= 1: the
-    ``_bracket_scale`` levels of a beta transform.  Bisection over the bit
-    patterns of the floats in [0, 1], which are in the floats' order, so
-    each level is exact wherever B is nondecreasing in floating point
-    (``betaincinv`` misses the tail levels by up to 1e8 floats).
-    """
+def _beta_levels_at(alpha: float, beta: float, low: float, high: float) -> tuple[float, float]:
+    """The base levels where a beta transform's CDF B = betainc(alpha, beta, .) crosses
+    the CDF levels low and high: the largest u in (0, 1) with B(u) <= low and the
+    smallest with B(u) >= high.  Bisection over the bit patterns of the floats in [0, 1],
+    which are in the floats' order, so each is exact wherever B is nondecreasing in
+    floating point (``betaincinv`` misses the tail levels by up to 1e8 floats).  Where
+    only 0 or 1 reaches a level, the nearest float inside keeps the base's closed point
+    finite; B's jump from there to 0 or 1, where the base rounds to its limit, is mass
+    the transform's CDF loses (``_tail_points``)."""
     # B(u) < x exactly where B(u) <= the float below x
-    top = np.array([0.0, _TAIL_MASS, np.nextafter(1.0 - _TAIL_MASS, 0.0), np.nextafter(1.0, 0.0)])
-    lo, hi = np.zeros(4, dtype=np.int64), np.full(4, _ONE_BITS)  # B(lo) <= top < B(hi)
+    top = np.array([low, np.nextafter(high, 0.0)])
+    lo, hi = np.zeros(2, dtype=np.int64), np.full(2, _ONE_BITS)  # B(lo) <= top < B(hi)
     while np.any(hi - lo > 1):
         mid = (lo + hi) // 2
         below = _special.betainc(alpha, beta, mid.view(np.float64)) <= top
         lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-    return tuple(float(u) for u in np.concatenate([lo[:2], hi[2:]]).view(np.float64))
+    return tuple(np.clip([lo[0], hi[1]], 1, _ONE_BITS - 1).view(np.float64).tolist())
 
 
 @cache
@@ -720,6 +678,9 @@ class _RowStack(PredictiveDist):
 
     _closed_points = partialmethod(_each, "_closed_points")
 
+    def _clamps(self, link):
+        return np.array([d._clamps(link) for d in self.rows], dtype=bool).reshape(-1, 1)
+
     def median(self):
         return np.array([d.median() for d in self.rows]).reshape(-1, 1)
 
@@ -760,8 +721,11 @@ class Gaussian(PredictiveDist):
         z = (_as_array(y) - self.mu) / self.sigma
         return _match(np.exp(-0.5 * z * z) / (self.sigma * np.sqrt(2.0 * np.pi)))
 
+    def _clamps(self, link):
+        return link.value != "probit"
+
     def _link_cdf(self, link, y, left=False, slope=False):
-        if link.value != "probit":
+        if self._clamps(link):
             return super()._link_cdf(link, y, left, slope)
         # ndtri(ndtr(z)) is z, finite at every finite y, so nothing clamps and dz/dy is
         # 1/sigma; z is held at +-1e100 at y = +-inf, where a zero weight must add 0
@@ -1038,12 +1002,11 @@ class BetaTransformed(PredictiveDist):
     cdf = partialmethod(_cdf, "cdf")
     cdf_left = partialmethod(_cdf, "cdf_left")
 
-    def _bracket_scale(self):
-        # B is nondecreasing, so the base ratio u crosses each level where B(u) does
-        return (lambda y: self._u(self.base.cdf(y))), _beta_levels(self.alpha, self.beta)
-
     def _closed_points(self, levels):
-        return self.base._closed_points(levels * self._top)
+        # B is nondecreasing, so the base ratio crosses each level where B's exact inverse is
+        u = np.vectorize(_beta_levels_at, otypes=[float, float])(
+            self.alpha, self.beta, levels[..., :1], levels[..., 1:])
+        return self.base._closed_points(np.concatenate(u, axis=-1) * self._top)
 
     def _parts(self):
         return (self.base,)
@@ -1057,6 +1020,10 @@ class BetaTransformed(PredictiveDist):
 
     def _quantile(self, p):
         u = _special.betaincinv(self.alpha, self.beta, p)
+        if not np.all((u > 0.0) & (u < 1.0)):
+            bad = np.broadcast_to(p, np.shape(u))[~((u > 0.0) & (u < 1.0))]
+            raise DomainViolation(f"{type(self).__name__} quantile level {float(bad[0])!r} "
+                                  "rounds to a base level of 0 or 1")
         return _as_array(self.base.quantile(u * self._top))
 
 

@@ -19,7 +19,9 @@ in component order: the CDF is h^{-1} of the first sum s, the density
 exp(phi(s)) times the absolute second sum.  That hook is the one place that
 clamps, F to [CDF_CLAMP, 1 - CDF_CLAMP], and only where a link diverges, in
 the pooled GLP and the fits' designs alike; a clamped term is flat, so it adds
-no density.  A Gaussian's probit term is z = (y - mu) / sigma itself.
+no density.  A Gaussian's probit term is z = (y - mu) / sigma itself, so
+``_clamps`` marks it as one that never clamps, and the pool's ``_kinks``
+leave it out.
 """
 
 from __future__ import annotations
@@ -249,11 +251,12 @@ class GlpDistribution(PredictiveDist):
         return _match(np.exp(self.link.phi(s)) * np.abs(self._link_sum(dh)))
 
     def _kinks(self):
-        # a clamp may switch on where a component CDF crosses either bound (a Gaussian's
-        # probit term never clamps), and a component that is itself a pool has kinks of
-        # its own; (1, m) or (n, m) arrays, m may be 0
+        # a clamp may switch on where a clamping component's CDF crosses either bound (-inf,
+        # an empty panel, in a row that does not clamp) and at a nested pool's own kinks
         bounds = np.array([[CDF_CLAMP, 1.0 - CDF_CLAMP]])
-        kinks = [k for c in self.components for k in (c.quantile(bounds), c._kinks())]
+        kinks = [c._kinks() for c in self.components]
+        kinks += [np.where(clamps, c.quantile(bounds), -np.inf) for c in self.components
+                  if np.any(clamps := c._clamps(self.link))]
         rows = max(len(k) for k in kinks)
         return np.hstack([np.broadcast_to(k, (rows, k.shape[1])) for k in kinks])
 

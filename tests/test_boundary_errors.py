@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cdfpool import (
+    BlpSpec,
     DensityUnavailable,
     DgpConfig,
     DomainViolation,
@@ -47,6 +48,7 @@ from cdfpool.sim import BINARY_PROBIT
 _G = Gaussian(0.0, 1.0)
 _CASE = ForecastCase((_G,), 0.0)
 _REG = ComponentRegression(a=0.0, b=1.0, sigma=1.0)
+_BLP = BlpSpec((0.5, 0.5), 1.0, 0.25)
 
 # (call, error type, message): every call is rejected before any work is done
 _REJECTED = {
@@ -111,6 +113,13 @@ _REJECTED = {
                             "^a link must be a LinkFunction, not str$"),
     "binary-equivalence-small-n": (lambda: check_binary_calibration_equivalence(9_999, 0),
                                    InvalidConfig, r"need n >= 10\^4"),
+    # betaincinv rounds these levels to a base level of exactly 1
+    "blp-quantile-past-the-base": (lambda: pool(_BLP, (_G, _G)).quantile(0.99995),
+                                   DomainViolation, "^BetaTransformed quantile level 0.99995 "
+                                                    "rounds to a base level of 0 or 1$"),
+    "blp-sample-past-the-base": (
+        lambda: pool(_BLP, (_G, _G)).sample(np.random.default_rng(0), 100_000),
+        DomainViolation, r"^BetaTransformed quantile level 0\.9999\d* rounds to a base level"),
 }
 
 

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
-from scipy.special import betaln, log_ndtr, ndtr, ndtri
+from scipy.special import betainc, betaln, log_ndtr, ndtr, ndtri
 
 from cdfpool import (
     BetaTransformed,
@@ -29,8 +29,8 @@ from cdfpool import (
     simulate,
     validate_cdf,
 )
-from cdfpool.distributions import _gauss_kronrod, _kronrod_sums, stack
-from cdfpool.pools import CDF_CLAMP
+from cdfpool.distributions import _TAIL_MASS, _RowStack, _gauss_kronrod, _kronrod_sums, stack
+from cdfpool.pools import CDF_CLAMP, GlpDistribution
 
 STANDARD_MIX = Mixture((Gaussian(-1.0, 1.0), Gaussian(1.0, 1.0)), (0.5, 0.5))
 
@@ -334,7 +334,7 @@ class TestRuleCoverage:
         # Gaussians would pool to Phi(y - 9) under probit; one-part mixtures still clamp
         d = pool(spec, tuple(Mixture((c,), (1.0,)) for c in comps)
                  if spec == GlpSpec((0.4, 0.6), LinkFunction.PROBIT) else comps)
-        lo, hi = d._tail_bracket(0)
+        lo, hi, _ = d._tail_points()
         assert hi[0, 0] - lo[0, 0] > 100.0
         oracle = _density_oracle if isinstance(spec, BlpSpec) else _cdf_oracle
         _assert_moments_close(d, oracle(d, comps))
@@ -375,95 +375,86 @@ class TestRuleCoverage:
             assert abs(m[i] - m_ref) <= 1e-8 * np.sqrt(v_ref)
 
 
-class _CdfBracket(BetaTransformed):
-    """A beta transform whose bracket probes its CDF, as a kind without a cheaper scale does."""
-
-    _bracket_scale = PredictiveDist._bracket_scale
-
-
-def _bracket_or_error(d):
-    try:
-        return d._tail_bracket(0)
-    except MomentUnavailable as e:
-        return str(e).split(" ", 1)[1]  # after the kind's name
-
-
-# mu out to +-300 puts some tail points past the first probes' 2^7
+# mu out to +-300 and sd down to 0.01 put the tail points far from 0 and close together
 _wide_component = st.tuples(st.floats(-300.0, 300.0), st.floats(0.01, 10.0), st.floats(0.05, 1.0))
 _shapes = st.floats(0.05, 5.0)
-# rows of one component count k, each with its own alpha and beta
-_blp_rows = st.integers(2, 4).flatmap(lambda k: st.lists(
-    st.tuples(st.lists(_wide_component, min_size=k, max_size=k), _shapes, _shapes),
-    min_size=1, max_size=6))
-
-
-class TestBracketScale:
-    """A beta transform brackets its base CDF; the bracket is the one its CDF gives."""
-
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(st.lists(_wide_component, min_size=2, max_size=4), _shapes, _shapes)
-    @example([(3.0, 0.01, 1.0), (3.0, 0.01, 1.0)], 0.3, 0.3)
-    @example([(3.0, 0.01, 1.0), (3.0, 0.01, 1.0)], 5.0, 0.2)
-    @example([(3.0, 0.01, 1.0), (3.0, 0.01, 1.0)], 0.05, 0.05)
-    # the mixture tops out short of 1
-    @example([(0.0, 1.0, 1.0), (0.0, 1.0, 0.8), (0.0, 1.0, 0.9435691943904444)], 2.0, 0.703125)
-    # the CDF rises only from about 1/2 to 1/2 over +-2^63
-    @example([(0.0, 1e30, 1.0), (0.0, 1e30, 1.0)], 1.2, 0.9)
-    def test_per_case(self, raw, alpha, beta):
-        comps, w = _gaussians(raw)
-        d = pool(BlpSpec(w, alpha, beta), comps)
-        want = _bracket_or_error(_CdfBracket(d.base, alpha, beta))
-        np.testing.assert_array_equal(_bracket_or_error(d), want)
-
-    @settings(max_examples=30, deadline=None, derandomize=True)
-    @given(_blp_rows)
-    def test_stacked(self, drawn):
-        rows = []
-        for raw, alpha, beta in drawn:
-            comps, w = _gaussians(raw)
-            rows.append(pool(BlpSpec(w, alpha, beta), comps))
-        # the first row's shapes for every row (floats), then each row's own ((n, 1) columns)
-        for d in (BetaTransformed(stack([r.base for r in rows]), rows[0].alpha, rows[0].beta),
-                  stack(rows)):
-            want = _bracket_or_error(_CdfBracket._stacked(d.base, d.alpha, d.beta))
-            np.testing.assert_array_equal(_bracket_or_error(d), want)
+_TAIL_KINDS = ["gaussian", "mixture", "spread", "beta", "glp", "user"]
 
 
 class TestTailPoints:
-    """Closed tail points are past the tail levels on the kind's bracket scale."""
+    """Every row's bracket is past the tail levels on its own CDF, stacked or not."""
 
-    @settings(max_examples=80, deadline=None, derandomize=True)
+    @settings(max_examples=120, deadline=None, derandomize=True)
     @given(st.lists(_wide_component, min_size=2, max_size=4), _shapes, _shapes,
-           st.floats(0.2, 5.0), st.sampled_from(["gaussian", "mixture", "spread", "beta"]))
+           st.floats(0.2, 5.0), st.sampled_from(_TAIL_KINDS),
+           st.sampled_from([LinkFunction.LOG, LinkFunction.PROBIT, LinkFunction.RECIPROCAL]))
+    # B(1 - 2^-53) is 1 - 9.1e-6: the CDF jumps to 1 where the base rounds to 1
+    @example([(3.0, 0.01, 1.0), (3.0, 0.01, 1.0)], 0.3, 0.3, 1.0, "beta", LinkFunction.LOG)
+    # the mixture tops out short of 1, and B(1 - 2^-53) is 1 - 1.03e-11
+    @example([(0.0, 1.0, 1.0), (0.0, 1.0, 0.8), (0.0, 1.0, 0.9435691943904444)], 2.0, 0.703125,
+             1.0, "beta", LinkFunction.LOG)
     # the CDF rises only from about 1/2 to 1/2 over +-2^63
-    @example([(0.0, 1e30, 1.0), (0.0, 1e30, 1.0)], 1.2, 0.9, 1.0, "beta")
-    def test_the_scale_is_past_the_levels(self, raw, alpha, beta, c, kind):
+    @example([(0.0, 1e30, 1.0), (0.0, 1e30, 1.0)], 1.2, 0.9, 1.0, "beta", LinkFunction.LOG)
+    @example([(0.0, 1e30, 1.0), (0.0, 1e30, 1.0)], 1.2, 0.9, 1.0, "glp", LinkFunction.PROBIT)
+    def test_the_cdf_is_past_the_levels(self, raw, alpha, beta, c, kind, link):
         comps, w = _gaussians(raw)
         mixture = Mixture(comps, w)
         d = {"gaussian": comps[0], "mixture": mixture,
              "spread": SpreadAdjusted(mixture, c, comps[0].mu),
-             "beta": BetaTransformed(mixture, alpha, beta)}[kind]
-        # a row on its own, and stacked above its mirror image
-        mirror = _mirror(d)
-        for e in (d, stack([d, mirror])):
-            s, (_, low, high, _) = e._bracket_scale()
-            lo, hi = e._tail_points(low, high)
-            assert (np.asarray(s(lo)) <= low).all() and (np.asarray(s(hi)) >= high).all()
-        # closed points past +-2^63 leave the row to the probes, which find no bracket
-        ends = np.abs(np.hstack([lo, hi]))
-        if np.isfinite(ends).all() and not (ends <= 2.0 ** 63).all():
-            with pytest.raises(MomentUnavailable, match=r"^BetaTransformed row 0: CDF rises only"):
-                d.variance()
+             "beta": BetaTransformed(mixture, alpha, beta), "glp": pool(GlpSpec(w, link), comps),
+             "user": _UserKind(mixture.cdf)}[kind]
+        cases = [d, _mirror(d), _UserKind(lambda y: ndtr((y - 1.0) / 2.0))]
+        points = [np.hstack(e._tail_points()) for e in cases]
+        for e, (lo, hi, lost) in zip(cases, (p[0] for p in points)):
+            ends = np.asarray(e.cdf(np.array([-2.0 ** 63, 2.0 ** 63])))
+            if (ends != [0.0, 1.0]).any():  # no bracket: quadrature moments are unavailable
+                assert np.isnan([lo, hi]).all()
+                if type(e)._moments is PredictiveDist._moments:
+                    with pytest.raises(MomentUnavailable, match=r"^\w+ row 0: CDF rises only"):
+                        e.variance()
+                continue
+            assert e.cdf(lo) <= _TAIL_MASS and e.cdf(hi) >= 1.0 - _TAIL_MASS
+            assert lo < hi and lost >= 0.0
+        # a stacked column (a row stack for the user kind), and a row stack of mixed kinds
+        for n in (2, 3):
+            stacked = stack(cases[:n])
+            assert isinstance(stacked, _RowStack) == (kind == "user" or n == 3)
+            np.testing.assert_array_equal(np.hstack(stacked._tail_points()), np.vstack(points[:n]))
+        if kind == "beta":  # shapes shared by the rows of a stacked base, as a pool has them
+            shared = [BetaTransformed(e.base, alpha, beta) for e in cases[:2]]
+            stacked = BetaTransformed(stack([e.base for e in shared]), alpha, beta)
+            np.testing.assert_array_equal(np.hstack(stacked._tail_points()),
+                                          np.vstack([np.hstack(e._tail_points()) for e in shared]))
+
+    def test_mass_lost_to_rounding(self):
+        # where the base rounds to 1 the CDF jumps from B(1 - 2^-53) to 1
+        d = BetaTransformed(Gaussian(3.0, 0.01), 0.3, 0.3)
+        lo, hi, lost = d._tail_points()
+        assert d.cdf(hi) == 1.0
+        assert lost[0, 0] == pytest.approx(1.0 - betainc(0.3, 0.3, 1.0 - 2.0 ** -53), rel=1e-3)
+        with pytest.raises(MomentUnavailable, match="^BetaTransformed row 0: the CDF loses mass "
+                                                    "9.07[0-9]*e-06 to rounding at the ends"):
+            d.variance()
+        # lost mass 1.03e-11 over a bracket about 13 wide moves the variance by under 1e-8
+        raw = [(0.0, 1.0, 1.0), (0.0, 1.0, 0.8), (0.0, 1.0, 0.9435691943904444)]
+        d = pool(BlpSpec(_gaussians(raw)[1], 2.0, 0.703125), _gaussians(raw)[0])
+        lo, hi, lost = d._tail_points()
+        assert lost[0, 0] == pytest.approx(1.03e-11, rel=1e-2)
+        assert lost[0, 0] * (hi - lo)[0, 0] ** 2 <= 1e-8 * d.variance()
 
 
 def _mirror(d):
-    """d reflected about 0, of the same kind and shape."""
+    """d reflected about 0 (a pool: one over the reflected components), of the same shape."""
     if isinstance(d, Gaussian):
         return Gaussian(-d.mu, d.sigma)
     if isinstance(d, Mixture):
         return Mixture(tuple(map(_mirror, d.components)), d.weights)
     if isinstance(d, SpreadAdjusted):
         return SpreadAdjusted(_mirror(d.base), d.c, -d.center)
+    if isinstance(d, GlpDistribution):
+        return GlpDistribution(tuple(map(_mirror, d.components)), d.w, d.link)
+    if isinstance(d, _UserKind):
+        return _UserKind(lambda y: 1.0 - d.f(-y))
     return BetaTransformed(_mirror(d.base), d.beta, d.alpha)
 
 
@@ -521,9 +512,10 @@ class TestInvariants:
     def test_glp_densities_integrate_to_one(self, link):
         # the density is the CDF's derivative between the clamp crossings, where
         # the panels end; the CDF jumps by about CDF_CLAMP at the outermost two
+        # (a probit pool of Gaussians never clamps: its one panel is the bulk)
         d = pool(GlpSpec((1 / 3, 1 / 3, 1 / 3), link),
                  (Gaussian(0.0, 0.3), Gaussian(1.0, 1.0), Gaussian(-1.0, 3.0)))
-        edges = np.sort(d._kinks().ravel())
+        edges = np.sort(np.append(d._kinks(), [-50.0, 50.0]))
         total = sum(quad(d.density, lo, hi, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
                     for lo, hi in zip(edges[:-1], edges[1:]))
         assert abs(total - 1.0) <= 1e-10
@@ -535,7 +527,7 @@ class TestInvariants:
         # clamp; each panel's integral is still the CDF's rise over it, up to
         # the clamp's jump of about sum(w) * CDF_CLAMP in the outermost panels
         d = pool(GlpSpec((1.5, 0.5), link), (Gaussian(0.0, 1.0), Gaussian(0.5, 1.5)))
-        edges = np.sort(d._kinks().ravel())
+        edges = np.sort(np.append(d._kinks(), [-50.0, 50.0]))
         for lo, hi in zip(edges[:-1], edges[1:]):
             total = quad(d.density, lo, hi, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
             assert abs(total - (d.cdf(hi) - d.cdf(lo))) <= 3e-12

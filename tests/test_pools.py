@@ -154,6 +154,23 @@ class TestGlpLinkTerms:
         assert d.cdf(-1.0) == pytest.approx(ndtr(-5.05), rel=1e-12)
         assert d.variance() == pytest.approx(1.0 / 5.05 ** 2, rel=1e-10)
 
+    def test_only_members_that_clamp_put_kinks_in_the_pool(self):
+        comps = (Gaussian(0.0, 1.0), Gaussian(1.0, 2.0))
+        bounds = np.array([[CDF_CLAMP, 1.0 - CDF_CLAMP]])
+        crossings = np.hstack([c.quantile(bounds) for c in comps])
+        # a Gaussian's probit term never clamps, so the probit pool is one smooth panel
+        for members in (comps, [stack([c, c]) for c in comps]):
+            assert pool(GlpSpec((0.5, 0.5), LinkFunction.PROBIT), members)._kinks().size == 0
+            kinks = pool(GlpSpec((0.5, 0.5), LinkFunction.LOG), members)._kinks()
+            np.testing.assert_array_equal(np.sort(kinks, axis=1),
+                                          np.sort(np.broadcast_to(crossings, kinks.shape), axis=1))
+        # a row stack says so row by row: its Gaussian row's crossings are -inf, empty panels
+        one_part = Mixture((Gaussian(0.0, 1.0),), (1.0,))
+        mixed = stack([Gaussian(0.0, 1.0), one_part])
+        assert mixed._clamps(LinkFunction.PROBIT).tolist() == [[False], [True]]
+        kinks = pool(GlpSpec((0.5, 0.5), LinkFunction.PROBIT), (mixed, stack(comps[1:] * 2)))._kinks()
+        np.testing.assert_array_equal(kinks, [[-np.inf, -np.inf], one_part.quantile(bounds)[0]])
+
     @pytest.mark.parametrize("link", list(LinkFunction), ids=lambda link: link.value)
     def test_a_zero_weight_adds_nothing_at_infinity(self, link):
         # 0 times an infinite term would be NaN
