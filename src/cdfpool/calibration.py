@@ -133,8 +133,9 @@ def pit_sample(forecasts, obs, rng_seed: int) -> PitSample:
     ``forecasts`` is a list of per-case forecasts or one stacked forecast
     whose rows are the cases, such as ``pool(spec, batch.components)``.
     Case j gets the j-th auxiliary uniform.  The stacked forecast costs one
-    ``cdf_left`` and one ``cdf`` call; the values equal ``randomized_pit``
-    case by case, clipped to [0, 1] as there.  Raises InvalidConfig for a negative or
+    ``cdf`` call, and one ``cdf_left`` call if it has atoms (without them the
+    left limit is the CDF); the values equal ``randomized_pit`` case by case,
+    clipped to [0, 1] as there.  Raises InvalidConfig for a negative or
     non-integer seed, DomainViolation naming the first case whose PIT is not finite.
     """
     _check_seed(rng_seed)
@@ -143,8 +144,11 @@ def pit_sample(forecasts, obs, rng_seed: int) -> PitSample:
     rng = np.random.Generator(np.random.Philox(rng_seed))
     v = uniform_open(rng, obs.size)
     y = obs[:, None]
-    left = _as_array(d.cdf_left(y))[:, 0]
-    z = np.clip(left + v * (_as_array(d.cdf(y))[:, 0] - left), 0.0, 1.0)  # NaN stays NaN
+    at = _as_array(d.cdf(y))[:, 0]
+    # a forecast with a density (checked first: no numpy calls) has no atoms
+    continuous = d.has_density or not d.atom_locations().size
+    left = at if continuous else _as_array(d.cdf_left(y))[:, 0]
+    z = np.clip(left + v * (at - left), 0.0, 1.0)  # NaN stays NaN
     _check_finite(z, "the PIT of case")
     return PitSample(z=z, v=v)
 

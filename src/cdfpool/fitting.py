@@ -297,13 +297,10 @@ def beta_log_moments(alpha: float, beta: float):
     Returns (E log U, E log(1-U), var log U, var log(1-U),
     cov(log U, log(1-U))), all via digamma/trigamma identities.
     """
-    ab = alpha + beta
-    e_log = _special.psi(alpha) - _special.psi(ab)
-    e_log1m = _special.psi(beta) - _special.psi(ab)
-    v_log = _special.polygamma(1, alpha) - _special.polygamma(1, ab)
-    v_log1m = _special.polygamma(1, beta) - _special.polygamma(1, ab)
-    cov = -_special.polygamma(1, ab)
-    return float(e_log), float(e_log1m), float(v_log), float(v_log1m), float(cov)
+    x = np.array([alpha, beta, alpha + beta])
+    psi, tri = _special.psi(x), _special.polygamma(1, x)  # one call each
+    return (float(psi[0] - psi[2]), float(psi[1] - psi[2]), float(tri[0] - tri[2]),
+            float(tri[1] - tri[2]), float(-tri[2]))
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +574,8 @@ def _pool_derivs(design, phi, weights, theta):
     n, J = weights.n, design.J
     w = weights.full(theta)
     num = design.a @ w
-    size = np.maximum(np.abs(num), DENSITY_FLOOR)
+    # a TLP's a = f and feasible w are never negative: it skips |a w| and the sign back
+    size = np.maximum(num if phi is None else np.abs(num), DENSITY_FLOOR)
     log_dens = np.log(size)
     c = 0.0
     if phi is not None:
@@ -590,7 +588,8 @@ def _pool_derivs(design, phi, weights, theta):
         live = log_dens > floor
         n_live = int(np.count_nonzero(live))
     ell = float(log_dens[live].sum() + n_live * c + (J - n_live) * _LOG_DENSITY_FLOOR)
-    inv = 1.0 / np.copysign(size[live], num[live])  # 1 / (a w), finite at a floored a w
+    # 1 / (a w), finite at a floored a w
+    inv = 1.0 / (size[live] if phi is None else np.copysign(size[live], num[live]))
     A = weights.columns(design.a[live] * inv[:, None])
     grad = A.sum(axis=0)
     H = -(A.T @ A)
@@ -606,7 +605,9 @@ def _pool_derivs(design, phi, weights, theta):
     # chain rule for x = log p, each factor of p applied after its term
     H_wx = (B.T @ dT[:, live].T) * p
     H_xx = n_live * c_pp * p * p[:, None] + np.diag(p * g_p)
-    return ell, np.append(grad, p * g_p), np.block([[H, H_wx], [H_wx.T, H_xx]])
+    full = np.empty((n + p.size,) * 2)
+    full[:n, :n], full[:n, n:], full[n:, :n], full[n:, n:] = H, H_wx, H_wx.T, H_xx
+    return ell, np.append(grad, p * g_p), full
 
 
 def _beta_phi(s, p):

@@ -475,13 +475,13 @@ class TestGaussKronrodPair:
         assert (wk > 0.0).all() and (wg[gauss] > 0.0).all()
         assert _gauss_kronrod(n) is _gauss_kronrod(n)
 
-    def test_padded_rows_equal_unpadded_ones(self):
+    def test_rows_in_one_call_equal_their_own(self):
         rng = np.random.default_rng(7)
         rows = [pool(BlpSpec((0.4, 0.6), 1.3, 0.8), (Gaussian(m, 1.0), Gaussian(-m, 2.0)))
                 for m in rng.normal(size=4)]
         d = stack(rows)
         lo = rng.normal(size=(4, 1)) - 8.0
-        # rows of 3, 1, 2 and 1 panels with pairs of several sizes
+        # rows of 3, 1, 2 and 1 panels with pairs of several sizes: a block per size, across rows
         row = np.array([0, 0, 0, 1, 2, 2, 3])
         n = np.array([4, 32, 8, 16, 32, 4, 8])
         a = lo[row, 0] + np.array([0.0, 1.0, 9.0, 0.0, 0.0, 10.0, 2.0])

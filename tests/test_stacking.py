@@ -407,6 +407,19 @@ class TestStackedEquivalence:
         want = np.array([float(randomized_pit(f, y, v)) for f, y, v in zip(forecasts, obs, s.v)])
         np.testing.assert_array_equal(s.z, want)
 
+    @pytest.mark.parametrize("atoms", [False, True], ids=["continuous", "atoms"])
+    def test_pit_reads_the_left_limit_only_where_there_are_atoms(self, atoms, monkeypatch):
+        rng = np.random.default_rng(38)
+        g = stack([Gaussian(m, 1.0) for m in rng.normal(size=40)])
+        other = stack([TwoPointBernoulli(p) for p in rng.uniform(0.1, 0.9, 40)]) if atoms else g
+        d = pool(BlpSpec((0.3, 0.7), 1.4, 0.8), [g, other])
+        obs = np.round(rng.normal(size=40))  # on the atoms at 0 and 1 now and then
+        want = [float(randomized_pit(d._take(i), y, v))
+                for i, (y, v) in enumerate(zip(obs, pit_sample(d, obs, 9).v))]
+        calls = {m: _counting(monkeypatch, BetaTransformed, m) for m in ("cdf", "cdf_left")}
+        np.testing.assert_array_equal(pit_sample(d, obs, 9).z, want)
+        assert (len(calls["cdf"]), len(calls["cdf_left"])) == (1, int(atoms))
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.data(), _mixed_list(_any_leaf))
     def test_marginal_gap_equals_per_case_sum(self, data, forecasts):
@@ -768,9 +781,9 @@ class TestStackedGridMoments:
     """BLP and GLP moments of stacked rows come from one path over row chunks."""
 
     @pytest.mark.parametrize("family", ["blp", "glp-log"])
-    def test_rows_beyond_one_chunk_equal_their_cases(self, family):
+    def test_rows_beyond_one_chunk_equal_their_cases(self, family, monkeypatch):
         rng = np.random.default_rng(31)
-        n = 300
+        n = 2 * _MOMENT_CHUNK + 44
         if family == "blp":
             rows = _blp_rows(n, rng)
             # narrow and far from 0: their brackets take more narrowing rounds than the others
@@ -782,11 +795,50 @@ class TestStackedGridMoments:
             raw = rng.uniform(0.1, 1.0, size=(n, 3))
             rows = [pool(GlpSpec(tuple(w / w.sum()), LinkFunction.LOG), case.components)
                     for w, case in zip(raw, batch)]
-        assert n > 2 * _MOMENT_CHUNK
+        want = np.array([r._moments() for r in rows]).T  # per case: (mean, variance) at once
         stacked = stack(rows)
-        for method in ("mean", "variance"):
-            np.testing.assert_array_equal(getattr(stacked, method)()[:, 0],
-                                          [getattr(r, method)() for r in rows])
+        if family == "glp-log":  # most rows' panels end at kinks inside their brackets
+            lo, hi, _ = stacked._tail_points()
+            kinks = stacked._kinks()
+            assert ((kinks > lo) & (kinks < hi)).any(axis=1).sum() > n // 2
+        sums = cdfpool.distributions._kronrod_sums
+        for chunk in (64, _MOMENT_CHUNK):
+            rounds = []
+            monkeypatch.setattr(cdfpool.distributions, "_MOMENT_CHUNK", chunk)
+            monkeypatch.setattr(cdfpool.distributions, "_kronrod_sums",
+                                lambda *args: rounds.append(1) or sums(*args))
+            np.testing.assert_array_equal(stacked.mean()[:, 0], want[0])
+            np.testing.assert_array_equal(stacked.variance()[:, 0], want[1])
+            # some rows halve a panel: more rounds of the rule than chunks
+            assert len(rounds) > 2 * -(-n // chunk)
+
+    @pytest.mark.parametrize("family", ["blp", "glp-probit"])
+    def test_a_kink_free_column_makes_one_cdf_call_per_chunk(self, family, monkeypatch):
+        batch = ForecastBatch.from_cases(
+            simulate(DgpConfig(kind="regression", n=_MOMENT_CHUNK + 70, seed=37)).cases)
+        spec = {"blp": BlpSpec((0.2, 0.3, 0.5), 1.4, 0.8),
+                "glp-probit": GlpSpec((0.2, 0.3, 0.5), LinkFunction.PROBIT)}[family]
+        d = pool(spec, batch.components)
+        assert d._kinks().size == 0
+        calls, sums = [], cdfpool.distributions._kronrod_sums
+        cdf_calls = _counting(monkeypatch, type(d), "cdf")
+
+        def counted(chunk, *args):
+            before = len(cdf_calls)
+            out = sums(chunk, *args)
+            calls.append((chunk, len(cdf_calls) - before))
+            return out
+
+        monkeypatch.setattr(cdfpool.distributions, "_kronrod_sums", counted)
+        for chunk in (64, _MOMENT_CHUNK):
+            monkeypatch.setattr(cdfpool.distributions, "_MOMENT_CHUNK", chunk)
+            calls.clear()
+            d.variance()
+            # a chunk's first round: each row's one panel, in one dense block of nodes
+            first = {}
+            for c, k in calls:
+                first.setdefault(id(c), k)
+            assert list(first.values()) == [1] * -(-d._rows() // chunk)
 
     def test_pool_over_a_row_by_row_column_equals_its_cases(self):
         rng = np.random.default_rng(35)
@@ -1066,17 +1118,24 @@ class TestChunksOnEveryCore:
             np.testing.assert_array_equal(getattr(d, method)()[:, 0],
                                           [getattr(r, method)() for r in rows])
 
-    def test_first_failing_chunk_is_named(self):
+    def test_first_failing_chunk_is_named(self, monkeypatch):
         rng = np.random.default_rng(42)
-        rows = _blp_rows(6 * _MOMENT_CHUNK, rng)
-        # the third chunk's bad row fails after its moments settle (its CDF loses 9.1e-6
-        # where the base rounds to 1), the fifth chunk's at once (its CDF rises only to
-        # about 1/2 over +-2^63)
-        rows[150] = pool(BlpSpec((0.5, 0.5), 0.3, 0.3), [Gaussian(3.0, 0.01)] * 2)
-        rows[300] = pool(BlpSpec((0.5, 0.5), 1.2, 0.9), [Gaussian(0.0, 1e30)] * 2)
-        assert (150 // _MOMENT_CHUNK, 300 // _MOMENT_CHUNK) == (2, 4)
-        with pytest.raises(MomentUnavailable, match="^BetaTransformed row 150: the CDF loses "):
-            stack(rows).variance()
+        rows = _blp_rows(310, rng)
+        # row 150 fails after its moments settle (its CDF loses 9.1e-6 where the base rounds
+        # to 1), row 300 at once (its CDF rises only to about 1/2 over +-2^63)
+        lost = pool(BlpSpec((0.5, 0.5), 0.3, 0.3), [Gaussian(3.0, 0.01)] * 2)
+        rises = pool(BlpSpec((0.5, 0.5), 1.2, 0.9), [Gaussian(0.0, 1e30)] * 2)
+        # the lowest failing row is named: in chunks 2 and 4, chunk 0's last row and chunk
+        # 1's, chunk 0's and chunk 1's first row, and in one chunk (301 rows, or all)
+        for chunk in (64, 151, 300, 301, _MOMENT_CHUNK):
+            monkeypatch.setattr(cdfpool.distributions, "_MOMENT_CHUNK", chunk)
+            rows[150], rows[300] = lost, rises
+            with pytest.raises(MomentUnavailable, match="^BetaTransformed row 150: the CDF loses "):
+                stack(rows).variance()
+            rows[150], rows[300] = rises, lost
+            with pytest.raises(MomentUnavailable, match="^BetaTransformed row 150: CDF rises only "):
+                stack(rows).variance()
+        monkeypatch.undo()
         good = _blp_rows(2 * _MOMENT_CHUNK + 5, rng)
         np.testing.assert_array_equal(stack(good).variance()[:, 0], [r.variance() for r in good])
 
